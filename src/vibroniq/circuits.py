@@ -14,11 +14,11 @@ above that.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
+from . import kernels, signals
 from .model import GridSpec, TimeGrid, VibronicModel, Wavepacket, grid_points, initial_state
 from . import soft as _soft
 
@@ -315,10 +315,16 @@ def prepare_wavepacket(model: VibronicModel, grid: GridSpec) -> Circuit:
     q = grid_points(grid)
     amps = np.exp(-q**2 / 2.0)
     amps = amps / np.linalg.norm(amps)
-    base = build_state_prep(grid.n, amps)
     circ = Circuit(layout.total)
     circ.add("X", (layout.electronic,), layer=0)
-    for r in range(model.d):
+    _copy_to_registers(circ, build_state_prep(grid.n, amps), layout)
+    return circ
+
+
+def _copy_to_registers(circ: Circuit, base: Circuit, layout: QubitLayout) -> None:
+    """Append `base` (one register's gates) on every mode register, keeping
+    its layer ids so the copies run in parallel."""
+    for r in range(layout.d):
         qmap = layout.mode_qubits(r)
         for g in base.gates:
             circ.add(
@@ -328,7 +334,6 @@ def prepare_wavepacket(model: VibronicModel, grid: GridSpec) -> Circuit:
                 g.theta,
                 layer=g.layer,
             )
-    return circ
 
 
 # ---------------------------------------------------------------------------
@@ -388,42 +393,6 @@ def _add_quadratic_network(circ: Circuit, qubits, theta: float, layers, signed: 
                 theta=theta * coeff[i] * coeff[j],
                 layer=next(li),
             )
-
-
-def build_Udiag(model: VibronicModel, grid: GridSpec, dt: float, branch: str) -> Circuit:
-    """Register-diagonal phases of exp(-i V_branch dt / (2 hbar)), branch "S1"/"S2".
-
-    Acts on the d*n register qubits only; the constant term becomes the
-    circuit's global phase. Used as the emulation oracle for one branch; the
-    time step assembles both branches via build_Udiag_pair.
-    """
-    if branch not in ("S1", "S2"):
-        raise CircuitError(f"branch must be S1 or S2, got {branch!r}")
-    s = 0 if branch == "S1" else 1
-    co = _branch_coeffs(model, grid)
-    pref = -dt / (2.0 * model.hbar)
-    n = grid.n
-    circ = Circuit(model.d * n)
-    circ.global_phase = pref * co["const"][s]
-    for k in range(model.d):
-        qubits = list(range(k * n, (k + 1) * n))
-        layers = [circ.new_layer() for _ in range(n * n)]
-        _add_quadratic_network(circ, qubits, pref * co["quad"][k], layers)
-        lin_layer = circ.new_layer()
-        for i in range(n):
-            circ.add("U1", (qubits[i],), theta=pref * co["lin"][s][k] * (1 << i), layer=lin_layer)
-    for pair in model.bilinear_diag:
-        gamma = pair.gamma1 if s == 0 else pair.gamma2
-        theta = 2.0 * pref * gamma * grid.dq * grid.dq
-        for i in range(n):
-            for j in range(n):
-                circ.add(
-                    "U1",
-                    (pair.m * n + j,),
-                    controls=((pair.l * n + i, 1),),
-                    theta=theta * (1 << i) * (1 << j) / 2.0,
-                )
-    return circ
 
 
 def build_Udiag_pair(model: VibronicModel, grid: GridSpec, dt: float) -> Circuit:
@@ -531,97 +500,14 @@ def build_qft(n: int, inverse: bool = False) -> Circuit:
 def _qft_all(model: VibronicModel, grid: GridSpec, inverse: bool) -> Circuit:
     """QFT applied to every mode register in parallel layers."""
     layout = QubitLayout(model.d, grid.n)
-    base = build_qft(grid.n, inverse)
     circ = Circuit(layout.total)
-    for r in range(model.d):
-        qmap = layout.mode_qubits(r)
-        for g in base.gates:
-            circ.add(
-                g.kind,
-                tuple(qmap[t] for t in g.targets),
-                tuple((qmap[c], p) for c, p in g.controls),
-                g.theta,
-                layer=g.layer,
-            )
+    _copy_to_registers(circ, build_qft(grid.n, inverse), layout)
     return circ
 
 
 # ---------------------------------------------------------------------------
 # Bilinear pair circuits (second-order models)
 # ---------------------------------------------------------------------------
-
-
-def build_bilinear_diag(grid: GridSpec, d: int, l: int, m: int, gamma: float, dt: float) -> Circuit:
-    """exp(-i gamma Q_l Q_m dt / hbar) as n^2 cross-register controlled phases.
-
-    Affine idx->Q corrections (when the grid origin is nonzero) appear as one
-    extra layer of linear phases plus a global phase; on a zero-origin grid
-    the depth is exactly n^2.
-    """
-    if l == m:
-        raise CircuitError("bilinear pair must couple distinct modes")
-    n = grid.n
-    circ = Circuit(d * n)
-    pref = -gamma * dt / kernels_hbar_default()
-    q0, dq = grid.q_min, grid.dq
-    for i in range(n):
-        for j in range(n):
-            circ.add(
-                "U1",
-                (m * n + j,),
-                controls=((l * n + i, 1),),
-                theta=pref * dq * dq * (1 << i) * (1 << j),
-            )
-    if q0 != 0.0:
-        lin_layer = circ.new_layer()
-        for reg in (l, m):
-            for i in range(n):
-                circ.add("U1", (reg * n + i,), theta=pref * q0 * dq * (1 << i), layer=lin_layer)
-        circ.global_phase += pref * q0 * q0
-    return circ
-
-
-def kernels_hbar_default() -> float:
-    from .model import HBAR_EV_FS
-
-    return HBAR_EV_FS
-
-
-def build_bilinear_offdiag(grid: GridSpec, d: int, l: int, m: int, mu: float, dt: float) -> Circuit:
-    """exp(-i mu Q_l Q_m X dt / hbar) on the electronic qubit.
-
-    n^2 doubly controlled Rx gates; affine corrections fold into one layer of
-    singly controlled and plain Rx gates (all the same axis, commuting).
-    """
-    if l == m:
-        raise CircuitError("bilinear pair must couple distinct modes")
-    n = grid.n
-    layout = QubitLayout(d, n)
-    circ = Circuit(layout.total)
-    elec = layout.electronic
-    scale = 2.0 * mu * dt / kernels_hbar_default()
-    q0, dq = grid.q_min, grid.dq
-    for i in range(n):
-        for j in range(n):
-            circ.add(
-                "RX",
-                (elec,),
-                controls=((l * n + i, 1), (m * n + j, 1)),
-                theta=scale * dq * dq * (1 << i) * (1 << j),
-            )
-    if q0 != 0.0:
-        lin_layer = circ.new_layer()
-        for reg in (l, m):
-            for i in range(n):
-                circ.add(
-                    "RX",
-                    (elec,),
-                    controls=((reg * n + i, 1),),
-                    theta=scale * q0 * dq * (1 << i),
-                    layer=lin_layer,
-                )
-        circ.add("RX", (elec,), theta=scale * q0 * q0, layer=lin_layer)
-    return circ
 
 
 def decompose_ccrx(gate: Gate) -> list[Gate]:
@@ -870,69 +756,47 @@ def state_to_wavepacket(state: np.ndarray, d: int, n: int) -> Wavepacket:
     amp = np.transpose(block, (0,) + tuple(range(d, 0, -1))).copy()
     return Wavepacket(amp)
 
+
+def _initial_held_state(model: VibronicModel, grid: GridSpec, split_order: str) -> np.ndarray:
+    """Initial statevector in the basis the time step holds it in: position
+    for potential-first, transformed (one QFT per register) for kinetic-first."""
+    state = wavepacket_to_state(initial_state(model, grid))
+    if split_order == "kinetic-first":
+        apply(_qft_all(model, grid, inverse=False), state)
+    return state
+
+
 def circuit_propagate(
     model: VibronicModel,
     grid: GridSpec,
     time_grid: TimeGrid,
     split_order: str = "potential-first",
-    observers: tuple = ("autocorr", "population"),
+    observers: tuple = _soft.DEFAULT_OBSERVERS,
 ) -> dict:
     """Propagate through repeated emulated time-step circuits.
 
-    Matches soft.propagate's observer records. The kinetic-first branch holds
-    the state in the transformed basis between steps (one QFT pair at the
-    walls), converting copies back for position-space observers.
+    Records the same observers as soft.propagate through the same driver.
+    The kinetic-first branch holds the state in the transformed basis between
+    steps (one QFT pair at the walls), converting copies back for
+    position-space observers and the final state.
     """
     step_circ = build_timestep(model, grid, time_grid.dt, split_order)
-    psi0 = initial_state(model, grid)
-    state = wavepacket_to_state(psi0)
-    ref = state.copy()
-    momentum_held = split_order == "kinetic-first"
-    if momentum_held:
-        fwd = _qft_all(model, grid, inverse=False)
-        back = _qft_all(model, grid, inverse=True)
-        apply(fwd, state)
-        ref = state.copy()
-    want = set(observers)
-    sample_steps = time_grid.sample_steps()
-    times = sample_steps * time_grid.dt
-    autocorr = np.zeros(len(sample_steps), dtype=np.complex128) if "autocorr" in want else None
-    pops = np.zeros((len(sample_steps), 2)) if "population" in want else None
-    boundary = np.zeros((len(sample_steps), model.d)) if "boundary" in want else None
-    cursor = 0
+    state = _initial_held_state(model, grid, split_order)
+    back = _qft_all(model, grid, inverse=True) if split_order == "kinetic-first" else None
 
-    def record(k: int) -> None:
-        nonlocal cursor
-        if autocorr is not None:
-            autocorr[cursor] = np.vdot(ref, state)
-        if pops is not None:
-            half = state.size // 2
-            pops[cursor, 0] = float(np.sum(np.abs(state[:half]) ** 2))
-            pops[cursor, 1] = float(np.sum(np.abs(state[half:]) ** 2))
-        if boundary is not None:
-            probe = state.copy()
-            if momentum_held:
-                apply(back, probe)
-            wp = state_to_wavepacket(probe, model.d, grid.n)
-            boundary[cursor] = _soft.boundary_maxima(wp)
-        cursor += 1
+    def position(s: np.ndarray) -> Wavepacket:
+        if back is not None:
+            s = apply(back, s.copy())
+        return state_to_wavepacket(s, model.d, grid.n)
 
-    next_sample = 0
-    for k in range(time_grid.n_steps + 1):
-        if next_sample < len(sample_steps) and k == sample_steps[next_sample]:
-            record(k)
-            next_sample += 1
-        if k < time_grid.n_steps:
-            apply(step_circ, state)
-    if momentum_held:
-        apply(back, state)
-    out = {"times": times, "state": state_to_wavepacket(state, model.d, grid.n)}
-    if autocorr is not None:
-        out["autocorr"] = _soft.AutocorrSeries(times, autocorr)
-    if pops is not None:
-        out["population"] = _soft.PopulationSeries(times, pops[:, 0], pops[:, 1])
-    if boundary is not None:
-        out["boundary"] = _soft.BoundarySeries(times, boundary)
+    plan = None
+    if "energy" in observers:
+        plan = _soft.PropagatorPlan(model, grid, time_grid.dt, split_order)
+    out, state = _soft._observe(
+        state, lambda s: apply(step_circ, s), lambda s: s.reshape(2, -1), position,
+        time_grid, observers, plan,
+    )
+    out["state"] = position(state)
     return out
 
 
@@ -971,17 +835,6 @@ def _interferometer_probs(state: np.ndarray) -> tuple[float, float]:
     p0_imag = 0.5 * (1.0 - overlap.imag)
     return p0_real, p0_imag
 
-def estimate_autocorr(state: np.ndarray, shots: int, rng) -> complex:
-    """Shot-sampled autocorrelation estimate from a pre-readout state.
-
-    Re comes from shots on the real interferometer (Re = 2 k0/shots - 1),
-    Im from shots on the S-shifted one (Im = 2 k1/shots - 1).
-    """
-    p0_real, p0_imag = _interferometer_probs(state)
-    k0 = rng.binomial(shots, min(1.0, max(0.0, p0_real)))
-    k1 = rng.binomial(shots, min(1.0, max(0.0, 1.0 - p0_imag)))
-    return complex(2.0 * k0 / shots - 1.0, 2.0 * k1 / shots - 1.0)
-
 def hadamard_series(
     model: VibronicModel,
     grid: GridSpec,
@@ -993,41 +846,28 @@ def hadamard_series(
     """Autocorrelation through the ancilla interferometer at each sample time.
 
     One controlled time-step circuit is applied cumulatively; the readout
-    probabilities are evaluated on the running state. With shots=None the
-    exact A(t) is returned, otherwise a binomially sampled estimate.
+    probabilities are evaluated on the running state at the driver's sample
+    steps. "exact" is always returned; with shots, "sampled" adds the
+    binomial shot noise of signals.sample_autocorr to it.
     """
     layout = QubitLayout(model.d, grid.n, ancilla=True)
     step_circ = build_timestep(model, grid, time_grid.dt, split_order)
     ctrl_step = step_circ.controlled(layout.ancilla_qubit)
-    psi0 = initial_state(model, grid)
-    flat = wavepacket_to_state(psi0)
-    momentum_held = split_order == "kinetic-first"
-    if momentum_held:
-        apply(_qft_all(model, grid, inverse=False), flat)
+    flat = _initial_held_state(model, grid, split_order)
     state = kernels.allocate_state(layout.total)
     half = flat.size
     state[:half] = flat / math.sqrt(2.0)
     state[half:] = flat / math.sqrt(2.0)
-    sample_steps = time_grid.sample_steps()
-    times = sample_steps * time_grid.dt
-    exact = np.zeros(len(sample_steps), dtype=np.complex128)
-    sampled = np.zeros(len(sample_steps), dtype=np.complex128) if shots else None
-    rng = np.random.default_rng(seed)
-    cursor = 0
-    next_sample = 0
-    for k in range(time_grid.n_steps + 1):
-        if next_sample < len(sample_steps) and k == sample_steps[next_sample]:
-            p0r, p0i = _interferometer_probs(state)
-            exact[cursor] = complex(2.0 * p0r - 1.0, 1.0 - 2.0 * p0i)
-            if sampled is not None:
-                sampled[cursor] = estimate_autocorr(state, shots, rng)
-            cursor += 1
-            next_sample += 1
-        if k < time_grid.n_steps:
-            apply(ctrl_step, state)
-    out = {"times": times, "exact": exact}
-    if sampled is not None:
-        out["sampled"] = sampled
+    exact = []
+
+    def readout(s: np.ndarray) -> None:
+        p0r, p0i = _interferometer_probs(s)
+        exact.append(complex(2.0 * p0r - 1.0, 1.0 - 2.0 * p0i))
+
+    _soft._sample_loop(state, lambda s: apply(ctrl_step, s), time_grid, readout)
+    out = {"times": time_grid.sample_times(), "exact": np.array(exact, dtype=np.complex128)}
+    if shots:
+        out["sampled"] = signals.sample_autocorr((out["times"], out["exact"]), shots, seed).values
     return out
 
 

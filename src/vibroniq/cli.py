@@ -217,7 +217,7 @@ def cmd_verify(args) -> int:
             if not row["agree"]:
                 failures += 1
             print(f"{model_class} n={n}: {row['rows']} {status}")
-    model = get_model("pyrazine-2mode" if args.modes == 2 else args.model)
+    model = get_model(args.model)
     grid = _grid_from_args(args)
     tg = _time_grid_from_args(args)
     plan = soft.PropagatorPlan(model, grid, tg.dt, split_order=args.split_order)
@@ -295,8 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="builder-vs-formula and engine-vs-engine checks")
     common(p, engine=False)
-    p.add_argument("--modes", type=int, choices=(2, 4), default=2)
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func=cmd_verify, model="pyrazine-2mode")
 
     return parser
 

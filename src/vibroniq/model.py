@@ -6,7 +6,7 @@ Phase angles therefore always divide an energy by ``HBAR_EV_FS``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, asdict
 from importlib import resources as importlib_resources
 from pathlib import Path
 

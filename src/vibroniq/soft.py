@@ -20,11 +20,12 @@ from .model import (
     VibronicModel,
     Wavepacket,
     grid_points,
-    initial_state,
     momentum_points,
 )
 
 SPLIT_ORDERS = ("potential-first", "kinetic-first")
+OBSERVERS = ("autocorr", "population", "boundary", "energy")
+DEFAULT_OBSERVERS = ("autocorr", "population", "boundary")
 
 
 def _diagonal_potentials(model: VibronicModel, grid: GridSpec) -> np.ndarray:
@@ -207,60 +208,79 @@ def energy(plan: PropagatorPlan, psi: Wavepacket) -> float:
     return ev + ec + ek
 
 
+def _sample_loop(state, advance, time_grid: TimeGrid, record):
+    """The sampling loop of both engines.
+
+    Calls record(state) at step 0 and after every sample_stride-th step,
+    with state = advance(state) between; returns the final state.
+    """
+    record(state)
+    for s in range(1, time_grid.n_steps + 1):
+        state = advance(state)
+        if s % time_grid.sample_stride == 0:
+            record(state)
+    return state
+
+
+def _observe(state, advance, held, position, time_grid: TimeGrid, observers, plan=None):
+    """Run the sampling loop recording the named observers.
+
+    held(state) returns the engine's amplitudes with the electronic index
+    first, in any unitary basis (autocorrelation and populations do not
+    depend on it); position(state) returns a position-basis Wavepacket for
+    boundary and energy, whose tables come from `plan`. Returns the series
+    keyed by observer name and the final state.
+    """
+    unknown = set(observers) - set(OBSERVERS)
+    if unknown:
+        raise ValueError(f"unknown observers {sorted(unknown)}; pick from {list(OBSERVERS)}")
+    rows: dict = {name: [] for name in OBSERVERS if name in observers}
+    ref = held(state).copy()
+
+    def record(s) -> None:
+        amps = held(s)
+        if "autocorr" in rows:
+            rows["autocorr"].append(np.vdot(ref, amps))
+        if "population" in rows:
+            rows["population"].append(populations(Wavepacket(amps)))
+        if "boundary" in rows or "energy" in rows:
+            psi = position(s)
+            if "boundary" in rows:
+                rows["boundary"].append(boundary_maxima(psi))
+            if "energy" in rows:
+                rows["energy"].append(energy(plan, psi))
+
+    state = _sample_loop(state, advance, time_grid, record)
+    times = time_grid.sample_times()
+    out: dict = {}
+    if "autocorr" in rows:
+        out["autocorr"] = AutocorrSeries(times, np.array(rows["autocorr"], dtype=np.complex128))
+    if "population" in rows:
+        pops = np.array(rows["population"])
+        out["population"] = PopulationSeries(times, pops[:, 0], pops[:, 1])
+    if "boundary" in rows:
+        out["boundary"] = BoundarySeries(times, np.array(rows["boundary"]))
+    if "energy" in rows:
+        out["energy"] = EnergySeries(times, np.array(rows["energy"]))
+    return out, state
+
+
 def propagate(
     plan: PropagatorPlan,
     psi0: Wavepacket,
     time_grid: TimeGrid,
-    observers: tuple[str, ...] = ("autocorr", "population", "boundary"),
+    observers: tuple[str, ...] = DEFAULT_OBSERVERS,
 ) -> dict:
     """Run n_steps steps, recording observables every sample_stride steps.
 
     Returns a dict keyed by observer name; "state" (the final Wavepacket) is
     always included.
     """
-    known = {"autocorr", "population", "boundary", "energy"}
-    unknown = set(observers) - known
-    if unknown:
-        raise ValueError(f"unknown observers {sorted(unknown)}; pick from {sorted(known)}")
-    times = time_grid.sample_times()
-    sample_set = set(int(s) for s in time_grid.sample_steps())
-    n_samples = len(times)
-    ref = psi0.amplitudes.copy()
-    acf = np.empty(n_samples, dtype=np.complex128)
-    pops = np.empty((n_samples, 2))
-    bounds = np.empty((n_samples, plan.model.d))
-    energies = np.empty(n_samples)
-    psi = psi0.copy()
-
-    cursor = 0
-
-    def record(p: Wavepacket) -> None:
-        nonlocal cursor
-        if "autocorr" in observers:
-            acf[cursor] = np.vdot(ref, p.amplitudes)
-        if "population" in observers:
-            pops[cursor] = populations(p)
-        if "boundary" in observers:
-            bounds[cursor] = boundary_maxima(p)
-        if "energy" in observers:
-            energies[cursor] = energy(plan, p)
-        cursor += 1
-
-    record(psi)
-    for s in range(1, time_grid.n_steps + 1):
-        psi = step(plan, psi)
-        if s in sample_set:
-            record(psi)
-
-    out: dict = {"state": psi}
-    if "autocorr" in observers:
-        out["autocorr"] = AutocorrSeries(times, acf)
-    if "population" in observers:
-        out["population"] = PopulationSeries(times, pops[:, 0], pops[:, 1])
-    if "boundary" in observers:
-        out["boundary"] = BoundarySeries(times, bounds)
-    if "energy" in observers:
-        out["energy"] = EnergySeries(times, energies)
+    out, psi = _observe(
+        psi0, lambda p: step(plan, p), lambda p: p.amplitudes, lambda p: p,
+        time_grid, observers, plan,
+    )
+    out["state"] = psi
     return out
 
 

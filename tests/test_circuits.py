@@ -11,12 +11,9 @@ from vibroniq.circuits import (
     Gate,
     QubitLayout,
     apply,
-    build_Udiag,
     build_Udiag_pair,
     build_UK,
     build_Uc,
-    build_bilinear_diag,
-    build_bilinear_offdiag,
     build_hadamard_test,
     build_qft,
     build_qpe,
@@ -49,7 +46,7 @@ from vibroniq.model import (
     pyrazine_2mode,
 )
 from vibroniq.resources import qft_depth
-from vibroniq.soft import PropagatorPlan, propagate
+from vibroniq.soft import OBSERVERS, PropagatorPlan, propagate
 
 
 def two_mode_tiny():
@@ -366,29 +363,16 @@ def test_udiag_matches_potential_table(branch):
     grid = GridSpec(n=2, q_min=-5.0, q_max=5.0)
     dt = 0.7
     plan = PropagatorPlan(model, grid, dt)
-    s = 0 if branch == "S1" else 1
-    # vtab is indexed (s, i_0, i_1); the flat register index is i_1*4 + i_0
-    expected = np.exp(-1j * plan.vtab[s].T.reshape(-1) * dt / (2 * model.hbar))
-    got = diag_of(build_Udiag(model, grid, dt, branch))
-    assert np.max(np.abs(got - expected)) < 1e-12
-    with pytest.raises(CircuitError):
-        build_Udiag(model, grid, dt, "S3")
-
-
-def test_udiag_pair_combines_both_branches():
-    model = two_mode_tiny()
-    grid = GridSpec(n=2, q_min=-5.0, q_max=5.0)
-    dt = 0.7
     pair = build_Udiag_pair(model, grid, dt)
     assert pair.depth() == grid.n**2 + 5
-    got = diag_of(pair)
-    half = got.size // 2
-    # the per-branch circuits already carry their constants as global phase,
-    # which unitary_of folds in
-    d1 = diag_of(build_Udiag(model, grid, dt, "S1"))
-    d2 = diag_of(build_Udiag(model, grid, dt, "S2"))
-    assert np.max(np.abs(got[:half] - d1)) < 1e-12
-    assert np.max(np.abs(got[half:] - d2)) < 1e-12
+    # the electronic qubit is the top one: S1 is the lower half of the
+    # diagonal, S2 the upper; vtab is indexed (s, i_0, i_1) and the flat
+    # register index is i_1*4 + i_0
+    s = 0 if branch == "S1" else 1
+    half = 1 << (model.d * grid.n)
+    got = diag_of(pair)[s * half : (s + 1) * half]
+    expected = np.exp(-1j * plan.vtab[s].T.reshape(-1) * dt / (2 * model.hbar))
+    assert np.max(np.abs(got - expected)) < 1e-12
 
 
 def test_uc_matches_coupling_rotation():
@@ -444,44 +428,6 @@ def test_uk_matches_kinetic_phases():
 # ---------------------------------------------------------------------------
 
 
-def test_bilinear_diag_matches_cross_phase():
-    grid = GridSpec(n=2, q_min=-3.0, q_max=3.0)
-    gamma, dt = 0.05, 0.6
-    circ = build_bilinear_diag(grid, d=2, l=0, m=1, gamma=gamma, dt=dt)
-    got = diag_of(circ)
-    q = grid_points(grid)
-    n_pts = grid.size
-    hbar = 0.6582119569
-    expected = np.empty(n_pts * n_pts, dtype=complex)
-    for i1 in range(n_pts):
-        for i0 in range(n_pts):
-            expected[i1 * n_pts + i0] = np.exp(-1j * gamma * q[i0] * q[i1] * dt / hbar)
-    assert np.max(np.abs(got - expected)) < 1e-12
-
-
-def test_bilinear_offdiag_matches_coupling():
-    grid = GridSpec(n=2, q_min=-3.0, q_max=3.0)
-    mu, dt = 0.03, 0.6
-    d = 2
-    circ = build_bilinear_offdiag(grid, d=d, l=0, m=1, mu=mu, dt=dt)
-    u = unitary_of(circ)
-    q = grid_points(grid)
-    n_pts = grid.size
-    hbar = 0.6582119569
-    size = 2 * n_pts * n_pts
-    expected = np.zeros((size, size), dtype=complex)
-    for i1 in range(n_pts):
-        for i0 in range(n_pts):
-            theta = mu * q[i0] * q[i1] * dt / hbar
-            idx0 = i1 * n_pts + i0
-            idx1 = idx0 + n_pts * n_pts
-            expected[idx0, idx0] = math.cos(theta)
-            expected[idx1, idx1] = math.cos(theta)
-            expected[idx0, idx1] = -1j * math.sin(theta)
-            expected[idx1, idx0] = -1j * math.sin(theta)
-    assert np.max(np.abs(u - expected)) < 1e-12
-
-
 def test_ccrx_decomposition_is_exact(rng):
     for _ in range(5):
         th = float(rng.normal())
@@ -523,24 +469,30 @@ def test_bilinear_schedule_for_the_placeholder():
 
 
 def test_timestep_unitary_matches_soft_step():
-    model = two_mode_tiny()
-    grid = GridSpec(n=2, q_min=-5.0, q_max=5.0)
-    dt = 0.5
-    circ = build_timestep(model, grid, dt)
-    u = unitary_of(circ)
-    # drive the split-operator step over every basis vector
+    # potential-first holds position; kinetic-first holds the transformed
+    # basis, so its step is conjugated by the per-register QFT pair
+    from vibroniq.circuits import _qft_all
     from vibroniq.soft import step as soft_step
 
-    plan = PropagatorPlan(model, grid, dt)
-    size = u.shape[0]
-    ref = np.zeros((size, size), dtype=complex)
-    for col in range(size):
-        flat = np.zeros(size, dtype=np.complex128)
-        flat[col] = 1.0
-        wp = state_to_wavepacket(flat, d=2, n=2)
-        out = soft_step(plan, wp)
-        ref[:, col] = wavepacket_to_state(out)
-    assert np.max(np.abs(u - ref)) < 1e-12
+    cases = [(two_mode_tiny(), GridSpec(n=2, q_min=-5.0, q_max=5.0), "potential-first")]
+    for split_gamma in (False, True):
+        cases.append((bilinear_tiny(split_gamma), GridSpec(n=2, q_min=-4.0, q_max=4.0), "kinetic-first"))
+    dt = 0.5
+    for model, grid, split in cases:
+        u = unitary_of(build_timestep(model, grid, dt, split))
+        if split == "kinetic-first":
+            u = unitary_of(_qft_all(model, grid, inverse=True)) @ u @ unitary_of(
+                _qft_all(model, grid, inverse=False))
+        # drive the split-operator step over every basis vector
+        plan = PropagatorPlan(model, grid, dt, split_order=split)
+        size = u.shape[0]
+        ref = np.zeros((size, size), dtype=complex)
+        for col in range(size):
+            flat = np.zeros(size, dtype=np.complex128)
+            flat[col] = 1.0
+            wp = state_to_wavepacket(flat, d=model.d, n=grid.n)
+            ref[:, col] = wavepacket_to_state(soft_step(plan, wp))
+        assert np.max(np.abs(u - ref)) < 1e-12, (model.d, split)
 
 
 def test_timestep_rejects_bilinear_potential_first():
@@ -569,16 +521,24 @@ def test_kinetic_first_step_matches_soft(split_gamma):
 
 
 def test_circuit_propagate_matches_soft_observers():
-    model = two_mode_tiny()
-    grid = GridSpec(n=2, q_min=-5.0, q_max=5.0)
+    cases = (
+        (two_mode_tiny(), GridSpec(n=2, q_min=-5.0, q_max=5.0), "potential-first"),
+        (pyrazine_2mode(), GridSpec(n=3, q_min=-5.0, q_max=5.0), "kinetic-first"),
+    )
     tg = TimeGrid(dt=0.5, n_steps=16, sample_stride=4)
-    plan = PropagatorPlan(model, grid, tg.dt)
+    for model, grid, split in cases:
+        plan = PropagatorPlan(model, grid, tg.dt, split_order=split)
+        r_soft = propagate(plan, initial_state(model, grid), tg, observers=OBSERVERS)
+        r_circ = circuit_propagate(model, grid, tg, split_order=split, observers=OBSERVERS)
+        assert set(r_circ) == set(r_soft) == set(OBSERVERS) | {"state"}
+        assert np.max(np.abs(r_soft["autocorr"].values - r_circ["autocorr"].values)) < 1e-10
+        assert np.max(np.abs(r_soft["population"].p_s2 - r_circ["population"].p_s2)) < 1e-10
+        assert np.max(np.abs(r_soft["boundary"].per_mode - r_circ["boundary"].per_mode)) < 1e-10
+        assert np.max(np.abs(r_soft["energy"].values - r_circ["energy"].values)) < 1e-10
+    # with their default observers the two engines return the same keys
     r_soft = propagate(plan, initial_state(model, grid), tg)
-    r_circ = circuit_propagate(model, grid, tg,
-                               observers=("autocorr", "population", "boundary"))
-    assert np.max(np.abs(r_soft["autocorr"].values - r_circ["autocorr"].values)) < 1e-10
-    assert np.max(np.abs(r_soft["population"].p_s2 - r_circ["population"].p_s2)) < 1e-10
-    assert np.max(np.abs(r_soft["boundary"].per_mode - r_circ["boundary"].per_mode)) < 1e-10
+    r_circ = circuit_propagate(model, grid, tg, split_order=split)
+    assert set(r_circ) == set(r_soft)
 
 
 # ---------------------------------------------------------------------------

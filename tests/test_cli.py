@@ -144,11 +144,18 @@ def test_qpe_demo(tmp_path, capsys):
 
 
 def test_verify_small(capsys):
-    args = ["verify", "--modes", "2", "--n", "3", "--nt", "64", "--total-fs", "16.0",
-            "--stride", "8"]
+    args = ["verify", "--n", "3", "--nt", "64", "--total-fs", "16.0", "--stride", "8"]
     assert main(args) == 0
     out = capsys.readouterr().out
     assert "engine fidelity" in out
+    assert "(2 modes, n=3)" in out
+    assert "MISMATCH" not in out
+
+
+def test_verify_takes_the_model(capsys):
+    assert main(["verify", "--model", "pyrazine-4d", "--n", "2", "--nt", "8", "--stride", "8"]) == 0
+    out = capsys.readouterr().out
+    assert "(4 modes, n=2)" in out
     assert "MISMATCH" not in out
 
 

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from vibroniq.circuits import circuit_propagate
 from vibroniq.model import (
     GridSpec,
     ModeParams,
@@ -194,8 +195,10 @@ def test_unknown_observer_rejected():
     grid = GridSpec(n=3, q_min=-5.0, q_max=5.0)
     tg = TimeGrid(dt=0.25, n_steps=4)
     plan = PropagatorPlan(model, grid, tg.dt)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="entropy"):
         propagate(plan, initial_state(model, grid), tg, observers=("entropy",))
+    with pytest.raises(ValueError, match="entropy"):
+        circuit_propagate(model, grid, tg, observers=("entropy",))
 
 
 def test_no_observers_still_returns_state():
