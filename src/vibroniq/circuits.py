@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels, signals
-from .model import GridSpec, TimeGrid, VibronicModel, Wavepacket, grid_points, initial_state
+from .model import GridSpec, TimeGrid, VibronicModel, Wavepacket, ground_gaussian, initial_state
 from . import soft as _soft
 
 PARAM_KINDS = ("U1", "RY", "RX")
@@ -100,12 +100,6 @@ class Circuit:
     def gate_count(self) -> int:
         return len(self.gates)
 
-    def layers(self) -> list[list[Gate]]:
-        order: dict[int, list[Gate]] = {}
-        for g in self.gates:
-            order.setdefault(g.layer, []).append(g)
-        return [order[k] for k in sorted(order)]
-
     def append_circuit(self, other: "Circuit", qubit_map=None) -> None:
         """Concatenate another circuit; its layers land after the current ones."""
         offset = self._layer + 1
@@ -130,19 +124,6 @@ class Circuit:
             out.add(g.kind, g.targets, g.controls + ((control, 1),), g.theta, layer=g.layer)
         if self.global_phase != 0.0:
             out.add("U1", (control,), theta=self.global_phase, layer=out._layer + 1)
-        return out
-
-    def inverse(self) -> "Circuit":
-        """Reversed circuit; layer structure is mirrored so depth is unchanged."""
-        out = Circuit(self.n_qubits, -self.global_phase)
-        top = max((g.layer for g in self.gates), default=0)
-        for g in reversed(self.gates):
-            if g.kind in PARAM_KINDS:
-                out.add(g.kind, g.targets, g.controls, -g.theta, layer=top - g.layer)
-            elif g.kind == "S":
-                out.add("U1", g.targets, g.controls, -math.pi / 2, layer=top - g.layer)
-            else:
-                out.add(g.kind, g.targets, g.controls, layer=top - g.layer)
         return out
 
 
@@ -212,7 +193,6 @@ class QubitLayout:
     d: int
     n: int
     ancilla: bool = False
-    time_bits: int = 0
 
     def mode_qubits(self, r: int) -> tuple[int, ...]:
         return tuple(range(r * self.n, (r + 1) * self.n))
@@ -228,13 +208,8 @@ class QubitLayout:
         return self.d * self.n + 1
 
     @property
-    def time_qubits(self) -> tuple[int, ...]:
-        base = self.d * self.n + 1 + (1 if self.ancilla else 0)
-        return tuple(range(base, base + self.time_bits))
-
-    @property
     def total(self) -> int:
-        return self.d * self.n + 1 + (1 if self.ancilla else 0) + self.time_bits
+        return self.d * self.n + 1 + (1 if self.ancilla else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -312,12 +287,9 @@ def prepare_wavepacket(model: VibronicModel, grid: GridSpec) -> Circuit:
     """Full-register preparation: parallel per-mode Gaussian cascades plus the
     electronic flip onto S2. Depth equals the single-register prep depth."""
     layout = QubitLayout(model.d, grid.n)
-    q = grid_points(grid)
-    amps = np.exp(-q**2 / 2.0)
-    amps = amps / np.linalg.norm(amps)
     circ = Circuit(layout.total)
     circ.add("X", (layout.electronic,), layer=0)
-    _copy_to_registers(circ, build_state_prep(grid.n, amps), layout)
+    _copy_to_registers(circ, build_state_prep(grid.n, ground_gaussian(grid)), layout)
     return circ
 
 

@@ -2,8 +2,7 @@
 
 Every run is deterministic for a given (config, seed): floats are written
 with repr so reruns are byte-identical. Plotting lives outside the core; a
-separate script can read these CSVs. Thread count for the compiled kernels
-follows NUMBA_NUM_THREADS.
+separate script can read these CSVs.
 """
 from __future__ import annotations
 
@@ -20,6 +19,7 @@ from .model import (
     ModelError,
     TimeGrid,
     get_model,
+    ground_gaussian,
     initial_state,
 )
 
@@ -73,8 +73,7 @@ def cmd_zpe_scan(args) -> int:
     return 0
 
 
-def _run_engine(args, observers=("autocorr", "population", "boundary")) -> dict:
-    model = get_model(args.model)
+def _run_engine(args, model, observers=soft.DEFAULT_OBSERVERS) -> dict:
     grid = _grid_from_args(args)
     tg = _time_grid_from_args(args)
     if args.engine == "soft":
@@ -86,7 +85,7 @@ def _run_engine(args, observers=("autocorr", "population", "boundary")) -> dict:
 def cmd_propagate(args) -> int:
     """Autocorrelation, population, and boundary-probe series for one run."""
     model = get_model(args.model)
-    result = _run_engine(args)
+    result = _run_engine(args, model)
     ac = result["autocorr"]
     _write_csv(
         os.path.join(args.out, "autocorr.csv"),
@@ -111,8 +110,9 @@ def cmd_propagate(args) -> int:
 
 def cmd_spectrum(args) -> int:
     """Damped energy-weighted spectrum of the engine's autocorrelation."""
-    result = _run_engine(args, observers=("autocorr",))
-    spec = signals.spectrum(result["autocorr"], tau_fs=args.tau_fs, damp_d=args.damp_d)
+    model = get_model(args.model)
+    result = _run_engine(args, model, observers=("autocorr",))
+    spec = signals.spectrum(result["autocorr"], tau_fs=args.tau_fs, damp_d=args.damp_d, hbar=model.hbar)
     path = os.path.join(args.out, "spectrum.csv")
     _write_csv(path, ["e_eV", "intensity"], zip(spec.energies, spec.intensities))
     print(f"wrote {path} ({len(spec.energies)} bins, spacing {spec.spacing:.6f} eV)")
@@ -124,7 +124,7 @@ def cmd_shots_scan(args) -> int:
 
     Thresholds that are never sustained are reported as nan, not fatal.
     """
-    result = _run_engine(args, observers=("autocorr",))
+    result = _run_engine(args, get_model(args.model), observers=("autocorr",))
     scan = signals.shots_scan(
         result["autocorr"],
         method=args.mode,
@@ -182,12 +182,8 @@ def cmd_qpe_demo(args) -> int:
     u = circuits.unitary_of(step_circ)
     w, v = np.linalg.eig(u)
     # pick the step eigenstate closest to the S2-branch grid ground state
-    from .model import grid_points
-
-    q = grid_points(grid)
     target = np.zeros(1 << step_circ.n_qubits, dtype=np.complex128)
-    gauss = np.exp(-(q**2) / 2.0)
-    target[q.size : 2 * q.size] = gauss / np.linalg.norm(gauss)
+    target[grid.size : 2 * grid.size] = ground_gaussian(grid)
     best = int(np.argmax(np.abs(v.conj().T @ target)))
     eigstate = v[:, best]
     qpe_circ = circuits.build_qpe(step_circ, args.m_bits)

@@ -1,29 +1,12 @@
-"""Statevector update kernels: numba bit-mask loops with a pure-numpy fallback.
+"""Statevector update kernels on numpy strided views.
 
-The numba path is the default whenever numba imports; setting the
-environment variable VIBRONIQ_DISABLE_NUMBA to anything but "" or "0"
-forces the numpy path, and set_backend() switches at runtime (used by the
-benchmark and the cross-path tests). Thread count for the parallel loops
-follows numba's usual NUMBA_NUM_THREADS variable.
+Each kernel reshapes the 2**n state into an n-axis (2, ..., 2) tensor, pins
+the fixed/control qubits with length-1 slices and updates the resulting view
+in place, so no amplitude outside the addressed subspace is touched.
 """
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-_env_disable = os.environ.get("VIBRONIQ_DISABLE_NUMBA", "") not in ("", "0")
-
-try:
-    if _env_disable:
-        raise ImportError("disabled by VIBRONIQ_DISABLE_NUMBA")
-    from numba import njit, prange
-
-    HAVE_NUMBA = True
-except ImportError:
-    HAVE_NUMBA = False
-
-_BACKEND = "numba" if HAVE_NUMBA else "numpy"
 
 DEFAULT_MEMORY_BUDGET = 4 * 2**30
 
@@ -33,16 +16,8 @@ class MemoryBudgetError(MemoryError):
 
 
 def backend() -> str:
-    return _BACKEND
-
-
-def set_backend(name: str) -> None:
-    global _BACKEND
-    if name not in ("numba", "numpy"):
-        raise ValueError(f"unknown backend {name!r}")
-    if name == "numba" and not HAVE_NUMBA:
-        raise ValueError("numba backend requested but numba is unavailable")
-    _BACKEND = name
+    """Name of the kernel implementation, recorded in run provenance."""
+    return "numpy"
 
 
 def allocate_state(n_qubits: int, budget: int | None = None) -> np.ndarray:
@@ -57,63 +32,6 @@ def allocate_state(n_qubits: int, budget: int | None = None) -> np.ndarray:
     return np.zeros(1 << n_qubits, dtype=np.complex128)
 
 
-def _fixed_mask_val(fixed) -> tuple[int, int]:
-    mask = 0
-    val = 0
-    for qubit, bit in fixed:
-        mask |= 1 << qubit
-        if bit:
-            val |= 1 << qubit
-    return mask, val
-
-
-def _insert_masks(positions) -> np.ndarray:
-    """Masks that re-expand a compressed index around sorted bit positions."""
-    positions = sorted(positions)
-    masks = np.empty(len(positions) + 1, dtype=np.int64)
-    prev = 0
-    for j, pos in enumerate(positions):
-        masks[j] = ((1 << (pos - j)) - 1) & ~((1 << prev) - 1)
-        prev = pos - j
-    masks[len(positions)] = ~((1 << prev) - 1)
-    return masks
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _expand(k, masks):
-        out = np.int64(0)
-        for j in range(masks.shape[0]):
-            out |= (k & masks[j]) << j
-        return out
-
-    @njit(cache=True, parallel=True)
-    def _nb_matrix(state, masks, cval, tbit, m00, m01, m10, m11, n_iter):
-        for k in prange(n_iter):
-            i0 = _expand(k, masks) | cval
-            i1 = i0 | tbit
-            a = state[i0]
-            b = state[i1]
-            state[i0] = m00 * a + m01 * b
-            state[i1] = m10 * a + m11 * b
-
-    @njit(cache=True, parallel=True)
-    def _nb_phase(state, masks, cval, phase, n_iter):
-        for k in prange(n_iter):
-            state[_expand(k, masks) | cval] *= phase
-
-    @njit(cache=True, parallel=True)
-    def _nb_swap(state, masks, cval, bit1, bit2, n_iter):
-        for k in prange(n_iter):
-            base = _expand(k, masks) | cval
-            ia = base | bit1
-            ib = base | bit2
-            t = state[ia]
-            state[ia] = state[ib]
-            state[ib] = t
-
-
 def _np_view(state: np.ndarray, n_qubits: int, fixed) -> np.ndarray:
     t = state.reshape((2,) * n_qubits)
     idx = [slice(None)] * n_qubits
@@ -126,19 +44,13 @@ def _np_view(state: np.ndarray, n_qubits: int, fixed) -> np.ndarray:
 def apply_matrix(state, n_qubits, target, controls, mat) -> None:
     """In-place controlled 2x2 update on `target`; controls are (qubit, bit)."""
     m00, m01, m10, m11 = complex(mat[0, 0]), complex(mat[0, 1]), complex(mat[1, 0]), complex(mat[1, 1])
-    if _BACKEND == "numba":
-        _, cval = _fixed_mask_val(controls)
-        masks = _insert_masks([q for q, _ in controls] + [target])
-        n_iter = 1 << (n_qubits - len(controls) - 1)
-        _nb_matrix(state, masks, np.int64(cval), np.int64(1 << target), m00, m01, m10, m11, n_iter)
-    else:
-        v0 = _np_view(state, n_qubits, list(controls) + [(target, 0)])
-        v1 = _np_view(state, n_qubits, list(controls) + [(target, 1)])
-        t0 = v0.copy()
-        v0 *= m00
-        v0 += m01 * v1
-        v1 *= m11
-        v1 += m10 * t0
+    v0 = _np_view(state, n_qubits, list(controls) + [(target, 0)])
+    v1 = _np_view(state, n_qubits, list(controls) + [(target, 1)])
+    t0 = v0.copy()
+    v0 *= m00
+    v0 += m01 * v1
+    v1 *= m11
+    v1 += m10 * t0
 
 
 def apply_phase(state, n_qubits, fixed, phase) -> None:
@@ -146,25 +58,13 @@ def apply_phase(state, n_qubits, fixed, phase) -> None:
     if not fixed:
         state *= phase
         return
-    if _BACKEND == "numba":
-        _, cval = _fixed_mask_val(fixed)
-        masks = _insert_masks([q for q, _ in fixed])
-        n_iter = 1 << (n_qubits - len(fixed))
-        _nb_phase(state, masks, np.int64(cval), complex(phase), n_iter)
-    else:
-        _np_view(state, n_qubits, fixed)[...] *= phase
+    _np_view(state, n_qubits, fixed)[...] *= phase
 
 
 def apply_swap(state, n_qubits, t1, t2, controls) -> None:
     """In-place (controlled) SWAP of qubits t1 and t2."""
-    if _BACKEND == "numba":
-        _, cval = _fixed_mask_val(controls)
-        masks = _insert_masks([q for q, _ in controls] + [t1, t2])
-        n_iter = 1 << (n_qubits - len(controls) - 2)
-        _nb_swap(state, masks, np.int64(cval), np.int64(1 << t1), np.int64(1 << t2), n_iter)
-    else:
-        va = _np_view(state, n_qubits, list(controls) + [(t1, 1), (t2, 0)])
-        vb = _np_view(state, n_qubits, list(controls) + [(t1, 0), (t2, 1)])
-        tmp = va.copy()
-        va[...] = vb
-        vb[...] = tmp
+    va = _np_view(state, n_qubits, list(controls) + [(t1, 1), (t2, 0)])
+    vb = _np_view(state, n_qubits, list(controls) + [(t1, 0), (t2, 1)])
+    tmp = va.copy()
+    va[...] = vb
+    vb[...] = tmp

@@ -145,12 +145,6 @@ class VibronicModel:
         idx = self.b1g_indices()
         return idx[0] if len(idx) == 1 else None
 
-    def mode_index(self, label: str) -> int:
-        for i, m in enumerate(self.modes):
-            if m.label == label:
-                return i
-        raise ModelError(f"no mode labeled {label!r}")
-
 
 def pyrazine_4d() -> VibronicModel:
     """Built-in four-mode pyrazine S1/S2 model."""
@@ -358,21 +352,22 @@ class Wavepacket:
     """Complex amplitudes over (electronic, mode grids); single-writer mutable."""
 
     amplitudes: np.ndarray
-    basis: str = "position"
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def copy(self) -> "Wavepacket":
-        return Wavepacket(self.amplitudes.copy(), self.basis)
+
+def ground_gaussian(grid: GridSpec) -> np.ndarray:
+    """One mode's ground packet exp(-Q^2/2) on the grid points, unit 2-norm."""
+    packet = np.exp(-grid_points(grid) ** 2 / 2.0)
+    return packet / np.linalg.norm(packet)
 
 
 def initial_state(model: VibronicModel, grid: GridSpec) -> Wavepacket:
     """Product of per-mode ground Gaussians exp(-Q^2/2), placed entirely on S2."""
     shape = (2,) + (grid.size,) * model.d
     amps = np.zeros(shape, dtype=np.complex128)
-    q = grid_points(grid)
-    packet = np.exp(-q**2 / 2.0)
+    packet = ground_gaussian(grid)
     prod = packet
     for _ in range(model.d - 1):
         prod = np.multiply.outer(prod, packet)

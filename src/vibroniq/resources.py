@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .model import GridSpec, VibronicModel, get_model, pyrazine_4d
+from .model import GridSpec, VibronicModel, get_model, ground_gaussian, pyrazine_4d
 
 
 MODEL_CLASSES = ("4D-linear", "24D-quadratic")
@@ -142,7 +142,7 @@ def verify_against_builder(model_class: str, n: int, grid_range=(-5.0, 5.0)) -> 
     dt = 0.129
     step_circ = circuits.build_timestep(model, grid, dt, split_order=split_order)
     qft_circ = circuits.build_qft(n)
-    prep_circ = circuits.build_state_prep(n, _gaussian_amps(grid))
+    prep_circ = circuits.build_state_prep(n, ground_gaussian(grid))
     rows = {
         "per_step": (step_depth(model_class, n), step_circ.depth()),
         "qft": (qft_depth(n), qft_circ.depth()),
@@ -154,16 +154,6 @@ def verify_against_builder(model_class: str, n: int, grid_range=(-5.0, 5.0)) -> 
         "rows": rows,
         "agree": all(a == b for a, b in rows.values()),
     }
-
-
-def _gaussian_amps(grid: GridSpec):
-    import numpy as np
-
-    from .model import grid_points
-
-    q = grid_points(grid)
-    a = np.exp(-(q**2) / 2.0)
-    return a / np.linalg.norm(a)
 
 
 def standard_table() -> list[AssayReport]:

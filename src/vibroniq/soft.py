@@ -20,6 +20,7 @@ from .model import (
     VibronicModel,
     Wavepacket,
     grid_points,
+    ground_gaussian,
     momentum_points,
 )
 
@@ -126,8 +127,6 @@ def _apply_coupling(a: np.ndarray, cos_t: np.ndarray, sin_t: np.ndarray) -> np.n
 
 def step(plan: PropagatorPlan, psi: Wavepacket) -> Wavepacket:
     """Advance psi (position basis) by one dt; returns a new Wavepacket."""
-    if psi.basis != "position":
-        raise ValueError(f"step expects a position-basis wavepacket, got {psi.basis!r}")
     a = psi.amplitudes
     axes = plan.mode_axes
     if plan.split_order == "potential-first":
@@ -147,7 +146,7 @@ def step(plan: PropagatorPlan, psi: Wavepacket) -> Wavepacket:
         a = np.fft.fftn(a, axes=axes, norm="ortho")
         a = a * plan.exp_kin
         a = np.fft.ifftn(a, axes=axes, norm="ortho")
-    return Wavepacket(a, "position")
+    return Wavepacket(a)
 
 
 @dataclass
@@ -293,11 +292,10 @@ def zpe(model: VibronicModel, grid: GridSpec) -> float:
     """
     q = grid_points(grid)
     p = momentum_points(grid)
+    psi = ground_gaussian(grid)
+    psit = np.fft.fft(psi, norm="ortho")
     total = 0.0
     for mode in model.modes:
-        psi = np.exp(-q**2 / 2.0)
-        psi = psi / np.linalg.norm(psi)
-        psit = np.fft.fft(psi, norm="ortho")
         kin = 0.5 * mode.omega * float(np.sum(p**2 * np.abs(psit) ** 2))
         pot = 0.5 * mode.omega * float(np.sum(q**2 * np.abs(psi) ** 2))
         total += kin + pot

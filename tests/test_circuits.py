@@ -104,8 +104,7 @@ def test_circuit_layers_and_depth():
     c.add("X", (2,))
     assert c.depth() == 2
     assert c.gate_count() == 3
-    layers = c.layers()
-    assert [len(l) for l in layers] == [2, 1]
+    assert [g.layer for g in c.gates] == [0, 0, 1]
     with pytest.raises(CircuitError):
         c.add("H", (5,))
     with pytest.raises(CircuitError):
@@ -147,18 +146,18 @@ def test_controlled_circuit():
 
 
 def test_inverse_circuit(rng):
-    c = Circuit(3, global_phase=0.2)
-    c.add("H", (0,))
-    c.add("S", (1,))
-    c.add("U1", (2,), controls=((0, 1),), theta=0.4)
-    c.add("RY", (1,), controls=((2, 0),), theta=-0.9)
-    c.add("SWAP", (0, 2))
-    c.add("RX", (0,), theta=1.1)
-    inv = c.inverse()
-    assert inv.depth() == c.depth()
-    u = unitary_of(c)
-    v = unitary_of(inv)
-    assert np.allclose(v @ u, np.eye(8), atol=1e-12)
+    # the inverse transform is built directly, not by reversing a circuit;
+    # the register-parallel pair must undo itself on a random state
+    from vibroniq.circuits import _qft_all
+
+    model = pyrazine_2mode()
+    grid = GridSpec(n=3, q_min=-5.0, q_max=5.0)
+    fwd = _qft_all(model, grid, inverse=False)
+    inv = _qft_all(model, grid, inverse=True)
+    assert inv.depth() == fwd.depth() == qft_depth(grid.n)
+    v = rng.normal(size=1 << fwd.n_qubits) + 1j * rng.normal(size=1 << fwd.n_qubits)
+    s = apply(inv, apply(fwd, v.copy()))
+    assert np.max(np.abs(s - v)) < 1e-12
 
 
 def test_apply_rejects_bad_states():
@@ -216,13 +215,13 @@ def test_unitary_of_refuses_large_circuits():
 
 
 def test_qubit_layout():
-    lay = QubitLayout(d=2, n=3, ancilla=True, time_bits=2)
+    lay = QubitLayout(d=2, n=3, ancilla=True)
     assert lay.mode_qubits(0) == (0, 1, 2)
     assert lay.mode_qubits(1) == (3, 4, 5)
     assert lay.electronic == 6
     assert lay.ancilla_qubit == 7
-    assert lay.time_qubits == (8, 9)
-    assert lay.total == 10
+    assert lay.total == 8
+    assert QubitLayout(d=2, n=3).total == 7
     with pytest.raises(CircuitError):
         QubitLayout(d=2, n=3).ancilla_qubit
 

@@ -1,10 +1,12 @@
 import csv
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from vibroniq.cli import main
+from vibroniq.model import HBAR_EV_FS, pyrazine_2mode, serialize
 
 
 def read_csv(path):
@@ -89,6 +91,19 @@ def test_spectrum_output(tmp_path):
     assert intensities.sum() == pytest.approx(1.0, abs=1e-9)
     assert np.all(np.diff(energies) > 0)
     assert energies[0] > 0
+
+
+def test_spectrum_energy_axis_follows_model_hbar(tmp_path):
+    doubled = dataclasses.replace(pyrazine_2mode(), hbar=2.0 * HBAR_EV_FS)
+    path = tmp_path / "doubled_hbar.json"
+    path.write_text(serialize(doubled))
+    args = ["spectrum", "--n", "3", "--nt", "128", "--total-fs", "32.0", "--stride", "4"]
+    energies = []
+    for model, out in (("pyrazine-2mode", "a"), (str(path), "b")):
+        assert main([*args, "--model", model, "--out", str(tmp_path / out)]) == 0
+        _, rows = read_csv(tmp_path / out / "spectrum.csv")
+        energies.append(np.array([float(r[0]) for r in rows]))
+    assert np.allclose(energies[1], 2.0 * energies[0], rtol=1e-12, atol=0.0)
 
 
 def test_shots_scan_output(tmp_path, capsys):

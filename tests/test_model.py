@@ -230,11 +230,3 @@ def test_24d_placeholder_structure():
         prod = symmetry_product(model.modes[pair.l].symmetry, model.modes[pair.m].symmetry)
         assert prod == "B1g"
 
-
-def test_wavepacket_copy_is_independent():
-    model = pyrazine_2mode()
-    grid = GridSpec(n=3, q_min=-5.0, q_max=5.0)
-    psi = initial_state(model, grid)
-    other = psi.copy()
-    other.amplitudes[:] = 0.0
-    assert psi.norm() == pytest.approx(1.0, abs=1e-12)

@@ -9,6 +9,7 @@ from vibroniq.model import (
     ModeParams,
     TimeGrid,
     VibronicModel,
+    Wavepacket,
     grid_points,
     initial_state,
     momentum_points,
@@ -242,7 +243,7 @@ def test_populations_and_boundary_helpers():
 
     # a packet displaced toward the wall shows up in the monitor
     q = grid_points(grid)
-    shifted = psi.copy()
+    shifted = Wavepacket(psi.amplitudes.copy())
     gauss = np.exp(-((q - 3.5) ** 2) / 2.0)
     outer = np.einsum("i,j->ij", gauss, gauss)
     shifted.amplitudes[1] = outer / np.linalg.norm(outer)
