@@ -122,7 +122,8 @@ def cmd_spectrum(args) -> int:
 def cmd_shots_scan(args) -> int:
     """Shot-budget scan: TVD between sampled and exact spectra.
 
-    Thresholds that are never sustained are reported as nan, not fatal.
+    Thresholds that are never sustained are reported as unmet, not fatal; a
+    median on the grid's first point is printed as an upper bound ("≤1000").
     """
     result = _run_engine(args, get_model(args.model), observers=("autocorr",))
     scan = signals.shots_scan(
@@ -138,8 +139,14 @@ def cmd_shots_scan(args) -> int:
             rows.append((args.mode, seed, int(shots), scan["curves"][i, j]))
     path = os.path.join(args.out, "shots_scan.csv")
     _write_csv(path, ["method", "seed", "shots", "tvd"], rows)
+    first = int(scan["shot_grid"][0])
     for thr, med in scan["medians"].items():
-        tag = "unmet" if np.isnan(med) else f"{med:.0f}"
+        if np.isnan(med):
+            tag = "unmet"
+        elif med == first:
+            tag = f"≤{first}"
+        else:
+            tag = f"{med:.0f}"
         print(f"threshold {thr:.2%}: median shots {tag}")
     print(f"wrote {path}")
     return 0

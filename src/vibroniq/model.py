@@ -1,7 +1,8 @@
 """Vibronic model parameters, coordinate grids, time grids, and initial wavepackets.
 
 Energies are in eV, times in fs, and normal coordinates are dimensionless.
-Phase angles therefore always divide an energy by ``HBAR_EV_FS``.
+Phase angles therefore divide an energy times a time by the model's
+``hbar`` (``VibronicModel.hbar``); ``HBAR_EV_FS`` is only its default.
 """
 from __future__ import annotations
 

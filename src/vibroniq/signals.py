@@ -181,7 +181,10 @@ def shots_scan(
     method="autocorr" resamples the time series and rebuilds the spectrum;
     method="direct" draws bins from the exact spectrum itself. Per seed the
     crossing must hold for `sustain` consecutive grid points; the reported
-    budget is the median over seeds.
+    budget is the median over seeds (nan when any seed never sustains it).
+    Per threshold, "left_censored" counts the seeds already sustained at the
+    grid's first point, whose true budget may lie below the grid, and
+    "right_censored" the seeds that never sustain it.
     """
     if method not in ("autocorr", "direct"):
         raise SignalError(f"unknown method {method!r}")
@@ -202,14 +205,16 @@ def shots_scan(
         curves.append(curve)
         for thr in thresholds:
             per_seed[thr].append(_first_sustained(grid, curve, thr, sustain))
+    per_seed = {thr: np.asarray(v) for thr, v in per_seed.items()}
     medians = {}
-    for thr in thresholds:
-        vals = np.asarray(per_seed[thr])
+    for thr, vals in per_seed.items():
         medians[thr] = float(np.nan) if np.isnan(vals).any() else float(np.median(vals))
     return {
         "method": method,
         "shot_grid": grid,
         "curves": np.asarray(curves),
-        "per_seed": {thr: np.asarray(v) for thr, v in per_seed.items()},
+        "per_seed": per_seed,
         "medians": medians,
+        "left_censored": {thr: int(np.sum(v == grid[0])) for thr, v in per_seed.items()},
+        "right_censored": {thr: int(np.sum(np.isnan(v))) for thr, v in per_seed.items()},
     }

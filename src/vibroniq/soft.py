@@ -1,12 +1,16 @@
-"""Second-order split-operator FFT propagator: the ground-truth dynamics engine.
+"""Second-order split-operator propagator: the ground-truth dynamics engine.
 
 One step advances psi by dt through diagonal potential phases, an exact
 pointwise rotation for every off-diagonal (electronic X) coupling term, and
-kinetic phases applied in the FFT dual basis. The default "potential-first"
-splitting is the palindrome V/2 . K . V/2 with the coupling rotation applied
-innermost (diag, coupling, K, coupling, diag), so the scheme stays second
-order; "kinetic-first" is K/2 . V . K/2 with the potential applied once per
-step, the layout used by the second-order (bilinear) model.
+kinetic phases. The diagonal phases and the rotation are fused into one
+pointwise 2x2 electronic operator. The kinetic step applies, along each mode
+axis, that mode's DFT-conjugated phase matrix F^dagger diag(exp(-i K_k dt/hbar)) F:
+the same operator as an FFT, phases and inverse FFT over the whole grid, in
+its DVR form. The default "potential-first" splitting is the palindrome
+V/2 . K . V/2 with the coupling rotation applied innermost (diag, coupling,
+K, coupling, diag), so the scheme stays second order; "kinetic-first" is
+K/2 . V . K/2 with the potential applied once per step, the layout used by
+the second-order (bilinear) model.
 """
 from __future__ import annotations
 
@@ -82,7 +86,13 @@ def _kinetic_field(model: VibronicModel, grid: GridSpec) -> np.ndarray:
 
 @dataclass
 class PropagatorPlan:
-    """Precomputed phase tables for repeated application of one time step."""
+    """Precomputed operators for repeated application of one time step.
+
+    kin[k] is mode k's kinetic propagator in the position basis, and pot
+    holds the four entries (00, 01, 10, 11) of the pointwise 2x2 electronic
+    operator C.D: the diagonal potential phases D followed by the coupling
+    rotation C.
+    """
 
     model: VibronicModel
     grid: GridSpec
@@ -91,10 +101,8 @@ class PropagatorPlan:
     vtab: np.ndarray = field(init=False, repr=False)
     ctab: np.ndarray = field(init=False, repr=False)
     ktab: np.ndarray = field(init=False, repr=False)
-    exp_pot: np.ndarray = field(init=False, repr=False)
-    cos_c: np.ndarray = field(init=False, repr=False)
-    sin_c: np.ndarray = field(init=False, repr=False)
-    exp_kin: np.ndarray = field(init=False, repr=False)
+    kin: np.ndarray = field(init=False, repr=False)
+    pot: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.split_order not in SPLIT_ORDERS:
@@ -107,45 +115,68 @@ class PropagatorPlan:
             pot_frac, kin_frac = 0.5, 1.0
         else:
             pot_frac, kin_frac = 1.0, 0.5
-        self.exp_pot = np.exp(-1j * self.vtab * (pot_frac * self.dt / hbar))
-        theta = self.ctab * (pot_frac * self.dt / hbar)
-        self.cos_c = np.cos(theta)
-        self.sin_c = np.sin(theta)
-        self.exp_kin = np.exp(-1j * self.ktab * (kin_frac * self.dt / hbar))
+        # F^dagger diag(exp(-i omega_k p^2 t / 2 hbar)) F, F the unitary DFT matrix
+        dft = np.fft.fft(np.eye(self.grid.size), axis=0, norm="ortho")
+        kin_phase = -0.5j * momentum_points(self.grid) ** 2 * (kin_frac * self.dt / hbar)
+        self.kin = np.stack([dft.conj().T @ (np.exp(mode.omega * kin_phase)[:, None] * dft)
+                             for mode in self.model.modes])
+        # in place, phases first into the diagonal slots, to keep peak memory low
+        pot_t = pot_frac * self.dt / hbar
+        self.pot = np.empty((4,) + self.ctab.shape, dtype=np.complex128)
+        np.exp(-1j * pot_t * self.vtab[0], out=self.pot[0])
+        np.exp(-1j * pot_t * self.vtab[1], out=self.pot[3])
+        sin_t = np.sin(self.ctab * pot_t)
+        np.multiply(sin_t, self.pot[3], out=self.pot[1])
+        np.multiply(sin_t, self.pot[0], out=self.pot[2])
+        self.pot[1:3] *= -1j
+        self.pot[::3] *= np.cos(self.ctab * pot_t)
 
     @property
     def mode_axes(self) -> tuple[int, ...]:
         return tuple(range(1, self.model.d + 1))
 
 
-def _apply_coupling(a: np.ndarray, cos_t: np.ndarray, sin_t: np.ndarray) -> np.ndarray:
-    """Exact exp(-i*theta*X) rotation between the electronic components."""
-    a0 = cos_t * a[0] - 1j * sin_t * a[1]
-    a1 = -1j * sin_t * a[0] + cos_t * a[1]
-    return np.stack([a0, a1])
+def _amplitudes(plan: PropagatorPlan, psi: Wavepacket) -> np.ndarray:
+    """psi's amplitudes; a ValueError when their shape is not the plan's."""
+    shape = (2,) + plan.ctab.shape
+    if psi.amplitudes.shape != shape:
+        raise ValueError(f"amplitudes of shape {psi.amplitudes.shape} do not match "
+                         f"the plan's shape {shape}")
+    return psi.amplitudes
+
+
+def _apply_kinetic(kin: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Apply each mode's N x N kinetic matrix along its axis, one matmul each."""
+    shape, n, d = a.shape, a.shape[-1], len(kin)
+    for k in range(d - 1):
+        a = kin[k] @ a.reshape(2 * n**k, n, n ** (d - 1 - k))
+    return (a.reshape(-1, n) @ kin[-1].T).reshape(shape)
+
+
+def _apply_pot(pot: np.ndarray, a: np.ndarray, transpose: bool = False) -> np.ndarray:
+    """The pointwise 2x2 operator C.D, or its transpose D.C."""
+    p00, p01, p10, p11 = pot
+    if transpose:
+        p01, p10 = p10, p01
+    out = np.empty(a.shape, dtype=np.complex128)
+    np.multiply(p00, a[0], out=out[0])
+    out[0] += p01 * a[1]
+    np.multiply(p10, a[0], out=out[1])
+    out[1] += p11 * a[1]
+    return out
 
 
 def step(plan: PropagatorPlan, psi: Wavepacket) -> Wavepacket:
     """Advance psi (position basis) by one dt; returns a new Wavepacket."""
-    a = psi.amplitudes
-    axes = plan.mode_axes
+    a = _amplitudes(plan, psi)
     if plan.split_order == "potential-first":
-        a = a * plan.exp_pot
-        a = _apply_coupling(a, plan.cos_c, plan.sin_c)
-        a = np.fft.fftn(a, axes=axes, norm="ortho")
-        a = a * plan.exp_kin
-        a = np.fft.ifftn(a, axes=axes, norm="ortho")
-        a = _apply_coupling(a, plan.cos_c, plan.sin_c)
-        a = a * plan.exp_pot
+        a = _apply_pot(plan.pot, a)
+        a = _apply_kinetic(plan.kin, a)
+        a = _apply_pot(plan.pot, a, transpose=True)
     else:
-        a = np.fft.fftn(a, axes=axes, norm="ortho")
-        a = a * plan.exp_kin
-        a = np.fft.ifftn(a, axes=axes, norm="ortho")
-        a = a * plan.exp_pot
-        a = _apply_coupling(a, plan.cos_c, plan.sin_c)
-        a = np.fft.fftn(a, axes=axes, norm="ortho")
-        a = a * plan.exp_kin
-        a = np.fft.ifftn(a, axes=axes, norm="ortho")
+        a = _apply_kinetic(plan.kin, a)
+        a = _apply_pot(plan.pot, a)
+        a = _apply_kinetic(plan.kin, a)
     return Wavepacket(a)
 
 
@@ -198,7 +229,7 @@ def boundary_maxima(psi: Wavepacket) -> np.ndarray:
 
 def energy(plan: PropagatorPlan, psi: Wavepacket) -> float:
     """<H> = <V_diag> + <c(Q) X> + <K>, the kinetic part via FFT."""
-    a = psi.amplitudes
+    a = _amplitudes(plan, psi)
     prob = np.abs(a) ** 2
     ev = float(np.sum(plan.vtab * prob))
     ec = float(np.sum(plan.ctab * 2.0 * np.real(np.conj(a[0]) * a[1])))

@@ -120,6 +120,18 @@ def test_shots_scan_output(tmp_path, capsys):
     assert out.count("median shots") == 4
 
 
+def test_shots_scan_prints_a_budget_below_the_grid_as_a_bound(tmp_path, capsys):
+    # so few samples give so few spectral bins that 1000 shots already meet 4% and 3%
+    args = ["shots-scan", "--model", "pyrazine-2mode", "--n", "3", "--nt", "16",
+            "--total-fs", "16.0", "--stride", "8", "--mode", "direct",
+            "--n-seeds", "2", "--out", str(tmp_path)]
+    assert main(args) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "threshold 4.00%: median shots ≤1000" in lines
+    assert "threshold 3.00%: median shots ≤1000" in lines
+    assert not any(line.endswith("median shots 1000") for line in lines)
+
+
 def test_resources_single_row(tmp_path):
     args = ["resources", "--model-class", "4d", "--n", "4", "--nt", "512",
             "--variant", "A", "--out", str(tmp_path)]

@@ -176,6 +176,18 @@ def test_shots_scan_nan_when_never_reached():
     assert np.isnan(out["medians"][1e-6])
 
 
+def test_shots_scan_counts_censored_seeds():
+    series = damped_cosine_series()
+    grid = np.array([1000, 2000, 4000])
+    # TVD never exceeds 1, so 1.5 holds from the first grid point; 1e-6 never holds
+    out = shots_scan(series, method="direct", thresholds=(1.5, 1e-6), seeds=range(3),
+                     shot_grid=grid, sustain=2)
+    assert out["medians"][1.5] == 1000.0
+    assert out["left_censored"] == {1.5: 3, 1e-6: 0}
+    assert out["right_censored"] == {1.5: 0, 1e-6: 3}
+    assert np.isnan(out["medians"][1e-6])
+
+
 def test_shots_scan_validation():
     series = damped_cosine_series()
     with pytest.raises(SignalError):

@@ -1,7 +1,9 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
+from test_circuits import bilinear_tiny
 
 from vibroniq.circuits import circuit_propagate
 from vibroniq.model import (
@@ -76,6 +78,33 @@ def dense_hamiltonian(model: VibronicModel, grid: GridSpec) -> np.ndarray:
 def exact_propagator(h: np.ndarray, dt: float, hbar: float) -> np.ndarray:
     w, v = np.linalg.eigh(h)
     return (v * np.exp(-1j * w * dt / hbar)) @ v.conj().T
+
+
+def fft_step(plan: PropagatorPlan, a: np.ndarray) -> np.ndarray:
+    """The plain split-operator step: fftn/ifftn kinetic phases, diagonal
+    potential phases and the coupling rotation as separate passes."""
+    hbar, axes = plan.model.hbar, plan.mode_axes
+    pot_frac, kin_frac = (0.5, 1.0) if plan.split_order == "potential-first" else (1.0, 0.5)
+    exp_pot = np.exp(-1j * plan.vtab * (pot_frac * plan.dt / hbar))
+    theta = plan.ctab * (pot_frac * plan.dt / hbar)
+    cos_t, sin_t = np.cos(theta), np.sin(theta)
+    exp_kin = np.exp(-1j * plan.ktab * (kin_frac * plan.dt / hbar))
+
+    def coupling(x):
+        return np.stack([cos_t * x[0] - 1j * sin_t * x[1], -1j * sin_t * x[0] + cos_t * x[1]])
+
+    def kinetic(x):
+        return np.fft.ifftn(np.fft.fftn(x, axes=axes, norm="ortho") * exp_kin, axes=axes, norm="ortho")
+
+    if plan.split_order == "potential-first":
+        return exp_pot * coupling(kinetic(coupling(a * exp_pot)))
+    return kinetic(coupling(exp_pot * kinetic(a)))
+
+
+def random_packet(model: VibronicModel, grid: GridSpec, rng: np.random.Generator) -> Wavepacket:
+    shape = (2,) + (grid.size,) * model.d
+    a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return Wavepacket(a / np.linalg.norm(a))
 
 
 def tiny_model() -> VibronicModel:
@@ -279,3 +308,39 @@ def test_split_orders_registry():
     grid = GridSpec(n=3, q_min=-5.0, q_max=5.0)
     with pytest.raises(ValueError):
         PropagatorPlan(model, grid, dt=0.1, split_order="sideways")
+
+
+@pytest.mark.parametrize("case", ["pyrazine-4d", "pyrazine-2mode", "bilinear", "bilinear-split", "one-mode"])
+def test_step_matches_the_fft_step(case, rng):
+    box = GridSpec(n=4, q_min=-5.0, q_max=5.0)
+    model, grid, split = {
+        "pyrazine-4d": (pyrazine_4d(), box, "potential-first"),
+        "pyrazine-2mode": (pyrazine_2mode(), box, "kinetic-first"),
+        "bilinear": (bilinear_tiny(False), GridSpec(n=3, q_min=-4.0, q_max=4.0, convention="endpoint"),
+                     "kinetic-first"),
+        "bilinear-split": (bilinear_tiny(True), GridSpec(n=3, q_min=-4.0, q_max=4.0,
+                                                         convention="endpoint"), "kinetic-first"),
+        # the qpe-demo model: its only axis takes the last-axis branch
+        "one-mode": (VibronicModel(modes=(ModeParams("nu", 0.0936, "B1g"),), lam=0.0, delta=0.0),
+                     box, "potential-first"),
+    }[case]
+    plan = PropagatorPlan(model, grid, dt=0.5, split_order=split)
+    psi = random_packet(model, grid, rng)
+    for _ in range(8):
+        nxt = step(plan, psi)
+        assert np.max(np.abs(nxt.amplitudes - fft_step(plan, psi.amplitudes))) < 1e-12
+        psi = nxt
+
+
+@pytest.mark.parametrize("split", SPLIT_ORDERS)
+def test_step_rejects_amplitudes_of_another_shape(split):
+    model = pyrazine_2mode()
+    plan = PropagatorPlan(model, GridSpec(n=3, q_min=-5.0, q_max=5.0), dt=0.25, split_order=split)
+    # the same number of amplitudes, laid out for another grid
+    for shape in ((2, 4, 16), (2, 64), (2, 8, 8, 1)):
+        psi = Wavepacket(np.ones(shape, dtype=np.complex128))
+        both = re.escape(str(shape)) + r".*\(2, 8, 8\)"
+        with pytest.raises(ValueError, match=both):
+            step(plan, psi)
+        with pytest.raises(ValueError, match=both):
+            energy(plan, psi)
