@@ -10,6 +10,12 @@ Qubit layout: mode register r occupies qubits [r*n, (r+1)*n) with qubit r*n+i
 carrying weight 2^i, the electronic qubit sits at d*n (|0> is S1, |1> is S2),
 an optional Hadamard-test ancilla at d*n+1, and any phase-readout register
 above that.
+
+Checking: a gate a caller builds (Gate(...) or Circuit.add) is checked when
+it is made, and add range-checks its qubits. A gate derived from a checked
+one (append_circuit, the per-register copies, controlled(), the CCRx
+expansion) is not checked again; its derivation checks once that the qubit
+map sends the source qubits one-to-one into range.
 """
 from __future__ import annotations
 
@@ -25,6 +31,7 @@ from . import soft as _soft
 PARAM_KINDS = ("U1", "RY", "RX")
 FIXED_KINDS = ("H", "X", "S", "SWAP")
 KINDS = PARAM_KINDS + FIXED_KINDS
+_N_TARGETS = {kind: 2 if kind == "SWAP" else 1 for kind in KINDS}
 
 _H_MAT = np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2)
 _X_MAT = np.array([[0, 1], [1, 0]], dtype=np.complex128)
@@ -34,7 +41,7 @@ class CircuitError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Gate:
     """One gate: base kind, target qubit(s), control (qubit, polarity) list."""
 
@@ -45,26 +52,41 @@ class Gate:
     layer: int = 0
 
     def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise CircuitError(f"unknown gate kind {self.kind!r}")
-        want_targets = 2 if self.kind == "SWAP" else 1
-        if len(self.targets) != want_targets or len(set(self.targets)) != len(self.targets):
-            raise CircuitError(f"{self.kind} needs {want_targets} distinct target(s), got {self.targets}")
-        if self.kind in PARAM_KINDS:
+        kind, targets, controls = self.kind, self.targets, self.controls
+        if kind not in KINDS:
+            raise CircuitError(f"unknown gate kind {kind!r}")
+        want_targets = _N_TARGETS[kind]
+        if len(targets) != want_targets or (want_targets == 2 and targets[0] == targets[1]):
+            raise CircuitError(f"{kind} needs {want_targets} distinct target(s), got {targets}")
+        if kind in PARAM_KINDS:
             if self.theta is None or not math.isfinite(self.theta):
-                raise CircuitError(f"{self.kind} needs a finite angle, got {self.theta}")
+                raise CircuitError(f"{kind} needs a finite angle, got {self.theta}")
         elif self.theta is not None:
-            raise CircuitError(f"{self.kind} takes no angle")
-        cqubits = [q for q, _ in self.controls]
-        if len(set(cqubits)) != len(cqubits) or set(cqubits) & set(self.targets):
-            raise CircuitError(f"controls {self.controls} must be distinct and disjoint from targets")
-        for _, pol in self.controls:
-            if pol not in (0, 1):
-                raise CircuitError(f"control polarity must be 0 or 1, got {pol}")
+            raise CircuitError(f"{kind} takes no angle")
+        if controls:
+            seen = set(targets)
+            for q, _ in controls:
+                if q in seen:
+                    raise CircuitError(f"controls {controls} must be distinct and disjoint from targets")
+                seen.add(q)
+            for _, pol in controls:
+                if pol not in (0, 1):
+                    raise CircuitError(f"control polarity must be 0 or 1, got {pol}")
 
-    @property
-    def qubits(self) -> tuple[int, ...]:
-        return self.targets + tuple(q for q, _ in self.controls)
+
+_new_gate = object.__new__
+_set_field = object.__setattr__
+
+
+def _derived_gate(kind, targets, controls, theta, layer) -> Gate:
+    """A Gate made without __post_init__, for gates derived from checked ones."""
+    g = _new_gate(Gate)
+    _set_field(g, "kind", kind)
+    _set_field(g, "targets", targets)
+    _set_field(g, "controls", controls)
+    _set_field(g, "theta", theta)
+    _set_field(g, "layer", layer)
+    return g
 
 
 class Circuit:
@@ -87,10 +109,13 @@ class Circuit:
             layer = self.new_layer()
         else:
             self._layer = max(self._layer, layer)
-        gate = Gate(kind, tuple(targets), tuple(tuple(c) for c in controls), theta, layer)
-        for q in gate.qubits:
-            if not 0 <= q < self.n_qubits:
-                raise CircuitError(f"qubit {q} outside the {self.n_qubits}-qubit circuit")
+        # tuple() hands a tuple back as it is
+        targets, controls = tuple(targets), tuple(map(tuple, controls))
+        gate = Gate(kind, targets, controls, theta, layer)
+        n = self.n_qubits
+        bad = [q for q in targets if not 0 <= q < n] + [q for q, _ in controls if not 0 <= q < n]
+        if bad:
+            raise CircuitError(f"qubit {bad[0]} outside the {n}-qubit circuit")
         self.gates.append(gate)
         return gate
 
@@ -100,28 +125,48 @@ class Circuit:
     def gate_count(self) -> int:
         return len(self.gates)
 
+    def _extend(self, gates, n: int, qubit_map, offset: int) -> None:
+        """Append unchecked copies of checked gates on n qubits, qubit q moved to
+        qubit_map[q] (None: the identity, checked once) and layers shifted by offset."""
+        identity = tuple(range(n))
+        qmap = identity if qubit_map is None else tuple(qubit_map)[:n]
+        if len(qmap) != n or len(set(qmap)) != n or min(qmap) < 0 or max(qmap) >= self.n_qubits:
+            raise CircuitError(f"qubit map {qmap} does not send {n} qubits one-to-one "
+                               f"into the {self.n_qubits}-qubit circuit")
+        if qmap == identity:
+            qmap = None
+        top = self._layer
+        out = self.gates
+        for g in gates:
+            targets, controls = g.targets, g.controls
+            if qmap is not None:
+                targets = tuple([qmap[t] for t in targets])
+                if controls:
+                    controls = tuple([(qmap[c], p) for c, p in controls])
+            layer = g.layer + offset
+            if layer > top:
+                top = layer
+            out.append(_derived_gate(g.kind, targets, controls, g.theta, layer))
+        self._layer = top
+
     def append_circuit(self, other: "Circuit", qubit_map=None) -> None:
         """Concatenate another circuit; its layers land after the current ones."""
-        offset = self._layer + 1
-        for g in other.gates:
-            targets = g.targets if qubit_map is None else tuple(qubit_map[q] for q in g.targets)
-            controls = (
-                g.controls
-                if qubit_map is None
-                else tuple((qubit_map[q], p) for q, p in g.controls)
-            )
-            self.add(g.kind, targets, controls, g.theta, layer=g.layer + offset)
+        self._extend(other.gates, other.n_qubits, qubit_map, self._layer + 1)
         self.global_phase += other.global_phase
 
     def controlled(self, control: int, polarity: int = 1) -> "Circuit":
         """Every gate gains `control`; the global phase becomes a U1 there."""
         if polarity != 1:
             raise CircuitError("controlled() supports polarity 1 only")
+        if control < 0:
+            raise CircuitError(f"qubit {control} outside the {self.n_qubits}-qubit circuit")
         out = Circuit(max(self.n_qubits, control + 1))
         for g in self.gates:
-            if control in g.qubits:
+            if control in g.targets or control in [q for q, _ in g.controls]:
                 raise CircuitError(f"control qubit {control} already used by {g}")
-            out.add(g.kind, g.targets, g.controls + ((control, 1),), g.theta, layer=g.layer)
+            controls = g.controls + ((control, 1),)
+            out.gates.append(_derived_gate(g.kind, g.targets, controls, g.theta, g.layer))
+            out._layer = max(out._layer, g.layer)
         if self.global_phase != 0.0:
             out.add("U1", (control,), theta=self.global_phase, layer=out._layer + 1)
         return out
@@ -137,38 +182,33 @@ def _ry_mat(theta: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]], dtype=np.complex128)
 
 
-def apply(circuit: Circuit, state: np.ndarray, control_context=None) -> np.ndarray:
+def apply(circuit: Circuit, state: np.ndarray) -> np.ndarray:
     """Run the circuit over `state` in place (and return it).
 
-    `state` may live on more qubits than the circuit uses. When
-    control_context=(qubit, polarity) is given, every gate and the global
-    phase act only where that qubit has the given value.
+    `state` may live on more qubits than the circuit uses.
     """
     n_state = state.size.bit_length() - 1
     if state.size != 1 << n_state or state.ndim != 1:
         raise CircuitError(f"state length {state.size} is not a power of two")
     if n_state < circuit.n_qubits:
         raise CircuitError(f"state has {n_state} qubits, circuit needs {circuit.n_qubits}")
-    extra = () if control_context is None else (tuple(control_context),)
     for g in circuit.gates:
-        controls = g.controls + extra
         if g.kind == "U1":
-            kernels.apply_phase(state, n_state, controls + ((g.targets[0], 1),), np.exp(1j * g.theta))
+            kernels.apply_phase(state, n_state, g.controls + ((g.targets[0], 1),), np.exp(1j * g.theta))
         elif g.kind == "S":
-            kernels.apply_phase(state, n_state, controls + ((g.targets[0], 1),), 1j)
+            kernels.apply_phase(state, n_state, g.controls + ((g.targets[0], 1),), 1j)
         elif g.kind == "SWAP":
-            kernels.apply_swap(state, n_state, g.targets[0], g.targets[1], controls)
+            kernels.apply_swap(state, n_state, g.targets[0], g.targets[1], g.controls)
         elif g.kind == "H":
-            kernels.apply_matrix(state, n_state, g.targets[0], controls, _H_MAT)
+            kernels.apply_matrix(state, n_state, g.targets[0], g.controls, _H_MAT)
         elif g.kind == "X":
-            kernels.apply_matrix(state, n_state, g.targets[0], controls, _X_MAT)
+            kernels.apply_matrix(state, n_state, g.targets[0], g.controls, _X_MAT)
         elif g.kind == "RX":
-            kernels.apply_matrix(state, n_state, g.targets[0], controls, _rx_mat(g.theta))
+            kernels.apply_matrix(state, n_state, g.targets[0], g.controls, _rx_mat(g.theta))
         else:  # RY
-            kernels.apply_matrix(state, n_state, g.targets[0], controls, _ry_mat(g.theta))
+            kernels.apply_matrix(state, n_state, g.targets[0], g.controls, _ry_mat(g.theta))
     if circuit.global_phase != 0.0:
-        phase = np.exp(1j * circuit.global_phase)
-        kernels.apply_phase(state, n_state, extra, phase)
+        kernels.apply_phase(state, n_state, (), np.exp(1j * circuit.global_phase))
     return state
 
 
@@ -297,15 +337,7 @@ def _copy_to_registers(circ: Circuit, base: Circuit, layout: QubitLayout) -> Non
     """Append `base` (one register's gates) on every mode register, keeping
     its layer ids so the copies run in parallel."""
     for r in range(layout.d):
-        qmap = layout.mode_qubits(r)
-        for g in base.gates:
-            circ.add(
-                g.kind,
-                tuple(qmap[t] for t in g.targets),
-                tuple((qmap[c], p) for c, p in g.controls),
-                g.theta,
-                layer=g.layer,
-            )
+        circ._extend(base.gates, base.n_qubits, layout.mode_qubits(r), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -685,21 +717,22 @@ def _append_bilinear_offdiag(
                         layer=extra,
                     )
             circ.add("RX", (elec,), theta=scale * q0 * q0, layer=extra)
+    expanded: list[Gate] = []
     for pair in model.bilinear_off:
         scale = 2.0 * pair.mu * dt / model.hbar
         for i in range(n):
             for j in range(n):
                 theta = scale * dq * dq * (1 << i) * (1 << j)
+                # each expansion claims the 5 layers after the previous one
                 ccrx = Gate(
                     "RX",
                     (elec,),
                     ((pair.l * n + i, 1), (pair.m * n + j, 1)),
                     theta,
-                    layer=0,
+                    layer=len(expanded),
                 )
-                base = circ._layer + 1
-                for g in decompose_ccrx(ccrx):
-                    circ.add(g.kind, g.targets, g.controls, g.theta, layer=base + g.layer)
+                expanded += decompose_ccrx(ccrx)
+    circ._extend(expanded, circ.n_qubits, None, circ._layer + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -73,25 +73,22 @@ def _coupling_field(model: VibronicModel, grid: GridSpec) -> np.ndarray:
     return c
 
 
-def _kinetic_field(model: VibronicModel, grid: GridSpec) -> np.ndarray:
-    """K(p) = sum_k (omega_k/2) p_k^2 in DFT output order, shape (N,)*d."""
-    d = model.d
-    p = momentum_points(grid)
-    k = np.zeros((grid.size,) * d)
-    for i, mode in enumerate(model.modes):
-        pi = p.reshape((1,) * i + (-1,) + (1,) * (d - i - 1))
-        k = k + 0.5 * mode.omega * pi**2
-    return k
+def _dft_conjugate(grid: GridSpec, diag: np.ndarray) -> np.ndarray:
+    """F^dagger diag(diag) F, F the unitary DFT matrix: a momentum-diagonal
+    operator on one mode axis in the position basis."""
+    dft = np.fft.fft(np.eye(grid.size), axis=0, norm="ortho")
+    return dft.conj().T @ (diag[:, None] * dft)
 
 
 @dataclass
 class PropagatorPlan:
     """Precomputed operators for repeated application of one time step.
 
-    kin[k] is mode k's kinetic propagator in the position basis, and pot
-    holds the four entries (00, 01, 10, 11) of the pointwise 2x2 electronic
-    operator C.D: the diagonal potential phases D followed by the coupling
-    rotation C.
+    kin[k] is mode k's kinetic propagator in the position basis, p2 the
+    kinetic energy per unit omega on one mode axis, F^dagger diag(p^2/2) F,
+    and pot holds the four entries (00, 01, 10, 11) of the pointwise 2x2
+    electronic operator C.D: the diagonal potential phases D followed by the
+    coupling rotation C.
     """
 
     model: VibronicModel
@@ -100,8 +97,8 @@ class PropagatorPlan:
     split_order: str = "potential-first"
     vtab: np.ndarray = field(init=False, repr=False)
     ctab: np.ndarray = field(init=False, repr=False)
-    ktab: np.ndarray = field(init=False, repr=False)
     kin: np.ndarray = field(init=False, repr=False)
+    p2: np.ndarray = field(init=False, repr=False)
     pot: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -110,16 +107,15 @@ class PropagatorPlan:
         hbar = self.model.hbar
         self.vtab = _diagonal_potentials(self.model, self.grid)
         self.ctab = _coupling_field(self.model, self.grid)
-        self.ktab = _kinetic_field(self.model, self.grid)
         if self.split_order == "potential-first":
             pot_frac, kin_frac = 0.5, 1.0
         else:
             pot_frac, kin_frac = 1.0, 0.5
-        # F^dagger diag(exp(-i omega_k p^2 t / 2 hbar)) F, F the unitary DFT matrix
-        dft = np.fft.fft(np.eye(self.grid.size), axis=0, norm="ortho")
-        kin_phase = -0.5j * momentum_points(self.grid) ** 2 * (kin_frac * self.dt / hbar)
-        self.kin = np.stack([dft.conj().T @ (np.exp(mode.omega * kin_phase)[:, None] * dft)
+        p_sq = momentum_points(self.grid) ** 2
+        kin_phase = -0.5j * p_sq * (kin_frac * self.dt / hbar)
+        self.kin = np.stack([_dft_conjugate(self.grid, np.exp(mode.omega * kin_phase))
                              for mode in self.model.modes])
+        self.p2 = _dft_conjugate(self.grid, 0.5 * p_sq)
         # in place, phases first into the diagonal slots, to keep peak memory low
         pot_t = pot_frac * self.dt / hbar
         self.pot = np.empty((4,) + self.ctab.shape, dtype=np.complex128)
@@ -131,10 +127,6 @@ class PropagatorPlan:
         self.pot[1:3] *= -1j
         self.pot[::3] *= np.cos(self.ctab * pot_t)
 
-    @property
-    def mode_axes(self) -> tuple[int, ...]:
-        return tuple(range(1, self.model.d + 1))
-
 
 def _amplitudes(plan: PropagatorPlan, psi: Wavepacket) -> np.ndarray:
     """psi's amplitudes; a ValueError when their shape is not the plan's."""
@@ -145,12 +137,20 @@ def _amplitudes(plan: PropagatorPlan, psi: Wavepacket) -> np.ndarray:
     return psi.amplitudes
 
 
+def _along(m: np.ndarray, a: np.ndarray, k: int) -> np.ndarray:
+    """The N x N matrix m applied along mode axis k of (2, N, ..., N)
+    amplitudes, as one matmul on a reshaped view."""
+    shape, n, d = a.shape, a.shape[-1], a.ndim - 1
+    if k == d - 1:
+        return (a.reshape(-1, n) @ m.T).reshape(shape)
+    return (m @ a.reshape(2 * n**k, n, n ** (d - 1 - k))).reshape(shape)
+
+
 def _apply_kinetic(kin: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Apply each mode's N x N kinetic matrix along its axis, one matmul each."""
-    shape, n, d = a.shape, a.shape[-1], len(kin)
-    for k in range(d - 1):
-        a = kin[k] @ a.reshape(2 * n**k, n, n ** (d - 1 - k))
-    return (a.reshape(-1, n) @ kin[-1].T).reshape(shape)
+    """Apply each mode's N x N kinetic matrix along its axis."""
+    for k, m in enumerate(kin):
+        a = _along(m, a, k)
+    return a
 
 
 def _apply_pot(pot: np.ndarray, a: np.ndarray, transpose: bool = False) -> np.ndarray:
@@ -228,14 +228,14 @@ def boundary_maxima(psi: Wavepacket) -> np.ndarray:
 
 
 def energy(plan: PropagatorPlan, psi: Wavepacket) -> float:
-    """<H> = <V_diag> + <c(Q) X> + <K>, the kinetic part via FFT."""
+    """<H> = <V_diag> + <c(Q) X> + <K>, with <K> = sum_k omega_k <a|p2_k a>."""
     a = _amplitudes(plan, psi)
     prob = np.abs(a) ** 2
     ev = float(np.sum(plan.vtab * prob))
     ec = float(np.sum(plan.ctab * 2.0 * np.real(np.conj(a[0]) * a[1])))
-    at = np.fft.fftn(a, axes=plan.mode_axes, norm="ortho")
-    ek = float(np.sum(plan.ktab * np.abs(at) ** 2))
-    return ev + ec + ek
+    ek = sum(mode.omega * np.vdot(a, _along(plan.p2, a, k)).real
+             for k, mode in enumerate(plan.model.modes))
+    return ev + ec + float(ek)
 
 
 def _sample_loop(state, advance, time_grid: TimeGrid, record):

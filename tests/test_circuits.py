@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -80,21 +82,64 @@ def bilinear_tiny(split_gamma=False):
 # ---------------------------------------------------------------------------
 
 
+# one case per check in Gate.__post_init__: (Gate/add arguments, message)
+CONSTRUCTION_ERRORS = [
+    (("CZ", (0,)), "unknown gate kind 'CZ'"),
+    (("SWAP", (0,)), "SWAP needs 2 distinct target(s), got (0,)"),
+    (("H", (0, 1)), "H needs 1 distinct target(s), got (0, 1)"),
+    (("SWAP", (1, 1)), "SWAP needs 2 distinct target(s), got (1, 1)"),
+    (("U1", (0,)), "U1 needs a finite angle, got None"),
+    (("RX", (0,), (), float("nan")), "RX needs a finite angle, got nan"),
+    (("RY", (0,), (), float("inf")), "RY needs a finite angle, got inf"),
+    (("H", (0,), (), 0.5), "H takes no angle"),
+    (("H", (0,), ((0, 1),)), "controls ((0, 1),) must be distinct and disjoint from targets"),
+    (("SWAP", (0, 2), ((1, 1), (2, 0))), "must be distinct and disjoint from targets"),
+    (("H", (0,), ((1, 1), (1, 0))), "controls ((1, 1), (1, 0)) must be distinct"),
+    (("H", (0,), ((1, 2),)), "control polarity must be 0 or 1, got 2"),
+    (("X", (0,), ((1, 1), (2, -1))), "control polarity must be 0 or 1, got -1"),
+]
+
+
 def test_gate_validation():
-    with pytest.raises(CircuitError):
-        Gate("CZ", (0,))
-    with pytest.raises(CircuitError):
-        Gate("SWAP", (0,))
-    with pytest.raises(CircuitError):
-        Gate("U1", (0,))  # missing angle
-    with pytest.raises(CircuitError):
-        Gate("U1", (0,), theta=float("nan"))
-    with pytest.raises(CircuitError):
-        Gate("H", (0,), controls=((0, 1),))  # control hits the target
-    with pytest.raises(CircuitError):
-        Gate("H", (0,), controls=((1, 2),))  # bad polarity
-    with pytest.raises(CircuitError):
-        Gate("H", (0,), controls=((1, 1), (1, 0)))  # duplicate control
+    # the same check, message and exception through Gate and Circuit.add
+    for args, message in CONSTRUCTION_ERRORS:
+        with pytest.raises(CircuitError, match=re.escape(message)):
+            Gate(*args)
+        c = Circuit(4)
+        with pytest.raises(CircuitError, match=re.escape(message)):
+            c.add(*args)
+        assert c.gates == []
+
+
+def test_add_stores_tuples():
+    c = Circuit(3)
+    g = c.add("X", [2], [[0, 1], (1, 0)])
+    assert g == Gate("X", (2,), ((0, 1), (1, 0)), None, 0)
+    assert type(g.targets) is tuple
+    assert all(type(ctl) is tuple for ctl in g.controls)
+    assert not hasattr(g, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.layer = 3
+
+
+def test_append_circuit_checks_the_qubit_map():
+    src = Circuit(2)
+    src.add("H", (0,))
+    src.add("X", (1,), ((0, 1),))
+    # not one-to-one, out of range either way, too short
+    for qmap in ([2, 2], [0, 4], [-1, 0], [3]):
+        dst = Circuit(4)
+        with pytest.raises(CircuitError, match=re.escape("one-to-one into the 4-qubit circuit")):
+            dst.append_circuit(src, qubit_map=qmap)
+        assert dst.gates == []
+    # without a map, the other circuit must fit
+    with pytest.raises(CircuitError, match="qubit map"):
+        Circuit(1).append_circuit(src)
+    # a valid map moves every qubit and offsets every layer
+    dst = Circuit(4)
+    dst.add("H", (0,))
+    dst.append_circuit(src, qubit_map=(3, 1))
+    assert dst.gates[1:] == [Gate("H", (3,), (), None, 1), Gate("X", (1,), ((3, 1),), None, 2)]
 
 
 def test_circuit_layers_and_depth():
@@ -105,8 +150,11 @@ def test_circuit_layers_and_depth():
     assert c.depth() == 2
     assert c.gate_count() == 3
     assert [g.layer for g in c.gates] == [0, 0, 1]
-    with pytest.raises(CircuitError):
-        c.add("H", (5,))
+    for targets, controls, bad in (((5,), (), 5), ((-1,), (), -1), ((0,), ((3, 1),), 3),
+                                   ((0,), ((1, 1), (-2, 0)), -2)):
+        with pytest.raises(CircuitError, match=re.escape(f"qubit {bad} outside the 3-qubit circuit")):
+            c.add("H", targets, controls)
+    assert c.gate_count() == 3
     with pytest.raises(CircuitError):
         Circuit(0)
 
@@ -143,6 +191,15 @@ def test_controlled_circuit():
         base.controlled(0)
     with pytest.raises(CircuitError):
         base.controlled(1, polarity=0)
+    with pytest.raises(CircuitError, match=re.escape("qubit -1 outside the 1-qubit circuit")):
+        base.controlled(-1)
+    # a control already used as a target or as a control
+    two = Circuit(3)
+    two.add("X", (0,), ((1, 1),))
+    for q in (0, 1):
+        with pytest.raises(CircuitError, match=f"control qubit {q} already used"):
+            two.controlled(q)
+    assert two.controlled(2).gates == [Gate("X", (0,), ((1, 1), (2, 1)), None, 0)]
 
 
 def test_inverse_circuit(rng):
@@ -169,13 +226,13 @@ def test_apply_rejects_bad_states():
         apply(c, np.ones(2, dtype=np.complex128))
 
 
-def test_apply_with_control_context():
+def test_apply_controlled_circuit():
     c = Circuit(1)
     c.add("X", (0,))
     state = np.zeros(4, dtype=np.complex128)
     state[0b00] = 0.6
     state[0b10] = 0.8
-    apply(c, state, control_context=(1, 1))
+    apply(c.controlled(1), state)
     # only the half with qubit 1 set was flipped
     assert state[0b00] == pytest.approx(0.6)
     assert state[0b11] == pytest.approx(0.8)

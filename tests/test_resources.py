@@ -1,10 +1,13 @@
 import pytest
 
+from vibroniq.circuits import build_timestep
+from vibroniq.model import GridSpec
 from vibroniq.resources import (
     MODEL_CLASSES,
     VARIANTS,
     AssayInput,
     ResourceError,
+    _builder_model,
     assay,
     prep_depth,
     qft_depth,
@@ -95,6 +98,27 @@ def test_builder_agreement_4d(n):
 def test_builder_agreement_24d():
     row = verify_against_builder("24D-quadratic", 4)
     assert row["agree"], row["rows"]
+
+
+# gate counts of the step circuits behind the six rows of `vibroniq verify`;
+# the depth alone would miss a gate dropped or duplicated inside a layer
+STEP_GATES = {
+    ("4D-linear", 2): 126,
+    ("4D-linear", 3): 228,
+    ("4D-linear", 4): 370,
+    ("4D-linear", 5): 536,
+    ("24D-quadratic", 4): 5006,
+    ("24D-quadratic", 5): 7585,
+}
+
+
+@pytest.mark.parametrize("key", sorted(STEP_GATES))
+def test_verify_row_step_gate_counts(key):
+    model_class, n = key
+    model, split_order = _builder_model(model_class)
+    step = build_timestep(model, GridSpec(n=n, q_min=-5.0, q_max=5.0), 0.129, split_order=split_order)
+    assert step.gate_count() == STEP_GATES[key]
+    assert step.depth() == step_depth(model_class, n)
 
 
 def test_standard_table():
