@@ -13,9 +13,10 @@ above that.
 
 Checking: a gate a caller builds (Gate(...) or Circuit.add) is checked when
 it is made, and add range-checks its qubits. A gate derived from a checked
-one (append_circuit, the per-register copies, controlled(), the CCRx
-expansion) is not checked again; its derivation checks once that the qubit
-map sends the source qubits one-to-one into range.
+one (append_circuit, the per-register copies, controlled()) is not checked
+again; its derivation checks once that the qubit map sends the source qubits
+one-to-one into range. The CCRx expansion is made of checked Gates at their
+final layers.
 """
 from __future__ import annotations
 
@@ -90,13 +91,13 @@ def _derived_gate(kind, targets, controls, theta, layer) -> Gate:
 
 
 class Circuit:
-    """Ordered gate list over a fixed qubit count, with declared layers."""
+    """Gate list over a fixed qubit count, with declared layers and no global
+    phase: builders make constant phases with gates, which controlled() keeps."""
 
-    def __init__(self, n_qubits: int, global_phase: float = 0.0):
+    def __init__(self, n_qubits: int):
         if n_qubits < 1:
             raise CircuitError(f"need at least one qubit, got {n_qubits}")
         self.n_qubits = n_qubits
-        self.global_phase = global_phase
         self.gates: list[Gate] = []
         self._layer = -1
 
@@ -152,12 +153,9 @@ class Circuit:
     def append_circuit(self, other: "Circuit", qubit_map=None) -> None:
         """Concatenate another circuit; its layers land after the current ones."""
         self._extend(other.gates, other.n_qubits, qubit_map, self._layer + 1)
-        self.global_phase += other.global_phase
 
-    def controlled(self, control: int, polarity: int = 1) -> "Circuit":
-        """Every gate gains `control`; the global phase becomes a U1 there."""
-        if polarity != 1:
-            raise CircuitError("controlled() supports polarity 1 only")
+    def controlled(self, control: int) -> "Circuit":
+        """Every gate gains `control`, which fires on |1>."""
         if control < 0:
             raise CircuitError(f"qubit {control} outside the {self.n_qubits}-qubit circuit")
         out = Circuit(max(self.n_qubits, control + 1))
@@ -167,8 +165,6 @@ class Circuit:
             controls = g.controls + ((control, 1),)
             out.gates.append(_derived_gate(g.kind, g.targets, controls, g.theta, g.layer))
             out._layer = max(out._layer, g.layer)
-        if self.global_phase != 0.0:
-            out.add("U1", (control,), theta=self.global_phase, layer=out._layer + 1)
         return out
 
 
@@ -207,23 +203,18 @@ def apply(circuit: Circuit, state: np.ndarray) -> np.ndarray:
             kernels.apply_matrix(state, n_state, g.targets[0], g.controls, _rx_mat(g.theta))
         else:  # RY
             kernels.apply_matrix(state, n_state, g.targets[0], g.controls, _ry_mat(g.theta))
-    if circuit.global_phase != 0.0:
-        kernels.apply_phase(state, n_state, (), np.exp(1j * circuit.global_phase))
     return state
 
 
 def unitary_of(circuit: Circuit, n_qubits: int | None = None) -> np.ndarray:
-    """Dense matrix of a small circuit, column by column."""
+    """Dense matrix of a small circuit from one apply over the flattened
+    identity, a 2n-qubit state whose top n qubits hold the column index."""
     n = circuit.n_qubits if n_qubits is None else n_qubits
     if n > 14:
         raise CircuitError(f"refusing a dense unitary on {n} qubits")
     dim = 1 << n
-    u = np.zeros((dim, dim), dtype=np.complex128)
-    for col in range(dim):
-        vec = np.zeros(dim, dtype=np.complex128)
-        vec[col] = 1.0
-        u[:, col] = apply(circuit, vec)
-    return u
+    state = np.eye(dim, dtype=np.complex128).reshape(-1)
+    return apply(circuit, state).reshape(dim, dim).T
 
 
 @dataclass(frozen=True)
@@ -717,7 +708,6 @@ def _append_bilinear_offdiag(
                         layer=extra,
                     )
             circ.add("RX", (elec,), theta=scale * q0 * q0, layer=extra)
-    expanded: list[Gate] = []
     for pair in model.bilinear_off:
         scale = 2.0 * pair.mu * dt / model.hbar
         for i in range(n):
@@ -729,10 +719,10 @@ def _append_bilinear_offdiag(
                     (elec,),
                     ((pair.l * n + i, 1), (pair.m * n + j, 1)),
                     theta,
-                    layer=len(expanded),
+                    layer=circ._layer + 1,
                 )
-                expanded += decompose_ccrx(ccrx)
-    circ._extend(expanded, circ.n_qubits, None, circ._layer + 1)
+                circ.gates += decompose_ccrx(ccrx)
+                circ._layer += 5
 
 
 # ---------------------------------------------------------------------------
@@ -827,19 +817,6 @@ def build_hadamard_test(evolution: Circuit, part: str = "real") -> Circuit:
     circ.add("H", (anc,))
     return circ
 
-def _interferometer_probs(state: np.ndarray) -> tuple[float, float]:
-    """P(ancilla=0) for the real and imag readouts of a pre-readout state.
-
-    The state is (|0>psi0 + |1>U^k psi0)/sqrt(2) with the ancilla on top;
-    closing with H (and S for the imag part) gives
-    p0_real = (1 + Re A)/2 and p0_imag = (1 - Im A)/2.
-    """
-    half = state.size // 2
-    overlap = complex(np.vdot(state[:half], state[half:])) * 2.0
-    p0_real = 0.5 * (1.0 + overlap.real)
-    p0_imag = 0.5 * (1.0 - overlap.imag)
-    return p0_real, p0_imag
-
 def hadamard_series(
     model: VibronicModel,
     grid: GridSpec,
@@ -866,8 +843,8 @@ def hadamard_series(
     exact = []
 
     def readout(s: np.ndarray) -> None:
-        p0r, p0i = _interferometer_probs(s)
-        exact.append(complex(2.0 * p0r - 1.0, 1.0 - 2.0 * p0i))
+        # A = 2<top|bottom>: P(0) = (1 + Re A)/2 after H, (1 - Im A)/2 after S, H
+        exact.append(2.0 * complex(np.vdot(s[:half], s[half:])))
 
     _soft._sample_loop(state, lambda s: apply(ctrl_step, s), time_grid, readout)
     out = {"times": time_grid.sample_times(), "exact": np.array(exact, dtype=np.complex128)}
@@ -935,8 +912,7 @@ def qpe_phase_to_energy(theta: float, dt: float, hbar: float) -> float:
 
 def export_gates(circuit: Circuit) -> str:
     """One line per gate: kind, targets, controls with polarity, angle, layer."""
-    lines = [f"# qubits={circuit.n_qubits} gates={circuit.gate_count()} "
-             f"depth={circuit.depth()} global_phase={circuit.global_phase!r}"]
+    lines = [f"# qubits={circuit.n_qubits} gates={circuit.gate_count()} depth={circuit.depth()}"]
     for g in circuit.gates:
         parts = [g.kind, "t=" + ",".join(str(q) for q in g.targets)]
         if g.controls:

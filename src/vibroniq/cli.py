@@ -183,7 +183,7 @@ def cmd_qpe_demo(args) -> int:
     from .model import ModeParams, VibronicModel
 
     model = VibronicModel(modes=(ModeParams("nu", 0.0936, "B1g"),), lam=0.0, delta=0.0)
-    grid = GridSpec(n=args.n, q_min=args.range[0], q_max=args.range[1], convention=args.convention)
+    grid = _grid_from_args(args)
     dt = args.total_fs / args.nt
     step_circ = circuits.build_timestep(model, grid, dt)
     u = circuits.unitary_of(step_circ)

@@ -55,9 +55,6 @@ def apply_matrix(state, n_qubits, target, controls, mat) -> None:
 
 def apply_phase(state, n_qubits, fixed, phase) -> None:
     """Multiply amplitudes whose bits match every (qubit, bit) in `fixed`."""
-    if not fixed:
-        state *= phase
-        return
     _np_view(state, n_qubits, fixed)[...] *= phase
 
 

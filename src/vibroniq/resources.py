@@ -129,16 +129,17 @@ def _builder_model(model_class: str) -> tuple[VibronicModel, str]:
     return get_model("pyrazine-24d-placeholder"), "kinetic-first"
 
 
-def verify_against_builder(model_class: str, n: int, grid_range=(-5.0, 5.0)) -> dict:
+def verify_against_builder(model_class: str, n: int) -> dict:
     """Compare the closed-form depths with actually constructed circuits.
 
     Builds the per-step circuit, one register transform, and the state
-    preparation cascade, and reports formula vs builder depth for each.
+    preparation cascade on the fixed [-5, 5] box, and reports formula vs
+    builder depth for each.
     """
     from . import circuits
 
     model, split_order = _builder_model(model_class)
-    grid = GridSpec(n=n, q_min=grid_range[0], q_max=grid_range[1])
+    grid = GridSpec(n=n, q_min=-5.0, q_max=5.0)
     dt = 0.129
     step_circ = circuits.build_timestep(model, grid, dt, split_order=split_order)
     qft_circ = circuits.build_qft(n)

@@ -137,23 +137,6 @@ def default_shot_grid() -> np.ndarray:
     return np.unique(np.round(np.logspace(3.0, 6.0, 61)).astype(int))
 
 
-def _tvd_curve_autocorr(exact_ac, exact_spec, shot_grid, rng, tau_fs, damp_d) -> np.ndarray:
-    out = np.empty(len(shot_grid))
-    for i, shots in enumerate(shot_grid):
-        noisy = sample_autocorr(exact_ac, int(shots), rng)
-        spec = spectrum(noisy, tau_fs=tau_fs, damp_d=damp_d)
-        out[i] = tvd(spec.intensities, exact_spec.intensities)
-    return out
-
-
-def _tvd_curve_direct(exact_spec, shot_grid, rng) -> np.ndarray:
-    out = np.empty(len(shot_grid))
-    for i, shots in enumerate(shot_grid):
-        sampled = sample_spectrum_direct(exact_spec, int(shots), rng)
-        out[i] = tvd(sampled.intensities, exact_spec.intensities)
-    return out
-
-
 def _first_sustained(shot_grid, curve, threshold: float, sustain: int) -> float:
     """Smallest shot count where the curve stays below threshold for
     `sustain` consecutive grid points (nan when never sustained)."""
@@ -195,14 +178,16 @@ def shots_scan(
     exact_ac = _as_series(autocorr)
     exact_spec = spectrum(exact_ac, tau_fs=tau_fs, damp_d=damp_d)
     per_seed = {thr: [] for thr in thresholds}
-    curves = []
-    for seed in seeds:
+    curves = np.empty((len(seeds), len(grid)))
+    for curve, seed in zip(curves, seeds):
         rng = np.random.default_rng(seed)
-        if method == "autocorr":
-            curve = _tvd_curve_autocorr(exact_ac, exact_spec, grid, rng, tau_fs, damp_d)
-        else:
-            curve = _tvd_curve_direct(exact_spec, grid, rng)
-        curves.append(curve)
+        for i, shots in enumerate(grid):
+            if method == "autocorr":
+                noisy = sample_autocorr(exact_ac, int(shots), rng)
+                sampled = spectrum(noisy, tau_fs=tau_fs, damp_d=damp_d)
+            else:
+                sampled = sample_spectrum_direct(exact_spec, int(shots), rng)
+            curve[i] = tvd(sampled.intensities, exact_spec.intensities)
         for thr in thresholds:
             per_seed[thr].append(_first_sustained(grid, curve, thr, sustain))
     per_seed = {thr: np.asarray(v) for thr, v in per_seed.items()}
@@ -212,7 +197,7 @@ def shots_scan(
     return {
         "method": method,
         "shot_grid": grid,
-        "curves": np.asarray(curves),
+        "curves": curves,
         "per_seed": per_seed,
         "medians": medians,
         "left_censored": {thr: int(np.sum(v == grid[0])) for thr, v in per_seed.items()},

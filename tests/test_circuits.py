@@ -175,12 +175,12 @@ def test_append_circuit_offsets_layers():
 
 
 def test_controlled_circuit():
-    base = Circuit(1, global_phase=0.3)
+    base = Circuit(1)
     base.add("RX", (0,), theta=0.7)
     ctl = base.controlled(1)
     u = unitary_of(ctl, 2)
-    # unitary_of folds the base global phase in already; the controlled
-    # version must confine that phase to the control-set subspace
+    # the controlled version acts as the base circuit on the control-set
+    # subspace and as the identity elsewhere
     direct = unitary_of(base, 1)
     expect = np.eye(4, dtype=complex)
     idx = [2, 3]  # indices with qubit 1 (the control) set
@@ -189,8 +189,6 @@ def test_controlled_circuit():
 
     with pytest.raises(CircuitError):
         base.controlled(0)
-    with pytest.raises(CircuitError):
-        base.controlled(1, polarity=0)
     with pytest.raises(CircuitError, match=re.escape("qubit -1 outside the 1-qubit circuit")):
         base.controlled(-1)
     # a control already used as a target or as a control
@@ -264,6 +262,29 @@ def test_gate_matrices():
     perm = np.zeros((4, 4))
     perm[[0, 1, 2, 3], [0, 2, 1, 3]] = 1
     assert np.allclose(unitary_of(c), perm, atol=1e-15)
+
+
+def test_unitary_of_matches_column_by_column():
+    rng = np.random.default_rng(7)
+    c = Circuit(4)
+    for _ in range(40):
+        kind = str(rng.choice(["H", "X", "S", "RX", "RY", "U1", "SWAP"]))
+        qubits = [int(q) for q in rng.permutation(4)]
+        n_targets = 2 if kind == "SWAP" else 1
+        n_controls = int(rng.integers(0, 4 - n_targets))
+        targets = tuple(qubits[:n_targets])
+        controls = tuple((q, int(rng.integers(0, 2))) for q in qubits[n_targets : n_targets + n_controls])
+        theta = float(rng.uniform(-math.pi, math.pi)) if kind in ("RX", "RY", "U1") else None
+        c.add(kind, targets, controls=controls, theta=theta)
+    assert {p for g in c.gates for _, p in g.controls} == {0, 1}
+    for n in (4, 5):
+        dim = 1 << n
+        expect = np.zeros((dim, dim), dtype=np.complex128)
+        for col in range(dim):
+            vec = np.zeros(dim, dtype=np.complex128)
+            vec[col] = 1.0
+            expect[:, col] = apply(c, vec)
+        assert np.array_equal(unitary_of(c, None if n == 4 else n), expect)
 
 
 def test_unitary_of_refuses_large_circuits():
@@ -699,13 +720,13 @@ def test_qpe_phase_to_energy_window():
 
 
 def test_export_gates_format():
-    c = Circuit(3, global_phase=0.25)
+    c = Circuit(3)
     c.add("H", (0,))
     c.add("U1", (1,), controls=((0, 1), (2, 0)), theta=0.5)
     c.add("SWAP", (0, 2))
     text = export_gates(c)
     lines = text.strip().split("\n")
-    assert lines[0] == "# qubits=3 gates=3 depth=3 global_phase=0.25"
+    assert lines[0] == "# qubits=3 gates=3 depth=3"
     assert lines[1] == "H t=0 layer=0"
     assert lines[2] == "U1 t=1 c=0:1,2:0 theta=0.5 layer=1"
     assert lines[3] == "SWAP t=0,2 layer=2"
