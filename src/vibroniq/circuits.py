@@ -17,6 +17,11 @@ one (append_circuit, the per-register copies, controlled()) is not checked
 again; its derivation checks once that the qubit map sends the source qubits
 one-to-one into range. The CCRx expansion is made of checked Gates at their
 final layers.
+
+Running: apply replays the gate list gate by gate and is the reference.
+compile fuses consecutive gates into a few operations on at most FUSE_WIDTH
+qubits, each computed from its gates by unitary_of, and the propagators run
+the resulting Program.
 """
 from __future__ import annotations
 
@@ -178,16 +183,22 @@ def _ry_mat(theta: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]], dtype=np.complex128)
 
 
+def _state_qubits(state: np.ndarray, n_qubits: int) -> int:
+    """Qubit count of a 1-D power-of-two state with room for n_qubits."""
+    n_state = max(state.size.bit_length() - 1, 0)
+    if state.size != 1 << n_state or state.ndim != 1:
+        raise CircuitError(f"state length {state.size} is not a power of two")
+    if n_state < n_qubits:
+        raise CircuitError(f"state has {n_state} qubits, circuit needs {n_qubits}")
+    return n_state
+
+
 def apply(circuit: Circuit, state: np.ndarray) -> np.ndarray:
-    """Run the circuit over `state` in place (and return it).
+    """Run the circuit over `state` in place (and return it), gate by gate.
 
     `state` may live on more qubits than the circuit uses.
     """
-    n_state = state.size.bit_length() - 1
-    if state.size != 1 << n_state or state.ndim != 1:
-        raise CircuitError(f"state length {state.size} is not a power of two")
-    if n_state < circuit.n_qubits:
-        raise CircuitError(f"state has {n_state} qubits, circuit needs {circuit.n_qubits}")
+    n_state = _state_qubits(state, circuit.n_qubits)
     for g in circuit.gates:
         if g.kind == "U1":
             kernels.apply_phase(state, n_state, g.controls + ((g.targets[0], 1),), np.exp(1j * g.theta))
@@ -215,6 +226,97 @@ def unitary_of(circuit: Circuit, n_qubits: int | None = None) -> np.ndarray:
     dim = 1 << n
     state = np.eye(dim, dtype=np.complex128).reshape(-1)
     return apply(circuit, state).reshape(dim, dim).T
+
+
+FUSE_WIDTH = 5  # one 4-qubit mode register plus the electronic qubit
+
+
+def compile(circuit: Circuit) -> "Program":
+    """Fuse each run of consecutive gates whose joint support fits in
+    FUSE_WIDTH qubits into one operation, unitary_of the run on its support.
+    Gates are never reordered; a wider gate is an operation of its own."""
+    runs: list[tuple[set, list]] = []
+    for g in circuit.gates:
+        qubits = {*g.targets, *(q for q, _ in g.controls)}
+        if runs and len(runs[-1][0] | qubits) <= FUSE_WIDTH:
+            runs[-1][0].update(qubits)
+            runs[-1][1].append(g)
+        else:
+            runs.append((qubits, [g]))
+    return Program(circuit.n_qubits, [_fuse(sorted(qs), gates) for qs, gates in runs])
+
+
+def _fuse(support: list[int], gates: list[Gate]) -> tuple:
+    """(shape, how, operand, moved) of a run of gates on the ascending support.
+
+    `shape` views the state, top first, as the qubits above the support, then
+    its contiguous blocks and the gaps between and below them. A diagonal run
+    is "phase", a table broadcast over the view. Otherwise `operand` is U for
+    "left" or U.T for "right", a matmul from that side: "right" serves a block
+    that ends at qubit 0, and several blocks once `moved` (a transpose and
+    its shape) brings them onto the lowest axes.
+    """
+    local = {q: j for j, q in enumerate(support)}
+    sub = Circuit(len(support))
+    sub.gates = [_derived_gate(g.kind, tuple(local[t] for t in g.targets),
+                               tuple((local[c], p) for c, p in g.controls), g.theta, g.layer)
+                 for g in gates]
+    u = unitary_of(sub)
+    shape, axes = [-1], []
+    for q in reversed(support):
+        if axes and q == prev - 1:
+            shape[-1] *= 2
+        else:
+            if axes:
+                shape.append(1 << (prev - q - 1))
+            axes.append(len(shape))
+            shape.append(2)
+        prev = q
+    if prev:
+        shape.append(1 << prev)
+    table = np.diagonal(u)
+    if np.array_equal(u, np.diag(table)):  # U1, S and X pairs leave exact zeros
+        return shape, "phase", table.reshape([s if a in axes else 1 for a, s in enumerate(shape)]), None
+    if len(axes) == 1 and axes[0] < len(shape) - 1:
+        return shape, "left", u, None
+    order = [a for a in range(len(shape)) if a not in axes] + axes
+    return shape, "right", u.T.copy(), None if len(axes) == 1 else (order, [shape[a] for a in order])
+
+
+class Program:
+    """A compiled circuit: run(state) applies its fused operations in place
+    and returns the state, which may live on more qubits than the circuit.
+    Dense operations write to one reused scratch buffer, which then swaps
+    roles with the state."""
+
+    def __init__(self, n_qubits: int, ops: list[tuple]):
+        self.n_qubits = n_qubits
+        self.ops = ops
+        self._scratch = None
+
+    def run(self, state: np.ndarray) -> np.ndarray:
+        _state_qubits(state, self.n_qubits)
+        if self._scratch is None or self._scratch.shape != state.shape:
+            self._scratch = np.empty_like(state)
+        cur, spare = state, self._scratch
+        for shape, how, m, moved in self.ops:
+            v = cur.reshape(shape)
+            if how == "phase":
+                v *= m
+                continue
+            if how == "left":
+                np.matmul(m, v, out=spare.reshape(shape))
+            elif moved is None:
+                np.matmul(v, m, out=spare.reshape(shape))
+            else:  # gather the blocks in the scratch, multiply into the state, scatter back
+                order, moved_shape = moved
+                spare.reshape(moved_shape)[...] = v.transpose(order)
+                np.matmul(spare.reshape(-1, len(m)), m, out=cur.reshape(-1, len(m)))
+                spare.reshape(shape)[...] = cur.reshape(moved_shape).transpose(np.argsort(order))
+            cur, spare = spare, cur
+        if cur is not state:
+            state[...] = cur
+        return state
 
 
 @dataclass(frozen=True)
@@ -757,7 +859,7 @@ def _initial_held_state(model: VibronicModel, grid: GridSpec, split_order: str) 
     for potential-first, transformed (one QFT per register) for kinetic-first."""
     state = wavepacket_to_state(initial_state(model, grid))
     if split_order == "kinetic-first":
-        apply(_qft_all(model, grid, inverse=False), state)
+        compile(_qft_all(model, grid, inverse=False)).run(state)
     return state
 
 
@@ -770,25 +872,26 @@ def circuit_propagate(
 ) -> dict:
     """Propagate through repeated emulated time-step circuits.
 
-    Records the same observers as soft.propagate through the same driver.
-    The kinetic-first branch holds the state in the transformed basis between
-    steps (one QFT pair at the walls), converting copies back for
-    position-space observers and the final state.
+    Records the same observers as soft.propagate through the same driver,
+    advancing with the time step compiled once. The kinetic-first branch
+    holds the state in the transformed basis between steps (one compiled QFT
+    pair at the walls), converting copies back for position-space observers
+    and the final state.
     """
-    step_circ = build_timestep(model, grid, time_grid.dt, split_order)
+    step = compile(build_timestep(model, grid, time_grid.dt, split_order))
     state = _initial_held_state(model, grid, split_order)
-    back = _qft_all(model, grid, inverse=True) if split_order == "kinetic-first" else None
+    back = compile(_qft_all(model, grid, inverse=True)) if split_order == "kinetic-first" else None
 
     def position(s: np.ndarray) -> Wavepacket:
         if back is not None:
-            s = apply(back, s.copy())
+            s = back.run(s.copy())
         return state_to_wavepacket(s, model.d, grid.n)
 
     plan = None
     if "energy" in observers:
         plan = _soft.PropagatorPlan(model, grid, time_grid.dt, split_order)
     out, state = _soft._observe(
-        state, lambda s: apply(step_circ, s), lambda s: s.reshape(2, -1), position,
+        state, step.run, lambda s: s.reshape(2, -1), position,
         time_grid, observers, plan,
     )
     out["state"] = position(state)
@@ -827,14 +930,15 @@ def hadamard_series(
 ) -> dict:
     """Autocorrelation through the ancilla interferometer at each sample time.
 
-    One controlled time-step circuit is applied cumulatively; the readout
-    probabilities are evaluated on the running state at the driver's sample
-    steps. "exact" is always returned; with shots, "sampled" adds the
-    binomial shot noise of signals.sample_autocorr to it.
+    The time step controlled on the ancilla is applied cumulatively; the
+    readout probabilities are evaluated on the running state at the driver's
+    sample steps. "exact" is always returned; with shots, "sampled" adds the
+    binomial shot noise of signals.sample_autocorr to it. The ancilla is the
+    top qubit, so the controlled step is the compiled step run on the half
+    of the state where it is set.
     """
     layout = QubitLayout(model.d, grid.n, ancilla=True)
-    step_circ = build_timestep(model, grid, time_grid.dt, split_order)
-    ctrl_step = step_circ.controlled(layout.ancilla_qubit)
+    step = compile(build_timestep(model, grid, time_grid.dt, split_order))
     flat = _initial_held_state(model, grid, split_order)
     state = kernels.allocate_state(layout.total)
     half = flat.size
@@ -846,7 +950,11 @@ def hadamard_series(
         # A = 2<top|bottom>: P(0) = (1 + Re A)/2 after H, (1 - Im A)/2 after S, H
         exact.append(2.0 * complex(np.vdot(s[:half], s[half:])))
 
-    _soft._sample_loop(state, lambda s: apply(ctrl_step, s), time_grid, readout)
+    def controlled_step(s: np.ndarray) -> np.ndarray:
+        step.run(s[half:])
+        return s
+
+    _soft._sample_loop(state, controlled_step, time_grid, readout)
     out = {"times": time_grid.sample_times(), "exact": np.array(exact, dtype=np.complex128)}
     if shots:
         out["sampled"] = signals.sample_autocorr((out["times"], out["exact"]), shots, seed).values

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vibroniq.circuits import (
+    KINDS,
     Circuit,
     CircuitError,
     Gate,
@@ -22,6 +23,7 @@ from vibroniq.circuits import (
     build_state_prep,
     build_timestep,
     circuit_propagate,
+    compile,
     decompose_ccrx,
     export_gates,
     hadamard_series,
@@ -222,6 +224,23 @@ def test_apply_rejects_bad_states():
         apply(c, np.ones(3, dtype=np.complex128))
     with pytest.raises(CircuitError):
         apply(c, np.ones(2, dtype=np.complex128))
+
+
+def test_program_rejects_the_states_apply_rejects():
+    c = Circuit(3)
+    c.add("H", (0,))
+    c.add("X", (2,), ((0, 1),))
+    program = compile(c)
+    for state, message in (
+        (np.ones(4, dtype=np.complex128), "state has 2 qubits, circuit needs 3"),
+        (np.ones(1, dtype=np.complex128), "state has 0 qubits, circuit needs 3"),
+        (np.ones(12, dtype=np.complex128), "state length 12 is not a power of two"),
+        (np.ones(0, dtype=np.complex128), "state length 0 is not a power of two"),
+        (np.ones((2, 8), dtype=np.complex128), "state length 16 is not a power of two"),
+    ):
+        for run in (lambda s: apply(c, s), program.run):
+            with pytest.raises(CircuitError, match=re.escape(message)):
+                run(state.copy())
 
 
 def test_apply_controlled_circuit():
@@ -616,6 +635,91 @@ def test_circuit_propagate_matches_soft_observers():
     r_soft = propagate(plan, initial_state(model, grid), tg)
     r_circ = circuit_propagate(model, grid, tg, split_order=split)
     assert set(r_circ) == set(r_soft)
+
+
+# ---------------------------------------------------------------------------
+# Compiled programs against gate-by-gate apply
+# ---------------------------------------------------------------------------
+
+
+def random_circuit(n_qubits, n_gates, seed):
+    """Every gate kind, both control polarities, one gate wider than a fused
+    run may grow, and a closing diagonal run."""
+    rng = np.random.default_rng(seed)
+    c = Circuit(n_qubits)
+    for k in range(n_gates):
+        kind = KINDS[k % len(KINDS)]
+        qubits = [int(q) for q in rng.permutation(n_qubits)]
+        n_targets = 2 if kind == "SWAP" else 1
+        n_controls = int(rng.integers(0, 3))
+        targets = tuple(qubits[:n_targets])
+        controls = tuple((q, int(rng.integers(0, 2))) for q in qubits[n_targets : n_targets + n_controls])
+        theta = float(rng.uniform(-math.pi, math.pi)) if kind in ("RX", "RY", "U1") else None
+        c.add(kind, targets, controls=controls, theta=theta)
+    c.add("RY", (0,), controls=tuple((q, q % 2) for q in range(1, 6)), theta=0.3)
+    c.add("S", (0,))
+    c.add("U1", (1,), controls=((2, 0),), theta=0.2)
+    assert {p for g in c.gates for _, p in g.controls} == {0, 1}
+    return c
+
+
+BOX4 = GridSpec(n=4, q_min=-5.0, q_max=5.0, convention="periodic")
+BOX3 = GridSpec(n=3, q_min=-4.0, q_max=4.0)
+COMPILED_CASES = {
+    "pyrazine-4d-potential-first": lambda: build_timestep(get_model("pyrazine-4d"), BOX4, 0.13),
+    "pyrazine-4d-kinetic-first": lambda: build_timestep(get_model("pyrazine-4d"), BOX4, 0.13,
+                                                        "kinetic-first"),
+    "pyrazine-2mode-kinetic-first": lambda: build_timestep(pyrazine_2mode(), BOX4, 0.13,
+                                                           "kinetic-first"),
+    "bilinear": lambda: build_timestep(bilinear_tiny(False), BOX3, 0.4, "kinetic-first"),
+    "bilinear-split": lambda: build_timestep(bilinear_tiny(True), BOX3, 0.4, "kinetic-first"),
+    "random": lambda: random_circuit(7, 60, seed=11),
+}
+
+
+def random_state(n_qubits, seed):
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=1 << n_qubits) + 1j * rng.normal(size=1 << n_qubits)
+    return v / np.linalg.norm(v)
+
+
+@pytest.mark.parametrize("case", list(COMPILED_CASES))
+def test_compiled_program_matches_apply(case):
+    circ = COMPILED_CASES[case]()
+    text = export_gates(circ)
+    program = compile(circ)
+    assert export_gates(circ) == text
+    if case == "pyrazine-4d-potential-first":
+        assert (circ.gate_count(), circ.depth(), len(program.ops)) == (370, 90, 28)
+    if case == "random":
+        # every way of applying an operation is used
+        assert {(how, moved is None) for _, how, _, moved in program.ops} == {
+            ("phase", True), ("left", True), ("right", True), ("right", False)}
+    # one qubit more than the circuit, as in the Hadamard test
+    n_state = circ.n_qubits + (1 if case == "random" else 0)
+    plain = random_state(n_state, seed=5)
+    fused = plain.copy()
+    for _ in range(8):
+        apply(circ, plain)
+        assert program.run(fused) is fused
+        assert np.max(np.abs(fused - plain)) < 1e-12
+
+
+@pytest.mark.parametrize("model, split", [("pyrazine-4d", "potential-first"),
+                                          ("pyrazine-2mode", "kinetic-first")])
+def test_half_state_run_is_the_controlled_step(model, split):
+    # the ancilla is the top qubit: the controlled step acts on the upper half
+    step = build_timestep(get_model(model), BOX4, 0.13, split)
+    anc = step.n_qubits
+    controlled = step.controlled(anc)
+    program = compile(step)
+    plain = random_state(anc + 1, seed=6)
+    fused = plain.copy()
+    half = fused.size // 2
+    for _ in range(8):
+        apply(controlled, plain)
+        program.run(fused[half:])
+        assert np.max(np.abs(fused - plain)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
