@@ -21,7 +21,7 @@ final layers.
 Running: apply replays the gate list gate by gate and is the reference.
 compile fuses consecutive gates into a few operations on at most FUSE_WIDTH
 qubits, each computed from its gates by unitary_of, and the propagators run
-the resulting Program.
+the resulting kernels.Program, the executor of the soft engine's step too.
 """
 from __future__ import annotations
 
@@ -31,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels, signals
+from .kernels import CircuitError
 from .model import GridSpec, TimeGrid, VibronicModel, Wavepacket, ground_gaussian, initial_state
 from . import soft as _soft
 
@@ -41,10 +42,6 @@ _N_TARGETS = {kind: 2 if kind == "SWAP" else 1 for kind in KINDS}
 
 _H_MAT = np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2)
 _X_MAT = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-
-
-class CircuitError(ValueError):
-    pass
 
 
 @dataclass(frozen=True, slots=True)
@@ -183,22 +180,12 @@ def _ry_mat(theta: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]], dtype=np.complex128)
 
 
-def _state_qubits(state: np.ndarray, n_qubits: int) -> int:
-    """Qubit count of a 1-D power-of-two state with room for n_qubits."""
-    n_state = max(state.size.bit_length() - 1, 0)
-    if state.size != 1 << n_state or state.ndim != 1:
-        raise CircuitError(f"state length {state.size} is not a power of two")
-    if n_state < n_qubits:
-        raise CircuitError(f"state has {n_state} qubits, circuit needs {n_qubits}")
-    return n_state
-
-
 def apply(circuit: Circuit, state: np.ndarray) -> np.ndarray:
     """Run the circuit over `state` in place (and return it), gate by gate.
 
     `state` may live on more qubits than the circuit uses.
     """
-    n_state = _state_qubits(state, circuit.n_qubits)
+    n_state = kernels._state_qubits(state, circuit.n_qubits)
     for g in circuit.gates:
         if g.kind == "U1":
             kernels.apply_phase(state, n_state, g.controls + ((g.targets[0], 1),), np.exp(1j * g.theta))
@@ -231,7 +218,7 @@ def unitary_of(circuit: Circuit, n_qubits: int | None = None) -> np.ndarray:
 FUSE_WIDTH = 5  # one 4-qubit mode register plus the electronic qubit
 
 
-def compile(circuit: Circuit) -> "Program":
+def compile(circuit: Circuit) -> kernels.Program:
     """Fuse each run of consecutive gates whose joint support fits in
     FUSE_WIDTH qubits into one operation, unitary_of the run on its support.
     Gates are never reordered; a wider gate is an operation of its own."""
@@ -243,80 +230,17 @@ def compile(circuit: Circuit) -> "Program":
             runs[-1][1].append(g)
         else:
             runs.append((qubits, [g]))
-    return Program(circuit.n_qubits, [_fuse(sorted(qs), gates) for qs, gates in runs])
+    return kernels.Program(circuit.n_qubits, [_fuse(sorted(qs), gates) for qs, gates in runs])
 
 
 def _fuse(support: list[int], gates: list[Gate]) -> tuple:
-    """(shape, how, operand, moved) of a run of gates on the ascending support.
-
-    `shape` views the state, top first, as the qubits above the support, then
-    its contiguous blocks and the gaps between and below them. A diagonal run
-    is "phase", a table broadcast over the view. Otherwise `operand` is U for
-    "left" or U.T for "right", a matmul from that side: "right" serves a block
-    that ends at qubit 0, and several blocks once `moved` (a transpose and
-    its shape) brings them onto the lowest axes.
-    """
+    """The operation of a run of gates on the ascending support."""
     local = {q: j for j, q in enumerate(support)}
     sub = Circuit(len(support))
     sub.gates = [_derived_gate(g.kind, tuple(local[t] for t in g.targets),
                                tuple((local[c], p) for c, p in g.controls), g.theta, g.layer)
                  for g in gates]
-    u = unitary_of(sub)
-    shape, axes = [-1], []
-    for q in reversed(support):
-        if axes and q == prev - 1:
-            shape[-1] *= 2
-        else:
-            if axes:
-                shape.append(1 << (prev - q - 1))
-            axes.append(len(shape))
-            shape.append(2)
-        prev = q
-    if prev:
-        shape.append(1 << prev)
-    table = np.diagonal(u)
-    if np.array_equal(u, np.diag(table)):  # U1, S and X pairs leave exact zeros
-        return shape, "phase", table.reshape([s if a in axes else 1 for a, s in enumerate(shape)]), None
-    if len(axes) == 1 and axes[0] < len(shape) - 1:
-        return shape, "left", u, None
-    order = [a for a in range(len(shape)) if a not in axes] + axes
-    return shape, "right", u.T.copy(), None if len(axes) == 1 else (order, [shape[a] for a in order])
-
-
-class Program:
-    """A compiled circuit: run(state) applies its fused operations in place
-    and returns the state, which may live on more qubits than the circuit.
-    Dense operations write to one reused scratch buffer, which then swaps
-    roles with the state."""
-
-    def __init__(self, n_qubits: int, ops: list[tuple]):
-        self.n_qubits = n_qubits
-        self.ops = ops
-        self._scratch = None
-
-    def run(self, state: np.ndarray) -> np.ndarray:
-        _state_qubits(state, self.n_qubits)
-        if self._scratch is None or self._scratch.shape != state.shape:
-            self._scratch = np.empty_like(state)
-        cur, spare = state, self._scratch
-        for shape, how, m, moved in self.ops:
-            v = cur.reshape(shape)
-            if how == "phase":
-                v *= m
-                continue
-            if how == "left":
-                np.matmul(m, v, out=spare.reshape(shape))
-            elif moved is None:
-                np.matmul(v, m, out=spare.reshape(shape))
-            else:  # gather the blocks in the scratch, multiply into the state, scatter back
-                order, moved_shape = moved
-                spare.reshape(moved_shape)[...] = v.transpose(order)
-                np.matmul(spare.reshape(-1, len(m)), m, out=cur.reshape(-1, len(m)))
-                spare.reshape(shape)[...] = cur.reshape(moved_shape).transpose(np.argsort(order))
-            cur, spare = spare, cur
-        if cur is not state:
-            state[...] = cur
-        return state
+    return kernels.register_op(support, unitary_of(sub))
 
 
 @dataclass(frozen=True)
@@ -857,6 +781,7 @@ def state_to_wavepacket(state: np.ndarray, d: int, n: int) -> Wavepacket:
 def _initial_held_state(model: VibronicModel, grid: GridSpec, split_order: str) -> np.ndarray:
     """Initial statevector in the basis the time step holds it in: position
     for potential-first, transformed (one QFT per register) for kinetic-first."""
+    kernels.check_budget(model.d * grid.n + 1)
     state = wavepacket_to_state(initial_state(model, grid))
     if split_order == "kinetic-first":
         compile(_qft_all(model, grid, inverse=False)).run(state)
@@ -887,9 +812,7 @@ def circuit_propagate(
             s = back.run(s.copy())
         return state_to_wavepacket(s, model.d, grid.n)
 
-    plan = None
-    if "energy" in observers:
-        plan = _soft.PropagatorPlan(model, grid, time_grid.dt, split_order)
+    plan = _soft.PropagatorPlan(model, grid, time_grid.dt, split_order) if "energy" in observers else None
     out, state = _soft._observe(
         state, step.run, lambda s: s.reshape(2, -1), position,
         time_grid, observers, plan,
@@ -993,13 +916,14 @@ def run_qpe(circuit: Circuit, system_state: np.ndarray, shots: int = 0, seed: in
     multinomial counts. The system register is the low-order block.
     """
     n_total = circuit.n_qubits
-    sys_size = np.asarray(system_state).size
-    n_sys = sys_size.bit_length() - 1
+    n_sys = kernels._state_qubits(np.asarray(system_state), 0)
+    if n_sys > n_total:
+        raise CircuitError(f"state has {n_sys} qubits, circuit has {n_total}")
     m = n_total - n_sys
     state = kernels.allocate_state(n_total)
-    state[:sys_size] = system_state
+    state[:1 << n_sys] = system_state
     apply(circuit, state)
-    probs = np.sum(np.abs(state.reshape(1 << m, sys_size)) ** 2, axis=1)
+    probs = np.sum(np.abs(state.reshape(1 << m, -1)) ** 2, axis=1)
     out = {"probs": probs, "m": m}
     if shots:
         rng = np.random.default_rng(seed)

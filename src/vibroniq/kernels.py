@@ -1,8 +1,10 @@
-"""Statevector update kernels on numpy strided views.
+"""Statevector kernels: the per-gate reference kernels and the one operation
+executor, Program, that both engines run.
 
-Each kernel reshapes the 2**n state into an n-axis (2, ..., 2) tensor, pins
-the fixed/control qubits with length-1 slices and updates the resulting view
-in place, so no amplitude outside the addressed subspace is touched.
+Each per-gate kernel reshapes the 2**n state into an n-axis (2, ..., 2)
+tensor, pins the fixed/control qubits with length-1 slices and updates the
+resulting view in place, so no amplitude outside the addressed subspace is
+touched. register_op and pointwise_op build the operations a Program runs.
 """
 from __future__ import annotations
 
@@ -15,13 +17,17 @@ class MemoryBudgetError(MemoryError):
     """Raised instead of silently attempting an oversized state allocation."""
 
 
+class CircuitError(ValueError):
+    """A malformed gate, circuit or statevector."""
+
+
 def backend() -> str:
     """Name of the kernel implementation, recorded in run provenance."""
     return "numpy"
 
 
-def allocate_state(n_qubits: int, budget: int | None = None) -> np.ndarray:
-    """Zeroed 2**n_qubits complex statevector, refused when over budget."""
+def check_budget(n_qubits: int, budget: int | None = None) -> None:
+    """Raise MemoryBudgetError when a 2**n_qubits complex statevector is over budget."""
     budget = DEFAULT_MEMORY_BUDGET if budget is None else budget
     required = 16 * (1 << n_qubits)
     if required > budget:
@@ -29,7 +35,22 @@ def allocate_state(n_qubits: int, budget: int | None = None) -> np.ndarray:
             f"a {n_qubits}-qubit statevector needs {required} bytes, "
             f"over the {budget}-byte budget"
         )
+
+
+def allocate_state(n_qubits: int, budget: int | None = None) -> np.ndarray:
+    """Zeroed 2**n_qubits complex statevector, refused when over budget."""
+    check_budget(n_qubits, budget)
     return np.zeros(1 << n_qubits, dtype=np.complex128)
+
+
+def _state_qubits(state: np.ndarray, n_qubits: int) -> int:
+    """Qubit count of a 1-D power-of-two state with room for n_qubits."""
+    n_state = max(state.size.bit_length() - 1, 0)
+    if state.size != 1 << n_state or state.ndim != 1:
+        raise CircuitError(f"state length {state.size} is not a power of two")
+    if n_state < n_qubits:
+        raise CircuitError(f"state has {n_state} qubits, circuit needs {n_qubits}")
+    return n_state
 
 
 def _np_view(state: np.ndarray, n_qubits: int, fixed) -> np.ndarray:
@@ -65,3 +86,92 @@ def apply_swap(state, n_qubits, t1, t2, controls) -> None:
     tmp = va.copy()
     va[...] = vb
     vb[...] = tmp
+
+
+def register_op(support, u: np.ndarray) -> tuple:
+    """(shape, how, operand, moved): u on the ascending qubit support, bit j of
+    u's index on qubit support[j]. `shape` views the flat state, top first, as
+    the qubits above the support, then its contiguous blocks and the gaps
+    between and below them. A diagonal u is a "phase" table; otherwise the
+    operand is u for "left" or u.T for "right", a matmul from that side:
+    "right" serves a block that ends at qubit 0, and several blocks once
+    `moved` (a transpose and its shape) brings them onto the lowest axes."""
+    shape, axes = [-1], []
+    for q in reversed(support):
+        if axes and q == prev - 1:
+            shape[-1] *= 2
+        else:
+            if axes:
+                shape.append(1 << (prev - q - 1))
+            axes.append(len(shape))
+            shape.append(2)
+        prev = q
+    if prev:
+        shape.append(1 << prev)
+    table = np.diagonal(u)
+    if np.array_equal(u, np.diag(table)):  # U1, S and X pairs leave exact zeros
+        return shape, "phase", table.reshape([s if a in axes else 1 for a, s in enumerate(shape)]), None
+    if len(axes) == 1 and axes[0] < len(shape) - 1:
+        return shape, "left", u, None
+    order = [a for a in range(len(shape)) if a not in axes] + axes
+    return shape, "right", u.T.copy(), None if len(axes) == 1 else (order, [shape[a] for a in order])
+
+
+def pointwise_op(tables) -> tuple:
+    """A 2x2 on the top qubit: its entries 00, 01, 10, 11 per lower index."""
+    tables = tuple(t.reshape(-1) for t in tables)
+    return [-1, 2, tables[0].size], "pointwise", tables, None
+
+
+def _apply_op(op: tuple, cur: np.ndarray, spare: np.ndarray) -> tuple:
+    """Apply one operation to the flat state `cur`; returns (result, free
+    buffer) of cur and the same-shaped `spare`. Only a phase works in place,
+    and only "left" and unmoved "right" leave `cur` as it was."""
+    shape, how, m, moved = op
+    v = cur.reshape(shape)
+    if how == "phase":
+        v *= m
+        return cur, spare
+    out = spare.reshape(shape)
+    if how == "left":
+        np.matmul(m, v, out=out)
+    elif how == "pointwise":  # v0 is spent after two products: it takes a cross term
+        v0, v1, o0, o1 = v[:, 0], v[:, 1], out[:, 0], out[:, 1]
+        np.multiply(m[0], v0, out=o0)
+        np.multiply(m[2], v0, out=o1)
+        o0 += np.multiply(m[1], v1, out=v0)
+        o1 += np.multiply(m[3], v1, out=v1)
+    elif moved is None:
+        np.matmul(v, m, out=out)
+    else:  # gather the blocks in the spare, multiply into cur, scatter back
+        order, moved_shape = moved
+        spare.reshape(moved_shape)[...] = v.transpose(order)
+        np.matmul(spare.reshape(-1, len(m)), m, out=cur.reshape(-1, len(m)))
+        out[...] = cur.reshape(moved_shape).transpose(np.argsort(order))
+    return spare, cur
+
+
+class Program:
+    """Operations run in order: run(state) applies them in place and returns
+    the state, which may live on more qubits than n_qubits. All but phases write
+    to one reused scratch buffer, which then swaps roles with the state."""
+
+    def __init__(self, n_qubits: int, ops: list[tuple]):
+        self.n_qubits = n_qubits
+        self.ops = ops
+        self._scratch = None
+
+    def scratch(self, state: np.ndarray) -> np.ndarray:
+        """The reused complex buffer of the flat state's shape."""
+        if self._scratch is None or self._scratch.shape != state.shape:
+            self._scratch = np.empty(state.shape, dtype=np.complex128)
+        return self._scratch
+
+    def run(self, state: np.ndarray) -> np.ndarray:
+        _state_qubits(state, self.n_qubits)
+        cur, spare = state, self.scratch(state)
+        for op in self.ops:
+            cur, spare = _apply_op(op, cur, spare)
+        if cur is not state:
+            state[...] = cur
+        return state

@@ -10,7 +10,8 @@ its DVR form. The default "potential-first" splitting is the palindrome
 V/2 . K . V/2 with the coupling rotation applied innermost (diag, coupling,
 K, coupling, diag), so the scheme stays second order; "kinetic-first" is
 K/2 . V . K/2 with the potential applied once per step, the layout used by
-the second-order (bilinear) model.
+the second-order (bilinear) model. The plan compiles the step once into a
+kernels.Program, the executor the circuit engine runs too.
 """
 from __future__ import annotations
 
@@ -18,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import kernels
 from .model import (
     GridSpec,
     TimeGrid,
@@ -33,43 +35,36 @@ OBSERVERS = ("autocorr", "population", "boundary", "energy")
 DEFAULT_OBSERVERS = ("autocorr", "population", "boundary")
 
 
+def _on_axis(q: np.ndarray, k: int, d: int) -> np.ndarray:
+    """The grid points q along mode axis k of a d-mode grid, for broadcasting."""
+    return q.reshape((1,) * k + (-1,) + (1,) * (d - k - 1))
+
+
 def _diagonal_potentials(model: VibronicModel, grid: GridSpec) -> np.ndarray:
     """V_s(Q) on the full grid, shape (2,) + (N,)*d. s=0 is S1, s=1 is S2."""
-    d = model.d
-    shape = (grid.size,) * d
-    q = grid_points(grid)
-    v1 = np.zeros(shape)
-    v2 = np.zeros(shape)
-    for k, mode in enumerate(model.modes):
-        qk = q.reshape((1,) * k + (-1,) + (1,) * (d - k - 1))
-        harm = 0.5 * mode.omega * qk**2
-        v1 = v1 + harm
-        v2 = v2 + harm
-        if mode.kappa1 is not None:
-            v1 = v1 + mode.kappa1 * qk
-            v2 = v2 + mode.kappa2 * qk
-    for pair in model.bilinear_diag:
-        ql = q.reshape((1,) * pair.l + (-1,) + (1,) * (d - pair.l - 1))
-        qm = q.reshape((1,) * pair.m + (-1,) + (1,) * (d - pair.m - 1))
-        v1 = v1 + pair.gamma1 * ql * qm
-        v2 = v2 + pair.gamma2 * ql * qm
-    v1 = v1 - model.delta
-    v2 = v2 + model.delta
-    return np.stack([v1, v2])
+    d, q = model.d, grid_points(grid)
+    surfaces = []
+    for s, offset in ((0, -model.delta), (1, model.delta)):
+        v = np.zeros((grid.size,) * d)
+        for k, mode in enumerate(model.modes):
+            qk = _on_axis(q, k, d)
+            v = v + 0.5 * mode.omega * qk**2
+            if mode.kappa1 is not None:
+                v = v + (mode.kappa1, mode.kappa2)[s] * qk
+        for pair in model.bilinear_diag:
+            v = v + (pair.gamma1, pair.gamma2)[s] * _on_axis(q, pair.l, d) * _on_axis(q, pair.m, d)
+        surfaces.append(v + offset)
+    return np.stack(surfaces)
 
 
 def _coupling_field(model: VibronicModel, grid: GridSpec) -> np.ndarray:
     """Coefficient c(Q) of the electronic X operator, shape (N,)*d."""
-    d = model.d
-    q = grid_points(grid)
+    d, q = model.d, grid_points(grid)
     c = np.zeros((grid.size,) * d)
     if model.lam != 0.0:
-        axis = model.coupling_mode
-        c = c + model.lam * q.reshape((1,) * axis + (-1,) + (1,) * (d - axis - 1))
+        c = c + model.lam * _on_axis(q, model.coupling_mode, d)
     for pair in model.bilinear_off:
-        ql = q.reshape((1,) * pair.l + (-1,) + (1,) * (d - pair.l - 1))
-        qm = q.reshape((1,) * pair.m + (-1,) + (1,) * (d - pair.m - 1))
-        c = c + pair.mu * ql * qm
+        c = c + pair.mu * _on_axis(q, pair.l, d) * _on_axis(q, pair.m, d)
     return c
 
 
@@ -82,13 +77,13 @@ def _dft_conjugate(grid: GridSpec, diag: np.ndarray) -> np.ndarray:
 
 @dataclass
 class PropagatorPlan:
-    """Precomputed operators for repeated application of one time step.
-
-    kin[k] is mode k's kinetic propagator in the position basis, p2 the
-    kinetic energy per unit omega on one mode axis, F^dagger diag(p^2/2) F,
-    and pot holds the four entries (00, 01, 10, 11) of the pointwise 2x2
-    electronic operator C.D: the diagonal potential phases D followed by the
-    coupling rotation C.
+    """One time step compiled once into a kernels.Program over the flattened
+    (2, N, ..., N) amplitudes: electronic index on the top qubit, mode axis k
+    on the qubit block [(d-1-k) n, (d-k) n). Mode k's kinetic propagator
+    F^dagger diag(exp(-i K_k t/hbar)) F acts on its block, and C.D (diagonal
+    potential phases D, then the coupling rotation C) pointwise on the top
+    qubit; potential-first closes with D.C, tables 01 and 10 swapped. p2[k]
+    applies the kinetic energy per unit omega, F^dagger diag(p^2/2) F, on axis k.
     """
 
     model: VibronicModel
@@ -97,35 +92,38 @@ class PropagatorPlan:
     split_order: str = "potential-first"
     vtab: np.ndarray = field(init=False, repr=False)
     ctab: np.ndarray = field(init=False, repr=False)
-    kin: np.ndarray = field(init=False, repr=False)
-    p2: np.ndarray = field(init=False, repr=False)
-    pot: np.ndarray = field(init=False, repr=False)
+    p2: list = field(init=False, repr=False)
+    program: kernels.Program = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.split_order not in SPLIT_ORDERS:
             raise ValueError(f"unknown split order {self.split_order!r}")
-        hbar = self.model.hbar
+        d, n, hbar = self.model.d, self.grid.n, self.model.hbar
+        kernels.check_budget(d * n + 1)
         self.vtab = _diagonal_potentials(self.model, self.grid)
         self.ctab = _coupling_field(self.model, self.grid)
-        if self.split_order == "potential-first":
-            pot_frac, kin_frac = 0.5, 1.0
-        else:
-            pot_frac, kin_frac = 1.0, 0.5
+        pot_first = self.split_order == "potential-first"
+        pot_frac, kin_frac = (0.5, 1.0) if pot_first else (1.0, 0.5)
+        blocks = [range((d - 1 - k) * n, (d - k) * n) for k in range(d)]
         p_sq = momentum_points(self.grid) ** 2
         kin_phase = -0.5j * p_sq * (kin_frac * self.dt / hbar)
-        self.kin = np.stack([_dft_conjugate(self.grid, np.exp(mode.omega * kin_phase))
-                             for mode in self.model.modes])
-        self.p2 = _dft_conjugate(self.grid, 0.5 * p_sq)
+        kin = [kernels.register_op(b, _dft_conjugate(self.grid, np.exp(mode.omega * kin_phase)))
+               for b, mode in zip(blocks, self.model.modes)]
+        p2 = _dft_conjugate(self.grid, 0.5 * p_sq)
+        self.p2 = [kernels.register_op(b, p2) for b in blocks]
         # in place, phases first into the diagonal slots, to keep peak memory low
         pot_t = pot_frac * self.dt / hbar
-        self.pot = np.empty((4,) + self.ctab.shape, dtype=np.complex128)
-        np.exp(-1j * pot_t * self.vtab[0], out=self.pot[0])
-        np.exp(-1j * pot_t * self.vtab[1], out=self.pot[3])
+        pot = np.empty((4,) + self.ctab.shape, dtype=np.complex128)
+        np.exp(-1j * pot_t * self.vtab[0], out=pot[0])
+        np.exp(-1j * pot_t * self.vtab[1], out=pot[3])
         sin_t = np.sin(self.ctab * pot_t)
-        np.multiply(sin_t, self.pot[3], out=self.pot[1])
-        np.multiply(sin_t, self.pot[0], out=self.pot[2])
-        self.pot[1:3] *= -1j
-        self.pot[::3] *= np.cos(self.ctab * pot_t)
+        np.multiply(sin_t, pot[3], out=pot[1])
+        np.multiply(sin_t, pot[0], out=pot[2])
+        pot[1:3] *= -1j
+        pot[::3] *= np.cos(self.ctab * pot_t)
+        cd = kernels.pointwise_op(pot)
+        dc = kernels.pointwise_op((pot[0], pot[2], pot[1], pot[3]))
+        self.program = kernels.Program(d * n + 1, [cd, *kin, dc] if pot_first else [*kin, cd, *kin])
 
 
 def _amplitudes(plan: PropagatorPlan, psi: Wavepacket) -> np.ndarray:
@@ -137,46 +135,10 @@ def _amplitudes(plan: PropagatorPlan, psi: Wavepacket) -> np.ndarray:
     return psi.amplitudes
 
 
-def _along(m: np.ndarray, a: np.ndarray, k: int) -> np.ndarray:
-    """The N x N matrix m applied along mode axis k of (2, N, ..., N)
-    amplitudes, as one matmul on a reshaped view."""
-    shape, n, d = a.shape, a.shape[-1], a.ndim - 1
-    if k == d - 1:
-        return (a.reshape(-1, n) @ m.T).reshape(shape)
-    return (m @ a.reshape(2 * n**k, n, n ** (d - 1 - k))).reshape(shape)
-
-
-def _apply_kinetic(kin: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Apply each mode's N x N kinetic matrix along its axis."""
-    for k, m in enumerate(kin):
-        a = _along(m, a, k)
-    return a
-
-
-def _apply_pot(pot: np.ndarray, a: np.ndarray, transpose: bool = False) -> np.ndarray:
-    """The pointwise 2x2 operator C.D, or its transpose D.C."""
-    p00, p01, p10, p11 = pot
-    if transpose:
-        p01, p10 = p10, p01
-    out = np.empty(a.shape, dtype=np.complex128)
-    np.multiply(p00, a[0], out=out[0])
-    out[0] += p01 * a[1]
-    np.multiply(p10, a[0], out=out[1])
-    out[1] += p11 * a[1]
-    return out
-
-
 def step(plan: PropagatorPlan, psi: Wavepacket) -> Wavepacket:
     """Advance psi (position basis) by one dt; returns a new Wavepacket."""
-    a = _amplitudes(plan, psi)
-    if plan.split_order == "potential-first":
-        a = _apply_pot(plan.pot, a)
-        a = _apply_kinetic(plan.kin, a)
-        a = _apply_pot(plan.pot, a, transpose=True)
-    else:
-        a = _apply_kinetic(plan.kin, a)
-        a = _apply_pot(plan.pot, a)
-        a = _apply_kinetic(plan.kin, a)
+    a = np.array(_amplitudes(plan, psi), dtype=np.complex128)
+    plan.program.run(a.reshape(-1))
     return Wavepacket(a)
 
 
@@ -233,8 +195,11 @@ def energy(plan: PropagatorPlan, psi: Wavepacket) -> float:
     prob = np.abs(a) ** 2
     ev = float(np.sum(plan.vtab * prob))
     ec = float(np.sum(plan.ctab * 2.0 * np.real(np.conj(a[0]) * a[1])))
-    ek = sum(mode.omega * np.vdot(a, _along(plan.p2, a, k)).real
-             for k, mode in enumerate(plan.model.modes))
+    # each p2 operation is dense on one register: it writes only the scratch
+    flat = a.reshape(-1)
+    spare = plan.program.scratch(flat)
+    ek = sum(mode.omega * np.vdot(flat, kernels._apply_op(op, flat, spare)[0]).real
+             for op, mode in zip(plan.p2, plan.model.modes))
     return ev + ec + float(ek)
 
 

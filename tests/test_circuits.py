@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vibroniq import circuits
 from vibroniq.circuits import (
     KINDS,
     Circuit,
@@ -796,6 +797,22 @@ def test_qpe_on_a_phase_gate():
     # the readout register resolves the eigenphase phi as phi/2pi exactly
     assert int(np.argmax(probs)) == 5
     assert probs.max() == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("size, message", [(12, "state length 12 is not a power of two"),
+                                           (64, "state has 6 qubits, circuit has 5")])
+def test_run_qpe_rejects_a_system_state_it_cannot_hold(size, message, monkeypatch):
+    ev = Circuit(2)
+    ev.add("U1", (0,), theta=0.7)
+    circ = build_qpe(ev, 3)
+    assert circ.n_qubits == 5
+
+    def not_run(*args):
+        raise AssertionError("the circuit ran before the state was checked")
+
+    monkeypatch.setattr(circuits, "apply", not_run)
+    with pytest.raises(CircuitError, match=re.escape(message)):
+        run_qpe(circ, np.ones(size, dtype=np.complex128) / math.sqrt(size))
 
 
 def test_qpe_counts_are_reproducible():

@@ -191,6 +191,17 @@ def test_unknown_model_is_a_clean_error(tmp_path, capsys):
     assert "nope" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["propagate", "--engine", "soft"],
+                                     ["propagate", "--engine", "circuit"], ["verify"]])
+def test_a_grid_over_the_memory_budget_is_a_clean_error(command, tmp_path, capsys):
+    args = [*command, "--model", "pyrazine-24d-placeholder", "--split-order", "kinetic-first",
+            "--n", "2"]
+    if command[0] == "propagate":
+        args += ["--out", str(tmp_path)]
+    assert main(args) == 1
+    assert capsys.readouterr().err.startswith("error: a 49-qubit statevector needs")
+
+
 def test_float_formatting_round_trips(tmp_path):
     main(["zpe-scan", "--out", str(tmp_path)])
     _, rows = read_csv(tmp_path / "zpe_scan.csv")

@@ -1,17 +1,20 @@
 import dataclasses
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from test_circuits import bilinear_tiny
 
 from vibroniq.circuits import circuit_propagate
+from vibroniq.kernels import MemoryBudgetError
 from vibroniq.model import (
     GridSpec,
     ModeParams,
     TimeGrid,
     VibronicModel,
     Wavepacket,
+    get_model,
     grid_points,
     initial_state,
     momentum_points,
@@ -344,11 +347,14 @@ def test_split_orders_registry():
         PropagatorPlan(model, grid, dt=0.1, split_order="sideways")
 
 
-@pytest.mark.parametrize("case", ["pyrazine-4d", "pyrazine-2mode", "bilinear", "bilinear-split", "one-mode"])
+@pytest.mark.parametrize("case", ["pyrazine-4d", "pyrazine-4d-kinetic-first", "pyrazine-2mode",
+                                  "bilinear", "bilinear-split", "one-mode"])
 def test_step_matches_the_fft_step(case, rng):
     box = GridSpec(n=4, q_min=-5.0, q_max=5.0)
     model, grid, split = {
         "pyrazine-4d": (pyrazine_4d(), box, "potential-first"),
+        # nine operations: the program ends in the scratch and copies back
+        "pyrazine-4d-kinetic-first": (pyrazine_4d(), box, "kinetic-first"),
         "pyrazine-2mode": (pyrazine_2mode(), box, "kinetic-first"),
         "bilinear": (bilinear_tiny(False), GridSpec(n=3, q_min=-4.0, q_max=4.0, convention="endpoint"),
                      "kinetic-first"),
@@ -361,9 +367,25 @@ def test_step_matches_the_fft_step(case, rng):
     plan = PropagatorPlan(model, grid, dt=0.5, split_order=split)
     psi = random_packet(model, grid, rng)
     for _ in range(8):
+        before = psi.amplitudes.copy()
         nxt = step(plan, psi)
+        assert np.array_equal(psi.amplitudes, before)
         assert np.max(np.abs(nxt.amplitudes - fft_step(plan, psi.amplitudes))) < 1e-12
         psi = nxt
+
+
+def test_plan_over_the_memory_budget_fails_before_allocating():
+    # 24 modes at n=2: a 49-qubit state, petabytes for the potential tables
+    model = get_model("pyrazine-24d-placeholder")
+    tracemalloc.start()
+    try:
+        with pytest.raises(MemoryBudgetError, match="49-qubit"):
+            PropagatorPlan(model, GridSpec(n=2, q_min=-5.0, q_max=5.0), dt=0.5,
+                           split_order="kinetic-first")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("split", SPLIT_ORDERS)
