@@ -813,12 +813,7 @@ def circuit_propagate(
         return state_to_wavepacket(s, model.d, grid.n)
 
     plan = _soft.PropagatorPlan(model, grid, time_grid.dt, split_order) if "energy" in observers else None
-    out, state = _soft._observe(
-        state, step.run, lambda s: s.reshape(2, -1), position,
-        time_grid, observers, plan,
-    )
-    out["state"] = position(state)
-    return out
+    return _soft._observe(state, step.run, position, time_grid, observers, plan)
 
 
 # ---------------------------------------------------------------------------
@@ -873,11 +868,7 @@ def hadamard_series(
         # A = 2<top|bottom>: P(0) = (1 + Re A)/2 after H, (1 - Im A)/2 after S, H
         exact.append(2.0 * complex(np.vdot(s[:half], s[half:])))
 
-    def controlled_step(s: np.ndarray) -> np.ndarray:
-        step.run(s[half:])
-        return s
-
-    _soft._sample_loop(state, controlled_step, time_grid, readout)
+    _soft._sample_loop(state, lambda s: step.run(s[half:]), time_grid, readout)
     out = {"times": time_grid.sample_times(), "exact": np.array(exact, dtype=np.complex128)}
     if shots:
         out["sampled"] = signals.sample_autocorr((out["times"], out["exact"]), shots, seed).values
@@ -893,7 +884,8 @@ def build_qpe(evolution_step: Circuit, m: int) -> Circuit:
     """Phase-estimation circuit: m-bit readout register over the step unitary.
 
     Readout qubit j (weight 2^j) controls 2^j applications of the step;
-    the register is closed with an inverse QFT.
+    the register is closed with an inverse QFT. The circuit records m as
+    readout_qubits.
     """
     if m < 1:
         raise CircuitError(f"need at least one readout qubit, got {m}")
@@ -907,19 +899,24 @@ def build_qpe(evolution_step: Circuit, m: int) -> Circuit:
             circ.append_circuit(ctrl)
     iqft = build_qft(m, inverse=True)
     circ.append_circuit(iqft, qubit_map=[base + j for j in range(m)])
+    circ.readout_qubits = m
     return circ
 
 def run_qpe(circuit: Circuit, system_state: np.ndarray, shots: int = 0, seed: int | None = None) -> dict:
     """Emulate a phase-estimation circuit over `system_state`.
 
     Returns the exact readout distribution over 2^m bins plus, when shots>0,
-    multinomial counts. The system register is the low-order block.
+    multinomial counts. The system register is the low-order block and
+    `system_state` must fill it exactly.
     """
+    m = getattr(circuit, "readout_qubits", None)
+    if m is None:
+        raise CircuitError("not a phase-estimation circuit; build it with build_qpe")
     n_total = circuit.n_qubits
     n_sys = kernels._state_qubits(np.asarray(system_state), 0)
-    if n_sys > n_total:
-        raise CircuitError(f"state has {n_sys} qubits, circuit has {n_total}")
-    m = n_total - n_sys
+    if n_sys != n_total - m:
+        raise CircuitError(f"state has {n_sys} qubits, circuit has {n_total}: "
+                           f"{m} readout and {n_total - m} system")
     state = kernels.allocate_state(n_total)
     state[:1 << n_sys] = system_state
     apply(circuit, state)

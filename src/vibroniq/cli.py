@@ -73,10 +73,10 @@ def cmd_zpe_scan(args) -> int:
     return 0
 
 
-def _run_engine(args, model, observers=soft.DEFAULT_OBSERVERS) -> dict:
+def _run_engine(args, model, engine, observers=soft.DEFAULT_OBSERVERS) -> dict:
     grid = _grid_from_args(args)
     tg = _time_grid_from_args(args)
-    if args.engine == "soft":
+    if engine == "soft":
         plan = soft.PropagatorPlan(model, grid, tg.dt, split_order=args.split_order)
         return soft.propagate(plan, initial_state(model, grid), tg, observers=observers)
     return circuits.circuit_propagate(model, grid, tg, split_order=args.split_order, observers=observers)
@@ -85,7 +85,7 @@ def _run_engine(args, model, observers=soft.DEFAULT_OBSERVERS) -> dict:
 def cmd_propagate(args) -> int:
     """Autocorrelation, population, and boundary-probe series for one run."""
     model = get_model(args.model)
-    result = _run_engine(args, model)
+    result = _run_engine(args, model, args.engine)
     ac = result["autocorr"]
     _write_csv(
         os.path.join(args.out, "autocorr.csv"),
@@ -111,7 +111,7 @@ def cmd_propagate(args) -> int:
 def cmd_spectrum(args) -> int:
     """Damped energy-weighted spectrum of the engine's autocorrelation."""
     model = get_model(args.model)
-    result = _run_engine(args, model, observers=("autocorr",))
+    result = _run_engine(args, model, args.engine, observers=("autocorr",))
     spec = signals.spectrum(result["autocorr"], tau_fs=args.tau_fs, damp_d=args.damp_d, hbar=model.hbar)
     path = os.path.join(args.out, "spectrum.csv")
     _write_csv(path, ["e_eV", "intensity"], zip(spec.energies, spec.intensities))
@@ -125,7 +125,7 @@ def cmd_shots_scan(args) -> int:
     Thresholds that are never sustained are reported as unmet, not fatal; a
     median on the grid's first point is printed as an upper bound ("≤1000").
     """
-    result = _run_engine(args, get_model(args.model), observers=("autocorr",))
+    result = _run_engine(args, get_model(args.model), args.engine, observers=("autocorr",))
     scan = signals.shots_scan(
         result["autocorr"],
         method=args.mode,
@@ -221,15 +221,10 @@ def cmd_verify(args) -> int:
                 failures += 1
             print(f"{model_class} n={n}: {row['rows']} {status}")
     model = get_model(args.model)
-    grid = _grid_from_args(args)
-    tg = _time_grid_from_args(args)
-    plan = soft.PropagatorPlan(model, grid, tg.dt, split_order=args.split_order)
-    r_soft = soft.propagate(plan, initial_state(model, grid), tg, observers=())
-    r_circ = circuits.circuit_propagate(model, grid, tg, split_order=args.split_order, observers=())
-    fs = r_soft["state"].amplitudes.ravel()
-    fc = r_circ["state"].amplitudes.ravel()
+    fs, fc = (_run_engine(args, model, engine, observers=())["state"].amplitudes.ravel()
+              for engine in ("soft", "circuit"))
     fidelity = float(abs(np.vdot(fs, fc)) ** 2)
-    print(f"engine fidelity over {tg.n_steps} steps ({model.d} modes, n={grid.n}): {fidelity!r}")
+    print(f"engine fidelity over {args.nt} steps ({model.d} modes, n={args.n}): {fidelity!r}")
     if fidelity < 1.0 - 1e-8:
         failures += 1
     return 1 if failures else 0
@@ -286,7 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("qpe-demo", help="phase estimation on a single-mode step")
     p.add_argument("--n", type=int, default=3)
-    p.add_argument("--nt", type=int, default=1, help="steps per controlled application")
+    p.add_argument("--nt", type=int, default=1,
+                   help="time steps in --total-fs (dt = total-fs / nt); each controlled application is one step")
     p.add_argument("--total-fs", type=float, default=1.0)
     p.add_argument("--range", type=float, nargs=2, default=(-6.0, 6.0), metavar=("QMIN", "QMAX"))
     p.add_argument("--convention", choices=("periodic", "endpoint"), default="periodic")

@@ -203,37 +203,37 @@ def energy(plan: PropagatorPlan, psi: Wavepacket) -> float:
     return ev + ec + float(ek)
 
 
-def _sample_loop(state, advance, time_grid: TimeGrid, record):
+def _sample_loop(state, advance, time_grid: TimeGrid, record) -> None:
     """The sampling loop of both engines.
 
     Calls record(state) at step 0 and after every sample_stride-th step,
-    with state = advance(state) between; returns the final state.
+    with advance(state) stepping the state in place between.
     """
     record(state)
     for s in range(1, time_grid.n_steps + 1):
-        state = advance(state)
+        advance(state)
         if s % time_grid.sample_stride == 0:
             record(state)
-    return state
 
 
-def _observe(state, advance, held, position, time_grid: TimeGrid, observers, plan=None):
+def _observe(state, advance, position, time_grid: TimeGrid, observers, plan=None) -> dict:
     """Run the sampling loop recording the named observers.
 
-    held(state) returns the engine's amplitudes with the electronic index
-    first, in any unitary basis (autocorrelation and populations do not
-    depend on it); position(state) returns a position-basis Wavepacket for
-    boundary and energy, whose tables come from `plan`. Returns the series
-    keyed by observer name and the final state.
+    state is the engine's flat statevector, electronic index on the top
+    qubit, in any unitary basis (autocorrelation and populations do not
+    depend on it), and advance(state) steps it in place. position(state)
+    returns a position-basis Wavepacket for boundary and energy, whose tables
+    come from `plan`, and for the final "state". Returns the series keyed by
+    observer name, plus "state".
     """
     unknown = set(observers) - set(OBSERVERS)
     if unknown:
         raise ValueError(f"unknown observers {sorted(unknown)}; pick from {list(OBSERVERS)}")
     rows: dict = {name: [] for name in OBSERVERS if name in observers}
-    ref = held(state).copy()
+    ref = state.reshape(2, -1).copy()
 
     def record(s) -> None:
-        amps = held(s)
+        amps = s.reshape(2, -1)
         if "autocorr" in rows:
             rows["autocorr"].append(np.vdot(ref, amps))
         if "population" in rows:
@@ -245,7 +245,7 @@ def _observe(state, advance, held, position, time_grid: TimeGrid, observers, pla
             if "energy" in rows:
                 rows["energy"].append(energy(plan, psi))
 
-    state = _sample_loop(state, advance, time_grid, record)
+    _sample_loop(state, advance, time_grid, record)
     times = time_grid.sample_times()
     out: dict = {}
     if "autocorr" in rows:
@@ -257,7 +257,8 @@ def _observe(state, advance, held, position, time_grid: TimeGrid, observers, pla
         out["boundary"] = BoundarySeries(times, np.array(rows["boundary"]))
     if "energy" in rows:
         out["energy"] = EnergySeries(times, np.array(rows["energy"]))
-    return out, state
+    out["state"] = position(state)
+    return out
 
 
 def propagate(
@@ -268,15 +269,12 @@ def propagate(
 ) -> dict:
     """Run n_steps steps, recording observables every sample_stride steps.
 
-    Returns a dict keyed by observer name; "state" (the final Wavepacket) is
-    always included.
+    psi0 is copied once and the copy is stepped in place. Returns a dict
+    keyed by observer name; "state" (the final Wavepacket) is always included.
     """
-    out, psi = _observe(
-        psi0, lambda p: step(plan, p), lambda p: p.amplitudes, lambda p: p,
-        time_grid, observers, plan,
-    )
-    out["state"] = psi
-    return out
+    a = np.array(_amplitudes(plan, psi0), dtype=np.complex128)
+    return _observe(a.reshape(-1), plan.program.run, lambda s: Wavepacket(a),
+                    time_grid, observers, plan)
 
 
 def zpe(model: VibronicModel, grid: GridSpec) -> float:

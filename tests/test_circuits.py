@@ -800,7 +800,8 @@ def test_qpe_on_a_phase_gate():
 
 
 @pytest.mark.parametrize("size, message", [(12, "state length 12 is not a power of two"),
-                                           (64, "state has 6 qubits, circuit has 5")])
+                                           (64, "state has 6 qubits, circuit has 5"),
+                                           (2, "state has 1 qubits, circuit has 5: 3 readout and 2 system")])
 def test_run_qpe_rejects_a_system_state_it_cannot_hold(size, message, monkeypatch):
     ev = Circuit(2)
     ev.add("U1", (0,), theta=0.7)
@@ -813,6 +814,13 @@ def test_run_qpe_rejects_a_system_state_it_cannot_hold(size, message, monkeypatc
     monkeypatch.setattr(circuits, "apply", not_run)
     with pytest.raises(CircuitError, match=re.escape(message)):
         run_qpe(circ, np.ones(size, dtype=np.complex128) / math.sqrt(size))
+
+
+def test_run_qpe_needs_a_phase_estimation_circuit():
+    ev = Circuit(1)
+    ev.add("U1", (0,), theta=0.7)
+    with pytest.raises(CircuitError, match="build_qpe"):
+        run_qpe(ev, np.array([0.0, 1.0], dtype=np.complex128))
 
 
 def test_qpe_counts_are_reproducible():

@@ -262,6 +262,25 @@ def test_no_observers_still_returns_state():
     assert set(out) == {"state"}
 
 
+@pytest.mark.parametrize("split", SPLIT_ORDERS)
+def test_propagate_steps_a_copy_like_a_loop_of_steps(split):
+    model = pyrazine_2mode()
+    grid = GridSpec(n=3, q_min=-5.0, q_max=5.0)
+    tg = TimeGrid(dt=0.25, n_steps=8, sample_stride=2)
+    plan = PropagatorPlan(model, grid, tg.dt, split_order=split)
+    psi0 = initial_state(model, grid)
+    before = psi0.amplitudes.copy()
+    out = propagate(plan, psi0, tg, observers=("autocorr",))
+    np.testing.assert_array_equal(psi0.amplitudes, before)
+    psi, values = psi0, [np.vdot(before, before)]
+    for s in range(1, tg.n_steps + 1):
+        psi = step(plan, psi)
+        if s % tg.sample_stride == 0:
+            values.append(np.vdot(before, psi.amplitudes))
+    np.testing.assert_allclose(out["state"].amplitudes, psi.amplitudes, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(out["autocorr"].values, values, rtol=0, atol=1e-12)
+
+
 def test_uncoupled_model_keeps_the_upper_population():
     model = dataclasses.replace(pyrazine_4d(), lam=0.0)
     grid = GridSpec(n=3, q_min=-5.0, q_max=5.0)
@@ -392,6 +411,7 @@ def test_plan_over_the_memory_budget_fails_before_allocating():
 def test_step_rejects_amplitudes_of_another_shape(split):
     model = pyrazine_2mode()
     plan = PropagatorPlan(model, GridSpec(n=3, q_min=-5.0, q_max=5.0), dt=0.25, split_order=split)
+    tg = TimeGrid(dt=0.25, n_steps=4)
     # the same number of amplitudes, laid out for another grid
     for shape in ((2, 4, 16), (2, 64), (2, 8, 8, 1)):
         psi = Wavepacket(np.ones(shape, dtype=np.complex128))
@@ -400,3 +420,5 @@ def test_step_rejects_amplitudes_of_another_shape(split):
             step(plan, psi)
         with pytest.raises(ValueError, match=both):
             energy(plan, psi)
+        with pytest.raises(ValueError, match=both):
+            propagate(plan, psi, tg, observers=())
