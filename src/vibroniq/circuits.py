@@ -20,8 +20,12 @@ final layers.
 
 Running: apply replays the gate list gate by gate and is the reference.
 compile fuses consecutive gates into a few operations on at most FUSE_WIDTH
-qubits, each computed from its gates by unitary_of, and the propagators run
-the resulting kernels.Program, the executor of the soft engine's step too.
+qubits, each computed from its gates by unitary_of. circuit_propagate runs
+the compiled time step as a kernels.Program, the executor of the soft
+engine's step too, through the soft engine's sampling driver. The
+interferometer readout (hadamard_series) runs no state of its own: its
+ancilla-controlled step acts as the plain step on the ancilla-set half, so
+it reads A(t) from circuit_propagate's autocorrelation.
 """
 from __future__ import annotations
 
@@ -778,16 +782,6 @@ def state_to_wavepacket(state: np.ndarray, d: int, n: int) -> Wavepacket:
     return Wavepacket(amp)
 
 
-def _initial_held_state(model: VibronicModel, grid: GridSpec, split_order: str) -> np.ndarray:
-    """Initial statevector in the basis the time step holds it in: position
-    for potential-first, transformed (one QFT per register) for kinetic-first."""
-    kernels.check_budget(model.d * grid.n + 1)
-    state = wavepacket_to_state(initial_state(model, grid))
-    if split_order == "kinetic-first":
-        compile(_qft_all(model, grid, inverse=False)).run(state)
-    return state
-
-
 def circuit_propagate(
     model: VibronicModel,
     grid: GridSpec,
@@ -804,8 +798,12 @@ def circuit_propagate(
     and the final state.
     """
     step = compile(build_timestep(model, grid, time_grid.dt, split_order))
-    state = _initial_held_state(model, grid, split_order)
-    back = compile(_qft_all(model, grid, inverse=True)) if split_order == "kinetic-first" else None
+    kernels.check_budget(model.d * grid.n + 1)
+    state = wavepacket_to_state(initial_state(model, grid))
+    back = None
+    if split_order == "kinetic-first":
+        compile(_qft_all(model, grid, inverse=False)).run(state)
+        back = compile(_qft_all(model, grid, inverse=True))
 
     def position(s: np.ndarray) -> Wavepacket:
         if back is not None:
@@ -846,32 +844,20 @@ def hadamard_series(
     shots: int | None = None,
     seed: int | None = None,
 ) -> dict:
-    """Autocorrelation through the ancilla interferometer at each sample time.
+    """Autocorrelation A(t) = <psi0|U^t|psi0> as build_hadamard_test reads it.
 
-    The time step controlled on the ancilla is applied cumulatively; the
-    readout probabilities are evaluated on the running state at the driver's
-    sample steps. "exact" is always returned; with shots, "sampled" adds the
-    binomial shot noise of signals.sample_autocorr to it. The ancilla is the
-    top qubit, so the controlled step is the compiled step run on the half
-    of the state where it is set.
+    After H, controlled U^t and H on an ancilla over |psi0>, the ancilla
+    reads 0 with P(0) = (1 + Re A)/2, and with one S gate before the last H,
+    P(0) = (1 - Im A)/2. With the ancilla on the top qubit, the controlled
+    step is the plain step on the half of the state where the ancilla is set,
+    so the interferometer's A(t) is circuit_propagate's autocorrelation, the
+    "exact" series here. With shots, "sampled" adds the binomial shot noise
+    of signals.sample_autocorr to it.
     """
-    layout = QubitLayout(model.d, grid.n, ancilla=True)
-    step = compile(build_timestep(model, grid, time_grid.dt, split_order))
-    flat = _initial_held_state(model, grid, split_order)
-    state = kernels.allocate_state(layout.total)
-    half = flat.size
-    state[:half] = flat / math.sqrt(2.0)
-    state[half:] = flat / math.sqrt(2.0)
-    exact = []
-
-    def readout(s: np.ndarray) -> None:
-        # A = 2<top|bottom>: P(0) = (1 + Re A)/2 after H, (1 - Im A)/2 after S, H
-        exact.append(2.0 * complex(np.vdot(s[:half], s[half:])))
-
-    _soft._sample_loop(state, lambda s: step.run(s[half:]), time_grid, readout)
-    out = {"times": time_grid.sample_times(), "exact": np.array(exact, dtype=np.complex128)}
+    ac = circuit_propagate(model, grid, time_grid, split_order, observers=("autocorr",))["autocorr"]
+    out = {"times": ac.times, "exact": ac.values}
     if shots:
-        out["sampled"] = signals.sample_autocorr((out["times"], out["exact"]), shots, seed).values
+        out["sampled"] = signals.sample_autocorr(ac, shots, seed).values
     return out
 
 
@@ -912,6 +898,8 @@ def run_qpe(circuit: Circuit, system_state: np.ndarray, shots: int = 0, seed: in
     m = getattr(circuit, "readout_qubits", None)
     if m is None:
         raise CircuitError("not a phase-estimation circuit; build it with build_qpe")
+    if shots < 0:
+        raise CircuitError(f"shots must be nonnegative, got {shots}")
     n_total = circuit.n_qubits
     n_sys = kernels._state_qubits(np.asarray(system_state), 0)
     if n_sys != n_total - m:

@@ -48,9 +48,14 @@ def _grid_from_args(args) -> GridSpec:
     return GridSpec(n=args.n, q_min=lo, q_max=hi, convention=args.convention)
 
 
+def _dt_from_args(args) -> float:
+    if args.nt < 1:
+        raise ModelError(f"--nt must be at least 1, got {args.nt}")
+    return args.total_fs / args.nt
+
+
 def _time_grid_from_args(args) -> TimeGrid:
-    dt = args.total_fs / args.nt
-    return TimeGrid(dt=dt, n_steps=args.nt, sample_stride=args.stride)
+    return TimeGrid(dt=_dt_from_args(args), n_steps=args.nt, sample_stride=args.stride)
 
 
 def cmd_zpe_scan(args) -> int:
@@ -184,7 +189,7 @@ def cmd_qpe_demo(args) -> int:
 
     model = VibronicModel(modes=(ModeParams("nu", 0.0936, "B1g"),), lam=0.0, delta=0.0)
     grid = _grid_from_args(args)
-    dt = args.total_fs / args.nt
+    dt = _dt_from_args(args)
     step_circ = circuits.build_timestep(model, grid, dt)
     u = circuits.unitary_of(step_circ)
     w, v = np.linalg.eig(u)

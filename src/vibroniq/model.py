@@ -365,7 +365,8 @@ def ground_gaussian(grid: GridSpec) -> np.ndarray:
 
 
 def initial_state(model: VibronicModel, grid: GridSpec) -> Wavepacket:
-    """Product of per-mode ground Gaussians exp(-Q^2/2), placed entirely on S2."""
+    """Product of per-mode ground Gaussians exp(-Q^2/2), placed entirely on S2;
+    each factor has unit norm, so the product does too."""
     shape = (2,) + (grid.size,) * model.d
     amps = np.zeros(shape, dtype=np.complex128)
     packet = ground_gaussian(grid)
@@ -373,5 +374,4 @@ def initial_state(model: VibronicModel, grid: GridSpec) -> Wavepacket:
     for _ in range(model.d - 1):
         prod = np.multiply.outer(prod, packet)
     amps[1] = prod
-    amps /= np.linalg.norm(amps)
     return Wavepacket(amps)

@@ -39,8 +39,6 @@ def spectrum(
     autocorr,
     tau_fs: float = 30.0,
     damp_d: bool = False,
-    window: str = "positive",
-    normalize: bool = True,
     hbar: float = HBAR_EV_FS,
 ) -> SpectrumSeries:
     """Energy-weighted Fourier transform of a damped autocorrelation.
@@ -49,7 +47,8 @@ def spectrum(
     times through A(-t) = conj(A(t)) (length L = 2M-1), damped by
     exp(-|t|/tau) and optionally by the half-cosine window cos(pi t / 2T),
     then transformed with S(E_k) = dt * sum_j c_j exp(i E_k t_j / hbar).
-    Intensities are E * S(E) with negative values clamped to zero.
+    Intensities are E * S(E) with negative values clamped to zero, kept at
+    positive energies and normalized to sum to 1.
     """
     series = _as_series(autocorr)
     t = series.times
@@ -72,22 +71,13 @@ def spectrum(
     c[:m] = damped
     c[m:] = np.conj(damped[1:][::-1])
     s = L * dt * np.fft.ifft(c)
-    energies = 2.0 * math.pi * hbar * np.fft.fftfreq(L, d=dt)
-    intensities = np.clip(energies * s.real, 0.0, None)
-    order = np.argsort(energies)
-    energies = energies[order]
-    intensities = intensities[order]
-    if window == "positive":
-        keep = energies > 0.0
-        energies, intensities = energies[keep], intensities[keep]
-    elif window != "full":
-        raise SignalError(f"unknown window {window!r}")
-    if normalize:
-        total = intensities.sum()
-        if total <= 0.0:
-            raise SignalError("spectrum has no positive weight to normalize")
-        intensities = intensities / total
-    return SpectrumSeries(energies, intensities, 2.0 * math.pi * hbar / (L * dt))
+    # for odd L, fftfreq's positive frequencies are entries 1..m-1, ascending
+    energies = 2.0 * math.pi * hbar * np.fft.fftfreq(L, d=dt)[1:m]
+    intensities = np.clip(energies * s.real[1:m], 0.0, None)
+    total = intensities.sum()
+    if total <= 0.0:
+        raise SignalError("spectrum has no positive weight to normalize")
+    return SpectrumSeries(energies, intensities / total, 2.0 * math.pi * hbar / (L * dt))
 
 
 def sample_autocorr(series, shots: int, seed=None) -> AutocorrSeries:

@@ -203,21 +203,9 @@ def energy(plan: PropagatorPlan, psi: Wavepacket) -> float:
     return ev + ec + float(ek)
 
 
-def _sample_loop(state, advance, time_grid: TimeGrid, record) -> None:
-    """The sampling loop of both engines.
-
-    Calls record(state) at step 0 and after every sample_stride-th step,
-    with advance(state) stepping the state in place between.
-    """
-    record(state)
-    for s in range(1, time_grid.n_steps + 1):
-        advance(state)
-        if s % time_grid.sample_stride == 0:
-            record(state)
-
-
 def _observe(state, advance, position, time_grid: TimeGrid, observers, plan=None) -> dict:
-    """Run the sampling loop recording the named observers.
+    """The sampling loop of both engines, recording the named observers at
+    step 0 and after every sample_stride-th step.
 
     state is the engine's flat statevector, electronic index on the top
     qubit, in any unitary basis (autocorrelation and populations do not
@@ -245,7 +233,11 @@ def _observe(state, advance, position, time_grid: TimeGrid, observers, plan=None
             if "energy" in rows:
                 rows["energy"].append(energy(plan, psi))
 
-    _sample_loop(state, advance, time_grid, record)
+    record(state)
+    for s in range(1, time_grid.n_steps + 1):
+        advance(state)
+        if s % time_grid.sample_stride == 0:
+            record(state)
     times = time_grid.sample_times()
     out: dict = {}
     if "autocorr" in rows:

@@ -51,7 +51,7 @@ from vibroniq.model import (
     pyrazine_2mode,
 )
 from vibroniq.resources import qft_depth
-from vibroniq.soft import OBSERVERS, PropagatorPlan, propagate
+from vibroniq.soft import OBSERVERS, SPLIT_ORDERS, PropagatorPlan, propagate
 
 
 def two_mode_tiny():
@@ -728,16 +728,19 @@ def test_half_state_run_is_the_controlled_step(model, split):
 # ---------------------------------------------------------------------------
 
 
-def test_hadamard_test_probabilities():
+@pytest.mark.parametrize("split", SPLIT_ORDERS)
+def test_hadamard_test_probabilities(split):
     model = two_mode_tiny()
     grid = GridSpec(n=2, q_min=-5.0, q_max=5.0)
     tg = TimeGrid(dt=0.5, n_steps=8, sample_stride=2)
-    plan = PropagatorPlan(model, grid, tg.dt)
+    plan = PropagatorPlan(model, grid, tg.dt, split)
     reference = propagate(plan, initial_state(model, grid), tg,
                           observers=("autocorr",))["autocorr"]
-    series = hadamard_series(model, grid, tg)
+    series = hadamard_series(model, grid, tg, split)
     assert np.allclose(series["times"], reference.times)
     assert np.max(np.abs(series["exact"] - reference.values)) < 1e-10
+    circuit = circuit_propagate(model, grid, tg, split, observers=("autocorr",))["autocorr"]
+    assert np.array_equal(series["exact"], circuit.values)
 
 
 def test_hadamard_sampled_converges():
@@ -832,6 +835,15 @@ def test_qpe_counts_are_reproducible():
     b = run_qpe(circ, system, shots=512, seed=11)
     assert a["counts"] == b["counts"]
     assert sum(a["counts"].values()) == 512
+
+
+def test_run_qpe_rejects_negative_shots():
+    ev = Circuit(1)
+    ev.add("U1", (0,), theta=0.7)
+    circ = build_qpe(ev, 3)
+    system = np.array([0.0, 1.0], dtype=np.complex128)
+    with pytest.raises(CircuitError, match="shots must be nonnegative, got -5"):
+        run_qpe(circ, system, shots=-5)
 
 
 def test_qpe_phase_to_energy_window():

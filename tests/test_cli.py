@@ -202,6 +202,18 @@ def test_a_grid_over_the_memory_budget_is_a_clean_error(command, tmp_path, capsy
     assert capsys.readouterr().err.startswith("error: a 49-qubit statevector needs")
 
 
+@pytest.mark.parametrize("command", ["propagate", "spectrum", "shots-scan", "verify", "qpe-demo"])
+@pytest.mark.parametrize("nt", [0, -4])
+def test_a_step_count_below_one_is_a_clean_error(command, nt, tmp_path, capsys):
+    assert main([command, "--nt", str(nt), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: --nt must be at least 1, got {nt}\n"
+
+
+def test_negative_qpe_shots_are_a_clean_error(tmp_path, capsys):
+    assert main(["qpe-demo", "--shots", "-5", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "error: shots must be nonnegative, got -5\n"
+
+
 def test_float_formatting_round_trips(tmp_path):
     main(["zpe-scan", "--out", str(tmp_path)])
     _, rows = read_csv(tmp_path / "zpe_scan.csv")
