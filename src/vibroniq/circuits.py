@@ -19,16 +19,22 @@ one-to-one into range. The CCRx expansion is made of checked Gates at their
 final layers.
 
 Running: apply replays the gate list gate by gate and is the reference.
-compile fuses consecutive gates into a few operations on at most FUSE_WIDTH
-qubits, each computed from its gates by unitary_of. circuit_propagate runs
-the compiled time step as a kernels.Program, the executor of the soft
-engine's step too, through the soft engine's sampling driver. The
+compile turns a circuit into a few operations, each computed from its gates
+by unitary_of. Given the qubit layout it follows a time step's commuting
+blocks: one matrix per mode register for each run of register gates (QFT,
+UK, QFT'), and in each potential run one phase table per stretch of
+diagonal operations, the coupling rotation staying a matrix on the
+electronic qubit and its register. Without a layout it fuses consecutive
+gates greedily on at most FUSE_WIDTH qubits. circuit_propagate runs the
+compiled time step as a kernels.Program, the executor of the soft engine's
+step too, through the soft engine's sampling driver. The
 interferometer readout (hadamard_series) runs no state of its own: its
 ancilla-controlled step acts as the plain step on the ancilla-set half, so
 it reads A(t) from circuit_propagate's autocorrelation.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -222,22 +228,77 @@ def unitary_of(circuit: Circuit, n_qubits: int | None = None) -> np.ndarray:
 FUSE_WIDTH = 5  # one 4-qubit mode register plus the electronic qubit
 
 
-def compile(circuit: Circuit) -> kernels.Program:
-    """Fuse each run of consecutive gates whose joint support fits in
-    FUSE_WIDTH qubits into one operation, unitary_of the run on its support.
-    Gates are never reordered; a wider gate is an operation of its own."""
+def compile(circuit: Circuit, layout: QubitLayout | None = None) -> kernels.Program:
+    """The circuit as a kernels.Program of operations, each computed from its
+    gates by unitary_of.
+
+    With the layout of a time step, the gates split into register runs and
+    potential runs. A register run is a maximal run of gates that each stay
+    inside one mode register, not all of them diagonal (the QFT, UK and
+    QFT'); gates on different registers commute, so it becomes one operation
+    per register, that register's gates in order. A potential run is the
+    rest (Udiag, Uc, the bilinear phases and the CCRx expansion): it is fused
+    greedily, and each stretch of consecutive phase operations it yields is
+    multiplied into one phase table over the whole state. Without a layout,
+    the greedy fuser alone: each run of consecutive gates whose joint support
+    fits in FUSE_WIDTH qubits is one operation on that support, gates never
+    reordered and a wider gate an operation of its own."""
+    if layout is None:
+        return kernels.Program(circuit.n_qubits, _fuse_greedy(circuit.gates))
+    n, d = layout.n, layout.d
+
+    def register(g: Gate) -> int | None:
+        r = g.targets[0] // n
+        inside = r < d and all(q // n == r for q in g.targets) and all(q // n == r for q, _ in g.controls)
+        return r if inside else None
+
+    def in_registers(run: list) -> bool:
+        return run[0][0] is not None and any(g.kind not in ("U1", "S") for _, g in run)
+
+    tagged = [(register(g), g) for g in circuit.gates]
+    runs = [list(run) for _, run in itertools.groupby(tagged, lambda rg: rg[0] is None)]
+    ops = []
+    for by_register, group in itertools.groupby(runs, in_registers):
+        run = [rg for part in group for rg in part]
+        if by_register:
+            gates: dict[int, list[Gate]] = {}
+            for r, g in run:
+                gates.setdefault(r, []).append(g)
+            ops += [_fuse(layout.mode_qubits(r), gates[r]) for r in sorted(gates)]
+        else:
+            ops += _merge_phases(_fuse_greedy([g for _, g in run]), circuit.n_qubits)
+    return kernels.Program(circuit.n_qubits, ops)
+
+
+def _merge_phases(ops: list[tuple], n_qubits: int) -> list[tuple]:
+    """ops with each stretch of consecutive phases multiplied into one phase
+    table over n_qubits, made by running the stretch over a vector of ones."""
+    out = []
+    for is_phase, stretch in itertools.groupby(ops, lambda op: op[1] == "phase"):
+        stretch = list(stretch)
+        if is_phase and len(stretch) > 1:
+            table = np.ones(1 << n_qubits, dtype=np.complex128)
+            for op in stretch:
+                kernels._apply_op(op, table, None)
+            stretch = [kernels.phase_op(range(n_qubits), table)]
+        out += stretch
+    return out
+
+
+def _fuse_greedy(gates: list[Gate]) -> list[tuple]:
+    """One operation per run of consecutive gates within FUSE_WIDTH qubits."""
     runs: list[tuple[set, list]] = []
-    for g in circuit.gates:
+    for g in gates:
         qubits = {*g.targets, *(q for q, _ in g.controls)}
         if runs and len(runs[-1][0] | qubits) <= FUSE_WIDTH:
             runs[-1][0].update(qubits)
             runs[-1][1].append(g)
         else:
             runs.append((qubits, [g]))
-    return kernels.Program(circuit.n_qubits, [_fuse(sorted(qs), gates) for qs, gates in runs])
+    return [_fuse(sorted(qs), gs) for qs, gs in runs]
 
 
-def _fuse(support: list[int], gates: list[Gate]) -> tuple:
+def _fuse(support, gates: list[Gate]) -> tuple:
     """The operation of a run of gates on the ascending support."""
     local = {q: j for j, q in enumerate(support)}
     sub = Circuit(len(support))
@@ -797,13 +858,14 @@ def circuit_propagate(
     pair at the walls), converting copies back for position-space observers
     and the final state.
     """
-    step = compile(build_timestep(model, grid, time_grid.dt, split_order))
-    kernels.check_budget(model.d * grid.n + 1)
+    layout = QubitLayout(model.d, grid.n)
+    kernels.check_budget(layout.total)
+    step = compile(build_timestep(model, grid, time_grid.dt, split_order), layout)
     state = wavepacket_to_state(initial_state(model, grid))
     back = None
     if split_order == "kinetic-first":
-        compile(_qft_all(model, grid, inverse=False)).run(state)
-        back = compile(_qft_all(model, grid, inverse=True))
+        compile(_qft_all(model, grid, inverse=False), layout).run(state)
+        back = compile(_qft_all(model, grid, inverse=True), layout)
 
     def position(s: np.ndarray) -> Wavepacket:
         if back is not None:

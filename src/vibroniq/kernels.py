@@ -4,7 +4,8 @@ executor, Program, that both engines run.
 Each per-gate kernel reshapes the 2**n state into an n-axis (2, ..., 2)
 tensor, pins the fixed/control qubits with length-1 slices and updates the
 resulting view in place, so no amplitude outside the addressed subspace is
-touched. register_op and pointwise_op build the operations a Program runs.
+touched. register_op, phase_op and pointwise_op build the operations a
+Program runs.
 """
 from __future__ import annotations
 
@@ -88,14 +89,10 @@ def apply_swap(state, n_qubits, t1, t2, controls) -> None:
     vb[...] = tmp
 
 
-def register_op(support, u: np.ndarray) -> tuple:
-    """(shape, how, operand, moved): u on the ascending qubit support, bit j of
-    u's index on qubit support[j]. `shape` views the flat state, top first, as
-    the qubits above the support, then its contiguous blocks and the gaps
-    between and below them. A diagonal u is a "phase" table; otherwise the
-    operand is u for "left" or u.T for "right", a matmul from that side:
-    "right" serves a block that ends at qubit 0, and several blocks once
-    `moved` (a transpose and its shape) brings them onto the lowest axes."""
+def _support_shape(support) -> tuple[list, list]:
+    """View of the flat state, top first, as the qubits above the ascending
+    support, then its contiguous blocks and the gaps between and below them;
+    and the axes of the blocks."""
     shape, axes = [-1], []
     for q in reversed(support):
         if axes and q == prev - 1:
@@ -108,9 +105,27 @@ def register_op(support, u: np.ndarray) -> tuple:
         prev = q
     if prev:
         shape.append(1 << prev)
+    return shape, axes
+
+
+def phase_op(support, table: np.ndarray) -> tuple:
+    """A diagonal on the ascending qubit support, bit j of the table's index
+    on qubit support[j]."""
+    shape, axes = _support_shape(support)
+    return shape, "phase", table.reshape([s if a in axes else 1 for a, s in enumerate(shape)]), None
+
+
+def register_op(support, u: np.ndarray) -> tuple:
+    """(shape, how, operand, moved): u on the ascending qubit support, bit j of
+    u's index on qubit support[j]. `shape` views the flat state as
+    _support_shape does. A diagonal u is a phase_op; otherwise the operand is
+    u for "left" or u.T for "right", a matmul from that side: "right" serves
+    a block that ends at qubit 0, and several blocks once `moved` (a
+    transpose and its shape) brings them onto the lowest axes."""
     table = np.diagonal(u)
     if np.array_equal(u, np.diag(table)):  # U1, S and X pairs leave exact zeros
-        return shape, "phase", table.reshape([s if a in axes else 1 for a, s in enumerate(shape)]), None
+        return phase_op(support, table)
+    shape, axes = _support_shape(support)
     if len(axes) == 1 and axes[0] < len(shape) - 1:
         return shape, "left", u, None
     order = [a for a in range(len(shape)) if a not in axes] + axes
@@ -125,22 +140,26 @@ def pointwise_op(tables) -> tuple:
 
 def _apply_op(op: tuple, cur: np.ndarray, spare: np.ndarray) -> tuple:
     """Apply one operation to the flat state `cur`; returns (result, free
-    buffer) of cur and the same-shaped `spare`. Only a phase works in place,
-    and only "left" and unmoved "right" leave `cur` as it was."""
+    buffer) of cur and the same-shaped `spare`. A phase and a pointwise 2x2
+    work in place (the pointwise one with the halves of `spare` as
+    temporaries); only "left" and unmoved "right" leave `cur` as it was."""
     shape, how, m, moved = op
     v = cur.reshape(shape)
     if how == "phase":
         v *= m
         return cur, spare
     out = spare.reshape(shape)
+    if how == "pointwise":
+        v0, v1, t0, t1 = v[:, 0], v[:, 1], out[:, 0], out[:, 1]
+        np.multiply(m[1], v1, out=t0)
+        np.multiply(m[2], v0, out=t1)
+        np.multiply(m[0], v0, out=v0)  # m * v: numpy's complex v * m may round apart
+        v0 += t0
+        np.multiply(m[3], v1, out=v1)
+        v1 += t1
+        return cur, spare
     if how == "left":
         np.matmul(m, v, out=out)
-    elif how == "pointwise":  # v0 is spent after two products: it takes a cross term
-        v0, v1, o0, o1 = v[:, 0], v[:, 1], out[:, 0], out[:, 1]
-        np.multiply(m[0], v0, out=o0)
-        np.multiply(m[2], v0, out=o1)
-        o0 += np.multiply(m[1], v1, out=v0)
-        o1 += np.multiply(m[3], v1, out=v1)
     elif moved is None:
         np.matmul(v, m, out=out)
     else:  # gather the blocks in the spare, multiply into cur, scatter back
@@ -153,8 +172,11 @@ def _apply_op(op: tuple, cur: np.ndarray, spare: np.ndarray) -> tuple:
 
 class Program:
     """Operations run in order: run(state) applies them in place and returns
-    the state, which may live on more qubits than n_qubits. All but phases write
-    to one reused scratch buffer, which then swaps roles with the state."""
+    the state, which may live on more qubits than n_qubits. Phases and
+    pointwise 2x2s work in place; every other operation writes to one reused
+    scratch buffer, which then swaps roles with the state. A program with an
+    even count of those ends in the state; an odd count costs one copy back.
+    Both soft steps are even."""
 
     def __init__(self, n_qubits: int, ops: list[tuple]):
         self.n_qubits = n_qubits

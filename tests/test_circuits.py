@@ -666,15 +666,24 @@ def random_circuit(n_qubits, n_gates, seed):
 
 BOX4 = GridSpec(n=4, q_min=-5.0, q_max=5.0, convention="periodic")
 BOX3 = GridSpec(n=3, q_min=-4.0, q_max=4.0)
+
+
+def engine_step(model, grid, dt, split="potential-first"):
+    """A time step and the layout circuit_propagate compiles it with."""
+    return build_timestep(model, grid, dt, split), QubitLayout(model.d, grid.n)
+
+
 COMPILED_CASES = {
-    "pyrazine-4d-potential-first": lambda: build_timestep(get_model("pyrazine-4d"), BOX4, 0.13),
-    "pyrazine-4d-kinetic-first": lambda: build_timestep(get_model("pyrazine-4d"), BOX4, 0.13,
+    "pyrazine-4d-potential-first": lambda: engine_step(get_model("pyrazine-4d"), BOX4, 0.13),
+    "pyrazine-4d-kinetic-first": lambda: engine_step(get_model("pyrazine-4d"), BOX4, 0.13,
+                                                     "kinetic-first"),
+    "pyrazine-2mode-kinetic-first": lambda: engine_step(pyrazine_2mode(), BOX4, 0.13,
                                                         "kinetic-first"),
-    "pyrazine-2mode-kinetic-first": lambda: build_timestep(pyrazine_2mode(), BOX4, 0.13,
-                                                           "kinetic-first"),
-    "bilinear": lambda: build_timestep(bilinear_tiny(False), BOX3, 0.4, "kinetic-first"),
-    "bilinear-split": lambda: build_timestep(bilinear_tiny(True), BOX3, 0.4, "kinetic-first"),
-    "random": lambda: random_circuit(7, 60, seed=11),
+    "bilinear": lambda: engine_step(bilinear_tiny(False), BOX3, 0.4, "kinetic-first"),
+    "bilinear-split": lambda: engine_step(bilinear_tiny(True), BOX3, 0.4, "kinetic-first"),
+    "random": lambda: (random_circuit(7, 60, seed=11), None),
+    # any circuit may be compiled with a layout its qubits fit
+    "random-layout": lambda: (random_circuit(7, 60, seed=11), QubitLayout(2, 3)),
 }
 
 
@@ -686,18 +695,19 @@ def random_state(n_qubits, seed):
 
 @pytest.mark.parametrize("case", list(COMPILED_CASES))
 def test_compiled_program_matches_apply(case):
-    circ = COMPILED_CASES[case]()
+    circ, layout = COMPILED_CASES[case]()
     text = export_gates(circ)
-    program = compile(circ)
+    program = compile(circ, layout)
     assert export_gates(circ) == text
     if case == "pyrazine-4d-potential-first":
-        assert (circ.gate_count(), circ.depth(), len(program.ops)) == (370, 90, 28)
+        assert (circ.gate_count(), circ.depth(), len(program.ops)) == (370, 90, 8)
     if case == "random":
-        # every way of applying an operation is used
+        # the greedy fuser, which alone gathers blocks; every way of applying
+        # an operation is used
         assert {(how, moved is None) for _, how, _, moved in program.ops} == {
             ("phase", True), ("left", True), ("right", True), ("right", False)}
     # one qubit more than the circuit, as in the Hadamard test
-    n_state = circ.n_qubits + (1 if case == "random" else 0)
+    n_state = circ.n_qubits + (1 if case.startswith("random") else 0)
     plain = random_state(n_state, seed=5)
     fused = plain.copy()
     for _ in range(8):
@@ -706,14 +716,55 @@ def test_compiled_program_matches_apply(case):
         assert np.max(np.abs(fused - plain)) < 1e-12
 
 
+def _soft_program(split):
+    return PropagatorPlan(get_model("pyrazine-4d"), BOX4, 0.13, split).program
+
+
+def _circuit_program(model, split):
+    return compile(*engine_step(model, BOX4, 0.13, split))
+
+
+ENGINE_PROGRAMS = {
+    "soft-4d-potential-first": (lambda: _soft_program("potential-first"),
+                                ["pointwise", "left", "left", "left", "right", "pointwise"]),
+    "soft-4d-kinetic-first": (lambda: _soft_program("kinetic-first"),
+                              ["left", "left", "left", "right", "pointwise",
+                               "left", "left", "left", "right"]),
+    # potential run: merged phases, then Uc fused with the last register's
+    # quadratic network; register run: one matrix per register, qubit 0 last
+    "circuit-4d-potential-first": (lambda: _circuit_program(get_model("pyrazine-4d"), "potential-first"),
+                                   ["phase", "left", "right", "left", "left", "left", "left", "phase"]),
+    "circuit-4d-kinetic-first": (lambda: _circuit_program(get_model("pyrazine-4d"), "kinetic-first"),
+                                 ["right", "left", "left", "left", "phase", "left",
+                                  "right", "left", "left", "left"]),
+    "circuit-2mode-kinetic-first": (lambda: _circuit_program(pyrazine_2mode(), "kinetic-first"),
+                                    ["right", "left", "phase", "left", "right", "left"]),
+}
+
+
+@pytest.mark.parametrize("name", list(ENGINE_PROGRAMS))
+def test_engine_program_census(name):
+    make, kinds = ENGINE_PROGRAMS[name]
+    program = make()
+    assert [how for _, how, _, _ in program.ops] == kinds
+    # no engine operation gathers blocks of several registers
+    assert all(moved is None for *_, moved in program.ops)
+    n = program.n_qubits
+    for _, how, operand, _ in program.ops:
+        if how == "phase":
+            assert operand.size == 1 << n
+        elif how in ("left", "right"):
+            assert operand.shape in ((16, 16), (32, 32))
+
+
 @pytest.mark.parametrize("model, split", [("pyrazine-4d", "potential-first"),
                                           ("pyrazine-2mode", "kinetic-first")])
 def test_half_state_run_is_the_controlled_step(model, split):
     # the ancilla is the top qubit: the controlled step acts on the upper half
-    step = build_timestep(get_model(model), BOX4, 0.13, split)
+    step, layout = engine_step(get_model(model), BOX4, 0.13, split)
     anc = step.n_qubits
     controlled = step.controlled(anc)
-    program = compile(step)
+    program = compile(step, layout)
     plain = random_state(anc + 1, seed=6)
     fused = plain.copy()
     half = fused.size // 2

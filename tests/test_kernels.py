@@ -3,10 +3,13 @@ import pytest
 
 from vibroniq.kernels import (
     MemoryBudgetError,
+    Program,
     allocate_state,
     apply_matrix,
     apply_phase,
     apply_swap,
+    pointwise_op,
+    register_op,
 )
 
 
@@ -162,3 +165,52 @@ def test_matrix_preserves_norm(rng):
     apply_matrix(s, 5, 2, ((4, 1), (0, 0)), ry)
     assert np.linalg.norm(s) == pytest.approx(1.0, abs=1e-12)
 
+
+def random_unitary(dim, rng):
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return q
+
+
+def on_support(n, support, u):
+    """u on the qubit support of an n-qubit state, bit j of u's index on
+    support[j]: kron(identity on the other qubits, u), its basis relabelled."""
+    rest = [q for q in range(n) if q not in support]
+    order = list(support) + rest  # bit b of the Kronecker index sits on qubit order[b]
+    idx = np.arange(1 << n)
+    natural = sum(((idx >> b) & 1) << q for b, q in enumerate(order))
+    dense = np.zeros((1 << n, 1 << n), dtype=np.complex128)
+    dense[np.ix_(natural, natural)] = np.kron(np.eye(1 << len(rest)), u)
+    return dense
+
+
+def _operation_cases(rng, n=7):
+    phase = np.diag(np.exp(1j * rng.normal(size=8)))
+    tables = [rng.normal(size=1 << (n - 1)) + 1j * rng.normal(size=1 << (n - 1)) for _ in range(4)]
+    pointwise = np.zeros((1 << n, 1 << n), dtype=np.complex128)
+    for k, t in enumerate(tables):  # entries 00, 01, 10, 11 of a 2x2 on the top qubit
+        a, b = divmod(k, 2)
+        pointwise += np.kron(np.outer(np.eye(2)[a], np.eye(2)[b]), np.diag(t))
+    cases = {}
+    for name, support, u in (("phase", [1, 3, 4], phase),
+                             ("left", [2, 3, 4], random_unitary(8, rng)),
+                             ("right", [0, 1, 2], random_unitary(8, rng)),
+                             ("right-moved", [0, 2, 5], random_unitary(8, rng))):
+        cases[name] = (register_op(support, u), on_support(n, support, u))
+    cases["pointwise"] = (pointwise_op(tables), pointwise)
+    return cases
+
+
+def test_every_operation_kind_matches_its_dense_operator(rng):
+    n = 7
+    cases = _operation_cases(rng, n)
+    kinds = {name: (op[1], op[3] is not None) for name, (op, _) in cases.items()}
+    assert kinds == {"phase": ("phase", False), "left": ("left", False), "right": ("right", False),
+                     "right-moved": ("right", True), "pointwise": ("pointwise", False)}
+    for name, (op, dense) in cases.items():
+        for extra in (0, 1):  # one more top qubit than the program acts on
+            full = np.kron(np.eye(1 << extra), dense)
+            state = random_state(n + extra, rng)
+            want = full @ state
+            program = Program(n, [op])
+            assert program.run(state) is state, name
+            assert np.max(np.abs(state - want)) < 1e-12, name
