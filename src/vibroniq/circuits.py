@@ -20,12 +20,12 @@ final layers.
 
 Running: apply replays the gate list gate by gate and is the reference.
 compile turns a circuit into a few operations, each computed from its gates
-by unitary_of. Given the qubit layout it follows a time step's commuting
-blocks: one matrix per mode register for each run of register gates (QFT,
-UK, QFT'), and in each potential run one phase table per stretch of
-diagonal operations, the coupling rotation staying a matrix on the
-electronic qubit and its register. Without a layout it fuses consecutive
-gates greedily on at most FUSE_WIDTH qubits. circuit_propagate runs the
+by unitary_of. It follows the commuting blocks of a time step on its qubit
+layout: one matrix per mode register for each run of register gates (QFT,
+UK, QFT'), and in each potential run, fused greedily on at most FUSE_WIDTH
+qubits, one phase table per stretch of diagonal operations, the coupling
+rotation staying a matrix on the electronic qubit and its register. Gates
+that straddle registers take the greedy fuser too. circuit_propagate runs the
 compiled time step as a kernels.Program, the executor of the soft engine's
 step too, through the soft engine's sampling driver. The
 interferometer readout (hadamard_series) runs no state of its own: its
@@ -228,23 +228,21 @@ def unitary_of(circuit: Circuit, n_qubits: int | None = None) -> np.ndarray:
 FUSE_WIDTH = 5  # one 4-qubit mode register plus the electronic qubit
 
 
-def compile(circuit: Circuit, layout: QubitLayout | None = None) -> kernels.Program:
+def compile(circuit: Circuit, layout: QubitLayout) -> kernels.Program:
     """The circuit as a kernels.Program of operations, each computed from its
     gates by unitary_of.
 
-    With the layout of a time step, the gates split into register runs and
+    The layout's mode registers split the gates into register runs and
     potential runs. A register run is a maximal run of gates that each stay
     inside one mode register, not all of them diagonal (the QFT, UK and
     QFT'); gates on different registers commute, so it becomes one operation
     per register, that register's gates in order. A potential run is the
-    rest (Udiag, Uc, the bilinear phases and the CCRx expansion): it is fused
-    greedily, and each stretch of consecutive phase operations it yields is
-    multiplied into one phase table over the whole state. Without a layout,
-    the greedy fuser alone: each run of consecutive gates whose joint support
-    fits in FUSE_WIDTH qubits is one operation on that support, gates never
-    reordered and a wider gate an operation of its own."""
-    if layout is None:
-        return kernels.Program(circuit.n_qubits, _fuse_greedy(circuit.gates))
+    rest (Udiag, Uc, the bilinear phases and the CCRx expansion, or any
+    gates that straddle registers): it is fused greedily, each run of
+    consecutive gates whose joint support fits in FUSE_WIDTH qubits one
+    operation on that support, gates never reordered and a wider gate an
+    operation of its own. Each stretch of consecutive phase operations this
+    yields is multiplied into one phase table over the whole state."""
     n, d = layout.n, layout.d
 
     def register(g: Gate) -> int | None:

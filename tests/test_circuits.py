@@ -231,7 +231,7 @@ def test_program_rejects_the_states_apply_rejects():
     c = Circuit(3)
     c.add("H", (0,))
     c.add("X", (2,), ((0, 1),))
-    program = compile(c)
+    program = compile(c, QubitLayout(1, 2))
     for state, message in (
         (np.ones(4, dtype=np.complex128), "state has 2 qubits, circuit needs 3"),
         (np.ones(1, dtype=np.complex128), "state has 0 qubits, circuit needs 3"),
@@ -681,9 +681,8 @@ COMPILED_CASES = {
                                                         "kinetic-first"),
     "bilinear": lambda: engine_step(bilinear_tiny(False), BOX3, 0.4, "kinetic-first"),
     "bilinear-split": lambda: engine_step(bilinear_tiny(True), BOX3, 0.4, "kinetic-first"),
-    "random": lambda: (random_circuit(7, 60, seed=11), None),
-    # any circuit may be compiled with a layout its qubits fit
-    "random-layout": lambda: (random_circuit(7, 60, seed=11), QubitLayout(2, 3)),
+    # any circuit may be compiled on a layout its qubits fit
+    "random": lambda: (random_circuit(7, 60, seed=11), QubitLayout(2, 3)),
 }
 
 
@@ -702,12 +701,12 @@ def test_compiled_program_matches_apply(case):
     if case == "pyrazine-4d-potential-first":
         assert (circ.gate_count(), circ.depth(), len(program.ops)) == (370, 90, 8)
     if case == "random":
-        # the greedy fuser, which alone gathers blocks; every way of applying
-        # an operation is used
+        # gates straddling registers take the greedy fuser, which alone
+        # gathers blocks; every way of applying an operation is used
         assert {(how, moved is None) for _, how, _, moved in program.ops} == {
             ("phase", True), ("left", True), ("right", True), ("right", False)}
     # one qubit more than the circuit, as in the Hadamard test
-    n_state = circ.n_qubits + (1 if case.startswith("random") else 0)
+    n_state = circ.n_qubits + (1 if case == "random" else 0)
     plain = random_state(n_state, seed=5)
     fused = plain.copy()
     for _ in range(8):
