@@ -22,15 +22,18 @@ Running: apply replays the gate list gate by gate and is the reference.
 compile turns a circuit into a few operations, each computed from its gates
 by unitary_of. It follows the commuting blocks of a time step on its qubit
 layout: one matrix per mode register for each run of register gates (QFT,
-UK, QFT'), and in each potential run, fused greedily on at most FUSE_WIDTH
-qubits, one phase table per stretch of diagonal operations, the coupling
-rotation staying a matrix on the electronic qubit and its register. Gates
-that straddle registers take the greedy fuser too. circuit_propagate runs the
-compiled time step as a kernels.Program, the executor of the soft engine's
-step too, through the soft engine's sampling driver. The
-interferometer readout (hadamard_series) runs no state of its own: its
-ancilla-controlled step acts as the plain step on the ancilla-set half, so
-it reads A(t) from circuit_propagate's autocorrelation.
+UK, QFT'), and in each potential run, fused greedily on at most n + 1
+qubits (a mode register and the electronic qubit), one phase table per
+stretch of diagonal operations, the coupling rotation staying a matrix on
+the electronic qubit and its register. Gates that straddle registers take
+the greedy fuser too. circuit_propagate compiles one program per call and
+runs it as a kernels.Program, the executor of the soft engine's step too,
+through the soft engine's sampling driver, holding the position basis in
+both split orders: a kinetic-first step is compiled between its QFT walls,
+each wall joining the register run next to it. The interferometer readout
+(hadamard_series) runs no state of its own: its ancilla-controlled step acts
+as the plain step on the ancilla-set half, so it reads A(t) from
+circuit_propagate's autocorrelation.
 """
 from __future__ import annotations
 
@@ -225,9 +228,6 @@ def unitary_of(circuit: Circuit, n_qubits: int | None = None) -> np.ndarray:
     return apply(circuit, state).reshape(dim, dim).T
 
 
-FUSE_WIDTH = 5  # one 4-qubit mode register plus the electronic qubit
-
-
 def compile(circuit: Circuit, layout: QubitLayout) -> kernels.Program:
     """The circuit as a kernels.Program of operations, each computed from its
     gates by unitary_of.
@@ -239,10 +239,11 @@ def compile(circuit: Circuit, layout: QubitLayout) -> kernels.Program:
     per register, that register's gates in order. A potential run is the
     rest (Udiag, Uc, the bilinear phases and the CCRx expansion, or any
     gates that straddle registers): it is fused greedily, each run of
-    consecutive gates whose joint support fits in FUSE_WIDTH qubits one
-    operation on that support, gates never reordered and a wider gate an
-    operation of its own. Each stretch of consecutive phase operations this
-    yields is multiplied into one phase table over the whole state."""
+    consecutive gates whose joint support fits in layout.n + 1 qubits (one
+    mode register and the electronic qubit) one operation on that support,
+    gates never reordered and a wider gate an operation of its own. Each
+    stretch of consecutive phase operations this yields is multiplied into
+    one phase table over the whole state."""
     n, d = layout.n, layout.d
 
     def register(g: Gate) -> int | None:
@@ -264,7 +265,7 @@ def compile(circuit: Circuit, layout: QubitLayout) -> kernels.Program:
                 gates.setdefault(r, []).append(g)
             ops += [_fuse(layout.mode_qubits(r), gates[r]) for r in sorted(gates)]
         else:
-            ops += _merge_phases(_fuse_greedy([g for _, g in run]), circuit.n_qubits)
+            ops += _merge_phases(_fuse_greedy([g for _, g in run], n + 1), circuit.n_qubits)
     return kernels.Program(circuit.n_qubits, ops)
 
 
@@ -283,12 +284,12 @@ def _merge_phases(ops: list[tuple], n_qubits: int) -> list[tuple]:
     return out
 
 
-def _fuse_greedy(gates: list[Gate]) -> list[tuple]:
-    """One operation per run of consecutive gates within FUSE_WIDTH qubits."""
+def _fuse_greedy(gates: list[Gate], width: int) -> list[tuple]:
+    """One operation per run of consecutive gates within `width` qubits."""
     runs: list[tuple[set, list]] = []
     for g in gates:
         qubits = {*g.targets, *(q for q, _ in g.controls)}
-        if runs and len(runs[-1][0] | qubits) <= FUSE_WIDTH:
+        if runs and len(runs[-1][0] | qubits) <= width:
             runs[-1][0].update(qubits)
             runs[-1][1].append(g)
         else:
@@ -712,12 +713,12 @@ def build_timestep(
         circ.append_circuit(build_Udiag_pair(model, grid, dt))
         circ.append_circuit(build_Uc(model, grid, dt))
         circ.append_circuit(_qft_all(model, grid, inverse=False))
-        circ.append_circuit(build_UK(model, grid, dt), qubit_map=list(range(model.d * grid.n)))
+        circ.append_circuit(build_UK(model, grid, dt))
         circ.append_circuit(_qft_all(model, grid, inverse=True))
         circ.append_circuit(build_Uc(model, grid, dt))
         circ.append_circuit(build_Udiag_pair(model, grid, dt))
         return circ
-    circ.append_circuit(build_UK(model, grid, dt / 2.0), qubit_map=list(range(model.d * grid.n)))
+    circ.append_circuit(build_UK(model, grid, dt / 2.0))
     circ.append_circuit(_qft_all(model, grid, inverse=True))
     circ.append_circuit(build_Udiag_pair(model, grid, 2.0 * dt))
     _append_bilinear_diag_groups(circ, model, grid, dt)
@@ -726,7 +727,7 @@ def build_timestep(
     fold_layer = circ._layer if uc.gates else None
     _append_bilinear_offdiag(circ, model, grid, dt, fold_layer)
     circ.append_circuit(_qft_all(model, grid, inverse=False))
-    circ.append_circuit(build_UK(model, grid, dt / 2.0), qubit_map=list(range(model.d * grid.n)))
+    circ.append_circuit(build_UK(model, grid, dt / 2.0))
     return circ
 
 
@@ -851,27 +852,24 @@ def circuit_propagate(
     """Propagate through repeated emulated time-step circuits.
 
     Records the same observers as soft.propagate through the same driver,
-    advancing with the time step compiled once. The kinetic-first branch
-    holds the state in the transformed basis between steps (one compiled QFT
-    pair at the walls), converting copies back for position-space observers
-    and the final state.
+    advancing with one program compiled per call. The state stays in the
+    position basis, as in the soft engine: a kinetic-first step, which
+    holds the transformed basis, is compiled between its QFT walls
+    (forward wall, step, inverse wall).
     """
     layout = QubitLayout(model.d, grid.n)
     kernels.check_budget(layout.total)
-    step = compile(build_timestep(model, grid, time_grid.dt, split_order), layout)
-    state = wavepacket_to_state(initial_state(model, grid))
-    back = None
+    step = build_timestep(model, grid, time_grid.dt, split_order)
     if split_order == "kinetic-first":
-        compile(_qft_all(model, grid, inverse=False), layout).run(state)
-        back = compile(_qft_all(model, grid, inverse=True), layout)
-
-    def position(s: np.ndarray) -> Wavepacket:
-        if back is not None:
-            s = back.run(s.copy())
-        return state_to_wavepacket(s, model.d, grid.n)
-
+        walled = _qft_all(model, grid, inverse=False)
+        walled.append_circuit(step)
+        walled.append_circuit(_qft_all(model, grid, inverse=True))
+        step = walled
+    program = compile(step, layout)
+    state = wavepacket_to_state(initial_state(model, grid))
     plan = _soft.PropagatorPlan(model, grid, time_grid.dt, split_order) if "energy" in observers else None
-    return _soft._observe(state, step.run, position, time_grid, observers, plan)
+    return _soft._observe(state, program.run, lambda s: state_to_wavepacket(s, model.d, grid.n),
+                          time_grid, observers, plan)
 
 
 # ---------------------------------------------------------------------------
@@ -911,8 +909,10 @@ def hadamard_series(
     P(0) = (1 - Im A)/2. With the ancilla on the top qubit, the controlled
     step is the plain step on the half of the state where the ancilla is set,
     so the interferometer's A(t) is circuit_propagate's autocorrelation, the
-    "exact" series here. With shots, "sampled" adds the binomial shot noise
-    of signals.sample_autocorr to it.
+    "exact" series here. For kinetic-first, circuit_propagate runs the step
+    between its QFT walls, which is conjugate to the held step, so A(t) is
+    the same. With shots, "sampled" adds the binomial shot noise of
+    signals.sample_autocorr to it.
     """
     ac = circuit_propagate(model, grid, time_grid, split_order, observers=("autocorr",))["autocorr"]
     out = {"times": ac.times, "exact": ac.values}

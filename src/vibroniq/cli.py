@@ -239,22 +239,23 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="vibroniq", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, engine=True):
+    def common(p, run=True, engine=True, out=True):
         p.add_argument("--model", default="pyrazine-4d", help="preset name or model JSON path")
-        p.add_argument("--n", type=int, default=4, help="qubits per mode register")
-        p.add_argument("--nt", type=int, default=2048, help="number of time steps")
-        p.add_argument("--total-fs", type=float, default=264.0, help="total propagation time")
-        p.add_argument("--stride", type=int, default=16, help="sample stride in steps")
         p.add_argument("--range", type=float, nargs=2, default=(-5.0, 5.0), metavar=("QMIN", "QMAX"))
         p.add_argument("--convention", choices=("periodic", "endpoint"), default="periodic")
-        p.add_argument("--split-order", choices=soft.SPLIT_ORDERS, default="potential-first")
+        if run:
+            p.add_argument("--n", type=int, default=4, help="qubits per mode register")
+            p.add_argument("--nt", type=int, default=2048, help="number of time steps")
+            p.add_argument("--total-fs", type=float, default=264.0, help="total propagation time")
+            p.add_argument("--stride", type=int, default=16, help="sample stride in steps")
+            p.add_argument("--split-order", choices=soft.SPLIT_ORDERS, default="potential-first")
         if engine:
             p.add_argument("--engine", choices=("soft", "circuit"), default="soft")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", default=".", help="output directory")
+        if out:
+            p.add_argument("--out", default=".", help="output directory")
 
     p = sub.add_parser("zpe-scan", help="grid-convergence tables of the uncoupled ground energy")
-    common(p, engine=False)
+    common(p, run=False, engine=False)
     p.set_defaults(func=cmd_zpe_scan)
 
     p = sub.add_parser("propagate", help="time series from either engine")
@@ -272,6 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau-fs", type=float, default=30.0)
     p.add_argument("--damp-d", action="store_true")
     p.add_argument("--mode", choices=("autocorr", "direct"), default="autocorr")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n-seeds", type=int, default=10)
     p.set_defaults(func=cmd_shots_scan)
 
@@ -298,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_qpe_demo)
 
     p = sub.add_parser("verify", help="builder-vs-formula and engine-vs-engine checks")
-    common(p, engine=False)
+    common(p, engine=False, out=False)
     p.set_defaults(func=cmd_verify, model="pyrazine-2mode")
 
     return parser

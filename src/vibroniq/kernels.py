@@ -12,6 +12,9 @@ from __future__ import annotations
 import numpy as np
 
 DEFAULT_MEMORY_BUDGET = 4 * 2**30
+# a propagation run's peak, in statevectors: the state, the Program scratch,
+# the sampling driver's reference copy, full-state tables and temporaries
+RUN_STATEVECTORS = 12
 
 
 class MemoryBudgetError(MemoryError):
@@ -28,20 +31,24 @@ def backend() -> str:
 
 
 def check_budget(n_qubits: int, budget: int | None = None) -> None:
-    """Raise MemoryBudgetError when a 2**n_qubits complex statevector is over budget."""
-    budget = DEFAULT_MEMORY_BUDGET if budget is None else budget
-    required = 16 * (1 << n_qubits)
-    if required > budget:
-        raise MemoryBudgetError(
-            f"a {n_qubits}-qubit statevector needs {required} bytes, "
-            f"over the {budget}-byte budget"
-        )
+    """Raise MemoryBudgetError when a propagation run on n_qubits, which holds
+    RUN_STATEVECTORS 2**n_qubits complex statevectors, is over budget."""
+    _check(n_qubits, RUN_STATEVECTORS, budget)
 
 
 def allocate_state(n_qubits: int, budget: int | None = None) -> np.ndarray:
     """Zeroed 2**n_qubits complex statevector, refused when over budget."""
-    check_budget(n_qubits, budget)
+    _check(n_qubits, 1, budget)
     return np.zeros(1 << n_qubits, dtype=np.complex128)
+
+
+def _check(n_qubits: int, copies: int, budget: int | None) -> None:
+    budget = DEFAULT_MEMORY_BUDGET if budget is None else budget
+    one = 16 * (1 << n_qubits)
+    if copies * one > budget:
+        held = f" and a run holds {copies} of them" if copies > 1 else ""
+        raise MemoryBudgetError(f"a {n_qubits}-qubit statevector needs {one} bytes{held}, "
+                                f"over the {budget}-byte budget")
 
 
 def _state_qubits(state: np.ndarray, n_qubits: int) -> int:

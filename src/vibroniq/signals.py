@@ -28,15 +28,8 @@ class SpectrumSeries:
             raise SignalError("energies and intensities must align")
 
 
-def _as_series(autocorr) -> AutocorrSeries:
-    if isinstance(autocorr, AutocorrSeries):
-        return autocorr
-    times, values = autocorr
-    return AutocorrSeries(np.asarray(times, dtype=float), np.asarray(values, dtype=np.complex128))
-
-
 def spectrum(
-    autocorr,
+    autocorr: AutocorrSeries,
     tau_fs: float = 30.0,
     damp_d: bool = False,
     hbar: float = HBAR_EV_FS,
@@ -50,9 +43,8 @@ def spectrum(
     Intensities are E * S(E) with negative values clamped to zero, kept at
     positive energies and normalized to sum to 1.
     """
-    series = _as_series(autocorr)
-    t = series.times
-    a = series.values
+    t = autocorr.times
+    a = autocorr.values
     m = len(t)
     if m < 2:
         raise SignalError("need at least two autocorrelation samples")
@@ -80,21 +72,20 @@ def spectrum(
     return SpectrumSeries(energies, intensities / total, 2.0 * math.pi * hbar / (L * dt))
 
 
-def sample_autocorr(series, shots: int, seed=None) -> AutocorrSeries:
+def sample_autocorr(series: AutocorrSeries, shots: int, seed=None) -> AutocorrSeries:
     """Interferometer shot noise on each quadrature of each sample.
 
     Re A(t) is read from P(0) = (1 + Re A)/2 and Im A(t) from
     P(1) = (1 + Im A)/2, with `shots` repetitions per quadrature.
     """
-    src = _as_series(series)
     if shots < 1:
         raise SignalError(f"shots must be positive, got {shots}")
     rng = np.random.default_rng(seed)
-    p_re = np.clip(0.5 * (1.0 + src.values.real), 0.0, 1.0)
-    p_im = np.clip(0.5 * (1.0 + src.values.imag), 0.0, 1.0)
+    p_re = np.clip(0.5 * (1.0 + series.values.real), 0.0, 1.0)
+    p_im = np.clip(0.5 * (1.0 + series.values.imag), 0.0, 1.0)
     re = 2.0 * rng.binomial(shots, p_re) / shots - 1.0
     im = 2.0 * rng.binomial(shots, p_im) / shots - 1.0
-    return AutocorrSeries(src.times.copy(), re + 1j * im)
+    return AutocorrSeries(series.times.copy(), re + 1j * im)
 
 
 def sample_spectrum_direct(spec: SpectrumSeries, shots: int, seed=None) -> SpectrumSeries:
@@ -140,7 +131,7 @@ def _first_sustained(shot_grid, curve, threshold: float, sustain: int) -> float:
 
 
 def shots_scan(
-    autocorr,
+    autocorr: AutocorrSeries,
     method: str = "autocorr",
     thresholds=DEFAULT_THRESHOLDS,
     seeds=range(10),
@@ -165,15 +156,14 @@ def shots_scan(
     if not seeds:
         raise SignalError("need at least one seed")
     grid = default_shot_grid() if shot_grid is None else np.asarray(shot_grid, dtype=int)
-    exact_ac = _as_series(autocorr)
-    exact_spec = spectrum(exact_ac, tau_fs=tau_fs, damp_d=damp_d)
+    exact_spec = spectrum(autocorr, tau_fs=tau_fs, damp_d=damp_d)
     per_seed = {thr: [] for thr in thresholds}
     curves = np.empty((len(seeds), len(grid)))
     for curve, seed in zip(curves, seeds):
         rng = np.random.default_rng(seed)
         for i, shots in enumerate(grid):
             if method == "autocorr":
-                noisy = sample_autocorr(exact_ac, int(shots), rng)
+                noisy = sample_autocorr(autocorr, int(shots), rng)
                 sampled = spectrum(noisy, tau_fs=tau_fs, damp_d=damp_d)
             else:
                 sampled = sample_spectrum_direct(exact_spec, int(shots), rng)

@@ -207,11 +207,10 @@ def _observe(state, advance, position, time_grid: TimeGrid, observers, plan=None
     """The sampling loop of both engines, recording the named observers at
     step 0 and after every sample_stride-th step.
 
-    state is the engine's flat statevector, electronic index on the top
-    qubit, in any unitary basis (autocorrelation and populations do not
-    depend on it), and advance(state) steps it in place. position(state)
-    returns a position-basis Wavepacket for boundary and energy, whose tables
-    come from `plan`, and for the final "state". Returns the series keyed by
+    state is the engine's flat position-basis statevector, electronic index
+    on the top qubit, and advance(state) steps it in place. position(state)
+    returns it as a Wavepacket for boundary and energy, whose tables come
+    from `plan`, and for the final "state". Returns the series keyed by
     observer name, plus "state".
     """
     unknown = set(observers) - set(OBSERVERS)

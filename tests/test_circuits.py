@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vibroniq import circuits
+from vibroniq import circuits, kernels
 from vibroniq.circuits import (
     KINDS,
     Circuit,
@@ -617,10 +617,25 @@ def test_kinetic_first_step_matches_soft(split_gamma):
     assert np.max(np.abs(r_soft["autocorr"].values - r_circ["autocorr"].values)) < 1e-8
 
 
+@pytest.mark.parametrize("split", SPLIT_ORDERS)
+def test_both_engines_charge_a_run_more_than_one_statevector(split, monkeypatch):
+    model = pyrazine_2mode()
+    one = 16 << (model.d * BOX3.n + 1)
+    monkeypatch.setattr(kernels, "DEFAULT_MEMORY_BUDGET", 2 * one)
+    kernels.allocate_state(model.d * BOX3.n + 1)  # one statevector fits
+    tg = TimeGrid(dt=0.13, n_steps=4, sample_stride=2)
+    message = f"a 7-qubit statevector needs {one} bytes and a run holds"
+    with pytest.raises(kernels.MemoryBudgetError, match=message):
+        PropagatorPlan(model, BOX3, tg.dt, split)
+    with pytest.raises(kernels.MemoryBudgetError, match=message):
+        circuit_propagate(model, BOX3, tg, split)
+
+
 def test_circuit_propagate_matches_soft_observers():
     cases = (
         (two_mode_tiny(), GridSpec(n=2, q_min=-5.0, q_max=5.0), "potential-first"),
         (pyrazine_2mode(), GridSpec(n=3, q_min=-5.0, q_max=5.0), "kinetic-first"),
+        (pyrazine_2mode(), GridSpec(n=5, q_min=-5.0, q_max=5.0), "kinetic-first"),
     )
     tg = TimeGrid(dt=0.5, n_steps=16, sample_stride=4)
     for model, grid, split in cases:
@@ -669,8 +684,15 @@ BOX3 = GridSpec(n=3, q_min=-4.0, q_max=4.0)
 
 
 def engine_step(model, grid, dt, split="potential-first"):
-    """A time step and the layout circuit_propagate compiles it with."""
-    return build_timestep(model, grid, dt, split), QubitLayout(model.d, grid.n)
+    """The circuit circuit_propagate compiles, a kinetic-first step between
+    its QFT walls, and its layout."""
+    step = build_timestep(model, grid, dt, split)
+    if split == "kinetic-first":
+        walled = circuits._qft_all(model, grid, inverse=False)
+        walled.append_circuit(step)
+        walled.append_circuit(circuits._qft_all(model, grid, inverse=True))
+        step = walled
+    return step, QubitLayout(model.d, grid.n)
 
 
 COMPILED_CASES = {
@@ -715,45 +737,70 @@ def test_compiled_program_matches_apply(case):
         assert np.max(np.abs(fused - plain)) < 1e-12
 
 
-def _soft_program(split):
-    return PropagatorPlan(get_model("pyrazine-4d"), BOX4, 0.13, split).program
+def _box(n):
+    return GridSpec(n=n, q_min=-5.0, q_max=5.0)
 
 
-def _circuit_program(model, split):
-    return compile(*engine_step(model, BOX4, 0.13, split))
+def _soft_program(n, split):
+    return PropagatorPlan(get_model("pyrazine-4d"), _box(n), 0.13, split).program
 
 
+def _circuit_program(model, n, split):
+    return compile(*engine_step(get_model(model), _box(n), 0.13, split))
+
+
+# the kinds are the same at every register width n
 ENGINE_PROGRAMS = {
-    "soft-4d-potential-first": (lambda: _soft_program("potential-first"),
+    "soft-4d-potential-first": (lambda n: _soft_program(n, "potential-first"),
                                 ["pointwise", "left", "left", "left", "right", "pointwise"]),
-    "soft-4d-kinetic-first": (lambda: _soft_program("kinetic-first"),
+    "soft-4d-kinetic-first": (lambda n: _soft_program(n, "kinetic-first"),
                               ["left", "left", "left", "right", "pointwise",
                                "left", "left", "left", "right"]),
     # potential run: merged phases, then Uc fused with the last register's
     # quadratic network; register run: one matrix per register, qubit 0 last
-    "circuit-4d-potential-first": (lambda: _circuit_program(get_model("pyrazine-4d"), "potential-first"),
+    "circuit-4d-potential-first": (lambda n: _circuit_program("pyrazine-4d", n, "potential-first"),
                                    ["phase", "left", "right", "left", "left", "left", "left", "phase"]),
-    "circuit-4d-kinetic-first": (lambda: _circuit_program(get_model("pyrazine-4d"), "kinetic-first"),
+    # each QFT wall joins the register run next to it
+    "circuit-4d-kinetic-first": (lambda n: _circuit_program("pyrazine-4d", n, "kinetic-first"),
                                  ["right", "left", "left", "left", "phase", "left",
                                   "right", "left", "left", "left"]),
-    "circuit-2mode-kinetic-first": (lambda: _circuit_program(pyrazine_2mode(), "kinetic-first"),
+    "circuit-2mode-potential-first": (lambda n: _circuit_program("pyrazine-2mode", n, "potential-first"),
+                                      ["phase", "left", "right", "left", "left", "phase"]),
+    "circuit-2mode-kinetic-first": (lambda n: _circuit_program("pyrazine-2mode", n, "kinetic-first"),
                                     ["right", "left", "phase", "left", "right", "left"]),
 }
 
 
-@pytest.mark.parametrize("name", list(ENGINE_PROGRAMS))
-def test_engine_program_census(name):
+# the production width n = 4 keeps the plain program name as its id
+@pytest.mark.parametrize("name, n", [pytest.param(name, n, id=name if n == 4 else f"{name}-n{n}")
+                                     for name in ENGINE_PROGRAMS for n in (3, 4, 5)])
+def test_engine_program_census(name, n):
     make, kinds = ENGINE_PROGRAMS[name]
-    program = make()
+    program = make(n)
     assert [how for _, how, _, _ in program.ops] == kinds
     # no engine operation gathers blocks of several registers
     assert all(moved is None for *_, moved in program.ops)
-    n = program.n_qubits
     for _, how, operand, _ in program.ops:
         if how == "phase":
-            assert operand.size == 1 << n
+            assert operand.size == 1 << program.n_qubits
         elif how in ("left", "right"):
-            assert operand.shape in ((16, 16), (32, 32))
+            assert operand.shape in ((1 << n, 1 << n), (2 << n, 2 << n))
+
+
+@pytest.mark.parametrize("split", SPLIT_ORDERS)
+def test_circuit_propagate_compiles_one_program(split, monkeypatch):
+    model = pyrazine_2mode()
+    compiled = []
+
+    def counting_compile(circuit, layout):
+        compiled.append(circuit)
+        return compile(circuit, layout)
+
+    monkeypatch.setattr(circuits, "compile", counting_compile)
+    tg = TimeGrid(dt=0.13, n_steps=4, sample_stride=2)
+    circuit_propagate(model, BOX3, tg, split, observers=OBSERVERS)
+    assert len(compiled) == 1
+    assert export_gates(compiled[0]) == export_gates(engine_step(model, BOX3, 0.13, split)[0])
 
 
 @pytest.mark.parametrize("model, split", [("pyrazine-4d", "potential-first"),

@@ -205,8 +205,22 @@ def test_a_grid_over_the_memory_budget_is_a_clean_error(command, tmp_path, capsy
 @pytest.mark.parametrize("command", ["propagate", "spectrum", "shots-scan", "verify", "qpe-demo"])
 @pytest.mark.parametrize("nt", [0, -4])
 def test_a_step_count_below_one_is_a_clean_error(command, nt, tmp_path, capsys):
-    assert main([command, "--nt", str(nt), "--out", str(tmp_path)]) == 1
+    out = [] if command == "verify" else ["--out", str(tmp_path)]
+    assert main([command, "--nt", str(nt), *out]) == 1
     assert capsys.readouterr().err == f"error: --nt must be at least 1, got {nt}\n"
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("zpe-scan", ["--seed", "1"]), ("zpe-scan", ["--n", "3"]), ("zpe-scan", ["--nt", "8"]),
+    ("zpe-scan", ["--total-fs", "2.0"]), ("zpe-scan", ["--stride", "2"]),
+    ("zpe-scan", ["--split-order", "kinetic-first"]), ("propagate", ["--seed", "1"]),
+    ("spectrum", ["--seed", "1"]), ("verify", ["--seed", "1"]), ("verify", ["--out", "x"]),
+])
+def test_a_flag_the_command_does_not_read_is_an_argparse_error(command, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, *flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
 
 
 def test_negative_qpe_shots_are_a_clean_error(tmp_path, capsys):
