@@ -11,12 +11,12 @@ carrying weight 2^i, the electronic qubit sits at d*n (|0> is S1, |1> is S2),
 an optional Hadamard-test ancilla at d*n+1, and any phase-readout register
 above that.
 
-Checking: a gate a caller builds (Gate(...) or Circuit.add) is checked when
-it is made, and add range-checks its qubits. A gate derived from a checked
-one (append_circuit, the per-register copies, controlled()) is not checked
-again; its derivation checks once that the qubit map sends the source qubits
-one-to-one into range. The CCRx expansion is made of checked Gates at their
-final layers.
+Checking: a gate is an immutable tuple of its fields, checked when a caller
+makes it (Gate(...) or Circuit.add, which also range-checks its qubits). A
+gate the package derives from checked ones (append_circuit, the
+per-register copies, controlled(), the CCRx expansion, the runs compile
+fuses) is not checked again; a derivation that moves qubits checks once
+that its qubit map sends the source qubits one-to-one into range.
 
 Running: apply replays the gate list gate by gate and is the reference.
 compile turns a circuit into a few operations, each computed from its gates
@@ -40,6 +40,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,27 +58,31 @@ _H_MAT = np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2)
 _X_MAT = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 
 
-@dataclass(frozen=True, slots=True)
-class Gate:
-    """One gate: base kind, target qubit(s), control (qubit, polarity) list."""
-
+class _GateFields(NamedTuple):
     kind: str
     targets: tuple[int, ...]
     controls: tuple[tuple[int, int], ...] = ()
     theta: float | None = None
     layer: int = 0
 
-    def __post_init__(self) -> None:
-        kind, targets, controls = self.kind, self.targets, self.controls
+
+class Gate(_GateFields):
+    """One gate: base kind, target qubit(s), control (qubit, polarity) list.
+
+    An immutable tuple of its fields, checked when a caller makes it."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind, targets, controls=(), theta=None, layer=0):
         if kind not in KINDS:
             raise CircuitError(f"unknown gate kind {kind!r}")
         want_targets = _N_TARGETS[kind]
         if len(targets) != want_targets or (want_targets == 2 and targets[0] == targets[1]):
             raise CircuitError(f"{kind} needs {want_targets} distinct target(s), got {targets}")
         if kind in PARAM_KINDS:
-            if self.theta is None or not math.isfinite(self.theta):
-                raise CircuitError(f"{kind} needs a finite angle, got {self.theta}")
-        elif self.theta is not None:
+            if theta is None or not math.isfinite(theta):
+                raise CircuitError(f"{kind} needs a finite angle, got {theta}")
+        elif theta is not None:
             raise CircuitError(f"{kind} takes no angle")
         if controls:
             seen = set(targets)
@@ -88,21 +93,12 @@ class Gate:
             for _, pol in controls:
                 if pol not in (0, 1):
                     raise CircuitError(f"control polarity must be 0 or 1, got {pol}")
+        return tuple.__new__(cls, (kind, targets, controls, theta, layer))
 
 
-_new_gate = object.__new__
-_set_field = object.__setattr__
-
-
-def _derived_gate(kind, targets, controls, theta, layer) -> Gate:
-    """A Gate made without __post_init__, for gates derived from checked ones."""
-    g = _new_gate(Gate)
-    _set_field(g, "kind", kind)
-    _set_field(g, "targets", targets)
-    _set_field(g, "controls", controls)
-    _set_field(g, "theta", theta)
-    _set_field(g, "layer", layer)
-    return g
+def _derived_gate(*fields) -> Gate:
+    """A Gate made without the checks, for gates derived from checked ones."""
+    return tuple.__new__(Gate, fields)
 
 
 class Circuit:
@@ -145,7 +141,7 @@ class Circuit:
         """Append unchecked copies of checked gates on n qubits, qubit q moved to
         qubit_map[q] (None: the identity, checked once) and layers shifted by offset."""
         identity = tuple(range(n))
-        qmap = identity if qubit_map is None else tuple(qubit_map)[:n]
+        qmap = identity if qubit_map is None else tuple(qubit_map)
         if len(qmap) != n or len(set(qmap)) != n or min(qmap) < 0 or max(qmap) >= self.n_qubits:
             raise CircuitError(f"qubit map {qmap} does not send {n} qubits one-to-one "
                                f"into the {self.n_qubits}-qubit circuit")
@@ -387,6 +383,8 @@ def build_state_prep(n: int, amplitudes: np.ndarray) -> Circuit:
     amps = np.asarray(amplitudes, dtype=float)
     if amps.size != 1 << n:
         raise CircuitError(f"expected {1 << n} amplitudes, got {amps.size}")
+    if not np.all(np.isfinite(amps)):
+        raise CircuitError("amplitudes must be finite")
     if np.any(amps < 0):
         raise CircuitError("amplitudes must be nonnegative")
     if abs(np.sum(amps**2) - 1.0) > 1e-9:
@@ -596,7 +594,7 @@ def _qft_all(model: VibronicModel, grid: GridSpec, inverse: bool) -> Circuit:
 
 
 def decompose_ccrx(gate: Gate) -> list[Gate]:
-    """Expand a doubly controlled Rx into 5 two-qubit gates (exact)."""
+    """Expand a doubly controlled Rx into 5 derived two-qubit gates (exact)."""
     if gate.kind != "RX" or len(gate.controls) != 2:
         raise CircuitError(f"expected a doubly controlled RX, got {gate}")
     (a, pa), (b, pb) = gate.controls
@@ -606,11 +604,11 @@ def decompose_ccrx(gate: Gate) -> list[Gate]:
     half = gate.theta / 2.0
     lay = gate.layer
     return [
-        Gate("RX", (t,), ((b, 1),), half, lay),
-        Gate("X", (b,), ((a, 1),), None, lay + 1),
-        Gate("RX", (t,), ((b, 1),), -half, lay + 2),
-        Gate("X", (b,), ((a, 1),), None, lay + 3),
-        Gate("RX", (t,), ((a, 1),), half, lay + 4),
+        _derived_gate("RX", (t,), ((b, 1),), half, lay),
+        _derived_gate("X", (b,), ((a, 1),), None, lay + 1),
+        _derived_gate("RX", (t,), ((b, 1),), -half, lay + 2),
+        _derived_gate("X", (b,), ((a, 1),), None, lay + 3),
+        _derived_gate("RX", (t,), ((a, 1),), half, lay + 4),
     ]
 
 
@@ -710,15 +708,13 @@ def build_timestep(
     if split_order == "potential-first":
         if model.bilinear_diag or model.bilinear_off:
             raise CircuitError("bilinear terms use the kinetic-first split")
-        circ.append_circuit(build_Udiag_pair(model, grid, dt))
-        circ.append_circuit(build_Uc(model, grid, dt))
-        circ.append_circuit(_qft_all(model, grid, inverse=False))
-        circ.append_circuit(build_UK(model, grid, dt))
-        circ.append_circuit(_qft_all(model, grid, inverse=True))
-        circ.append_circuit(build_Uc(model, grid, dt))
-        circ.append_circuit(build_Udiag_pair(model, grid, dt))
+        udiag, uc = build_Udiag_pair(model, grid, dt), build_Uc(model, grid, dt)
+        for block in (udiag, uc, _qft_all(model, grid, inverse=False), build_UK(model, grid, dt),
+                      _qft_all(model, grid, inverse=True), uc, udiag):
+            circ.append_circuit(block)
         return circ
-    circ.append_circuit(build_UK(model, grid, dt / 2.0))
+    uk_half = build_UK(model, grid, dt / 2.0)
+    circ.append_circuit(uk_half)
     circ.append_circuit(_qft_all(model, grid, inverse=True))
     circ.append_circuit(build_Udiag_pair(model, grid, 2.0 * dt))
     _append_bilinear_diag_groups(circ, model, grid, dt)
@@ -727,7 +723,7 @@ def build_timestep(
     fold_layer = circ._layer if uc.gates else None
     _append_bilinear_offdiag(circ, model, grid, dt, fold_layer)
     circ.append_circuit(_qft_all(model, grid, inverse=False))
-    circ.append_circuit(build_UK(model, grid, dt / 2.0))
+    circ.append_circuit(uk_half)
     return circ
 
 

@@ -7,6 +7,7 @@ Phase angles therefore divide an energy times a time by the model's
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, asdict
 from importlib import resources as importlib_resources
 from pathlib import Path
@@ -48,13 +49,15 @@ class ModeParams:
     kappa2: float | None = None
 
     def __post_init__(self) -> None:
-        if self.omega <= 0:
-            raise ModelError(f"mode {self.label}: omega must be positive, got {self.omega}")
+        if not (math.isfinite(self.omega) and self.omega > 0):
+            raise ModelError(f"mode {self.label}: omega must be positive and finite, got {self.omega}")
         if self.symmetry not in SYMMETRIES:
             raise ModelError(f"mode {self.label}: unknown symmetry {self.symmetry!r}")
         if (self.kappa1 is None) != (self.kappa2 is None):
             raise ModelError(f"mode {self.label}: kappa1 and kappa2 must be given together")
         has_kappa = self.kappa1 is not None
+        if has_kappa and not (math.isfinite(self.kappa1) and math.isfinite(self.kappa2)):
+            raise ModelError(f"mode {self.label}: kappas must be finite, got {self.kappa1}, {self.kappa2}")
         if has_kappa != (self.symmetry == "Ag"):
             raise ModelError(
                 f"mode {self.label}: linear couplings are carried by Ag modes only "
@@ -104,6 +107,15 @@ class VibronicModel:
         labels = [m.label for m in self.modes]
         if len(set(labels)) != len(labels):
             raise ModelError(f"duplicate mode labels: {labels}")
+        numbers = [("lam", self.lam), ("delta", self.delta)]
+        numbers += [(f"gamma of pair ({p.l},{p.m})", g)
+                    for p in self.bilinear_diag for g in (p.gamma1, p.gamma2)]
+        numbers += [(f"mu of pair ({p.l},{p.m})", p.mu) for p in self.bilinear_off]
+        for name, value in numbers:
+            if not math.isfinite(value):
+                raise ModelError(f"{name} must be finite, got {value}")
+        if not (math.isfinite(self.hbar) and self.hbar > 0):
+            raise ModelError(f"hbar must be positive and finite, got {self.hbar}")
         d = len(self.modes)
         for pair in self.bilinear_diag + self.bilinear_off:
             if not (0 <= pair.l < d and 0 <= pair.m < d):
@@ -287,6 +299,8 @@ class GridSpec:
     def __post_init__(self) -> None:
         if self.n < 2:
             raise ModelError(f"need at least 2 qubits per mode, got {self.n}")
+        if not (math.isfinite(self.q_min) and math.isfinite(self.q_max)):
+            raise ModelError(f"coordinate range [{self.q_min}, {self.q_max}] must be finite")
         if not self.q_min < self.q_max:
             raise ModelError(f"empty coordinate range [{self.q_min}, {self.q_max}]")
         if self.convention not in ("periodic", "endpoint"):
@@ -327,8 +341,8 @@ class TimeGrid:
     sample_stride: int = 1
 
     def __post_init__(self) -> None:
-        if self.dt <= 0:
-            raise ModelError(f"dt must be positive, got {self.dt}")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ModelError(f"dt must be positive and finite, got {self.dt}")
         if self.n_steps < 1:
             raise ModelError(f"need at least one step, got {self.n_steps}")
         if not 1 <= self.sample_stride <= self.n_steps:

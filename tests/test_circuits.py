@@ -1,4 +1,4 @@
-import dataclasses
+import hashlib
 import math
 import re
 
@@ -85,7 +85,7 @@ def bilinear_tiny(split_gamma=False):
 # ---------------------------------------------------------------------------
 
 
-# one case per check in Gate.__post_init__: (Gate/add arguments, message)
+# one case per check in Gate.__new__: (Gate/add arguments, message)
 CONSTRUCTION_ERRORS = [
     (("CZ", (0,)), "unknown gate kind 'CZ'"),
     (("SWAP", (0,)), "SWAP needs 2 distinct target(s), got (0,)"),
@@ -121,7 +121,7 @@ def test_add_stores_tuples():
     assert type(g.targets) is tuple
     assert all(type(ctl) is tuple for ctl in g.controls)
     assert not hasattr(g, "__dict__")
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         g.layer = 3
 
 
@@ -129,8 +129,8 @@ def test_append_circuit_checks_the_qubit_map():
     src = Circuit(2)
     src.add("H", (0,))
     src.add("X", (1,), ((0, 1),))
-    # not one-to-one, out of range either way, too short
-    for qmap in ([2, 2], [0, 4], [-1, 0], [3]):
+    # not one-to-one, out of range either way, too short, too long
+    for qmap in ([2, 2], [0, 4], [-1, 0], [3], [2, 3, 0, 1]):
         dst = Circuit(4)
         with pytest.raises(CircuitError, match=re.escape("one-to-one into the 4-qubit circuit")):
             dst.append_circuit(src, qubit_map=qmap)
@@ -365,6 +365,8 @@ def test_state_prep_validation():
         build_state_prep(2, np.array([-0.5, 0.5, 0.5, 0.5]))
     with pytest.raises(CircuitError):
         build_state_prep(2, np.array([1.0, 1.0, 0.0, 0.0]))
+    with pytest.raises(CircuitError, match="amplitudes must be finite"):
+        build_state_prep(2, np.array([math.nan, 0.5, 0.5, 0.5]))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -968,3 +970,46 @@ def test_export_gates_format():
     assert lines[1] == "H t=0 layer=0"
     assert lines[2] == "U1 t=1 c=0:1,2:0 theta=0.5 layer=1"
     assert lines[3] == "SWAP t=0,2 layer=2"
+
+
+# sha256 of export_gates for three standard steps on the periodic [-5, 5]
+# grid at n = 4 with dt = 264/2048 fs: (model, split, gates, depth, digest)
+PINNED_STEPS = [
+    ("pyrazine-4d", "potential-first", 370, 90,
+     "13e25388b2ed43717ac72f8c18f2e0bf3aab2c96324b6938366951ff5b9658e1"),
+    ("pyrazine-2mode", "kinetic-first", 169, 81,
+     "f1a2f52101d22a145fed21555b6609a2626f9f65db476edbed449439d54a8ff5"),
+    ("pyrazine-24d-placeholder", "kinetic-first", 5006, 2497,
+     "c76f584451beff717fd68f4a42feae9414625a022c340c84981a781ed0966445"),
+]
+
+
+@pytest.mark.parametrize("name, split, gates, depth, digest", PINNED_STEPS)
+def test_export_gates_of_the_standard_steps_is_pinned(name, split, gates, depth, digest):
+    step = build_timestep(get_model(name), GridSpec(4, -5.0, 5.0), 264.0 / 2048, split)
+    assert (step.gate_count(), step.depth()) == (gates, depth)
+    assert hashlib.sha256(export_gates(step).encode()).hexdigest() == digest
+
+
+def _emitted_circuits(name, split):
+    """The step at n = 2-5 and its controlled form, and the wavepacket
+    preparation; for "qpe-demo", the qpe-demo command's phase estimation."""
+    if name == "qpe-demo":
+        model = VibronicModel(modes=(ModeParams("nu", 0.0936, "B1g"),), lam=0.0, delta=0.0)
+        yield build_qpe(build_timestep(model, GridSpec(3, -6.0, 6.0), 1.0), 6)
+        return
+    model = get_model(name)
+    for n in (2, 3, 4, 5):
+        step = build_timestep(model, GridSpec(n, -5.0, 5.0), 264.0 / 2048, split)
+        yield step
+        yield step.controlled(step.n_qubits)
+    yield prepare_wavepacket(model, GridSpec(4, -5.0, 5.0))
+
+
+@pytest.mark.parametrize("name, split", [("pyrazine-4d", "potential-first"), ("pyrazine-4d", "kinetic-first"),
+                                         ("pyrazine-24d-placeholder", "kinetic-first"), ("qpe-demo", None)])
+def test_every_emitted_gate_passes_the_checks(name, split):
+    # derived gates skip the checks a caller's gates get; each must pass them
+    for circ in _emitted_circuits(name, split):
+        for g in circ.gates:
+            assert type(g) is Gate and Gate(*g) == g

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -221,6 +222,22 @@ def test_a_flag_the_command_does_not_read_is_an_argparse_error(command, flag, ca
         main([command, *flag])
     assert exc.value.code == 2
     assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+
+
+def test_a_non_finite_total_time_is_a_clean_error(tmp_path, capsys):
+    args = ["propagate", "--total-fs", "nan", "--nt", "4", "--n", "2", "--stride", "2"]
+    assert main([*args, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "error: dt must be positive and finite, got nan\n"
+
+
+def test_a_model_file_with_zero_hbar_is_a_clean_error(tmp_path, capsys):
+    data = json.loads(serialize(pyrazine_2mode()))
+    data["hbar"] = 0
+    path = tmp_path / "zero_hbar.json"
+    path.write_text(json.dumps(data))
+    args = ["propagate", "--model", str(path), "--nt", "4", "--n", "2", "--stride", "2"]
+    assert main([*args, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "error: hbar must be positive and finite, got 0.0\n"
 
 
 def test_negative_qpe_shots_are_a_clean_error(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -123,6 +124,39 @@ def test_grid_spec_validation():
         GridSpec(n=3, q_min=1.0, q_max=1.0)
     with pytest.raises(ModelError):
         GridSpec(n=3, q_min=-1.0, q_max=1.0, convention="wrapped")
+
+
+NON_FINITE = [
+    (lambda: TimeGrid(dt=math.nan, n_steps=4), "dt must be positive and finite, got nan"),
+    (lambda: TimeGrid(dt=math.inf, n_steps=4), "dt must be positive and finite, got inf"),
+    (lambda: GridSpec(4, -math.inf, 1.0), "coordinate range [-inf, 1.0] must be finite"),
+    (lambda: GridSpec(4, -1.0, math.nan), "coordinate range [-1.0, nan] must be finite"),
+    (lambda: ModeParams("x", math.nan, "B1g"), "mode x: omega must be positive and finite, got nan"),
+    (lambda: ModeParams("x", math.inf, "B1g"), "mode x: omega must be positive and finite, got inf"),
+    (lambda: ModeParams("x", 0.1, "Ag", kappa1=math.nan, kappa2=0.0),
+     "mode x: kappas must be finite, got nan, 0.0"),
+    (lambda: ModeParams("x", 0.1, "Ag", kappa1=0.0, kappa2=-math.inf),
+     "mode x: kappas must be finite, got 0.0, -inf"),
+    (lambda: dataclasses.replace(pyrazine_2mode(), lam=math.nan), "lam must be finite, got nan"),
+    (lambda: dataclasses.replace(pyrazine_2mode(), delta=math.inf), "delta must be finite, got inf"),
+    (lambda: dataclasses.replace(pyrazine_2mode(), hbar=0.0), "hbar must be positive and finite, got 0.0"),
+    (lambda: dataclasses.replace(pyrazine_2mode(), hbar=-1.0), "hbar must be positive and finite, got -1.0"),
+    (lambda: dataclasses.replace(pyrazine_2mode(), hbar=math.inf), "hbar must be positive and finite, got inf"),
+    (lambda: VibronicModel(modes=(ModeParams("a", 0.1, "Ag", kappa1=0.0, kappa2=0.0),
+                                  ModeParams("b", 0.1, "Ag", kappa1=0.0, kappa2=0.0)),
+                           lam=0.0, delta=0.0, bilinear_diag=(BilinearDiag(0, 1, 0.1, math.nan),)),
+     "gamma of pair (0,1) must be finite, got nan"),
+    (lambda: VibronicModel(modes=(ModeParams("a", 0.1, "Ag", kappa1=0.0, kappa2=0.0),
+                                  ModeParams("c", 0.1, "B1g")),
+                           lam=0.0, delta=0.0, bilinear_off=(BilinearOff(0, 1, math.inf),)),
+     "mu of pair (0,1) must be finite, got inf"),
+]
+
+
+@pytest.mark.parametrize("make, message", NON_FINITE)
+def test_non_finite_numbers_are_model_errors(make, message):
+    with pytest.raises(ModelError, match=re.escape(message)):
+        make()
 
 
 def test_grid_points_conventions():
