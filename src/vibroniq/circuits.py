@@ -30,7 +30,11 @@ the greedy fuser too. circuit_propagate compiles one program per call and
 runs it as a kernels.Program, the executor of the soft engine's step too,
 through the soft engine's sampling driver, holding the position basis in
 both split orders: a kinetic-first step is compiled between its QFT walls,
-each wall joining the register run next to it. The interferometer readout
+each wall joining the register run next to it. The sampling loop advances
+k steps at a time with the program's stepper, which merges the closing
+half-step of one step into the opening half-step of the next: the two
+full-state phase tables for potential-first, the d walled register matrices
+(in register order at both ends) for kinetic-first. The interferometer readout
 (hadamard_series) runs no state of its own: its ancilla-controlled step acts
 as the plain step on the ancilla-set half, so it reads A(t) from
 circuit_propagate's autocorrelation.
@@ -94,6 +98,11 @@ class Gate(_GateFields):
                 if pol not in (0, 1):
                     raise CircuitError(f"control polarity must be 0 or 1, got {pol}")
         return tuple.__new__(cls, (kind, targets, controls, theta, layer))
+
+    @classmethod
+    def _make(cls, iterable) -> "Gate":
+        """A checked Gate from its fields; _replace goes through it too."""
+        return cls(*iterable)
 
 
 def _derived_gate(*fields) -> Gate:
@@ -848,10 +857,11 @@ def circuit_propagate(
     """Propagate through repeated emulated time-step circuits.
 
     Records the same observers as soft.propagate through the same driver,
-    advancing with one program compiled per call. The state stays in the
-    position basis, as in the soft engine: a kinetic-first step, which
-    holds the transformed basis, is compiled between its QFT walls
-    (forward wall, step, inverse wall).
+    advancing with one program compiled per call, k steps at a time
+    through its stepper. The state stays in the position basis, as in the
+    soft engine: a kinetic-first step, which holds the transformed basis, is
+    compiled between its QFT walls (forward wall, step, inverse wall). The
+    energy observer reads a soft.GridHamiltonian.
     """
     layout = QubitLayout(model.d, grid.n)
     kernels.check_budget(layout.total)
@@ -863,9 +873,10 @@ def circuit_propagate(
         step = walled
     program = compile(step, layout)
     state = wavepacket_to_state(initial_state(model, grid))
-    plan = _soft.PropagatorPlan(model, grid, time_grid.dt, split_order) if "energy" in observers else None
-    return _soft._observe(state, program.run, lambda s: state_to_wavepacket(s, model.d, grid.n),
-                          time_grid, observers, plan)
+    ham = _soft.GridHamiltonian(model, grid) if "energy" in observers else None
+    advance = program.stepper(_soft._half_step_ops(split_order, model.d))
+    return _soft._observe(state, advance, lambda s: state_to_wavepacket(s, model.d, grid.n),
+                          time_grid, observers, ham)
 
 
 # ---------------------------------------------------------------------------

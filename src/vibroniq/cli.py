@@ -189,7 +189,7 @@ def cmd_qpe_demo(args) -> int:
 
     model = VibronicModel(modes=(ModeParams("nu", 0.0936, "B1g"),), lam=0.0, delta=0.0)
     grid = _grid_from_args(args)
-    dt = _dt_from_args(args)
+    dt = TimeGrid(dt=_dt_from_args(args), n_steps=args.nt).dt
     step_circ = circuits.build_timestep(model, grid, dt)
     u = circuits.unitary_of(step_circ)
     w, v = np.linalg.eig(u)

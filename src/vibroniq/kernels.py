@@ -177,13 +177,39 @@ def _apply_op(op: tuple, cur: np.ndarray, spare: np.ndarray) -> tuple:
     return spare, cur
 
 
+def _bridge(tail: tuple, head: tuple) -> tuple:
+    """The one operation that applies `tail` and then `head`, two operations
+    of the same kind on the same view: the product of the phase tables or of
+    the pointwise 2x2s, H @ T for "left" and T @ H for "right", whose
+    operands are transposes."""
+    shape, how, t, moved = tail
+    if moved is not None or head[3] is not None:
+        raise CircuitError("cannot merge a gathering operation")
+    if (how, shape) != (head[1], head[0]):
+        raise CircuitError(f"cannot merge a {how} operation on {shape} "
+                           f"with a {head[1]} operation on {head[0]}")
+    h = head[2]
+    if how == "phase":
+        return shape, how, h * t, None
+    if how == "pointwise":
+        (h00, h01, h10, h11), (t00, t01, t10, t11) = h, t
+        return shape, how, (h00 * t00 + h01 * t10, h00 * t01 + h01 * t11,
+                            h10 * t00 + h11 * t10, h10 * t01 + h11 * t11), None
+    return shape, how, h @ t if how == "left" else t @ h, None
+
+
 class Program:
     """Operations run in order: run(state) applies them in place and returns
     the state, which may live on more qubits than n_qubits. Phases and
     pointwise 2x2s work in place; every other operation writes to one reused
-    scratch buffer, which then swaps roles with the state. A program with an
-    even count of those ends in the state; an odd count costs one copy back.
-    Both soft steps are even."""
+    scratch buffer, which then swaps roles with the state, and a run that
+    ends in the scratch costs one copy back.
+
+    stepper(halves) runs the program k times as one block. The `halves`
+    operations at each end form the step's outer half-step and act on
+    disjoint qubits, so across the boundary of two steps tail op i meets
+    head op i; the bridge applies each such pair as one operation. Every
+    block copies back at most once, not once per step."""
 
     def __init__(self, n_qubits: int, ops: list[tuple]):
         self.n_qubits = n_qubits
@@ -197,9 +223,33 @@ class Program:
         return self._scratch
 
     def run(self, state: np.ndarray) -> np.ndarray:
+        return self._run(state, self.ops)
+
+    def stepper(self, halves: int):
+        """advance(state, k): the program run k times over the state in
+        place, as the opening half, the body, k - 1 times the bridge and the
+        body, and the closing half, with at most one copy back per block.
+        The bridge is built on the first call with k >= 2 and lives as long
+        as advance; a pair of head and tail operations that cannot merge
+        raises CircuitError then."""
+        if not 1 <= halves <= len(self.ops) // 2:
+            raise CircuitError(f"{halves} operations at each end of a {len(self.ops)}-operation program")
+        head, body, tail = self.ops[:halves], self.ops[halves:-halves], self.ops[-halves:]
+        bridge: list[tuple] = []
+
+        def advance(state: np.ndarray, k: int) -> np.ndarray:
+            if k < 1:
+                return state
+            if k > 1 and not bridge:
+                bridge[:] = [_bridge(t, h) for t, h in zip(tail, head)]
+            return self._run(state, head + body + (bridge + body) * (k - 1) + tail)
+
+        return advance
+
+    def _run(self, state: np.ndarray, ops) -> np.ndarray:
         _state_qubits(state, self.n_qubits)
         cur, spare = state, self.scratch(state)
-        for op in self.ops:
+        for op in ops:
             cur, spare = _apply_op(op, cur, spare)
         if cur is not state:
             state[...] = cur

@@ -11,7 +11,11 @@ V/2 . K . V/2 with the coupling rotation applied innermost (diag, coupling,
 K, coupling, diag), so the scheme stays second order; "kinetic-first" is
 K/2 . V . K/2 with the potential applied once per step, the layout used by
 the second-order (bilinear) model. The plan compiles the step once into a
-kernels.Program, the executor the circuit engine runs too.
+kernels.Program, the executor the circuit engine runs too. The sampling
+loop shared by both engines advances with advance(state, k), k steps
+between two samples: each step's closing half-step and the next step's
+opening half-step are applied as one merged operation (Strang merging), so
+a block of k steps costs k - 1 half-steps fewer than k single steps.
 """
 from __future__ import annotations
 
@@ -75,42 +79,66 @@ def _dft_conjugate(grid: GridSpec, diag: np.ndarray) -> np.ndarray:
     return dft.conj().T @ (diag[:, None] * dft)
 
 
+def _mode_blocks(d: int, n: int) -> list[range]:
+    """Qubit block of each mode axis k in the flattened (2, N, ..., N) amplitudes."""
+    return [range((d - 1 - k) * n, (d - k) * n) for k in range(d)]
+
+
 @dataclass
-class PropagatorPlan:
-    """One time step compiled once into a kernels.Program over the flattened
+class GridHamiltonian:
+    """The terms of H on the grid that energy applies, over the flattened
     (2, N, ..., N) amplitudes: electronic index on the top qubit, mode axis k
-    on the qubit block [(d-1-k) n, (d-k) n). Mode k's kinetic propagator
-    F^dagger diag(exp(-i K_k t/hbar)) F acts on its block, and C.D (diagonal
-    potential phases D, then the coupling rotation C) pointwise on the top
-    qubit; potential-first closes with D.C, tables 01 and 10 swapped. p2[k]
-    applies the kinetic energy per unit omega, F^dagger diag(p^2/2) F, on axis k.
-    """
+    on the qubit block [(d-1-k) n, (d-k) n). vtab holds V_s(Q), ctab the
+    coupling field c(Q), and p2[k] applies the kinetic energy per unit
+    omega, F^dagger diag(p^2/2) F, on axis k. The circuit engine's energy
+    observer builds only this; a PropagatorPlan is one too."""
 
     model: VibronicModel
     grid: GridSpec
-    dt: float
-    split_order: str = "potential-first"
     vtab: np.ndarray = field(init=False, repr=False)
     ctab: np.ndarray = field(init=False, repr=False)
     p2: list = field(init=False, repr=False)
+    _spare: np.ndarray | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        d, n = self.model.d, self.grid.n
+        kernels.check_budget(d * n + 1)
+        self.vtab = _diagonal_potentials(self.model, self.grid)
+        self.ctab = _coupling_field(self.model, self.grid)
+        p2 = _dft_conjugate(self.grid, 0.5 * momentum_points(self.grid) ** 2)
+        self.p2 = [kernels.register_op(b, p2) for b in _mode_blocks(d, n)]
+
+    def scratch(self, flat: np.ndarray) -> np.ndarray:
+        """The reused complex buffer of the flat amplitudes' shape that
+        energy writes its p2 products to."""
+        if self._spare is None or self._spare.shape != flat.shape:
+            self._spare = np.empty(flat.shape, dtype=np.complex128)
+        return self._spare
+
+
+@dataclass
+class PropagatorPlan(GridHamiltonian):
+    """One time step compiled once into a kernels.Program over the
+    GridHamiltonian's layout. Mode k's kinetic propagator
+    F^dagger diag(exp(-i K_k t/hbar)) F acts on its block, and C.D (diagonal
+    potential phases D, then the coupling rotation C) pointwise on the top
+    qubit; potential-first closes with D.C, tables 01 and 10 swapped.
+    """
+
+    dt: float
+    split_order: str = "potential-first"
     program: kernels.Program = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.split_order not in SPLIT_ORDERS:
             raise ValueError(f"unknown split order {self.split_order!r}")
+        super().__post_init__()
         d, n, hbar = self.model.d, self.grid.n, self.model.hbar
-        kernels.check_budget(d * n + 1)
-        self.vtab = _diagonal_potentials(self.model, self.grid)
-        self.ctab = _coupling_field(self.model, self.grid)
         pot_first = self.split_order == "potential-first"
         pot_frac, kin_frac = (0.5, 1.0) if pot_first else (1.0, 0.5)
-        blocks = [range((d - 1 - k) * n, (d - k) * n) for k in range(d)]
-        p_sq = momentum_points(self.grid) ** 2
-        kin_phase = -0.5j * p_sq * (kin_frac * self.dt / hbar)
+        kin_phase = -0.5j * momentum_points(self.grid) ** 2 * (kin_frac * self.dt / hbar)
         kin = [kernels.register_op(b, _dft_conjugate(self.grid, np.exp(mode.omega * kin_phase)))
-               for b, mode in zip(blocks, self.model.modes)]
-        p2 = _dft_conjugate(self.grid, 0.5 * p_sq)
-        self.p2 = [kernels.register_op(b, p2) for b in blocks]
+               for b, mode in zip(_mode_blocks(d, n), self.model.modes)]
         # in place, phases first into the diagonal slots, to keep peak memory low
         pot_t = pot_frac * self.dt / hbar
         pot = np.empty((4,) + self.ctab.shape, dtype=np.complex128)
@@ -125,8 +153,11 @@ class PropagatorPlan:
         dc = kernels.pointwise_op((pot[0], pot[2], pot[1], pot[3]))
         self.program = kernels.Program(d * n + 1, [cd, *kin, dc] if pot_first else [*kin, cd, *kin])
 
+    def scratch(self, flat: np.ndarray) -> np.ndarray:
+        return self.program.scratch(flat)
 
-def _amplitudes(plan: PropagatorPlan, psi: Wavepacket) -> np.ndarray:
+
+def _amplitudes(plan: GridHamiltonian, psi: Wavepacket) -> np.ndarray:
     """psi's amplitudes; a ValueError when their shape is not the plan's."""
     shape = (2,) + plan.ctab.shape
     if psi.amplitudes.shape != shape:
@@ -189,7 +220,7 @@ def boundary_maxima(psi: Wavepacket) -> np.ndarray:
     return out
 
 
-def energy(plan: PropagatorPlan, psi: Wavepacket) -> float:
+def energy(plan: GridHamiltonian, psi: Wavepacket) -> float:
     """<H> = <V_diag> + <c(Q) X> + <K>, with <K> = sum_k omega_k <a|p2_k a>."""
     a = _amplitudes(plan, psi)
     prob = np.abs(a) ** 2
@@ -197,10 +228,17 @@ def energy(plan: PropagatorPlan, psi: Wavepacket) -> float:
     ec = float(np.sum(plan.ctab * 2.0 * np.real(np.conj(a[0]) * a[1])))
     # each p2 operation is dense on one register: it writes only the scratch
     flat = a.reshape(-1)
-    spare = plan.program.scratch(flat)
+    spare = plan.scratch(flat)
     ek = sum(mode.omega * np.vdot(flat, kernels._apply_op(op, flat, spare)[0]).real
              for op, mode in zip(plan.p2, plan.model.modes))
     return ev + ec + float(ek)
+
+
+def _half_step_ops(split_order: str, d: int) -> int:
+    """Operations at each end of either engine's compiled step that form its
+    outer half-step: the potential for potential-first, one kinetic matrix
+    per mode register, in register order, for kinetic-first."""
+    return 1 if split_order == "potential-first" else d
 
 
 def _observe(state, advance, position, time_grid: TimeGrid, observers, plan=None) -> dict:
@@ -208,10 +246,11 @@ def _observe(state, advance, position, time_grid: TimeGrid, observers, plan=None
     step 0 and after every sample_stride-th step.
 
     state is the engine's flat position-basis statevector, electronic index
-    on the top qubit, and advance(state) steps it in place. position(state)
+    on the top qubit, and advance(state, k) makes k steps in place, as one
+    block between two samples (kernels.Program.stepper). position(state)
     returns it as a Wavepacket for boundary and energy, whose tables come
-    from `plan`, and for the final "state". Returns the series keyed by
-    observer name, plus "state".
+    from `plan`, a GridHamiltonian, and for the final "state". Returns the
+    series keyed by observer name, plus "state".
     """
     unknown = set(observers) - set(OBSERVERS)
     if unknown:
@@ -232,11 +271,12 @@ def _observe(state, advance, position, time_grid: TimeGrid, observers, plan=None
             if "energy" in rows:
                 rows["energy"].append(energy(plan, psi))
 
+    stride = time_grid.sample_stride
     record(state)
-    for s in range(1, time_grid.n_steps + 1):
-        advance(state)
-        if s % time_grid.sample_stride == 0:
-            record(state)
+    for _ in range(time_grid.n_steps // stride):
+        advance(state, stride)
+        record(state)
+    advance(state, time_grid.n_steps % stride)
     times = time_grid.sample_times()
     out: dict = {}
     if "autocorr" in rows:
@@ -260,12 +300,13 @@ def propagate(
 ) -> dict:
     """Run n_steps steps, recording observables every sample_stride steps.
 
-    psi0 is copied once and the copy is stepped in place. Returns a dict
-    keyed by observer name; "state" (the final Wavepacket) is always included.
+    psi0 is copied once and the copy is stepped in place, stride steps at
+    a time through the program's stepper. Returns a dict keyed by observer
+    name; "state" (the final Wavepacket) is always included.
     """
     a = np.array(_amplitudes(plan, psi0), dtype=np.complex128)
-    return _observe(a.reshape(-1), plan.program.run, lambda s: Wavepacket(a),
-                    time_grid, observers, plan)
+    advance = plan.program.stepper(_half_step_ops(plan.split_order, plan.model.d))
+    return _observe(a.reshape(-1), advance, lambda s: Wavepacket(a), time_grid, observers, plan)
 
 
 def zpe(model: VibronicModel, grid: GridSpec) -> float:

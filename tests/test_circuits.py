@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vibroniq import circuits, kernels
+from vibroniq import circuits, kernels, soft
 from vibroniq.circuits import (
     KINDS,
     Circuit,
@@ -44,6 +44,7 @@ from vibroniq.model import (
     ModeParams,
     TimeGrid,
     VibronicModel,
+    Wavepacket,
     get_model,
     grid_points,
     initial_state,
@@ -51,7 +52,16 @@ from vibroniq.model import (
     pyrazine_2mode,
 )
 from vibroniq.resources import qft_depth
-from vibroniq.soft import OBSERVERS, SPLIT_ORDERS, PropagatorPlan, propagate
+from vibroniq.soft import (
+    OBSERVERS,
+    SPLIT_ORDERS,
+    GridHamiltonian,
+    PropagatorPlan,
+    boundary_maxima,
+    energy,
+    populations,
+    propagate,
+)
 
 
 def two_mode_tiny():
@@ -112,6 +122,18 @@ def test_gate_validation():
         with pytest.raises(CircuitError, match=re.escape(message)):
             c.add(*args)
         assert c.gates == []
+
+
+def test_make_and_replace_check_too():
+    # the NamedTuple constructors a caller can reach go through the same checks
+    base = Gate("X", (0,))
+    for args, message in CONSTRUCTION_ERRORS:
+        with pytest.raises(CircuitError, match=re.escape(message)):
+            Gate._make(args)
+        with pytest.raises(CircuitError, match=re.escape(message)):
+            base._replace(**dict(zip(Gate._fields, args)))
+    assert base._replace(layer=3) == Gate("X", (0,), layer=3)
+    assert Gate._make(("RX", (1,), ((0, 0),), 0.5, 2)) == Gate("RX", (1,), ((0, 0),), 0.5, 2)
 
 
 def test_add_stores_tuples():
@@ -803,6 +825,98 @@ def test_circuit_propagate_compiles_one_program(split, monkeypatch):
     circuit_propagate(model, BOX3, tg, split, observers=OBSERVERS)
     assert len(compiled) == 1
     assert export_gates(compiled[0]) == export_gates(engine_step(model, BOX3, 0.13, split)[0])
+
+
+# ---------------------------------------------------------------------------
+# The k-step advance against single steps
+# ---------------------------------------------------------------------------
+
+
+def _engine_start(engine, model, grid, dt, split):
+    """An engine's step program, its flat initial state and its map back to
+    a Wavepacket, as its propagate sets them up."""
+    psi0 = initial_state(model, grid)
+    if engine == "soft":
+        plan = PropagatorPlan(model, grid, dt, split)
+        flat = psi0.amplitudes.reshape(-1).copy()
+        return plan.program, flat, lambda s: Wavepacket(s.reshape(psi0.amplitudes.shape))
+    step, layout = engine_step(model, grid, dt, split)
+    return (compile(step, layout), wavepacket_to_state(psi0),
+            lambda s: state_to_wavepacket(s, model.d, grid.n))
+
+
+def _single_step_series(program, state, position, tg, ham):
+    """Every observer at every sample of a loop of single program runs."""
+    ref = state.copy()
+    rows = {name: [] for name in OBSERVERS}
+
+    def record():
+        psi = position(state)
+        rows["autocorr"].append(np.vdot(ref, state))
+        rows["population"].append(populations(psi))
+        rows["boundary"].append(boundary_maxima(psi))
+        rows["energy"].append(energy(ham, psi))
+
+    record()
+    for s in range(1, tg.n_steps + 1):
+        program.run(state)
+        if s % tg.sample_stride == 0:
+            record()
+    return rows, position(state).amplitudes
+
+
+@pytest.mark.parametrize("engine", ["soft", "circuit"])
+@pytest.mark.parametrize("split", SPLIT_ORDERS)
+@pytest.mark.parametrize("n_steps, stride", [(37, 8), (5, 1)])
+def test_k_step_advance_matches_single_steps(engine, split, n_steps, stride, monkeypatch):
+    model, grid, tg = get_model("pyrazine-4d"), _box(3), TimeGrid(0.13, n_steps, stride)
+    bridges = []
+    real_bridge = kernels._bridge
+    monkeypatch.setattr(kernels, "_bridge", lambda t, h: bridges.append(t) or real_bridge(t, h))
+    if engine == "soft":
+        out = propagate(PropagatorPlan(model, grid, tg.dt, split), initial_state(model, grid), tg,
+                        observers=OBSERVERS)
+    else:
+        out = circuit_propagate(model, grid, tg, split, observers=OBSERVERS)
+    # a block of one step merges nothing, so stride 1 builds no bridge
+    assert len(bridges) == (soft._half_step_ops(split, model.d) if stride > 1 else 0)
+    rows, final = _single_step_series(*_engine_start(engine, model, grid, tg.dt, split), tg,
+                                      GridHamiltonian(model, grid))
+    got = {"autocorr": out["autocorr"].values,
+           "population": np.column_stack([out["population"].p_s1, out["population"].p_s2]),
+           "boundary": out["boundary"].per_mode, "energy": out["energy"].values}
+    for name, values in got.items():
+        assert np.max(np.abs(values - np.array(rows[name]))) < 1e-12, name
+    assert np.max(np.abs(out["state"].amplitudes - final)) < 1e-12
+
+
+# every bridge pairs tail op i with head op i, on the same view
+BRIDGE_KINDS = {
+    "soft-4d-potential-first": ["pointwise"],
+    "circuit-4d-potential-first": ["phase"],
+    "soft-4d-kinetic-first": ["left", "left", "left", "right"],
+    "circuit-4d-kinetic-first": ["right", "left", "left", "left"],
+}
+
+
+@pytest.mark.parametrize("name", list(BRIDGE_KINDS))
+def test_bridge_census(name, monkeypatch):
+    made = []
+    real_bridge = kernels._bridge
+    monkeypatch.setattr(kernels, "_bridge", lambda t, h: made.append(real_bridge(t, h)) or made[-1])
+    program = ENGINE_PROGRAMS[name][0](4)
+    halves = soft._half_step_ops(name.split("-", 2)[2], 4)
+    advance = program.stepper(halves)
+    state = random_state(program.n_qubits, seed=7)
+    advance(state, 1)
+    assert made == []
+    advance(state, 2)
+    advance(state, 3)  # the bridge is built once
+    assert [how for _, how, _, _ in made] == BRIDGE_KINDS[name]
+    for (shape, how, operand, moved), head, tail in zip(made, program.ops, program.ops[-halves:]):
+        assert shape == head[0] == tail[0] and moved is None
+        if how == "phase":
+            assert operand.size == 1 << program.n_qubits
 
 
 @pytest.mark.parametrize("model, split", [("pyrazine-4d", "potential-first"),

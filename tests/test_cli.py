@@ -230,6 +230,13 @@ def test_a_non_finite_total_time_is_a_clean_error(tmp_path, capsys):
     assert capsys.readouterr().err == "error: dt must be positive and finite, got nan\n"
 
 
+@pytest.mark.parametrize("total_fs", ["-1", "nan"])
+def test_qpe_demo_checks_dt(total_fs, tmp_path, capsys):
+    assert main(["qpe-demo", "--total-fs", total_fs, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: dt must be positive and finite")
+    assert not (tmp_path / "qpe_demo.csv").exists()
+
+
 def test_a_model_file_with_zero_hbar_is_a_clean_error(tmp_path, capsys):
     data = json.loads(serialize(pyrazine_2mode()))
     data["hbar"] = 0

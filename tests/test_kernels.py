@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from vibroniq.kernels import (
+    CircuitError,
     MemoryBudgetError,
     Program,
     allocate_state,
@@ -214,3 +215,40 @@ def test_every_operation_kind_matches_its_dense_operator(rng):
             program = Program(n, [op])
             assert program.run(state) is state, name
             assert np.max(np.abs(state - want)) < 1e-12, name
+
+
+@pytest.mark.parametrize("kind", ["phase", "left", "right", "pointwise"])
+def test_k_step_advance_matches_k_runs(kind, rng):
+    # head and tail of one kind on one view, different operators, around a body
+    n = 7
+    first, last = _operation_cases(rng, n)[kind][0], _operation_cases(rng, n)[kind][0]
+    body = _operation_cases(rng, n)["right-moved"][0]
+    program = Program(n, [first, body, last])
+    advance = program.stepper(1)
+    for k in range(5):
+        plain = random_state(n, rng)
+        merged = plain.copy()
+        for _ in range(k):
+            program.run(plain)
+        assert advance(merged, k) is merged
+        assert np.max(np.abs(merged - plain)) < 1e-12 * np.max(np.abs(plain)), (kind, k)
+
+
+def test_a_mismatched_head_and_tail_cannot_merge(rng):
+    n = 7
+    cases = _operation_cases(rng, n)
+    state = random_state(n, rng)
+    for head, tail, message in (("phase", "left", "cannot merge a left operation"),
+                                ("left", "right", "cannot merge a right operation"),
+                                ("right-moved", "right-moved", "cannot merge a gathering operation")):
+        advance = Program(n, [cases[head][0], cases["pointwise"][0], cases[tail][0]]).stepper(1)
+        advance(state, 1)  # one step merges nothing
+        with pytest.raises(CircuitError, match=message):
+            advance(state, 2)
+    # the same kind on another block
+    other = register_op([3, 4, 5], random_unitary(8, rng))
+    with pytest.raises(CircuitError, match="on \\[-1, 8, 8\\] with a left operation on \\[-1, 8, 4\\]"):
+        Program(n, [cases["left"][0], other]).stepper(1)(state, 2)
+    for halves in (0, 2):
+        with pytest.raises(CircuitError, match=f"{halves} operations at each end of a 3-operation"):
+            Program(n, [cases["left"][0]] * 3).stepper(halves)
