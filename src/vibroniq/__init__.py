@@ -22,6 +22,7 @@ from .soft import PropagatorPlan, propagate, step, zpe
 from .circuits import (
     Circuit,
     CircuitError,
+    CircuitPlan,
     Gate,
     QubitLayout,
     apply,
@@ -37,6 +38,7 @@ __all__ = [
     "HBAR_EV_FS",
     "Circuit",
     "CircuitError",
+    "CircuitPlan",
     "Gate",
     "GridSpec",
     "ModeParams",

@@ -26,24 +26,25 @@ UK, QFT'), and in each potential run, fused greedily on at most n + 1
 qubits (a mode register and the electronic qubit), one phase table per
 stretch of diagonal operations, the coupling rotation staying a matrix on
 the electronic qubit and its register. Gates that straddle registers take
-the greedy fuser too. circuit_propagate compiles one program per call and
-runs it as a kernels.Program, the executor of the soft engine's step too,
-through the soft engine's sampling driver, holding the position basis in
-both split orders: a kinetic-first step is compiled between its QFT walls,
-each wall joining the register run next to it. The sampling loop advances
-k steps at a time with the program's stepper, which merges the closing
-half-step of one step into the opening half-step of the next: the two
-full-state phase tables for potential-first, the d walled register matrices
-(in register order at both ends) for kinetic-first. The interferometer readout
-(hadamard_series) runs no state of its own: its ancilla-controlled step acts
-as the plain step on the ancilla-set half, so it reads A(t) from
-circuit_propagate's autocorrelation.
+the greedy fuser too. A CircuitPlan compiles the step once into a
+kernels.Program, the executor of the soft engine's step too, and has the
+soft PropagatorPlan's surface, so soft.propagate and soft.step run it. The
+state stays in the position basis in both split orders: a kinetic-first
+step is compiled between its QFT walls, each wall joining the register run
+next to it. soft.propagate advances k steps at a time with the program's
+stepper, which merges the closing half-step of one step into the opening
+half-step of the next: the two full-state phase tables for
+potential-first, the d walled register matrices (in register order at both
+ends) for kinetic-first. The interferometer readout (hadamard_series) runs
+no state of its own: its ancilla-controlled step acts as the plain step on
+the ancilla-set half, so it reads A(t) from circuit_propagate's
+autocorrelation.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -839,12 +840,38 @@ def wavepacket_to_state(psi: Wavepacket, n_extra: int = 0) -> np.ndarray:
     state[: flat.size] = flat
     return state
 
-def state_to_wavepacket(state: np.ndarray, d: int, n: int) -> Wavepacket:
-    """Inverse of wavepacket_to_state; ignores any qubits above the electronic."""
-    size = 1 << (d * n + 1)
-    block = np.asarray(state[:size]).reshape((2,) + (1 << n,) * d)
-    amp = np.transpose(block, (0,) + tuple(range(d, 0, -1))).copy()
-    return Wavepacket(amp)
+
+@dataclass
+class CircuitPlan:
+    """The circuit engine's step compiled once, with soft.PropagatorPlan's
+    surface. `step` is the compiled circuit, for kinetic-first the step
+    between its QFT walls, so the state stays in the position basis."""
+
+    model: VibronicModel
+    grid: GridSpec
+    dt: float
+    split_order: str = "potential-first"
+    step: Circuit = field(init=False, repr=False)
+    program: kernels.Program = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        kernels.check_budget(self.model.d, self.grid.n)
+        self.step = build_timestep(self.model, self.grid, self.dt, self.split_order)
+        if self.split_order == "kinetic-first":
+            walled = _qft_all(self.model, self.grid, inverse=False)
+            walled.append_circuit(self.step)
+            walled.append_circuit(_qft_all(self.model, self.grid, inverse=True))
+            self.step = walled
+        self.program = compile(self.step, QubitLayout(self.model.d, self.grid.n))
+
+    def flat(self, psi: Wavepacket) -> np.ndarray:
+        """A copy of psi's amplitudes in the emulator's basis ordering."""
+        return wavepacket_to_state(Wavepacket(_soft._amplitudes(self, psi)))
+
+    def position(self, state: np.ndarray) -> Wavepacket:
+        """A copy of the flat state as a Wavepacket, mode 0 on the first grid axis."""
+        block = state.reshape((2,) + (self.grid.size,) * self.model.d)
+        return Wavepacket(np.transpose(block, (0, *range(self.model.d, 0, -1))).copy())
 
 
 def circuit_propagate(
@@ -854,29 +881,9 @@ def circuit_propagate(
     split_order: str = "potential-first",
     observers: tuple = _soft.DEFAULT_OBSERVERS,
 ) -> dict:
-    """Propagate through repeated emulated time-step circuits.
-
-    Records the same observers as soft.propagate through the same driver,
-    advancing with one program compiled per call, k steps at a time
-    through its stepper. The state stays in the position basis, as in the
-    soft engine: a kinetic-first step, which holds the transformed basis, is
-    compiled between its QFT walls (forward wall, step, inverse wall). The
-    energy observer reads a soft.GridHamiltonian.
-    """
-    layout = QubitLayout(model.d, grid.n)
-    kernels.check_budget(layout.total)
-    step = build_timestep(model, grid, time_grid.dt, split_order)
-    if split_order == "kinetic-first":
-        walled = _qft_all(model, grid, inverse=False)
-        walled.append_circuit(step)
-        walled.append_circuit(_qft_all(model, grid, inverse=True))
-        step = walled
-    program = compile(step, layout)
-    state = wavepacket_to_state(initial_state(model, grid))
-    ham = _soft.GridHamiltonian(model, grid) if "energy" in observers else None
-    advance = program.stepper(_soft._half_step_ops(split_order, model.d))
-    return _soft._observe(state, advance, lambda s: state_to_wavepacket(s, model.d, grid.n),
-                          time_grid, observers, ham)
+    """soft.propagate of a CircuitPlan from the model's initial state."""
+    plan = CircuitPlan(model, grid, time_grid.dt, split_order)
+    return _soft.propagate(plan, initial_state(model, grid), time_grid, observers)
 
 
 # ---------------------------------------------------------------------------

@@ -81,10 +81,9 @@ def cmd_zpe_scan(args) -> int:
 def _run_engine(args, model, engine, observers=soft.DEFAULT_OBSERVERS) -> dict:
     grid = _grid_from_args(args)
     tg = _time_grid_from_args(args)
-    if engine == "soft":
-        plan = soft.PropagatorPlan(model, grid, tg.dt, split_order=args.split_order)
-        return soft.propagate(plan, initial_state(model, grid), tg, observers=observers)
-    return circuits.circuit_propagate(model, grid, tg, split_order=args.split_order, observers=observers)
+    make = soft.PropagatorPlan if engine == "soft" else circuits.CircuitPlan
+    plan = make(model, grid, tg.dt, args.split_order)
+    return soft.propagate(plan, initial_state(model, grid), tg, observers=observers)
 
 
 def cmd_propagate(args) -> int:

@@ -12,9 +12,14 @@ from __future__ import annotations
 import numpy as np
 
 DEFAULT_MEMORY_BUDGET = 4 * 2**30
-# a propagation run's peak, in statevectors: the state, the Program scratch,
-# the sampling driver's reference copy, full-state tables and temporaries
+# a propagation run's peak: RUN_STATEVECTORS full-state arrays (the state,
+# the Program scratch, the sampling loop's reference copy, full-state
+# tables and temporaries) and RUN_OPERATORS dense operators on n + 1 qubits
+# (a mode register and the electronic qubit) per mode register, which a plan
+# and its bridges hold, plus as many again for the working copies of
+# compile (the identity unitary_of runs over, its transposed result)
 RUN_STATEVECTORS = 12
+RUN_OPERATORS = 2
 
 
 class MemoryBudgetError(MemoryError):
@@ -30,25 +35,31 @@ def backend() -> str:
     return "numpy"
 
 
-def check_budget(n_qubits: int, budget: int | None = None) -> None:
-    """Raise MemoryBudgetError when a propagation run on n_qubits, which holds
-    RUN_STATEVECTORS 2**n_qubits complex statevectors, is over budget."""
-    _check(n_qubits, RUN_STATEVECTORS, budget)
+def run_bytes(d: int, n: int) -> int:
+    """The bytes a propagation run on d mode registers of n qubits is
+    charged: RUN_STATEVECTORS statevectors of d n + 1 qubits and
+    RUN_OPERATORS (d + 1) dense (n + 1)-qubit operators."""
+    return 16 * (RUN_STATEVECTORS << (d * n + 1)) + 16 * (RUN_OPERATORS * (d + 1) << 2 * (n + 1))
+
+
+def check_budget(d: int, n: int, budget: int | None = None) -> None:
+    """Raise MemoryBudgetError, before anything is allocated, when a
+    propagation run on d mode registers of n qubits is over budget."""
+    budget = DEFAULT_MEMORY_BUDGET if budget is None else budget
+    if run_bytes(d, n) > budget:
+        q = d * n + 1
+        raise MemoryBudgetError(f"a {q}-qubit statevector needs {16 << q} bytes and a run holds "
+                                f"{RUN_STATEVECTORS} of them and {RUN_OPERATORS * (d + 1)} dense "
+                                f"{n + 1}-qubit operators, over the {budget}-byte budget")
 
 
 def allocate_state(n_qubits: int, budget: int | None = None) -> np.ndarray:
     """Zeroed 2**n_qubits complex statevector, refused when over budget."""
-    _check(n_qubits, 1, budget)
-    return np.zeros(1 << n_qubits, dtype=np.complex128)
-
-
-def _check(n_qubits: int, copies: int, budget: int | None) -> None:
     budget = DEFAULT_MEMORY_BUDGET if budget is None else budget
-    one = 16 * (1 << n_qubits)
-    if copies * one > budget:
-        held = f" and a run holds {copies} of them" if copies > 1 else ""
-        raise MemoryBudgetError(f"a {n_qubits}-qubit statevector needs {one} bytes{held}, "
+    if 16 << n_qubits > budget:
+        raise MemoryBudgetError(f"a {n_qubits}-qubit statevector needs {16 << n_qubits} bytes, "
                                 f"over the {budget}-byte budget")
+    return np.zeros(1 << n_qubits, dtype=np.complex128)
 
 
 def _state_qubits(state: np.ndarray, n_qubits: int) -> int:

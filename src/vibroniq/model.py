@@ -185,27 +185,38 @@ def pyrazine_2mode() -> VibronicModel:
     )
 
 
+def _number(value, what: str) -> float:
+    """float(value), a ModelError when value is not a number."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ModelError(f"{what} must be a number, got {value!r}") from None
+
+
+def _entries(entries, what: str) -> list:
+    """entries, a ModelError when they are not a list of JSON objects."""
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise ModelError(f"{what} must be a list of objects")
+    return entries
+
+
 def _model_from_dict(data: dict) -> VibronicModel:
     try:
-        raw_modes = data["modes"]
-        lam = float(data["lambda"])
-        delta = float(data["delta"])
+        raw_modes = _entries(data["modes"], "'modes'")
+        lam = _number(data["lambda"], "'lambda'")
+        delta = _number(data["delta"], "'delta'")
     except KeyError as exc:
         raise ModelError(f"missing required key {exc.args[0]!r}") from None
-    if not isinstance(raw_modes, list) or not raw_modes:
+    if not raw_modes:
         raise ModelError("'modes' must be a non-empty list")
     modes = []
     for entry in raw_modes:
         try:
-            modes.append(
-                ModeParams(
-                    label=str(entry["label"]),
-                    omega=float(entry["omega"]),
-                    symmetry=str(entry["symmetry"]),
-                    kappa1=None if entry.get("kappa1") is None else float(entry["kappa1"]),
-                    kappa2=None if entry.get("kappa2") is None else float(entry["kappa2"]),
-                )
-            )
+            label = str(entry["label"])
+            kappas = [None if entry.get(k) is None else _number(entry[k], f"mode {label}: {k}")
+                      for k in ("kappa1", "kappa2")]
+            modes.append(ModeParams(label, _number(entry["omega"], f"mode {label}: omega"),
+                                    str(entry["symmetry"]), *kappas))
         except KeyError as exc:
             raise ModelError(f"mode entry missing key {exc.args[0]!r}") from None
     labels = [m.label for m in modes]
@@ -215,17 +226,19 @@ def _model_from_dict(data: dict) -> VibronicModel:
             if ref not in labels:
                 raise ModelError(f"bilinear pair references unknown mode {ref!r}")
             return labels.index(ref)
-        return int(ref)
+        if isinstance(ref, bool) or not isinstance(ref, int):
+            raise ModelError(f"bilinear pair index {ref!r} must be a mode label or an integer")
+        return ref
 
-    bdiag = tuple(
-        BilinearDiag(resolve(e["l"]), resolve(e["m"]), float(e["gamma1"]), float(e["gamma2"]))
-        for e in data.get("bilinear_diag", [])
-    )
-    boff = tuple(
-        BilinearOff(resolve(e["l"]), resolve(e["m"]), float(e["mu"]))
-        for e in data.get("bilinear_off", [])
-    )
-    hbar = float(data.get("hbar", HBAR_EV_FS))
+    try:
+        bdiag = tuple(BilinearDiag(resolve(e["l"]), resolve(e["m"]), _number(e["gamma1"], "gamma1"),
+                                   _number(e["gamma2"], "gamma2"))
+                      for e in _entries(data.get("bilinear_diag", []), "'bilinear_diag'"))
+        boff = tuple(BilinearOff(resolve(e["l"]), resolve(e["m"]), _number(e["mu"], "mu"))
+                     for e in _entries(data.get("bilinear_off", []), "'bilinear_off'"))
+    except KeyError as exc:
+        raise ModelError(f"bilinear entry missing key {exc.args[0]!r}") from None
+    hbar = _number(data.get("hbar", HBAR_EV_FS), "'hbar'")
     return VibronicModel(tuple(modes), lam, delta, bdiag, boff, hbar)
 
 

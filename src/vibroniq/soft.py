@@ -10,12 +10,11 @@ its DVR form. The default "potential-first" splitting is the palindrome
 V/2 . K . V/2 with the coupling rotation applied innermost (diag, coupling,
 K, coupling, diag), so the scheme stays second order; "kinetic-first" is
 K/2 . V . K/2 with the potential applied once per step, the layout used by
-the second-order (bilinear) model. The plan compiles the step once into a
-kernels.Program, the executor the circuit engine runs too. The sampling
-loop shared by both engines advances with advance(state, k), k steps
-between two samples: each step's closing half-step and the next step's
-opening half-step are applied as one merged operation (Strang merging), so
-a block of k steps costs k - 1 half-steps fewer than k single steps.
+the second-order (bilinear) model. propagate and step run either engine's
+plan, each compiled once into a kernels.Program; propagate advances k steps
+between two samples as one block, each step's closing half-step and the
+next step's opening half-step applied as one merged operation (Strang
+merging), so a block of k steps costs k - 1 half-steps fewer than k steps.
 """
 from __future__ import annotations
 
@@ -102,7 +101,7 @@ class GridHamiltonian:
 
     def __post_init__(self) -> None:
         d, n = self.model.d, self.grid.n
-        kernels.check_budget(d * n + 1)
+        kernels.check_budget(d, n)
         self.vtab = _diagonal_potentials(self.model, self.grid)
         self.ctab = _coupling_field(self.model, self.grid)
         p2 = _dft_conjugate(self.grid, 0.5 * momentum_points(self.grid) ** 2)
@@ -156,21 +155,27 @@ class PropagatorPlan(GridHamiltonian):
     def scratch(self, flat: np.ndarray) -> np.ndarray:
         return self.program.scratch(flat)
 
+    def flat(self, psi: Wavepacket) -> np.ndarray:
+        """A copy of psi's amplitudes, flattened: the program's basis."""
+        return np.array(_amplitudes(self, psi), dtype=np.complex128).reshape(-1)
 
-def _amplitudes(plan: GridHamiltonian, psi: Wavepacket) -> np.ndarray:
-    """psi's amplitudes; a ValueError when their shape is not the plan's."""
-    shape = (2,) + plan.ctab.shape
+    def position(self, state: np.ndarray) -> Wavepacket:
+        """The flat state as a Wavepacket over the same memory."""
+        return Wavepacket(state.reshape((2,) + self.ctab.shape))
+
+
+def _amplitudes(plan, psi: Wavepacket) -> np.ndarray:
+    """psi's amplitudes; a ValueError when their shape is not the plan's grid."""
+    shape = (2,) + (plan.grid.size,) * plan.model.d
     if psi.amplitudes.shape != shape:
         raise ValueError(f"amplitudes of shape {psi.amplitudes.shape} do not match "
                          f"the plan's shape {shape}")
     return psi.amplitudes
 
 
-def step(plan: PropagatorPlan, psi: Wavepacket) -> Wavepacket:
-    """Advance psi (position basis) by one dt; returns a new Wavepacket."""
-    a = np.array(_amplitudes(plan, psi), dtype=np.complex128)
-    plan.program.run(a.reshape(-1))
-    return Wavepacket(a)
+def step(plan, psi: Wavepacket) -> Wavepacket:
+    """Advance psi by one dt under either engine's plan; returns a new Wavepacket."""
+    return plan.position(plan.program.run(plan.flat(psi)))
 
 
 @dataclass
@@ -241,72 +246,60 @@ def _half_step_ops(split_order: str, d: int) -> int:
     return 1 if split_order == "potential-first" else d
 
 
-def _observe(state, advance, position, time_grid: TimeGrid, observers, plan=None) -> dict:
-    """The sampling loop of both engines, recording the named observers at
-    step 0 and after every sample_stride-th step.
+def propagate(
+    plan,
+    psi0: Wavepacket,
+    time_grid: TimeGrid,
+    observers: tuple[str, ...] = DEFAULT_OBSERVERS,
+) -> dict:
+    """Run n_steps steps of either engine's plan, recording the named
+    observers at step 0 and after every sample_stride-th step.
 
-    state is the engine's flat position-basis statevector, electronic index
-    on the top qubit, and advance(state, k) makes k steps in place, as one
-    block between two samples (kernels.Program.stepper). position(state)
-    returns it as a Wavepacket for boundary and energy, whose tables come
-    from `plan`, a GridHamiltonian, and for the final "state". Returns the
-    series keyed by observer name, plus "state".
+    psi0 is copied once into the plan's flat basis, electronic index on the
+    top qubit, and the copy is advanced in place, k steps at a time as one
+    block between two samples (kernels.Program.stepper). plan.position
+    gives it back as a Wavepacket for boundary, energy and the final
+    "state". energy reads a GridHamiltonian: the plan, or one built for it.
+    Returns the series keyed by observer name, plus "state".
     """
     unknown = set(observers) - set(OBSERVERS)
     if unknown:
         raise ValueError(f"unknown observers {sorted(unknown)}; pick from {list(OBSERVERS)}")
+    state = plan.flat(psi0)
+    del psi0  # a caller's temporary psi0 is freed: the run reads only the copy
+    ham = (plan if isinstance(plan, GridHamiltonian) or "energy" not in observers
+           else GridHamiltonian(plan.model, plan.grid))
+    advance = plan.program.stepper(_half_step_ops(plan.split_order, plan.model.d))
     rows: dict = {name: [] for name in OBSERVERS if name in observers}
     ref = state.reshape(2, -1).copy()
 
-    def record(s) -> None:
-        amps = s.reshape(2, -1)
+    def record() -> None:
+        amps = state.reshape(2, -1)
         if "autocorr" in rows:
             rows["autocorr"].append(np.vdot(ref, amps))
         if "population" in rows:
             rows["population"].append(populations(Wavepacket(amps)))
         if "boundary" in rows or "energy" in rows:
-            psi = position(s)
+            psi = plan.position(state)
             if "boundary" in rows:
                 rows["boundary"].append(boundary_maxima(psi))
             if "energy" in rows:
-                rows["energy"].append(energy(plan, psi))
+                rows["energy"].append(energy(ham, psi))
 
     stride = time_grid.sample_stride
-    record(state)
+    record()
     for _ in range(time_grid.n_steps // stride):
         advance(state, stride)
-        record(state)
+        record()
     advance(state, time_grid.n_steps % stride)
     times = time_grid.sample_times()
-    out: dict = {}
-    if "autocorr" in rows:
-        out["autocorr"] = AutocorrSeries(times, np.array(rows["autocorr"], dtype=np.complex128))
-    if "population" in rows:
-        pops = np.array(rows["population"])
-        out["population"] = PopulationSeries(times, pops[:, 0], pops[:, 1])
-    if "boundary" in rows:
-        out["boundary"] = BoundarySeries(times, np.array(rows["boundary"]))
-    if "energy" in rows:
-        out["energy"] = EnergySeries(times, np.array(rows["energy"]))
-    out["state"] = position(state)
+    series = {"autocorr": lambda r: AutocorrSeries(times, np.array(r, dtype=np.complex128)),
+              "population": lambda r: PopulationSeries(times, *np.array(r).T),
+              "boundary": lambda r: BoundarySeries(times, np.array(r)),
+              "energy": lambda r: EnergySeries(times, np.array(r))}
+    out = {name: series[name](r) for name, r in rows.items()}
+    out["state"] = plan.position(state)
     return out
-
-
-def propagate(
-    plan: PropagatorPlan,
-    psi0: Wavepacket,
-    time_grid: TimeGrid,
-    observers: tuple[str, ...] = DEFAULT_OBSERVERS,
-) -> dict:
-    """Run n_steps steps, recording observables every sample_stride steps.
-
-    psi0 is copied once and the copy is stepped in place, stride steps at
-    a time through the program's stepper. Returns a dict keyed by observer
-    name; "state" (the final Wavepacket) is always included.
-    """
-    a = np.array(_amplitudes(plan, psi0), dtype=np.complex128)
-    advance = plan.program.stepper(_half_step_ops(plan.split_order, plan.model.d))
-    return _observe(a.reshape(-1), advance, lambda s: Wavepacket(a), time_grid, observers, plan)
 
 
 def zpe(model: VibronicModel, grid: GridSpec) -> float:

@@ -12,6 +12,7 @@ from vibroniq.circuits import (
     KINDS,
     Circuit,
     CircuitError,
+    CircuitPlan,
     Gate,
     QubitLayout,
     apply,
@@ -33,7 +34,6 @@ from vibroniq.circuits import (
     qpe_phase_to_energy,
     run_qpe,
     schedule_bilinear_diag,
-    state_to_wavepacket,
     unitary_of,
     wavepacket_to_state,
 )
@@ -44,7 +44,6 @@ from vibroniq.model import (
     ModeParams,
     TimeGrid,
     VibronicModel,
-    Wavepacket,
     get_model,
     grid_points,
     initial_state,
@@ -444,7 +443,9 @@ def test_wavepacket_state_round_trip():
     psi = initial_state(model, grid)
     flat = wavepacket_to_state(psi)
     assert flat.shape == (1 << 7,)
-    back = state_to_wavepacket(flat, d=2, n=3)
+    plan = CircuitPlan(model, grid, 0.25)
+    assert np.array_equal(plan.flat(psi), flat)
+    back = plan.position(flat)
     assert np.allclose(back.amplitudes, psi.amplitudes)
     # electronic qubit is the top bit: S2 occupies the upper half
     assert np.all(flat[: flat.size // 2] == 0.0)
@@ -591,7 +592,8 @@ def test_bilinear_schedule_for_the_placeholder():
 
 def test_timestep_unitary_matches_soft_step():
     # potential-first holds position; kinetic-first holds the transformed
-    # basis, so its step is conjugated by the per-register QFT pair
+    # basis, so its step is conjugated by the per-register QFT pair, which
+    # the plan's step carries as its walls
     from vibroniq.circuits import _qft_all
     from vibroniq.soft import step as soft_step
 
@@ -604,16 +606,21 @@ def test_timestep_unitary_matches_soft_step():
         if split == "kinetic-first":
             u = unitary_of(_qft_all(model, grid, inverse=True)) @ u @ unitary_of(
                 _qft_all(model, grid, inverse=False))
-        # drive the split-operator step over every basis vector
+        # drive the split-operator step and the circuit plan's step, both
+        # through soft.step, over every basis vector
         plan = PropagatorPlan(model, grid, dt, split_order=split)
+        circuit_plan = CircuitPlan(model, grid, dt, split)
         size = u.shape[0]
-        ref = np.zeros((size, size), dtype=complex)
+        ref, emulated = (np.zeros((size, size), dtype=complex) for _ in range(2))
         for col in range(size):
             flat = np.zeros(size, dtype=np.complex128)
             flat[col] = 1.0
-            wp = state_to_wavepacket(flat, d=model.d, n=grid.n)
+            wp = circuit_plan.position(flat)
             ref[:, col] = wavepacket_to_state(soft_step(plan, wp))
+            emulated[:, col] = circuit_plan.flat(soft_step(circuit_plan, wp))
         assert np.max(np.abs(u - ref)) < 1e-12, (model.d, split)
+        assert np.max(np.abs(unitary_of(circuit_plan.step) - ref)) < 1e-12, (model.d, split)
+        assert np.max(np.abs(emulated - ref)) < 1e-12, (model.d, split)
 
 
 def test_timestep_rejects_bilinear_potential_first():
@@ -707,26 +714,19 @@ BOX4 = GridSpec(n=4, q_min=-5.0, q_max=5.0, convention="periodic")
 BOX3 = GridSpec(n=3, q_min=-4.0, q_max=4.0)
 
 
-def engine_step(model, grid, dt, split="potential-first"):
-    """The circuit circuit_propagate compiles, a kinetic-first step between
-    its QFT walls, and its layout."""
-    step = build_timestep(model, grid, dt, split)
-    if split == "kinetic-first":
-        walled = circuits._qft_all(model, grid, inverse=False)
-        walled.append_circuit(step)
-        walled.append_circuit(circuits._qft_all(model, grid, inverse=True))
-        step = walled
-    return step, QubitLayout(model.d, grid.n)
+def plan_step(model, grid, dt, split="potential-first"):
+    """The circuit a CircuitPlan compiles, and its qubit layout."""
+    return CircuitPlan(model, grid, dt, split).step, QubitLayout(model.d, grid.n)
 
 
 COMPILED_CASES = {
-    "pyrazine-4d-potential-first": lambda: engine_step(get_model("pyrazine-4d"), BOX4, 0.13),
-    "pyrazine-4d-kinetic-first": lambda: engine_step(get_model("pyrazine-4d"), BOX4, 0.13,
-                                                     "kinetic-first"),
-    "pyrazine-2mode-kinetic-first": lambda: engine_step(pyrazine_2mode(), BOX4, 0.13,
-                                                        "kinetic-first"),
-    "bilinear": lambda: engine_step(bilinear_tiny(False), BOX3, 0.4, "kinetic-first"),
-    "bilinear-split": lambda: engine_step(bilinear_tiny(True), BOX3, 0.4, "kinetic-first"),
+    "pyrazine-4d-potential-first": lambda: plan_step(get_model("pyrazine-4d"), BOX4, 0.13),
+    "pyrazine-4d-kinetic-first": lambda: plan_step(get_model("pyrazine-4d"), BOX4, 0.13,
+                                                   "kinetic-first"),
+    "pyrazine-2mode-kinetic-first": lambda: plan_step(pyrazine_2mode(), BOX4, 0.13,
+                                                      "kinetic-first"),
+    "bilinear": lambda: plan_step(bilinear_tiny(False), BOX3, 0.4, "kinetic-first"),
+    "bilinear-split": lambda: plan_step(bilinear_tiny(True), BOX3, 0.4, "kinetic-first"),
     # any circuit may be compiled on a layout its qubits fit
     "random": lambda: (random_circuit(7, 60, seed=11), QubitLayout(2, 3)),
 }
@@ -770,7 +770,7 @@ def _soft_program(n, split):
 
 
 def _circuit_program(model, n, split):
-    return compile(*engine_step(get_model(model), _box(n), 0.13, split))
+    return CircuitPlan(get_model(model), _box(n), 0.13, split).program
 
 
 # the kinds are the same at every register width n
@@ -811,20 +811,47 @@ def test_engine_program_census(name, n):
             assert operand.shape in ((1 << n, 1 << n), (2 << n, 2 << n))
 
 
-@pytest.mark.parametrize("split", SPLIT_ORDERS)
-def test_circuit_propagate_compiles_one_program(split, monkeypatch):
-    model = pyrazine_2mode()
-    compiled = []
+@pytest.fixture
+def compiled(monkeypatch):
+    """The circuits that circuits.compile is called on from here on."""
+    calls = []
 
     def counting_compile(circuit, layout):
-        compiled.append(circuit)
+        calls.append(circuit)
         return compile(circuit, layout)
 
     monkeypatch.setattr(circuits, "compile", counting_compile)
+    return calls
+
+
+@pytest.mark.parametrize("split", SPLIT_ORDERS)
+def test_circuit_propagate_compiles_one_program(split, compiled):
+    model = pyrazine_2mode()
+    step = export_gates(CircuitPlan(model, BOX3, 0.13, split).step)
+    compiled.clear()
     tg = TimeGrid(dt=0.13, n_steps=4, sample_stride=2)
     circuit_propagate(model, BOX3, tg, split, observers=OBSERVERS)
     assert len(compiled) == 1
-    assert export_gates(compiled[0]) == export_gates(engine_step(model, BOX3, 0.13, split)[0])
+    assert export_gates(compiled[0]) == step
+
+
+@pytest.mark.parametrize("split", SPLIT_ORDERS)
+def test_one_circuit_plan_serves_every_run(split, compiled):
+    model, grid = pyrazine_2mode(), BOX3
+    plan = CircuitPlan(model, grid, 0.13, split)
+    tg = TimeGrid(dt=0.13, n_steps=9, sample_stride=4)
+    psi0 = initial_state(model, grid)
+    first, second = (propagate(plan, psi0, tg, observers=OBSERVERS) for _ in range(2))
+    stepped = soft.step(plan, psi0)
+    assert len(compiled) == 1
+    for name in OBSERVERS:
+        for a, b in zip(vars(first[name]).values(), vars(second[name]).values()):
+            assert np.array_equal(a, b), name
+    assert np.array_equal(first["state"].amplitudes, second["state"].amplitudes)
+    # one step of the same plan is its first step in a run of one step
+    one = propagate(plan, psi0, TimeGrid(dt=0.13, n_steps=1), observers=())["state"]
+    assert np.array_equal(stepped.amplitudes, one.amplitudes)
+    assert len(compiled) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -832,21 +859,13 @@ def test_circuit_propagate_compiles_one_program(split, monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def _engine_start(engine, model, grid, dt, split):
-    """An engine's step program, its flat initial state and its map back to
-    a Wavepacket, as its propagate sets them up."""
-    psi0 = initial_state(model, grid)
-    if engine == "soft":
-        plan = PropagatorPlan(model, grid, dt, split)
-        flat = psi0.amplitudes.reshape(-1).copy()
-        return plan.program, flat, lambda s: Wavepacket(s.reshape(psi0.amplitudes.shape))
-    step, layout = engine_step(model, grid, dt, split)
-    return (compile(step, layout), wavepacket_to_state(psi0),
-            lambda s: state_to_wavepacket(s, model.d, grid.n))
+PLANS = {"soft": PropagatorPlan, "circuit": CircuitPlan}
 
 
-def _single_step_series(program, state, position, tg, ham):
-    """Every observer at every sample of a loop of single program runs."""
+def _single_step_series(plan, psi0, tg, ham):
+    """Every observer at every sample of a loop of single runs of the plan's
+    program over its flat copy of psi0."""
+    program, position, state = plan.program, plan.position, plan.flat(psi0)
     ref = state.copy()
     rows = {name: [] for name in OBSERVERS}
 
@@ -873,14 +892,11 @@ def test_k_step_advance_matches_single_steps(engine, split, n_steps, stride, mon
     bridges = []
     real_bridge = kernels._bridge
     monkeypatch.setattr(kernels, "_bridge", lambda t, h: bridges.append(t) or real_bridge(t, h))
-    if engine == "soft":
-        out = propagate(PropagatorPlan(model, grid, tg.dt, split), initial_state(model, grid), tg,
-                        observers=OBSERVERS)
-    else:
-        out = circuit_propagate(model, grid, tg, split, observers=OBSERVERS)
+    plan = PLANS[engine](model, grid, tg.dt, split)
+    out = propagate(plan, initial_state(model, grid), tg, observers=OBSERVERS)
     # a block of one step merges nothing, so stride 1 builds no bridge
     assert len(bridges) == (soft._half_step_ops(split, model.d) if stride > 1 else 0)
-    rows, final = _single_step_series(*_engine_start(engine, model, grid, tg.dt, split), tg,
+    rows, final = _single_step_series(plan, initial_state(model, grid), tg,
                                       GridHamiltonian(model, grid))
     got = {"autocorr": out["autocorr"].values,
            "population": np.column_stack([out["population"].p_s1, out["population"].p_s2]),
@@ -923,10 +939,10 @@ def test_bridge_census(name, monkeypatch):
                                           ("pyrazine-2mode", "kinetic-first")])
 def test_half_state_run_is_the_controlled_step(model, split):
     # the ancilla is the top qubit: the controlled step acts on the upper half
-    step, layout = engine_step(get_model(model), BOX4, 0.13, split)
-    anc = step.n_qubits
-    controlled = step.controlled(anc)
-    program = compile(step, layout)
+    plan = CircuitPlan(get_model(model), BOX4, 0.13, split)
+    anc = plan.step.n_qubits
+    controlled = plan.step.controlled(anc)
+    program = plan.program
     plain = random_state(anc + 1, seed=6)
     fused = plain.copy()
     half = fused.size // 2

@@ -247,6 +247,15 @@ def test_a_model_file_with_zero_hbar_is_a_clean_error(tmp_path, capsys):
     assert capsys.readouterr().err == "error: hbar must be positive and finite, got 0.0\n"
 
 
+def test_a_model_file_with_a_non_numeric_frequency_is_a_clean_error(tmp_path, capsys):
+    data = json.loads(serialize(pyrazine_2mode()))
+    data["modes"][0]["omega"] = "fast"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(["propagate", "--model", str(path), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "error: mode nu6a: omega must be a number, got 'fast'\n"
+
+
 def test_negative_qpe_shots_are_a_clean_error(tmp_path, capsys):
     assert main(["qpe-demo", "--shots", "-5", "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err == "error: shots must be nonnegative, got -5\n"

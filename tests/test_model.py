@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import re
 
@@ -240,6 +241,52 @@ def test_serialize_round_trip():
         bilinear_off=(BilinearOff(1, 2, 0.003),),
     )
     assert load_model(serialize(synth)) == synth
+
+
+def _bilinear_config() -> dict:
+    """A valid model file with one pair of each kind, as JSON data."""
+    return json.loads(serialize(VibronicModel(
+        modes=(ModeParams("a", 0.2, "Ag", kappa1=0.01, kappa2=-0.02),
+               ModeParams("b", 0.3, "Ag", kappa1=0.0, kappa2=0.0),
+               ModeParams("c", 0.25, "B1g")),
+        lam=0.05, delta=0.1,
+        bilinear_diag=(BilinearDiag(0, 1, 0.004, 0.006),),
+        bilinear_off=(BilinearOff(1, 2, 0.003),))))
+
+
+def _edit(change):
+    data = _bilinear_config()
+    change(data)
+    return data
+
+
+# one malformed entry each: (edit of a valid file, message)
+MALFORMED = [
+    (lambda d: d["modes"].__setitem__(0, 7), "'modes' must be a list of objects"),
+    (lambda d: d["modes"][1].__setitem__("omega", "fast"), "mode b: omega must be a number, got 'fast'"),
+    (lambda d: d["modes"][0].__setitem__("kappa2", []), "mode a: kappa2 must be a number, got []"),
+    (lambda d: d.__setitem__("lambda", "strong"), "'lambda' must be a number, got 'strong'"),
+    (lambda d: d.__setitem__("hbar", None), "'hbar' must be a number, got None"),
+    (lambda d: d["bilinear_diag"][0].pop("gamma1"), "bilinear entry missing key 'gamma1'"),
+    (lambda d: d["bilinear_off"][0].__setitem__("mu", {}), "mu must be a number, got {}"),
+    (lambda d: d.__setitem__("bilinear_off", [3]), "'bilinear_off' must be a list of objects"),
+    (lambda d: d["bilinear_diag"][0].__setitem__("l", 0.5),
+     "bilinear pair index 0.5 must be a mode label or an integer"),
+    (lambda d: d["bilinear_diag"][0].__setitem__("m", True),
+     "bilinear pair index True must be a mode label or an integer"),
+]
+
+
+@pytest.mark.parametrize("change, message", MALFORMED)
+def test_malformed_model_files_are_model_errors(change, message):
+    assert load_model(json.dumps(_bilinear_config())) is not None
+    with pytest.raises(ModelError, match=re.escape(message)):
+        load_model(json.dumps(_edit(change)))
+
+
+def test_integer_pair_indices_still_load():
+    data = _edit(lambda d: d["bilinear_diag"][0].update(l=0, m=1))
+    assert load_model(json.dumps(data)).bilinear_diag == (BilinearDiag(0, 1, 0.004, 0.006),)
 
 
 def test_get_model_presets():

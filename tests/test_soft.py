@@ -4,8 +4,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from test_circuits import bilinear_tiny
+from test_circuits import PLANS, bilinear_tiny
 
+from vibroniq import kernels
 from vibroniq.circuits import circuit_propagate
 from vibroniq.kernels import MemoryBudgetError
 from vibroniq.model import (
@@ -22,7 +23,9 @@ from vibroniq.model import (
     pyrazine_4d,
 )
 from vibroniq.soft import (
+    OBSERVERS,
     SPLIT_ORDERS,
+    GridHamiltonian,
     PropagatorPlan,
     boundary_maxima,
     energy,
@@ -407,10 +410,14 @@ def test_plan_over_the_memory_budget_fails_before_allocating():
     assert peak < 2**20
 
 
-@pytest.mark.parametrize("split", SPLIT_ORDERS)
-def test_step_rejects_amplitudes_of_another_shape(split):
-    model = pyrazine_2mode()
-    plan = PropagatorPlan(model, GridSpec(n=3, q_min=-5.0, q_max=5.0), dt=0.25, split_order=split)
+# the soft plan keeps the bare split order as its id
+@pytest.mark.parametrize("kind, split", [
+    pytest.param(kind, split, id=split if kind == "soft" else f"{kind}-{split}")
+    for kind in PLANS for split in SPLIT_ORDERS])
+def test_step_rejects_amplitudes_of_another_shape(kind, split):
+    model, grid = pyrazine_2mode(), GridSpec(n=3, q_min=-5.0, q_max=5.0)
+    plan = PLANS[kind](model, grid, 0.25, split)
+    ham = plan if kind == "soft" else GridHamiltonian(model, grid)
     tg = TimeGrid(dt=0.25, n_steps=4)
     # the same number of amplitudes, laid out for another grid
     for shape in ((2, 4, 16), (2, 64), (2, 8, 8, 1)):
@@ -419,6 +426,29 @@ def test_step_rejects_amplitudes_of_another_shape(split):
         with pytest.raises(ValueError, match=both):
             step(plan, psi)
         with pytest.raises(ValueError, match=both):
-            energy(plan, psi)
+            energy(ham, psi)
         with pytest.raises(ValueError, match=both):
             propagate(plan, psi, tg, observers=())
+
+
+ONE_MODE = VibronicModel(modes=(ModeParams("nu", 0.0936, "B1g"),), lam=0.0, delta=0.0)
+
+
+# a run's charge covers its full-state arrays and the dense operators on one
+# register and the electronic qubit: 2 statevectors each at d = 2, and at
+# d = 1 the operators outweigh the state
+@pytest.mark.parametrize("name, n", [("pyrazine-2mode", 8), ("pyrazine-4d", 4), ("one-mode", 8)])
+@pytest.mark.parametrize("kind", list(PLANS))
+@pytest.mark.parametrize("split", SPLIT_ORDERS)
+def test_a_run_peaks_within_its_memory_charge(name, n, kind, split):
+    model = ONE_MODE if name == "one-mode" else get_model(name)
+    grid = GridSpec(n=n, q_min=-5.0, q_max=5.0)
+    tg = TimeGrid(dt=0.13, n_steps=6, sample_stride=2)
+    tracemalloc.start()
+    try:
+        plan = PLANS[kind](model, grid, tg.dt, split)
+        propagate(plan, initial_state(model, grid), tg, observers=OBSERVERS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= kernels.run_bytes(model.d, n), peak / (16 << (model.d * n + 1))
