@@ -6,6 +6,7 @@ from .model import (
     GridSpec,
     ModeParams,
     ModelError,
+    QubitLayout,
     TimeGrid,
     VibronicModel,
     Wavepacket,
@@ -24,7 +25,6 @@ from .circuits import (
     CircuitError,
     CircuitPlan,
     Gate,
-    QubitLayout,
     apply,
     build_qft,
     build_state_prep,

@@ -6,10 +6,8 @@ way the cost tables count them (register-parallel blocks share ids, phase
 networks are sequential); gates sharing a layer always commute, so replaying
 layer by layer equals replaying the gate list.
 
-Qubit layout: mode register r occupies qubits [r*n, (r+1)*n) with qubit r*n+i
-carrying weight 2^i, the electronic qubit sits at d*n (|0> is S1, |1> is S2),
-an optional Hadamard-test ancilla at d*n+1, and any phase-readout register
-above that.
+Qubit layout: model.QubitLayout, re-exported here, the one basis of both
+engines.
 
 Checking: a gate is an immutable tuple of its fields, checked when a caller
 makes it (Gate(...) or Circuit.add, which also range-checks its qubits). A
@@ -42,6 +40,7 @@ autocorrelation.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -51,7 +50,7 @@ import numpy as np
 
 from . import kernels, signals
 from .kernels import CircuitError
-from .model import GridSpec, TimeGrid, VibronicModel, Wavepacket, ground_gaussian, initial_state
+from .model import GridSpec, QubitLayout, TimeGrid, VibronicModel, Wavepacket, ground_gaussian, initial_state
 from . import soft as _soft
 
 PARAM_KINDS = ("U1", "RY", "RX")
@@ -227,6 +226,8 @@ def unitary_of(circuit: Circuit, n_qubits: int | None = None) -> np.ndarray:
     """Dense matrix of a small circuit from one apply over the flattened
     identity, a 2n-qubit state whose top n qubits hold the column index."""
     n = circuit.n_qubits if n_qubits is None else n_qubits
+    if n < circuit.n_qubits:
+        raise CircuitError(f"a {circuit.n_qubits}-qubit circuit has no {n}-qubit unitary")
     if n > 14:
         raise CircuitError(f"refusing a dense unitary on {n} qubits")
     dim = 1 << n
@@ -311,32 +312,6 @@ def _fuse(support, gates: list[Gate]) -> tuple:
                                tuple((local[c], p) for c, p in g.controls), g.theta, g.layer)
                  for g in gates]
     return kernels.register_op(support, unitary_of(sub))
-
-
-@dataclass(frozen=True)
-class QubitLayout:
-    """Qubit numbering for d mode registers of n qubits plus bookkeeping qubits."""
-
-    d: int
-    n: int
-    ancilla: bool = False
-
-    def mode_qubits(self, r: int) -> tuple[int, ...]:
-        return tuple(range(r * self.n, (r + 1) * self.n))
-
-    @property
-    def electronic(self) -> int:
-        return self.d * self.n
-
-    @property
-    def ancilla_qubit(self) -> int:
-        if not self.ancilla:
-            raise CircuitError("layout has no ancilla")
-        return self.d * self.n + 1
-
-    @property
-    def total(self) -> int:
-        return self.d * self.n + 1 + (1 if self.ancilla else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -827,51 +802,44 @@ def _append_bilinear_offdiag(
 
 
 def wavepacket_to_state(psi: Wavepacket, n_extra: int = 0) -> np.ndarray:
-    """Flatten (2, N, ..., N) amplitudes into the emulator's basis ordering.
-
-    Mode 0 occupies the lowest qubits, so its grid axis must vary fastest;
-    n_extra adds |0> bookkeeping qubits above the electronic one.
-    """
-    amp = psi.amplitudes
-    d = amp.ndim - 1
-    n = (amp.shape[1]).bit_length() - 1
-    flat = np.transpose(amp, (0,) + tuple(range(d, 0, -1))).reshape(-1)
-    state = kernels.allocate_state(d * n + 1 + n_extra)
-    state[: flat.size] = flat
+    """psi's flat state (QubitLayout.flat) with n_extra |0> bookkeeping
+    qubits above the electronic one."""
+    layout = QubitLayout(psi.amplitudes.ndim - 1, psi.amplitudes.shape[1].bit_length() - 1)
+    state = kernels.allocate_state(layout.total + n_extra)
+    state[: 2 << layout.electronic] = layout.flat(psi)
     return state
 
 
 @dataclass
 class CircuitPlan:
     """The circuit engine's step compiled once, with soft.PropagatorPlan's
-    surface. `step` is the compiled circuit, for kinetic-first the step
-    between its QFT walls, so the state stays in the position basis."""
+    surface: model, grid, split_order, layout and program. `step` is the
+    compiled circuit, for kinetic-first the step between its QFT walls, so
+    the state stays in the position basis."""
 
     model: VibronicModel
     grid: GridSpec
     dt: float
     split_order: str = "potential-first"
     step: Circuit = field(init=False, repr=False)
+    layout: QubitLayout = field(init=False, repr=False)
     program: kernels.Program = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         kernels.check_budget(self.model.d, self.grid.n)
+        self.layout = QubitLayout(self.model.d, self.grid.n)
         self.step = build_timestep(self.model, self.grid, self.dt, self.split_order)
         if self.split_order == "kinetic-first":
             walled = _qft_all(self.model, self.grid, inverse=False)
             walled.append_circuit(self.step)
             walled.append_circuit(_qft_all(self.model, self.grid, inverse=True))
             self.step = walled
-        self.program = compile(self.step, QubitLayout(self.model.d, self.grid.n))
+        self.program = compile(self.step, self.layout)
 
-    def flat(self, psi: Wavepacket) -> np.ndarray:
-        """A copy of psi's amplitudes in the emulator's basis ordering."""
-        return wavepacket_to_state(Wavepacket(_soft._amplitudes(self, psi)))
-
-    def position(self, state: np.ndarray) -> Wavepacket:
-        """A copy of the flat state as a Wavepacket, mode 0 on the first grid axis."""
-        block = state.reshape((2,) + (self.grid.size,) * self.model.d)
-        return Wavepacket(np.transpose(block, (0, *range(self.model.d, 0, -1))).copy())
+    @functools.cached_property
+    def hamiltonian(self) -> _soft.GridHamiltonian:
+        """The grid tables soft.energy reads, built on first use."""
+        return _soft.GridHamiltonian(self.model, self.grid)
 
 
 def circuit_propagate(

@@ -14,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .kernels import CircuitError
+
 HBAR_EV_FS = 0.6582119569
 
 SYMMETRIES = ("Ag", "B1g", "B2g", "B3g", "Au", "B1u", "B2u", "B3u")
@@ -383,6 +385,61 @@ class Wavepacket:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
+
+
+@dataclass(frozen=True)
+class QubitLayout:
+    """The one qubit basis of both engines: d mode registers of n qubits
+    plus bookkeeping qubits.
+
+    Mode register r occupies qubits [r*n, (r+1)*n) with qubit r*n+i carrying
+    weight 2^i, the electronic qubit sits at d*n (|0> is S1, |1> is S2), an
+    optional Hadamard-test ancilla at d*n+1, and any phase-readout register
+    above that. Read in C order as a (2, N, ..., N) array, the flat state of
+    the d*n + 1 system qubits has the electronic index first and the mode
+    axes reversed, mode d-1 first; flat and position convert a Wavepacket,
+    mode 0 first, to it and back.
+    """
+
+    d: int
+    n: int
+    ancilla: bool = False
+
+    def mode_qubits(self, r: int) -> tuple[int, ...]:
+        return tuple(range(r * self.n, (r + 1) * self.n))
+
+    @property
+    def electronic(self) -> int:
+        return self.d * self.n
+
+    @property
+    def ancilla_qubit(self) -> int:
+        if not self.ancilla:
+            raise CircuitError("layout has no ancilla")
+        return self.d * self.n + 1
+
+    @property
+    def total(self) -> int:
+        return self.d * self.n + 1 + (1 if self.ancilla else 0)
+
+    def flat_order(self, psi: Wavepacket) -> np.ndarray:
+        """psi's amplitudes as a view in the flat state's axis order; a
+        ValueError when their shape is not the layout's."""
+        shape = (2,) + (1 << self.n,) * self.d
+        if psi.amplitudes.shape != shape:
+            raise ValueError(f"amplitudes of shape {psi.amplitudes.shape} do not match "
+                             f"the plan's shape {shape}")
+        return psi.amplitudes.transpose(0, *range(self.d, 0, -1))
+
+    def flat(self, psi: Wavepacket) -> np.ndarray:
+        """A copy of psi's amplitudes as the flat state."""
+        return np.array(self.flat_order(psi), dtype=np.complex128, order="C").reshape(-1)
+
+    def position(self, state: np.ndarray) -> Wavepacket:
+        """The flat state as a Wavepacket over the same memory, mode 0 on the
+        first grid axis."""
+        block = state.reshape((2,) + (1 << self.n,) * self.d)
+        return Wavepacket(block.transpose(0, *range(self.d, 0, -1)))
 
 
 def ground_gaussian(grid: GridSpec) -> np.ndarray:

@@ -51,7 +51,7 @@ def spectrum(
     dt = float(t[1] - t[0])
     if not np.allclose(np.diff(t), dt, rtol=0.0, atol=1e-9 * max(dt, 1.0)):
         raise SignalError("autocorrelation samples must be uniformly spaced")
-    if tau_fs <= 0.0:
+    if not tau_fs > 0.0:  # NaN fails too
         raise SignalError(f"damping time must be positive, got {tau_fs}")
     weight = np.exp(-np.abs(t) / tau_fs)
     if damp_d:

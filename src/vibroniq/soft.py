@@ -11,9 +11,10 @@ V/2 . K . V/2 with the coupling rotation applied innermost (diag, coupling,
 K, coupling, diag), so the scheme stays second order; "kinetic-first" is
 K/2 . V . K/2 with the potential applied once per step, the layout used by
 the second-order (bilinear) model. propagate and step run either engine's
-plan, each compiled once into a kernels.Program; propagate advances k steps
-between two samples as one block, each step's closing half-step and the
-next step's opening half-step applied as one merged operation (Strang
+plan, each compiled once into a kernels.Program over one flat state in the
+basis both engines share, the plan's model.QubitLayout; propagate advances
+k steps between two samples as one block, each step's closing half-step and
+the next step's opening half-step applied as one merged operation (Strang
 merging), so a block of k steps costs k - 1 half-steps fewer than k steps.
 """
 from __future__ import annotations
@@ -25,6 +26,7 @@ import numpy as np
 from . import kernels
 from .model import (
     GridSpec,
+    QubitLayout,
     TimeGrid,
     VibronicModel,
     Wavepacket,
@@ -39,12 +41,14 @@ DEFAULT_OBSERVERS = ("autocorr", "population", "boundary")
 
 
 def _on_axis(q: np.ndarray, k: int, d: int) -> np.ndarray:
-    """The grid points q along mode axis k of a d-mode grid, for broadcasting."""
-    return q.reshape((1,) * k + (-1,) + (1,) * (d - k - 1))
+    """The grid points q along mode k's axis of a d-mode grid in the flat
+    state's axis order (QubitLayout: mode d-1 first), for broadcasting."""
+    return q.reshape((1,) * (d - 1 - k) + (-1,) + (1,) * k)
 
 
 def _diagonal_potentials(model: VibronicModel, grid: GridSpec) -> np.ndarray:
-    """V_s(Q) on the full grid, shape (2,) + (N,)*d. s=0 is S1, s=1 is S2."""
+    """V_s(Q) on the full grid in the flat order, shape (2,) + (N,)*d. s=0
+    is S1, s=1 is S2."""
     d, q = model.d, grid_points(grid)
     surfaces = []
     for s, offset in ((0, -model.delta), (1, model.delta)):
@@ -61,7 +65,7 @@ def _diagonal_potentials(model: VibronicModel, grid: GridSpec) -> np.ndarray:
 
 
 def _coupling_field(model: VibronicModel, grid: GridSpec) -> np.ndarray:
-    """Coefficient c(Q) of the electronic X operator, shape (N,)*d."""
+    """Coefficient c(Q) of the electronic X operator in the flat order, shape (N,)*d."""
     d, q = model.d, grid_points(grid)
     c = np.zeros((grid.size,) * d)
     if model.lam != 0.0:
@@ -78,48 +82,35 @@ def _dft_conjugate(grid: GridSpec, diag: np.ndarray) -> np.ndarray:
     return dft.conj().T @ (diag[:, None] * dft)
 
 
-def _mode_blocks(d: int, n: int) -> list[range]:
-    """Qubit block of each mode axis k in the flattened (2, N, ..., N) amplitudes."""
-    return [range((d - 1 - k) * n, (d - k) * n) for k in range(d)]
-
-
 @dataclass
 class GridHamiltonian:
-    """The terms of H on the grid that energy applies, over the flattened
-    (2, N, ..., N) amplitudes: electronic index on the top qubit, mode axis k
-    on the qubit block [(d-1-k) n, (d-k) n). vtab holds V_s(Q), ctab the
-    coupling field c(Q), and p2[k] applies the kinetic energy per unit
-    omega, F^dagger diag(p^2/2) F, on axis k. The circuit engine's energy
-    observer builds only this; a PropagatorPlan is one too."""
+    """The terms of H on the grid that energy applies, in the flat state of
+    its layout (model.QubitLayout). vtab holds V_s(Q), ctab the coupling
+    field c(Q), and p2[k] applies the kinetic energy per unit omega,
+    F^dagger diag(p^2/2) F, on mode k's register. A PropagatorPlan is one;
+    a CircuitPlan builds one for energy."""
 
     model: VibronicModel
     grid: GridSpec
+    layout: QubitLayout = field(init=False, repr=False)
     vtab: np.ndarray = field(init=False, repr=False)
     ctab: np.ndarray = field(init=False, repr=False)
     p2: list = field(init=False, repr=False)
-    _spare: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        d, n = self.model.d, self.grid.n
-        kernels.check_budget(d, n)
+        kernels.check_budget(self.model.d, self.grid.n)
+        self.layout = QubitLayout(self.model.d, self.grid.n)
         self.vtab = _diagonal_potentials(self.model, self.grid)
         self.ctab = _coupling_field(self.model, self.grid)
         p2 = _dft_conjugate(self.grid, 0.5 * momentum_points(self.grid) ** 2)
-        self.p2 = [kernels.register_op(b, p2) for b in _mode_blocks(d, n)]
-
-    def scratch(self, flat: np.ndarray) -> np.ndarray:
-        """The reused complex buffer of the flat amplitudes' shape that
-        energy writes its p2 products to."""
-        if self._spare is None or self._spare.shape != flat.shape:
-            self._spare = np.empty(flat.shape, dtype=np.complex128)
-        return self._spare
+        self.p2 = [kernels.register_op(self.layout.mode_qubits(k), p2) for k in range(self.model.d)]
 
 
 @dataclass
 class PropagatorPlan(GridHamiltonian):
     """One time step compiled once into a kernels.Program over the
     GridHamiltonian's layout. Mode k's kinetic propagator
-    F^dagger diag(exp(-i K_k t/hbar)) F acts on its block, and C.D (diagonal
+    F^dagger diag(exp(-i K_k t/hbar)) F acts on its register, and C.D (diagonal
     potential phases D, then the coupling rotation C) pointwise on the top
     qubit; potential-first closes with D.C, tables 01 and 10 swapped.
     """
@@ -132,12 +123,13 @@ class PropagatorPlan(GridHamiltonian):
         if self.split_order not in SPLIT_ORDERS:
             raise ValueError(f"unknown split order {self.split_order!r}")
         super().__post_init__()
-        d, n, hbar = self.model.d, self.grid.n, self.model.hbar
+        hbar = self.model.hbar
         pot_first = self.split_order == "potential-first"
         pot_frac, kin_frac = (0.5, 1.0) if pot_first else (1.0, 0.5)
         kin_phase = -0.5j * momentum_points(self.grid) ** 2 * (kin_frac * self.dt / hbar)
-        kin = [kernels.register_op(b, _dft_conjugate(self.grid, np.exp(mode.omega * kin_phase)))
-               for b, mode in zip(_mode_blocks(d, n), self.model.modes)]
+        kin = [kernels.register_op(self.layout.mode_qubits(k),
+                                   _dft_conjugate(self.grid, np.exp(mode.omega * kin_phase)))
+               for k, mode in enumerate(self.model.modes)]
         # in place, phases first into the diagonal slots, to keep peak memory low
         pot_t = pot_frac * self.dt / hbar
         pot = np.empty((4,) + self.ctab.shape, dtype=np.complex128)
@@ -150,32 +142,12 @@ class PropagatorPlan(GridHamiltonian):
         pot[::3] *= np.cos(self.ctab * pot_t)
         cd = kernels.pointwise_op(pot)
         dc = kernels.pointwise_op((pot[0], pot[2], pot[1], pot[3]))
-        self.program = kernels.Program(d * n + 1, [cd, *kin, dc] if pot_first else [*kin, cd, *kin])
-
-    def scratch(self, flat: np.ndarray) -> np.ndarray:
-        return self.program.scratch(flat)
-
-    def flat(self, psi: Wavepacket) -> np.ndarray:
-        """A copy of psi's amplitudes, flattened: the program's basis."""
-        return np.array(_amplitudes(self, psi), dtype=np.complex128).reshape(-1)
-
-    def position(self, state: np.ndarray) -> Wavepacket:
-        """The flat state as a Wavepacket over the same memory."""
-        return Wavepacket(state.reshape((2,) + self.ctab.shape))
-
-
-def _amplitudes(plan, psi: Wavepacket) -> np.ndarray:
-    """psi's amplitudes; a ValueError when their shape is not the plan's grid."""
-    shape = (2,) + (plan.grid.size,) * plan.model.d
-    if psi.amplitudes.shape != shape:
-        raise ValueError(f"amplitudes of shape {psi.amplitudes.shape} do not match "
-                         f"the plan's shape {shape}")
-    return psi.amplitudes
+        self.program = kernels.Program(self.layout.total, [cd, *kin, dc] if pot_first else [*kin, cd, *kin])
 
 
 def step(plan, psi: Wavepacket) -> Wavepacket:
     """Advance psi by one dt under either engine's plan; returns a new Wavepacket."""
-    return plan.position(plan.program.run(plan.flat(psi)))
+    return plan.layout.position(plan.program.run(plan.layout.flat(psi)))
 
 
 @dataclass
@@ -225,17 +197,22 @@ def boundary_maxima(psi: Wavepacket) -> np.ndarray:
     return out
 
 
-def energy(plan: GridHamiltonian, psi: Wavepacket) -> float:
-    """<H> = <V_diag> + <c(Q) X> + <K>, with <K> = sum_k omega_k <a|p2_k a>."""
-    a = _amplitudes(plan, psi)
+def energy(plan, psi: Wavepacket) -> float:
+    """<H> = <V_diag> + <c(Q) X> + <K>, with <K> = sum_k omega_k <a|p2_k a>,
+    under either engine's plan: a PropagatorPlan is its own GridHamiltonian
+    and a CircuitPlan builds one on first use. psi's amplitudes are read in
+    the flat order, which for plan.layout.position's view is the flat state
+    itself, and the p2 products go to the plan's program scratch."""
+    a = plan.layout.flat_order(psi)
+    ham = plan if isinstance(plan, GridHamiltonian) else plan.hamiltonian
     prob = np.abs(a) ** 2
-    ev = float(np.sum(plan.vtab * prob))
-    ec = float(np.sum(plan.ctab * 2.0 * np.real(np.conj(a[0]) * a[1])))
+    ev = float(np.sum(ham.vtab * prob))
+    ec = float(np.sum(ham.ctab * 2.0 * np.real(np.conj(a[0]) * a[1])))
     # each p2 operation is dense on one register: it writes only the scratch
     flat = a.reshape(-1)
-    spare = plan.scratch(flat)
+    spare = plan.program.scratch(flat)
     ek = sum(mode.omega * np.vdot(flat, kernels._apply_op(op, flat, spare)[0]).real
-             for op, mode in zip(plan.p2, plan.model.modes))
+             for op, mode in zip(ham.p2, plan.model.modes))
     return ev + ec + float(ek)
 
 
@@ -255,20 +232,17 @@ def propagate(
     """Run n_steps steps of either engine's plan, recording the named
     observers at step 0 and after every sample_stride-th step.
 
-    psi0 is copied once into the plan's flat basis, electronic index on the
-    top qubit, and the copy is advanced in place, k steps at a time as one
-    block between two samples (kernels.Program.stepper). plan.position
-    gives it back as a Wavepacket for boundary, energy and the final
-    "state". energy reads a GridHamiltonian: the plan, or one built for it.
+    psi0 is copied once into the flat state of plan.layout, and the copy is
+    advanced in place, k steps at a time as one block between two samples
+    (kernels.Program.stepper). plan.layout.position views it as a
+    Wavepacket for boundary, energy and the final "state", without a copy.
     Returns the series keyed by observer name, plus "state".
     """
     unknown = set(observers) - set(OBSERVERS)
     if unknown:
         raise ValueError(f"unknown observers {sorted(unknown)}; pick from {list(OBSERVERS)}")
-    state = plan.flat(psi0)
+    state = plan.layout.flat(psi0)
     del psi0  # a caller's temporary psi0 is freed: the run reads only the copy
-    ham = (plan if isinstance(plan, GridHamiltonian) or "energy" not in observers
-           else GridHamiltonian(plan.model, plan.grid))
     advance = plan.program.stepper(_half_step_ops(plan.split_order, plan.model.d))
     rows: dict = {name: [] for name in OBSERVERS if name in observers}
     ref = state.reshape(2, -1).copy()
@@ -280,11 +254,11 @@ def propagate(
         if "population" in rows:
             rows["population"].append(populations(Wavepacket(amps)))
         if "boundary" in rows or "energy" in rows:
-            psi = plan.position(state)
+            psi = plan.layout.position(state)
             if "boundary" in rows:
                 rows["boundary"].append(boundary_maxima(psi))
             if "energy" in rows:
-                rows["energy"].append(energy(ham, psi))
+                rows["energy"].append(energy(plan, psi))
 
     stride = time_grid.sample_stride
     record()
@@ -298,7 +272,7 @@ def propagate(
               "boundary": lambda r: BoundarySeries(times, np.array(r)),
               "energy": lambda r: EnergySeries(times, np.array(r))}
     out = {name: series[name](r) for name, r in rows.items()}
-    out["state"] = plan.position(state)
+    out["state"] = plan.layout.position(state)
     return out
 
 

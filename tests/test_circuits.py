@@ -44,6 +44,7 @@ from vibroniq.model import (
     ModeParams,
     TimeGrid,
     VibronicModel,
+    Wavepacket,
     get_model,
     grid_points,
     initial_state,
@@ -54,7 +55,6 @@ from vibroniq.resources import qft_depth
 from vibroniq.soft import (
     OBSERVERS,
     SPLIT_ORDERS,
-    GridHamiltonian,
     PropagatorPlan,
     boundary_maxima,
     energy,
@@ -333,6 +333,15 @@ def test_unitary_of_refuses_large_circuits():
         unitary_of(Circuit(15))
 
 
+def test_unitary_of_refuses_a_width_below_the_circuit():
+    c = Circuit(3)
+    c.add("X", (2,))
+    with pytest.raises(CircuitError, match="3-qubit circuit has no 2-qubit unitary"):
+        unitary_of(c, 2)
+    # a wider unitary leaves the qubits above the circuit alone
+    assert np.array_equal(unitary_of(c, 4), np.kron(np.eye(2), unitary_of(c)))
+
+
 def test_qubit_layout():
     lay = QubitLayout(d=2, n=3, ancilla=True)
     assert lay.mode_qubits(0) == (0, 1, 2)
@@ -443,16 +452,27 @@ def test_wavepacket_state_round_trip():
     psi = initial_state(model, grid)
     flat = wavepacket_to_state(psi)
     assert flat.shape == (1 << 7,)
-    plan = CircuitPlan(model, grid, 0.25)
-    assert np.array_equal(plan.flat(psi), flat)
-    back = plan.position(flat)
-    assert np.allclose(back.amplitudes, psi.amplitudes)
+    assert np.array_equal(QubitLayout(2, 3).position(flat).amplitudes, psi.amplitudes)
     # electronic qubit is the top bit: S2 occupies the upper half
     assert np.all(flat[: flat.size // 2] == 0.0)
+
+
+@pytest.mark.parametrize("name, n", [("pyrazine-4d", 3), ("pyrazine-2mode", 5)])
+@pytest.mark.parametrize("split", SPLIT_ORDERS)
+def test_both_plans_share_one_flat_basis(name, n, split):
+    model, grid = get_model(name), GridSpec(n=n, q_min=-5.0, q_max=5.0)
+    shape = (2,) + (grid.size,) * model.d
+    psi = Wavepacket(random_state(model.d * n + 1, seed=3).reshape(shape))
+    soft_plan, circuit_plan = (make(model, grid, 0.13, split) for make in (PropagatorPlan, CircuitPlan))
+    flat = soft_plan.layout.flat(psi)
+    assert np.array_equal(circuit_plan.layout.flat(psi), flat)
+    assert not np.shares_memory(flat, psi.amplitudes)
+    back = circuit_plan.layout.position(flat)
+    assert np.shares_memory(back.amplitudes, flat)
+    assert np.array_equal(back.amplitudes, psi.amplitudes)
     padded = wavepacket_to_state(psi, n_extra=2)
-    assert padded.shape == (1 << 9,)
-    assert np.allclose(padded[: 1 << 7], flat)
-    assert np.all(padded[1 << 7 :] == 0.0)
+    assert padded.size == 4 * flat.size
+    assert np.array_equal(padded[: flat.size], flat) and not padded[flat.size :].any()
 
 
 def test_wavepacket_state_index_order():
@@ -488,12 +508,12 @@ def test_udiag_matches_potential_table(branch):
     pair = build_Udiag_pair(model, grid, dt)
     assert pair.depth() == grid.n**2 + 5
     # the electronic qubit is the top one: S1 is the lower half of the
-    # diagonal, S2 the upper; vtab is indexed (s, i_0, i_1) and the flat
-    # register index is i_1*4 + i_0
+    # diagonal, S2 the upper; vtab is in the flat order, indexed (s, i_1, i_0)
+    # for the flat register index i_1*4 + i_0
     s = 0 if branch == "S1" else 1
     half = 1 << (model.d * grid.n)
     got = diag_of(pair)[s * half : (s + 1) * half]
-    expected = np.exp(-1j * plan.vtab[s].T.reshape(-1) * dt / (2 * model.hbar))
+    expected = np.exp(-1j * plan.vtab[s].reshape(-1) * dt / (2 * model.hbar))
     assert np.max(np.abs(got - expected)) < 1e-12
 
 
@@ -595,7 +615,6 @@ def test_timestep_unitary_matches_soft_step():
     # basis, so its step is conjugated by the per-register QFT pair, which
     # the plan's step carries as its walls
     from vibroniq.circuits import _qft_all
-    from vibroniq.soft import step as soft_step
 
     cases = [(two_mode_tiny(), GridSpec(n=2, q_min=-5.0, q_max=5.0), "potential-first")]
     for split_gamma in (False, True):
@@ -606,18 +625,14 @@ def test_timestep_unitary_matches_soft_step():
         if split == "kinetic-first":
             u = unitary_of(_qft_all(model, grid, inverse=True)) @ u @ unitary_of(
                 _qft_all(model, grid, inverse=False))
-        # drive the split-operator step and the circuit plan's step, both
-        # through soft.step, over every basis vector
+        # run the split-operator plan's program and the circuit plan's
+        # program, both over the one flat basis, on every basis vector
         plan = PropagatorPlan(model, grid, dt, split_order=split)
         circuit_plan = CircuitPlan(model, grid, dt, split)
-        size = u.shape[0]
-        ref, emulated = (np.zeros((size, size), dtype=complex) for _ in range(2))
-        for col in range(size):
-            flat = np.zeros(size, dtype=np.complex128)
-            flat[col] = 1.0
-            wp = circuit_plan.position(flat)
-            ref[:, col] = wavepacket_to_state(soft_step(plan, wp))
-            emulated[:, col] = circuit_plan.flat(soft_step(circuit_plan, wp))
+        ref, emulated = (np.eye(u.shape[0], dtype=np.complex128) for _ in range(2))
+        for col in range(u.shape[0]):
+            ref[:, col] = plan.program.run(ref[:, col].copy())
+            emulated[:, col] = circuit_plan.program.run(emulated[:, col].copy())
         assert np.max(np.abs(u - ref)) < 1e-12, (model.d, split)
         assert np.max(np.abs(unitary_of(circuit_plan.step) - ref)) < 1e-12, (model.d, split)
         assert np.max(np.abs(emulated - ref)) < 1e-12, (model.d, split)
@@ -775,11 +790,13 @@ def _circuit_program(model, n, split):
 
 # the kinds are the same at every register width n
 ENGINE_PROGRAMS = {
+    # mode k's kinetic matrix acts on register k, as in the circuit, so
+    # mode 0's, which holds qubit 0, is a "right" matmul
     "soft-4d-potential-first": (lambda n: _soft_program(n, "potential-first"),
-                                ["pointwise", "left", "left", "left", "right", "pointwise"]),
+                                ["pointwise", "right", "left", "left", "left", "pointwise"]),
     "soft-4d-kinetic-first": (lambda n: _soft_program(n, "kinetic-first"),
-                              ["left", "left", "left", "right", "pointwise",
-                               "left", "left", "left", "right"]),
+                              ["right", "left", "left", "left", "pointwise",
+                               "right", "left", "left", "left"]),
     # potential run: merged phases, then Uc fused with the last register's
     # quadratic network; register run: one matrix per register, qubit 0 last
     "circuit-4d-potential-first": (lambda n: _circuit_program("pyrazine-4d", n, "potential-first"),
@@ -862,10 +879,10 @@ def test_one_circuit_plan_serves_every_run(split, compiled):
 PLANS = {"soft": PropagatorPlan, "circuit": CircuitPlan}
 
 
-def _single_step_series(plan, psi0, tg, ham):
+def _single_step_series(plan, psi0, tg):
     """Every observer at every sample of a loop of single runs of the plan's
     program over its flat copy of psi0."""
-    program, position, state = plan.program, plan.position, plan.flat(psi0)
+    program, position, state = plan.program, plan.layout.position, plan.layout.flat(psi0)
     ref = state.copy()
     rows = {name: [] for name in OBSERVERS}
 
@@ -874,7 +891,7 @@ def _single_step_series(plan, psi0, tg, ham):
         rows["autocorr"].append(np.vdot(ref, state))
         rows["population"].append(populations(psi))
         rows["boundary"].append(boundary_maxima(psi))
-        rows["energy"].append(energy(ham, psi))
+        rows["energy"].append(energy(plan, psi))
 
     record()
     for s in range(1, tg.n_steps + 1):
@@ -896,8 +913,7 @@ def test_k_step_advance_matches_single_steps(engine, split, n_steps, stride, mon
     out = propagate(plan, initial_state(model, grid), tg, observers=OBSERVERS)
     # a block of one step merges nothing, so stride 1 builds no bridge
     assert len(bridges) == (soft._half_step_ops(split, model.d) if stride > 1 else 0)
-    rows, final = _single_step_series(plan, initial_state(model, grid), tg,
-                                      GridHamiltonian(model, grid))
+    rows, final = _single_step_series(plan, initial_state(model, grid), tg)
     got = {"autocorr": out["autocorr"].values,
            "population": np.column_stack([out["population"].p_s1, out["population"].p_s2]),
            "boundary": out["boundary"].per_mode, "energy": out["energy"].values}
@@ -910,7 +926,7 @@ def test_k_step_advance_matches_single_steps(engine, split, n_steps, stride, mon
 BRIDGE_KINDS = {
     "soft-4d-potential-first": ["pointwise"],
     "circuit-4d-potential-first": ["phase"],
-    "soft-4d-kinetic-first": ["left", "left", "left", "right"],
+    "soft-4d-kinetic-first": ["right", "left", "left", "left"],
     "circuit-4d-kinetic-first": ["right", "left", "left", "left"],
 }
 

@@ -237,6 +237,13 @@ def test_qpe_demo_checks_dt(total_fs, tmp_path, capsys):
     assert not (tmp_path / "qpe_demo.csv").exists()
 
 
+def test_a_nan_damping_time_is_a_clean_error(tmp_path, capsys):
+    args = ["spectrum", "--model", "pyrazine-2mode", "--nt", "32", "--stride", "1", "--n", "2"]
+    assert main([*args, "--tau-fs", "nan", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "error: damping time must be positive, got nan\n"
+    assert not (tmp_path / "spectrum.csv").exists()
+
+
 def test_a_model_file_with_zero_hbar_is_a_clean_error(tmp_path, capsys):
     data = json.loads(serialize(pyrazine_2mode()))
     data["hbar"] = 0

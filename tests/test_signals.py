@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -60,6 +62,12 @@ def test_spectrum_rejects_bad_series():
         spectrum(AutocorrSeries(times=t, values=values))
     with pytest.raises(SignalError):
         spectrum(AutocorrSeries(times=np.array([0.0]), values=np.array([1.0 + 0j])))
+
+
+@pytest.mark.parametrize("tau_fs", [0.0, -30.0, math.nan])
+def test_spectrum_rejects_a_damping_time_that_is_not_positive(tau_fs):
+    with pytest.raises(SignalError, match="damping time must be positive"):
+        spectrum(damped_cosine_series(), tau_fs=tau_fs)
 
 
 def test_spectrum_series_validation():

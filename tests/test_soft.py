@@ -25,7 +25,6 @@ from vibroniq.model import (
 from vibroniq.soft import (
     OBSERVERS,
     SPLIT_ORDERS,
-    GridHamiltonian,
     PropagatorPlan,
     boundary_maxima,
     energy,
@@ -96,11 +95,18 @@ def kinetic_field(model: VibronicModel, grid: GridSpec) -> np.ndarray:
     return k
 
 
+def position_tables(plan: PropagatorPlan) -> tuple[np.ndarray, np.ndarray]:
+    """The plan's vtab and ctab, kept in the flat order (mode d-1 first),
+    with their mode axes reversed into psi's order (mode 0 first)."""
+    return plan.vtab.transpose(0, *range(plan.model.d, 0, -1)), plan.ctab.T
+
+
 def fft_energy(plan: PropagatorPlan, a: np.ndarray) -> float:
     """<H> with the kinetic part as sum K(p) |fftn(a)|^2 over the mode axes."""
     axes = tuple(range(1, a.ndim))
-    ev = np.sum(plan.vtab * np.abs(a) ** 2)
-    ec = np.sum(plan.ctab * 2.0 * np.real(np.conj(a[0]) * a[1]))
+    vtab, ctab = position_tables(plan)
+    ev = np.sum(vtab * np.abs(a) ** 2)
+    ec = np.sum(ctab * 2.0 * np.real(np.conj(a[0]) * a[1]))
     at = np.fft.fftn(a, axes=axes, norm="ortho")
     return float(ev + ec + np.sum(kinetic_field(plan.model, plan.grid) * np.abs(at) ** 2))
 
@@ -110,8 +116,9 @@ def fft_step(plan: PropagatorPlan, a: np.ndarray) -> np.ndarray:
     potential phases and the coupling rotation as separate passes."""
     hbar, axes = plan.model.hbar, tuple(range(1, a.ndim))
     pot_frac, kin_frac = (0.5, 1.0) if plan.split_order == "potential-first" else (1.0, 0.5)
-    exp_pot = np.exp(-1j * plan.vtab * (pot_frac * plan.dt / hbar))
-    theta = plan.ctab * (pot_frac * plan.dt / hbar)
+    vtab, ctab = position_tables(plan)
+    exp_pot = np.exp(-1j * vtab * (pot_frac * plan.dt / hbar))
+    theta = ctab * (pot_frac * plan.dt / hbar)
     cos_t, sin_t = np.cos(theta), np.sin(theta)
     exp_kin = np.exp(-1j * kinetic_field(plan.model, plan.grid) * (kin_frac * plan.dt / hbar))
 
@@ -417,7 +424,6 @@ def test_plan_over_the_memory_budget_fails_before_allocating():
 def test_step_rejects_amplitudes_of_another_shape(kind, split):
     model, grid = pyrazine_2mode(), GridSpec(n=3, q_min=-5.0, q_max=5.0)
     plan = PLANS[kind](model, grid, 0.25, split)
-    ham = plan if kind == "soft" else GridHamiltonian(model, grid)
     tg = TimeGrid(dt=0.25, n_steps=4)
     # the same number of amplitudes, laid out for another grid
     for shape in ((2, 4, 16), (2, 64), (2, 8, 8, 1)):
@@ -426,7 +432,7 @@ def test_step_rejects_amplitudes_of_another_shape(kind, split):
         with pytest.raises(ValueError, match=both):
             step(plan, psi)
         with pytest.raises(ValueError, match=both):
-            energy(ham, psi)
+            energy(plan, psi)
         with pytest.raises(ValueError, match=both):
             propagate(plan, psi, tg, observers=())
 
@@ -452,3 +458,23 @@ def test_a_run_peaks_within_its_memory_charge(name, n, kind, split):
     finally:
         tracemalloc.stop()
     assert peak <= kernels.run_bytes(model.d, n), peak / (16 << (model.d * n + 1))
+
+
+# measured in statevectors: the circuit engine's run holds the state, the
+# program scratch (which energy's p2 products borrow), the reference copy and
+# the energy tables (vtab one statevector, ctab half) and peaks at 7.0; the
+# soft engine's plan is its own tables and peaks at 6.25 (potential-first)
+@pytest.mark.parametrize("kind, statevectors", [("soft", 6.5), ("circuit", 7.5)])
+@pytest.mark.parametrize("split", SPLIT_ORDERS)
+def test_a_run_with_energy_peaks_at_its_measured_size(kind, statevectors, split):
+    model, grid = pyrazine_2mode(), GridSpec(n=8, q_min=-5.0, q_max=5.0)
+    tg = TimeGrid(dt=0.13, n_steps=4, sample_stride=2)
+    plan, psi0 = PLANS[kind](model, grid, tg.dt, split), initial_state(model, grid)
+    tracemalloc.start()
+    try:
+        propagate(plan, psi0, tg, observers=OBSERVERS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    one = 16 << (model.d * grid.n + 1)
+    assert peak <= statevectors * one, peak / one
