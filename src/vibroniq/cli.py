@@ -129,16 +129,18 @@ def cmd_shots_scan(args) -> int:
     Thresholds that are never sustained are reported as unmet, not fatal; a
     median on the grid's first point is printed as an upper bound ("≤1000").
     """
+    seeds = range(args.seed, args.seed + args.n_seeds)
+    signals.check_scan(args.mode, seeds, tau_fs=args.tau_fs)  # before the long propagation
     result = _run_engine(args, get_model(args.model), args.engine, observers=("autocorr",))
     scan = signals.shots_scan(
         result["autocorr"],
         method=args.mode,
-        seeds=range(args.seed, args.seed + args.n_seeds),
+        seeds=seeds,
         tau_fs=args.tau_fs,
         damp_d=args.damp_d,
     )
     rows = []
-    for i, seed in enumerate(range(args.seed, args.seed + args.n_seeds)):
+    for i, seed in enumerate(seeds):
         for j, shots in enumerate(scan["shot_grid"]):
             rows.append((args.mode, seed, int(shots), scan["curves"][i, j]))
     path = os.path.join(args.out, "shots_scan.csv")

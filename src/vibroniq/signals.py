@@ -3,6 +3,7 @@ sampling models, and the shots-vs-accuracy scan."""
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,11 @@ class SpectrumSeries:
             raise SignalError("energies and intensities must align")
 
 
+def _check_damping(tau_fs: float) -> None:
+    if not tau_fs > 0.0:  # NaN fails too
+        raise SignalError(f"damping time must be positive, got {tau_fs}")
+
+
 def spectrum(
     autocorr: AutocorrSeries,
     tau_fs: float = 30.0,
@@ -44,32 +50,67 @@ def spectrum(
     positive energies and normalized to sum to 1.
     """
     t = autocorr.times
-    a = autocorr.values
-    m = len(t)
-    if m < 2:
+    if len(t) < 2:
         raise SignalError("need at least two autocorrelation samples")
     dt = float(t[1] - t[0])
     if not np.allclose(np.diff(t), dt, rtol=0.0, atol=1e-9 * max(dt, 1.0)):
         raise SignalError("autocorrelation samples must be uniformly spaced")
-    if not tau_fs > 0.0:  # NaN fails too
-        raise SignalError(f"damping time must be positive, got {tau_fs}")
+    _check_damping(tau_fs)
+    energies, intensities, spacing = _spectra(t, autocorr.values[None], tau_fs, damp_d, hbar)
+    return SpectrumSeries(energies, intensities[0], spacing)
+
+
+def _spectra(t, values, tau_fs, damp_d, hbar):
+    """`spectrum` of each row of `values` (G, M) on the checked times `t`:
+    the energies, the (G, M-1) normalized intensities and the bin spacing."""
+    m = len(t)
+    dt = float(t[1] - t[0])
     weight = np.exp(-np.abs(t) / tau_fs)
     if damp_d:
-        total = float(t[-1])
-        weight = weight * np.cos(0.5 * math.pi * t / total)
-    damped = a * weight
+        weight = weight * np.cos(0.5 * math.pi * t / float(t[-1]))
+    damped = values * weight
     L = 2 * m - 1
-    c = np.zeros(L, dtype=np.complex128)
-    c[:m] = damped
-    c[m:] = np.conj(damped[1:][::-1])
+    c = np.empty((len(values), L), dtype=np.complex128)
+    c[:, :m] = damped
+    c[:, m:] = np.conj(damped[:, :0:-1])
     s = L * dt * np.fft.ifft(c)
     # for odd L, fftfreq's positive frequencies are entries 1..m-1, ascending
     energies = 2.0 * math.pi * hbar * np.fft.fftfreq(L, d=dt)[1:m]
-    intensities = np.clip(energies * s.real[1:m], 0.0, None)
-    total = intensities.sum()
-    if total <= 0.0:
+    intensities = np.clip(energies * s.real[:, 1:m], 0.0, None)
+    total = intensities.sum(axis=1, keepdims=True)
+    if np.any(total <= 0.0):
         raise SignalError("spectrum has no positive weight to normalize")
-    return SpectrumSeries(energies, intensities / total, 2.0 * math.pi * hbar / (L * dt))
+    return energies, intensities / total, 2.0 * math.pi * hbar / (L * dt)
+
+
+def _shot_counts(shots) -> np.ndarray:
+    """A non-empty 1-D int array of positive shot counts."""
+    grid = np.asarray(shots, dtype=int)
+    if grid.ndim != 1 or len(grid) == 0:
+        raise SignalError(f"need a non-empty 1-D shot grid, got shape {grid.shape}")
+    if np.any(grid < 1):
+        raise SignalError(f"shots must be positive, got {grid[grid < 1][0]}")
+    return grid
+
+
+def _quadratures(values: np.ndarray, shots: np.ndarray, rng) -> np.ndarray:
+    """Sampled A(t), one (M,) row per shot count, from one binomial draw.
+
+    Re A(t) is read from P(0) = (1 + Re A)/2 and Im A(t) from
+    P(1) = (1 + Im A)/2, with `shots[g]` repetitions per quadrature in row g.
+    numpy draws in C order, so a row's M real-part draws come before its M
+    imaginary-part draws, and a row's draws before the next row's.
+    """
+    p = np.clip(0.5 * (1.0 + np.stack([values.real, values.imag])), 0.0, 1.0)
+    n = shots[:, None, None]
+    x = 2.0 * rng.binomial(n, p) / n - 1.0
+    return x[:, 0] + 1j * x[:, 1]
+
+
+def _bins(q: np.ndarray, shots: np.ndarray, rng) -> np.ndarray:
+    """Empirical bin frequencies, one row per shot count, from one
+    multinomial draw on the distribution `q`."""
+    return rng.multinomial(shots, q) / shots[:, None]
 
 
 def sample_autocorr(series: AutocorrSeries, shots: int, seed=None) -> AutocorrSeries:
@@ -78,27 +119,24 @@ def sample_autocorr(series: AutocorrSeries, shots: int, seed=None) -> AutocorrSe
     Re A(t) is read from P(0) = (1 + Re A)/2 and Im A(t) from
     P(1) = (1 + Im A)/2, with `shots` repetitions per quadrature.
     """
-    if shots < 1:
-        raise SignalError(f"shots must be positive, got {shots}")
-    rng = np.random.default_rng(seed)
-    p_re = np.clip(0.5 * (1.0 + series.values.real), 0.0, 1.0)
-    p_im = np.clip(0.5 * (1.0 + series.values.imag), 0.0, 1.0)
-    re = 2.0 * rng.binomial(shots, p_re) / shots - 1.0
-    im = 2.0 * rng.binomial(shots, p_im) / shots - 1.0
-    return AutocorrSeries(series.times.copy(), re + 1j * im)
+    counts = _shot_counts([shots])
+    values = _quadratures(series.values, counts, np.random.default_rng(seed))[0]
+    return AutocorrSeries(series.times.copy(), values)
 
 
 def sample_spectrum_direct(spec: SpectrumSeries, shots: int, seed=None) -> SpectrumSeries:
     """Empirical bin distribution from multinomial draws on the exact one."""
-    if shots < 1:
-        raise SignalError(f"shots must be positive, got {shots}")
+    counts = _shot_counts([shots])
     p = spec.intensities
     total = p.sum()
     if total <= 0.0:
         raise SignalError("cannot sample from an empty spectrum")
-    rng = np.random.default_rng(seed)
-    counts = rng.multinomial(shots, p / total)
-    return SpectrumSeries(spec.energies.copy(), counts / shots, spec.spacing)
+    freqs = _bins(p / total, counts, np.random.default_rng(seed))[0]
+    return SpectrumSeries(spec.energies.copy(), freqs, spec.spacing)
+
+
+def _tvd_rows(p, q):
+    return 0.5 * np.abs(p - q).sum(axis=-1)
 
 
 def tvd(p, q) -> float:
@@ -107,7 +145,7 @@ def tvd(p, q) -> float:
     q = np.asarray(q, dtype=float)
     if p.shape != q.shape:
         raise SignalError(f"distributions differ in shape: {p.shape} vs {q.shape}")
-    return 0.5 * float(np.abs(p - q).sum())
+    return float(_tvd_rows(p.ravel(), q.ravel()))
 
 
 DEFAULT_THRESHOLDS = (0.04, 0.03, 0.02, 0.01)
@@ -130,6 +168,24 @@ def _first_sustained(shot_grid, curve, threshold: float, sustain: int) -> float:
     return float("nan")
 
 
+def check_scan(method: str, seeds, shot_grid=None, sustain: int = 5,
+               tau_fs: float = 30.0) -> tuple[list, np.ndarray]:
+    """The checks `shots_scan` makes before it draws anything; returns the
+    seeds as a list and the shot grid as a 1-D int array."""
+    if method not in ("autocorr", "direct"):
+        raise SignalError(f"unknown method {method!r}")
+    seeds = list(seeds)
+    if not seeds:
+        raise SignalError("need at least one seed")
+    for seed in seeds:
+        if not isinstance(seed, numbers.Integral) or seed < 0:
+            raise SignalError(f"seeds must be non-negative integers, got {seed!r}")
+    if sustain < 1:
+        raise SignalError(f"sustain must be at least 1, got {sustain}")
+    _check_damping(tau_fs)
+    return seeds, _shot_counts(default_shot_grid() if shot_grid is None else shot_grid)
+
+
 def shots_scan(
     autocorr: AutocorrSeries,
     method: str = "autocorr",
@@ -143,31 +199,28 @@ def shots_scan(
     """Median shot budget to reach each TVD threshold against the exact spectrum.
 
     method="autocorr" resamples the time series and rebuilds the spectrum;
-    method="direct" draws bins from the exact spectrum itself. Per seed the
-    crossing must hold for `sustain` consecutive grid points; the reported
-    budget is the median over seeds (nan when any seed never sustains it).
-    Per threshold, "left_censored" counts the seeds already sustained at the
-    grid's first point, whose true budget may lie below the grid, and
-    "right_censored" the seeds that never sustain it.
+    method="direct" draws bins from the exact spectrum itself. Each seed's
+    generator makes one draw for the whole shot grid, in the order that
+    calling `sample_autocorr` or `sample_spectrum_direct` once per grid point
+    on it would. Per seed the crossing must hold for `sustain` consecutive
+    grid points; the reported budget is the median over seeds (nan when any
+    seed never sustains it). Per threshold, "left_censored" counts the seeds
+    already sustained at the grid's first point, whose true budget may lie
+    below the grid, and "right_censored" the seeds that never sustain it.
     """
-    if method not in ("autocorr", "direct"):
-        raise SignalError(f"unknown method {method!r}")
-    seeds = list(seeds)
-    if not seeds:
-        raise SignalError("need at least one seed")
-    grid = default_shot_grid() if shot_grid is None else np.asarray(shot_grid, dtype=int)
-    exact_spec = spectrum(autocorr, tau_fs=tau_fs, damp_d=damp_d)
+    seeds, grid = check_scan(method, seeds, shot_grid, sustain, tau_fs)
+    exact = spectrum(autocorr, tau_fs=tau_fs, damp_d=damp_d).intensities
+    q = exact / exact.sum()
     per_seed = {thr: [] for thr in thresholds}
     curves = np.empty((len(seeds), len(grid)))
     for curve, seed in zip(curves, seeds):
         rng = np.random.default_rng(seed)
-        for i, shots in enumerate(grid):
-            if method == "autocorr":
-                noisy = sample_autocorr(autocorr, int(shots), rng)
-                sampled = spectrum(noisy, tau_fs=tau_fs, damp_d=damp_d)
-            else:
-                sampled = sample_spectrum_direct(exact_spec, int(shots), rng)
-            curve[i] = tvd(sampled.intensities, exact_spec.intensities)
+        if method == "autocorr":
+            noisy = _quadratures(autocorr.values, grid, rng)
+            sampled = _spectra(autocorr.times, noisy, tau_fs, damp_d, HBAR_EV_FS)[1]
+        else:
+            sampled = _bins(q, grid, rng)
+        curve[:] = _tvd_rows(sampled, exact)
         for thr in thresholds:
             per_seed[thr].append(_first_sustained(grid, curve, thr, sustain))
     per_seed = {thr: np.asarray(v) for thr, v in per_seed.items()}

@@ -133,6 +133,19 @@ def test_shots_scan_prints_a_budget_below_the_grid_as_a_bound(tmp_path, capsys):
     assert not any(line.endswith("median shots 1000") for line in lines)
 
 
+@pytest.mark.parametrize("flags", [["--seed", "-1"], ["--n-seeds", "0"], ["--tau-fs", "0"],
+                                   ["--tau-fs", "nan"]])
+def test_shots_scan_rejects_bad_scan_inputs_before_the_engine_runs(flags, tmp_path, capsys,
+                                                                     monkeypatch):
+    def no_engine(*args, **kwargs):
+        pytest.fail("the engine ran before the scan inputs were checked")
+
+    monkeypatch.setattr("vibroniq.cli._run_engine", no_engine)
+    assert main(["shots-scan", *flags, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "shots_scan.csv").exists()
+
+
 def test_resources_single_row(tmp_path):
     args = ["resources", "--model-class", "4d", "--n", "4", "--nt", "512",
             "--variant", "A", "--out", str(tmp_path)]

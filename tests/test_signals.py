@@ -193,12 +193,84 @@ def test_shots_scan_counts_censored_seeds():
     assert np.isnan(out["medians"][1e-6])
 
 
-def test_shots_scan_validation():
+def per_count_scan(autocorr, method, thresholds, seeds, shot_grid, sustain, damp_d):
+    """Reference scan: one shot count at a time, each through the one-count
+    samplers on the seed's generator. Returns (curves, per_seed)."""
+    grid = np.asarray(shot_grid, dtype=int)
+    exact = spectrum(autocorr, damp_d=damp_d)
+    curves = np.empty((len(seeds), len(grid)))
+    for curve, seed in zip(curves, seeds):
+        rng = np.random.default_rng(seed)
+        for i, shots in enumerate(grid):
+            if method == "autocorr":
+                noisy = sample_autocorr(autocorr, int(shots), rng)
+                sampled = spectrum(noisy, damp_d=damp_d)
+            else:
+                sampled = sample_spectrum_direct(exact, int(shots), rng)
+            curve[i] = tvd(sampled.intensities, exact.intensities)
+    per_seed = {thr: np.array([_first_sustained(grid, c, thr, sustain) for c in curves])
+                for thr in thresholds}
+    return curves, per_seed
+
+
+@pytest.mark.parametrize("damp_d", [False, True])
+@pytest.mark.parametrize("method", ["autocorr", "direct"])
+@pytest.mark.parametrize("samples", [2, 129])
+def test_batched_scan_matches_the_per_count_loop(samples, method, damp_d):
+    series = damped_cosine_series(n=samples)
+    grid = default_shot_grid()
+    out = shots_scan(series, method=method, seeds=range(10), damp_d=damp_d)
+    curves, per_seed = per_count_scan(series, method, DEFAULT_THRESHOLDS, range(10), grid,
+                                      sustain=5, damp_d=damp_d)
+    assert np.array_equal(out["curves"], curves)
+    assert out["per_seed"].keys() == per_seed.keys()
+    for thr, budgets in per_seed.items():
+        assert np.array_equal(out["per_seed"][thr], budgets, equal_nan=True)
+
+
+def test_one_count_samplers_are_pinned():
+    # counts drawn by numpy's Generator for these seeds; any change of draw
+    # order or of the shot-noise model moves them
+    sampled = sample_autocorr(damped_cosine_series(n=5), shots=1000, seed=7).values
+    re = 2.0 * np.array([1000, 501, 31, 468, 942]) / 1000 - 1.0
+    im = 2.0 * np.array([505, 10, 500, 955, 519]) / 1000 - 1.0
+    assert np.array_equal(sampled, re + 1j * im)
+    spec = spectrum(damped_cosine_series(n=9))
+    direct = sample_spectrum_direct(spec, shots=1000, seed=7).intensities
+    assert np.array_equal(direct, np.array([0, 27, 0, 572, 312, 0, 89, 0]) / 1000)
+
+
+def test_a_sampled_spectrum_with_no_positive_weight_is_a_typed_error():
+    # one shot per quadrature on a slowly decaying real series: a row that
+    # draws Re A = Im A = 1 at the second sample has no positive spectral weight
+    series = damped_cosine_series(n=2, e0=0.0)
+    for seed in range(20):
+        with pytest.raises(SignalError, match="spectrum has no positive weight to normalize"):
+            shots_scan(series, shot_grid=[1] * 6, sustain=1, seeds=[seed])
+
+
+def test_shots_scan_validation(monkeypatch):
     series = damped_cosine_series()
-    with pytest.raises(SignalError):
-        shots_scan(series, method="indirect")
-    with pytest.raises(SignalError):
-        shots_scan(series, seeds=())
+
+    def no_draws(*args, **kwargs):
+        pytest.fail("a bad scan input reached the random generator")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    for kwargs, message in (
+        ({"method": "indirect"}, "unknown method"),
+        ({"seeds": ()}, "need at least one seed"),
+        ({"seeds": [0, -1]}, "seeds must be non-negative integers, got -1"),
+        ({"seeds": [0.5]}, "seeds must be non-negative integers"),
+        ({"sustain": 0}, "sustain must be at least 1, got 0"),
+        ({"sustain": -3}, "sustain must be at least 1"),
+        ({"shot_grid": []}, "need a non-empty 1-D shot grid"),
+        ({"shot_grid": [[1000, 2000]]}, "need a non-empty 1-D shot grid"),
+        ({"shot_grid": [1000, 0, 2000]}, "shots must be positive, got 0"),
+        ({"tau_fs": 0.0}, "damping time must be positive"),
+    ):
+        for method in ("autocorr", "direct"):
+            with pytest.raises(SignalError, match=message):
+                shots_scan(series, **{"method": method, **kwargs})
 
 
 def test_default_thresholds_pinned():
