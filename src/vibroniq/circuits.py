@@ -24,23 +24,21 @@ UK, QFT'), and in each potential run, fused greedily on at most n + 1
 qubits (a mode register and the electronic qubit), one phase table per
 stretch of diagonal operations, the coupling rotation staying a matrix on
 the electronic qubit and its register. Gates that straddle registers take
-the greedy fuser too. A CircuitPlan compiles the step once into a
-kernels.Program, the executor of the soft engine's step too, and has the
-soft PropagatorPlan's surface, so soft.propagate and soft.step run it. The
-state stays in the position basis in both split orders: a kinetic-first
-step is compiled between its QFT walls, each wall joining the register run
-next to it. soft.propagate advances k steps at a time with the program's
-stepper, which merges the closing half-step of one step into the opening
-half-step of the next: the two full-state phase tables for
-potential-first, the d walled register matrices (in register order at both
-ends) for kinetic-first. The interferometer readout (hadamard_series) runs
-no state of its own: its ancilla-controlled step acts as the plain step on
-the ancilla-set half, so it reads A(t) from circuit_propagate's
-autocorrelation.
+the greedy fuser too. A CircuitPlan is a soft.Plan whose program is the
+compiled step, so soft.propagate, soft.step and soft.energy run it as they
+run the soft engine's plan. The state stays in the position basis in both
+split orders: a kinetic-first step is compiled between its QFT walls, each
+wall joining the register run next to it. soft.propagate advances k steps
+at a time with the program's stepper, which merges the closing half-step of
+one step into the opening half-step of the next: the two full-state phase
+tables for potential-first, the d walled register matrices (in register
+order at both ends) for kinetic-first. The interferometer readout
+(hadamard_series) runs no state of its own: its ancilla-controlled step
+acts as the plain step on the ancilla-set half, so it reads A(t) from
+circuit_propagate's autocorrelation.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -811,23 +809,15 @@ def wavepacket_to_state(psi: Wavepacket, n_extra: int = 0) -> np.ndarray:
 
 
 @dataclass
-class CircuitPlan:
-    """The circuit engine's step compiled once, with soft.PropagatorPlan's
-    surface: model, grid, split_order, layout and program. `step` is the
-    compiled circuit, for kinetic-first the step between its QFT walls, so
-    the state stays in the position basis."""
+class CircuitPlan(_soft.Plan):
+    """The circuit engine's step, compiled once into the soft.Plan's
+    program. `step` is the compiled circuit, for kinetic-first the step
+    between its QFT walls, so the state stays in the position basis."""
 
-    model: VibronicModel
-    grid: GridSpec
-    dt: float
-    split_order: str = "potential-first"
     step: Circuit = field(init=False, repr=False)
-    layout: QubitLayout = field(init=False, repr=False)
-    program: kernels.Program = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        kernels.check_budget(self.model.d, self.grid.n)
-        self.layout = QubitLayout(self.model.d, self.grid.n)
+        super().__post_init__()
         self.step = build_timestep(self.model, self.grid, self.dt, self.split_order)
         if self.split_order == "kinetic-first":
             walled = _qft_all(self.model, self.grid, inverse=False)
@@ -835,11 +825,6 @@ class CircuitPlan:
             walled.append_circuit(_qft_all(self.model, self.grid, inverse=True))
             self.step = walled
         self.program = compile(self.step, self.layout)
-
-    @functools.cached_property
-    def hamiltonian(self) -> _soft.GridHamiltonian:
-        """The grid tables soft.energy reads, built on first use."""
-        return _soft.GridHamiltonian(self.model, self.grid)
 
 
 def circuit_propagate(
@@ -896,6 +881,7 @@ def hadamard_series(
     the same. With shots, "sampled" adds the binomial shot noise of
     signals.sample_autocorr to it.
     """
+    signals.check_seed(seed)
     ac = circuit_propagate(model, grid, time_grid, split_order, observers=("autocorr",))["autocorr"]
     out = {"times": ac.times, "exact": ac.values}
     if shots:
@@ -942,6 +928,7 @@ def run_qpe(circuit: Circuit, system_state: np.ndarray, shots: int = 0, seed: in
         raise CircuitError("not a phase-estimation circuit; build it with build_qpe")
     if shots < 0:
         raise CircuitError(f"shots must be nonnegative, got {shots}")
+    signals.check_seed(seed)
     n_total = circuit.n_qubits
     n_sys = kernels._state_qubits(np.asarray(system_state), 0)
     if n_sys != n_total - m:
@@ -953,8 +940,7 @@ def run_qpe(circuit: Circuit, system_state: np.ndarray, shots: int = 0, seed: in
     probs = np.sum(np.abs(state.reshape(1 << m, -1)) ** 2, axis=1)
     out = {"probs": probs, "m": m}
     if shots:
-        rng = np.random.default_rng(seed)
-        counts = rng.multinomial(shots, probs / probs.sum())
+        counts = signals.sample_counts(probs, shots, seed)
         out["counts"] = {k: int(c) for k, c in enumerate(counts) if c}
     return out
 

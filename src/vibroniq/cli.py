@@ -188,6 +188,7 @@ def cmd_qpe_demo(args) -> int:
     """Single-mode uncoupled phase-estimation readout of the step energy."""
     from .model import ModeParams, VibronicModel
 
+    signals.check_seed(args.seed)  # before the step is built and diagonalised
     model = VibronicModel(modes=(ModeParams("nu", 0.0936, "B1g"),), lam=0.0, delta=0.0)
     grid = _grid_from_args(args)
     dt = TimeGrid(dt=_dt_from_args(args), n_steps=args.nt).dt

@@ -34,6 +34,17 @@ def _check_damping(tau_fs: float) -> None:
         raise SignalError(f"damping time must be positive, got {tau_fs}")
 
 
+def _is_seed(seed) -> bool:
+    return isinstance(seed, numbers.Integral) and seed >= 0
+
+
+def check_seed(seed) -> None:
+    """Raise SignalError unless seed is None, a non-negative integer or a
+    numpy Generator, which a one-count sampler draws from as it stands."""
+    if not (seed is None or isinstance(seed, np.random.Generator) or _is_seed(seed)):
+        raise SignalError(f"seed must be None, a non-negative integer or a Generator, got {seed!r}")
+
+
 def spectrum(
     autocorr: AutocorrSeries,
     tau_fs: float = 30.0,
@@ -56,6 +67,8 @@ def spectrum(
     if not np.allclose(np.diff(t), dt, rtol=0.0, atol=1e-9 * max(dt, 1.0)):
         raise SignalError("autocorrelation samples must be uniformly spaced")
     _check_damping(tau_fs)
+    if not 0.0 < hbar < math.inf:  # NaN fails too
+        raise SignalError(f"hbar must be positive and finite, got {hbar}")
     energies, intensities, spacing = _spectra(t, autocorr.values[None], tau_fs, damp_d, hbar)
     return SpectrumSeries(energies, intensities[0], spacing)
 
@@ -108,9 +121,9 @@ def _quadratures(values: np.ndarray, shots: np.ndarray, rng) -> np.ndarray:
 
 
 def _bins(q: np.ndarray, shots: np.ndarray, rng) -> np.ndarray:
-    """Empirical bin frequencies, one row per shot count, from one
-    multinomial draw on the distribution `q`."""
-    return rng.multinomial(shots, q) / shots[:, None]
+    """Bin counts, one row per shot count, from one multinomial draw on the
+    distribution `q`."""
+    return rng.multinomial(shots, q)
 
 
 def sample_autocorr(series: AutocorrSeries, shots: int, seed=None) -> AutocorrSeries:
@@ -119,19 +132,25 @@ def sample_autocorr(series: AutocorrSeries, shots: int, seed=None) -> AutocorrSe
     Re A(t) is read from P(0) = (1 + Re A)/2 and Im A(t) from
     P(1) = (1 + Im A)/2, with `shots` repetitions per quadrature.
     """
+    check_seed(seed)
     counts = _shot_counts([shots])
     values = _quadratures(series.values, counts, np.random.default_rng(seed))[0]
     return AutocorrSeries(series.times.copy(), values)
 
 
+def sample_counts(weights: np.ndarray, shots: int, seed=None) -> np.ndarray:
+    """Bin counts of `shots` multinomial draws on the normalized weights."""
+    check_seed(seed)
+    counts = _shot_counts([shots])
+    total = weights.sum()
+    if total <= 0.0:
+        raise SignalError("cannot sample from an empty distribution")
+    return _bins(weights / total, counts, np.random.default_rng(seed))[0]
+
+
 def sample_spectrum_direct(spec: SpectrumSeries, shots: int, seed=None) -> SpectrumSeries:
     """Empirical bin distribution from multinomial draws on the exact one."""
-    counts = _shot_counts([shots])
-    p = spec.intensities
-    total = p.sum()
-    if total <= 0.0:
-        raise SignalError("cannot sample from an empty spectrum")
-    freqs = _bins(p / total, counts, np.random.default_rng(seed))[0]
+    freqs = sample_counts(spec.intensities, shots, seed) / shots
     return SpectrumSeries(spec.energies.copy(), freqs, spec.spacing)
 
 
@@ -178,7 +197,7 @@ def check_scan(method: str, seeds, shot_grid=None, sustain: int = 5,
     if not seeds:
         raise SignalError("need at least one seed")
     for seed in seeds:
-        if not isinstance(seed, numbers.Integral) or seed < 0:
+        if not _is_seed(seed):
             raise SignalError(f"seeds must be non-negative integers, got {seed!r}")
     if sustain < 1:
         raise SignalError(f"sustain must be at least 1, got {sustain}")
@@ -219,7 +238,7 @@ def shots_scan(
             noisy = _quadratures(autocorr.values, grid, rng)
             sampled = _spectra(autocorr.times, noisy, tau_fs, damp_d, HBAR_EV_FS)[1]
         else:
-            sampled = _bins(q, grid, rng)
+            sampled = _bins(q, grid, rng) / grid[:, None]
         curve[:] = _tvd_rows(sampled, exact)
         for thr in thresholds:
             per_seed[thr].append(_first_sustained(grid, curve, thr, sustain))

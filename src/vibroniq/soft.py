@@ -10,15 +10,19 @@ its DVR form. The default "potential-first" splitting is the palindrome
 V/2 . K . V/2 with the coupling rotation applied innermost (diag, coupling,
 K, coupling, diag), so the scheme stays second order; "kinetic-first" is
 K/2 . V . K/2 with the potential applied once per step, the layout used by
-the second-order (bilinear) model. propagate and step run either engine's
-plan, each compiled once into a kernels.Program over one flat state in the
-basis both engines share, the plan's model.QubitLayout; propagate advances
-k steps between two samples as one block, each step's closing half-step and
-the next step's opening half-step applied as one merged operation (Strang
-merging), so a block of k steps costs k - 1 half-steps fewer than k steps.
+the second-order (bilinear) model.
+
+Plan, the base of PropagatorPlan and circuits.CircuitPlan, holds all that
+propagate, step and energy read of a plan: the checked split order, the
+layout (model.QubitLayout, the flat-state basis of both engines), the
+compiled step and the grid terms of H. propagate advances k steps between
+two samples as one block, each step's closing half-step and the next step's
+opening half-step applied as one merged operation (Strang merging), so a
+block of k steps costs k - 1 half-steps fewer than k steps.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,46 +87,59 @@ def _dft_conjugate(grid: GridSpec, diag: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class GridHamiltonian:
-    """The terms of H on the grid that energy applies, in the flat state of
-    its layout (model.QubitLayout). vtab holds V_s(Q), ctab the coupling
-    field c(Q), and p2[k] applies the kinetic energy per unit omega,
-    F^dagger diag(p^2/2) F, on mode k's register. A PropagatorPlan is one;
-    a CircuitPlan builds one for energy."""
+class Plan:
+    """A subclass compiles one step dt into `program`, a kernels.Program
+    over the flat state of `layout`. The `halves` operations at each end of
+    the program form its outer half-step: the potential for potential-first,
+    one kinetic matrix per mode register, in register order, for
+    kinetic-first. The grid terms are built on first use: vtab holds V_s(Q),
+    ctab the coupling field c(Q), and p2[k] applies the kinetic energy per
+    unit omega, F^dagger diag(p^2/2) F, on mode k's register."""
 
     model: VibronicModel
     grid: GridSpec
-    layout: QubitLayout = field(init=False, repr=False)
-    vtab: np.ndarray = field(init=False, repr=False)
-    ctab: np.ndarray = field(init=False, repr=False)
-    p2: list = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        kernels.check_budget(self.model.d, self.grid.n)
-        self.layout = QubitLayout(self.model.d, self.grid.n)
-        self.vtab = _diagonal_potentials(self.model, self.grid)
-        self.ctab = _coupling_field(self.model, self.grid)
-        p2 = _dft_conjugate(self.grid, 0.5 * momentum_points(self.grid) ** 2)
-        self.p2 = [kernels.register_op(self.layout.mode_qubits(k), p2) for k in range(self.model.d)]
-
-
-@dataclass
-class PropagatorPlan(GridHamiltonian):
-    """One time step compiled once into a kernels.Program over the
-    GridHamiltonian's layout. Mode k's kinetic propagator
-    F^dagger diag(exp(-i K_k t/hbar)) F acts on its register, and C.D (diagonal
-    potential phases D, then the coupling rotation C) pointwise on the top
-    qubit; potential-first closes with D.C, tables 01 and 10 swapped.
-    """
-
     dt: float
     split_order: str = "potential-first"
+    layout: QubitLayout = field(init=False, repr=False)
     program: kernels.Program = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.split_order not in SPLIT_ORDERS:
             raise ValueError(f"unknown split order {self.split_order!r}")
+        kernels.check_budget(self.model.d, self.grid.n)
+        self.layout = QubitLayout(self.model.d, self.grid.n)
+
+    @property
+    def halves(self) -> int:
+        return 1 if self.split_order == "potential-first" else self.model.d
+
+    @functools.cached_property
+    def vtab(self) -> np.ndarray:
+        return _diagonal_potentials(self.model, self.grid)
+
+    @functools.cached_property
+    def ctab(self) -> np.ndarray:
+        return _coupling_field(self.model, self.grid)
+
+    @functools.cached_property
+    def p2(self) -> list:
+        p2 = _dft_conjugate(self.grid, 0.5 * momentum_points(self.grid) ** 2)
+        return [kernels.register_op(self.layout.mode_qubits(k), p2) for k in range(self.model.d)]
+
+
+class PropagatorPlan(Plan):
+    """The soft engine's step: mode k's kinetic propagator
+    F^dagger diag(exp(-i K_k t/hbar)) F acts on its register, and C.D
+    (diagonal potential phases D, then the coupling rotation C) pointwise on
+    the top qubit; potential-first closes with D.C, tables 01 and 10
+    swapped. The grid terms are built with the plan, the step's phases from
+    vtab and ctab.
+    """
+
+    def __post_init__(self) -> None:
         super().__post_init__()
+        # p2 too: built by energy during a run, it would raise the run's peak
+        vtab, ctab, _ = self.vtab, self.ctab, self.p2
         hbar = self.model.hbar
         pot_first = self.split_order == "potential-first"
         pot_frac, kin_frac = (0.5, 1.0) if pot_first else (1.0, 0.5)
@@ -132,20 +149,20 @@ class PropagatorPlan(GridHamiltonian):
                for k, mode in enumerate(self.model.modes)]
         # in place, phases first into the diagonal slots, to keep peak memory low
         pot_t = pot_frac * self.dt / hbar
-        pot = np.empty((4,) + self.ctab.shape, dtype=np.complex128)
-        np.exp(-1j * pot_t * self.vtab[0], out=pot[0])
-        np.exp(-1j * pot_t * self.vtab[1], out=pot[3])
-        sin_t = np.sin(self.ctab * pot_t)
+        pot = np.empty((4,) + ctab.shape, dtype=np.complex128)
+        np.exp(-1j * pot_t * vtab[0], out=pot[0])
+        np.exp(-1j * pot_t * vtab[1], out=pot[3])
+        sin_t = np.sin(ctab * pot_t)
         np.multiply(sin_t, pot[3], out=pot[1])
         np.multiply(sin_t, pot[0], out=pot[2])
         pot[1:3] *= -1j
-        pot[::3] *= np.cos(self.ctab * pot_t)
+        pot[::3] *= np.cos(ctab * pot_t)
         cd = kernels.pointwise_op(pot)
         dc = kernels.pointwise_op((pot[0], pot[2], pot[1], pot[3]))
         self.program = kernels.Program(self.layout.total, [cd, *kin, dc] if pot_first else [*kin, cd, *kin])
 
 
-def step(plan, psi: Wavepacket) -> Wavepacket:
+def step(plan: Plan, psi: Wavepacket) -> Wavepacket:
     """Advance psi by one dt under either engine's plan; returns a new Wavepacket."""
     return plan.layout.position(plan.program.run(plan.layout.flat(psi)))
 
@@ -197,34 +214,26 @@ def boundary_maxima(psi: Wavepacket) -> np.ndarray:
     return out
 
 
-def energy(plan, psi: Wavepacket) -> float:
+def energy(plan: Plan, psi: Wavepacket) -> float:
     """<H> = <V_diag> + <c(Q) X> + <K>, with <K> = sum_k omega_k <a|p2_k a>,
-    under either engine's plan: a PropagatorPlan is its own GridHamiltonian
-    and a CircuitPlan builds one on first use. psi's amplitudes are read in
-    the flat order, which for plan.layout.position's view is the flat state
-    itself, and the p2 products go to the plan's program scratch."""
+    from the grid terms of either engine's plan. psi's amplitudes are read
+    in the flat order, which for plan.layout.position's view is the flat
+    state itself, and the p2 products go to the plan's program scratch."""
     a = plan.layout.flat_order(psi)
-    ham = plan if isinstance(plan, GridHamiltonian) else plan.hamiltonian
+    vtab, ctab, p2 = plan.vtab, plan.ctab, plan.p2  # built before the temporaries below
     prob = np.abs(a) ** 2
-    ev = float(np.sum(ham.vtab * prob))
-    ec = float(np.sum(ham.ctab * 2.0 * np.real(np.conj(a[0]) * a[1])))
+    ev = float(np.sum(vtab * prob))
+    ec = float(np.sum(ctab * 2.0 * np.real(np.conj(a[0]) * a[1])))
     # each p2 operation is dense on one register: it writes only the scratch
     flat = a.reshape(-1)
     spare = plan.program.scratch(flat)
     ek = sum(mode.omega * np.vdot(flat, kernels._apply_op(op, flat, spare)[0]).real
-             for op, mode in zip(ham.p2, plan.model.modes))
+             for op, mode in zip(p2, plan.model.modes))
     return ev + ec + float(ek)
 
 
-def _half_step_ops(split_order: str, d: int) -> int:
-    """Operations at each end of either engine's compiled step that form its
-    outer half-step: the potential for potential-first, one kinetic matrix
-    per mode register, in register order, for kinetic-first."""
-    return 1 if split_order == "potential-first" else d
-
-
 def propagate(
-    plan,
+    plan: Plan,
     psi0: Wavepacket,
     time_grid: TimeGrid,
     observers: tuple[str, ...] = DEFAULT_OBSERVERS,
@@ -243,7 +252,7 @@ def propagate(
         raise ValueError(f"unknown observers {sorted(unknown)}; pick from {list(OBSERVERS)}")
     state = plan.layout.flat(psi0)
     del psi0  # a caller's temporary psi0 is freed: the run reads only the copy
-    advance = plan.program.stepper(_half_step_ops(plan.split_order, plan.model.d))
+    advance = plan.program.stepper(plan.halves)
     rows: dict = {name: [] for name in OBSERVERS if name in observers}
     ref = state.reshape(2, -1).copy()
 

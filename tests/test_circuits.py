@@ -52,6 +52,7 @@ from vibroniq.model import (
     pyrazine_2mode,
 )
 from vibroniq.resources import qft_depth
+from vibroniq.signals import SignalError
 from vibroniq.soft import (
     OBSERVERS,
     SPLIT_ORDERS,
@@ -912,7 +913,7 @@ def test_k_step_advance_matches_single_steps(engine, split, n_steps, stride, mon
     plan = PLANS[engine](model, grid, tg.dt, split)
     out = propagate(plan, initial_state(model, grid), tg, observers=OBSERVERS)
     # a block of one step merges nothing, so stride 1 builds no bridge
-    assert len(bridges) == (soft._half_step_ops(split, model.d) if stride > 1 else 0)
+    assert len(bridges) == (plan.halves if stride > 1 else 0)
     rows, final = _single_step_series(plan, initial_state(model, grid), tg)
     got = {"autocorr": out["autocorr"].values,
            "population": np.column_stack([out["population"].p_s1, out["population"].p_s2]),
@@ -936,8 +937,9 @@ def test_bridge_census(name, monkeypatch):
     made = []
     real_bridge = kernels._bridge
     monkeypatch.setattr(kernels, "_bridge", lambda t, h: made.append(real_bridge(t, h)) or made[-1])
-    program = ENGINE_PROGRAMS[name][0](4)
-    halves = soft._half_step_ops(name.split("-", 2)[2], 4)
+    kind, _, split = name.split("-", 2)
+    plan = PLANS[kind](get_model("pyrazine-4d"), _box(4), 0.13, split)
+    program, halves = plan.program, plan.halves
     advance = program.stepper(halves)
     state = random_state(program.n_qubits, seed=7)
     advance(state, 1)
@@ -994,6 +996,18 @@ def test_hadamard_sampled_converges():
     tg = TimeGrid(dt=0.5, n_steps=4, sample_stride=2)
     series = hadamard_series(model, grid, tg, shots=200_000, seed=7)
     assert np.max(np.abs(series["sampled"] - series["exact"])) < 0.02
+
+
+def test_hadamard_series_rejects_a_bad_seed_before_propagating(monkeypatch):
+    def not_run(*args, **kwargs):
+        raise AssertionError("the series was propagated before the seed was checked")
+
+    monkeypatch.setattr(circuits, "circuit_propagate", not_run)
+    tg = TimeGrid(dt=0.5, n_steps=4, sample_stride=2)
+    for seed in (-1, 1.5):
+        with pytest.raises(SignalError, match=f"a Generator, got {seed}"):
+            hadamard_series(two_mode_tiny(), GridSpec(n=2, q_min=-5.0, q_max=5.0), tg,
+                            shots=100, seed=seed)
 
 
 def test_hadamard_circuits_differ_by_one_s_gate():
@@ -1080,6 +1094,34 @@ def test_qpe_counts_are_reproducible():
     b = run_qpe(circ, system, shots=512, seed=11)
     assert a["counts"] == b["counts"]
     assert sum(a["counts"].values()) == 512
+
+
+def test_run_qpe_rejects_a_bad_seed_before_running(monkeypatch):
+    ev = Circuit(1)
+    ev.add("U1", (0,), theta=0.7)
+    circ = build_qpe(ev, 3)
+
+    def not_run(*args):
+        raise AssertionError("the circuit ran before the seed was checked")
+
+    monkeypatch.setattr(circuits, "apply", not_run)
+    for seed in (-1, 1.5):
+        with pytest.raises(SignalError, match=f"a Generator, got {seed}"):
+            run_qpe(circ, np.array([0.0, 1.0], dtype=np.complex128), shots=512, seed=seed)
+
+
+def test_qpe_counts_are_the_signals_multinomial_draw():
+    # the draw run_qpe made with its own generator before it used signals'
+    ev = Circuit(2)
+    ev.add("H", (0,))
+    ev.add("U1", (1,), controls=((0, 1),), theta=0.9)
+    circ = build_qpe(ev, 6)
+    system = np.array([0.5, 0.5, 0.5, 0.5], dtype=np.complex128)
+    for shots in (512, 4096):
+        out = run_qpe(circ, system, shots=shots, seed=3)
+        probs = out["probs"]
+        counts = np.random.default_rng(3).multinomial(shots, probs / probs.sum())
+        assert out["counts"] == {k: int(c) for k, c in enumerate(counts) if c}
 
 
 def test_run_qpe_rejects_negative_shots():

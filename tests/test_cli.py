@@ -281,6 +281,19 @@ def test_negative_qpe_shots_are_a_clean_error(tmp_path, capsys):
     assert capsys.readouterr().err == "error: shots must be nonnegative, got -5\n"
 
 
+@pytest.mark.parametrize("seed", ["-1", "-7"])
+def test_a_bad_qpe_seed_is_a_clean_error_before_anything_is_built(seed, tmp_path, capsys,
+                                                                  monkeypatch):
+    def not_run(*args):
+        pytest.fail("the step was built before the seed was checked")
+
+    monkeypatch.setattr("vibroniq.circuits.build_timestep", not_run)
+    assert main(["qpe-demo", "--seed", seed, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: seed must be None, a non-negative integer or a Generator, got {seed}\n"
+    assert not (tmp_path / "qpe_demo.csv").exists()
+
+
 def test_float_formatting_round_trips(tmp_path):
     main(["zpe-scan", "--out", str(tmp_path)])
     _, rows = read_csv(tmp_path / "zpe_scan.csv")

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from vibroniq.signals import (
     _first_sustained,
     default_shot_grid,
     sample_autocorr,
+    sample_counts,
     sample_spectrum_direct,
     shots_scan,
     spectrum,
@@ -238,6 +240,38 @@ def test_one_count_samplers_are_pinned():
     spec = spectrum(damped_cosine_series(n=9))
     direct = sample_spectrum_direct(spec, shots=1000, seed=7).intensities
     assert np.array_equal(direct, np.array([0, 27, 0, 572, 312, 0, 89, 0]) / 1000)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "7", np.float64(3.0)])
+def test_one_count_samplers_reject_a_bad_seed_before_drawing(seed, monkeypatch):
+    series = damped_cosine_series(n=5)
+    spec = spectrum(damped_cosine_series(n=9))
+
+    def no_draws(*args, **kwargs):
+        pytest.fail("a bad seed reached the random generator")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    message = f"seed must be None, a non-negative integer or a Generator, got {re.escape(repr(seed))}$"
+    with pytest.raises(SignalError, match=message):
+        sample_autocorr(series, shots=1000, seed=seed)
+    with pytest.raises(SignalError, match=message):
+        sample_spectrum_direct(spec, shots=1000, seed=seed)
+    with pytest.raises(SignalError, match=message):
+        sample_counts(spec.intensities, shots=1000, seed=seed)
+
+
+def test_sample_counts_is_the_one_count_multinomial_draw():
+    # numpy draws the same stream for n shots and for the one-count grid [n]
+    q = np.random.default_rng(0).random(64)
+    for shots in (512, 4096):
+        counts = sample_counts(q, shots, seed=11)
+        assert np.array_equal(counts, np.random.default_rng(11).multinomial(shots, q / q.sum()))
+
+
+@pytest.mark.parametrize("hbar", [math.nan, math.inf, -math.inf, -1.0, 0.0])
+def test_spectrum_rejects_an_hbar_that_is_not_positive_and_finite(hbar):
+    with pytest.raises(SignalError, match=f"hbar must be positive and finite, got {hbar}"):
+        spectrum(damped_cosine_series(), hbar=hbar)
 
 
 def test_a_sampled_spectrum_with_no_positive_weight_is_a_typed_error():

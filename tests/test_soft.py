@@ -417,6 +417,30 @@ def test_plan_over_the_memory_budget_fails_before_allocating():
     assert peak < 2**20
 
 
+# the soft plan's step reads its grid terms, so it builds them with the
+# plan; the circuit plan builds them when energy first reads them
+@pytest.mark.parametrize("kind", list(PLANS))
+@pytest.mark.parametrize("split", SPLIT_ORDERS)
+def test_both_plans_keep_the_plan_contract(kind, split):
+    # the split order is checked first: this 49-qubit model is over budget
+    model = get_model("pyrazine-24d-placeholder")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="unknown split order 'bogus'") as err:
+            PLANS[kind](model, GridSpec(n=2, q_min=-5.0, q_max=5.0), dt=0.5, split_order="bogus")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert type(err.value) is ValueError and peak < 2**20
+    model, grid = pyrazine_2mode(), GridSpec(n=3, q_min=-5.0, q_max=5.0)
+    plan = PLANS[kind](model, grid, 0.25, split)
+    assert plan.halves == (1 if split == "potential-first" else model.d)
+    terms = ["vtab", "ctab", "p2"]
+    assert [t for t in terms if t in vars(plan)] == (terms if kind == "soft" else [])
+    energy(plan, initial_state(model, grid))
+    assert [t for t in terms if t in vars(plan)] == terms
+
+
 # the soft plan keeps the bare split order as its id
 @pytest.mark.parametrize("kind, split", [
     pytest.param(kind, split, id=split if kind == "soft" else f"{kind}-{split}")
