@@ -17,25 +17,28 @@ fuses) is not checked again; a derivation that moves qubits checks once
 that its qubit map sends the source qubits one-to-one into range.
 
 Running: apply replays the gate list gate by gate and is the reference.
-compile turns a circuit into a few operations, each computed from its gates
-by unitary_of. It follows the commuting blocks of a time step on its qubit
-layout: one matrix per mode register for each run of register gates (QFT,
-UK, QFT'), and in each potential run, fused greedily on at most n + 1
-qubits (a mode register and the electronic qubit), one phase table per
-stretch of diagonal operations, the coupling rotation staying a matrix on
-the electronic qubit and its register. Gates that straddle registers take
-the greedy fuser too. A CircuitPlan is a soft.Plan whose program is the
-compiled step, so soft.propagate, soft.step and soft.energy run it as they
-run the soft engine's plan. The state stays in the position basis in both
-split orders: a kinetic-first step is compiled between its QFT walls, each
-wall joining the register run next to it. soft.propagate advances k steps
-at a time with the program's stepper, which merges the closing half-step of
-one step into the opening half-step of the next: the two full-state phase
-tables for potential-first, the d walled register matrices (in register
-order at both ends) for kinetic-first. The interferometer readout
-(hadamard_series) runs no state of its own: its ancilla-controlled step
-acts as the plain step on the ancilla-set half, so it reads A(t) from
-circuit_propagate's autocorrelation.
+compile turns a circuit into a few operations, each the unitary of its
+gates up to rounding: a stretch of diagonal gates (U1, S) sums its angles
+into one table, exponentiated once, and only the other gates run as kernels
+over the identity, as unitary_of runs them. It follows the commuting blocks
+of a time step on its qubit layout: one matrix per mode register for each
+run of register gates (QFT, UK, QFT'), and in each potential run, fused
+greedily on at most n + 1 qubits (a mode register and the electronic
+qubit), one phase table per stretch of diagonal operations, multiplied
+smallest support first into the full-state table, the coupling rotation
+staying a matrix on the electronic qubit and its register. Gates that
+straddle registers take the greedy fuser too. A CircuitPlan is a soft.Plan
+whose program is the compiled step, so soft.propagate, soft.step and
+soft.energy run it as they run the soft engine's plan. The state stays in
+the position basis in both split orders: a kinetic-first step is compiled
+between its QFT walls, each wall joining the register run next to it.
+soft.propagate advances k steps at a time with the program's stepper, which
+merges the closing half-step of one step into the opening half-step of the
+next: the two full-state phase tables for potential-first, the d walled
+register matrices (in register order at both ends) for kinetic-first. The
+interferometer readout (hadamard_series) runs no state of its own: its
+ancilla-controlled step acts as the plain step on the ancilla-set half, so
+it reads A(t) from circuit_propagate's autocorrelation.
 """
 from __future__ import annotations
 
@@ -234,8 +237,8 @@ def unitary_of(circuit: Circuit, n_qubits: int | None = None) -> np.ndarray:
 
 
 def compile(circuit: Circuit, layout: QubitLayout) -> kernels.Program:
-    """The circuit as a kernels.Program of operations, each computed from its
-    gates by unitary_of.
+    """The circuit as a kernels.Program of operations, each the unitary of
+    its gates as unitary_of computes it, up to rounding (_fuse).
 
     The layout's mode registers split the gates into register runs and
     potential runs. A register run is a maximal run of gates that each stay
@@ -248,16 +251,22 @@ def compile(circuit: Circuit, layout: QubitLayout) -> kernels.Program:
     mode register and the electronic qubit) one operation on that support,
     gates never reordered and a wider gate an operation of its own. Each
     stretch of consecutive phase operations this yields is multiplied into
-    one phase table over the whole state."""
+    one phase table over the whole state (kernels.merge_phases)."""
     n, d = layout.n, layout.d
+    owner = [q // n if q < n * d else None for q in range(circuit.n_qubits)]
 
     def register(g: Gate) -> int | None:
-        r = g.targets[0] // n
-        inside = r < d and all(q // n == r for q in g.targets) and all(q // n == r for q, _ in g.controls)
-        return r if inside else None
+        r = owner[g.targets[0]]
+        for q in g.targets[1:]:
+            if owner[q] != r:
+                return None
+        for q, _ in g.controls:
+            if owner[q] != r:
+                return None
+        return r
 
     def in_registers(run: list) -> bool:
-        return run[0][0] is not None and any(g.kind not in ("U1", "S") for _, g in run)
+        return run[0][0] is not None and not all(_diagonal(g) for _, g in run)
 
     tagged = [(register(g), g) for g in circuit.gates]
     runs = [list(run) for _, run in itertools.groupby(tagged, lambda rg: rg[0] is None)]
@@ -268,29 +277,16 @@ def compile(circuit: Circuit, layout: QubitLayout) -> kernels.Program:
             gates: dict[int, list[Gate]] = {}
             for r, g in run:
                 gates.setdefault(r, []).append(g)
-            ops += [_fuse(layout.mode_qubits(r), gates[r]) for r in sorted(gates)]
+            ops += _fuse([(layout.mode_qubits(r), gates[r]) for r in sorted(gates)])
         else:
-            ops += _merge_phases(_fuse_greedy([g for _, g in run], n + 1), circuit.n_qubits)
+            fused = _fuse_greedy([g for _, g in run], n + 1)
+            ops += kernels.merge_phases([support for support, _ in fused], _fuse(fused), circuit.n_qubits)
     return kernels.Program(circuit.n_qubits, ops)
 
 
-def _merge_phases(ops: list[tuple], n_qubits: int) -> list[tuple]:
-    """ops with each stretch of consecutive phases multiplied into one phase
-    table over n_qubits, made by running the stretch over a vector of ones."""
-    out = []
-    for is_phase, stretch in itertools.groupby(ops, lambda op: op[1] == "phase"):
-        stretch = list(stretch)
-        if is_phase and len(stretch) > 1:
-            table = np.ones(1 << n_qubits, dtype=np.complex128)
-            for op in stretch:
-                kernels._apply_op(op, table, None)
-            stretch = [kernels.phase_op(range(n_qubits), table)]
-        out += stretch
-    return out
-
-
 def _fuse_greedy(gates: list[Gate], width: int) -> list[tuple]:
-    """One operation per run of consecutive gates within `width` qubits."""
+    """(ascending support, gates) of each run of consecutive gates within
+    `width` qubits."""
     runs: list[tuple[set, list]] = []
     for g in gates:
         qubits = {*g.targets, *(q for q, _ in g.controls)}
@@ -299,17 +295,57 @@ def _fuse_greedy(gates: list[Gate], width: int) -> list[tuple]:
             runs[-1][1].append(g)
         else:
             runs.append((qubits, [g]))
-    return [_fuse(sorted(qs), gs) for qs, gs in runs]
+    return [(sorted(qs), gs) for qs, gs in runs]
 
 
-def _fuse(support, gates: list[Gate]) -> tuple:
-    """The operation of a run of gates on the ascending support."""
-    local = {q: j for j, q in enumerate(support)}
-    sub = Circuit(len(support))
-    sub.gates = [_derived_gate(g.kind, tuple(local[t] for t in g.targets),
-                               tuple((local[c], p) for c, p in g.controls), g.theta, g.layer)
-                 for g in gates]
-    return kernels.register_op(support, unitary_of(sub))
+def _fuse(runs: list[tuple]) -> list[tuple]:
+    """The operation of each (ascending support, gates) run.
+
+    Each stretch of consecutive diagonal gates (U1, S) is one table of
+    summed angles over the support's indices, exponentiated once;
+    kernels.phase_tables computes the tables of all the runs at once. A run
+    of one stretch is its phase table. Any other run starts from the
+    2k-qubit identity that unitary_of runs a circuit over: each stretch
+    multiplies it by its table, and each other gate runs over it through
+    apply."""
+    fixed, angles, starts, parts = [], [], [], []
+    for support, gates in runs:
+        local = {q: j for j, q in enumerate(support)}
+        stretches = []
+        for diagonal, stretch in itertools.groupby(gates, _diagonal):
+            if diagonal:
+                starts.append(len(angles))
+                for g in stretch:
+                    fixed.append([(local[q], b) for q, b in g.controls] + [(local[g.targets[0]], 1)])
+                    angles.append(math.pi / 2 if g.kind == "S" else g.theta)
+            else:
+                stretch = [_derived_gate(g.kind, tuple(local[t] for t in g.targets),
+                                         tuple((local[c], p) for c, p in g.controls), g.theta, g.layer)
+                           for g in stretch]
+            stretches.append((diagonal, stretch))
+        parts.append(stretches)
+    if starts:
+        tables = iter(kernels.phase_tables(fixed, angles, starts, max(len(s) for s, _ in runs)))
+    ops = []
+    for (support, _), stretches in zip(runs, parts):
+        dim = 1 << len(support)
+        if len(stretches) == 1 and stretches[0][0]:
+            ops.append(kernels.phase_op(support, next(tables)[:dim]))
+            continue
+        state = np.eye(dim, dtype=np.complex128).reshape(-1)
+        sub = Circuit(len(support))
+        for diagonal, stretch in stretches:
+            if diagonal:
+                state.reshape(dim, dim)[...] *= next(tables)[:dim]
+            else:
+                sub.gates = stretch
+                apply(sub, state)
+        ops.append(kernels.register_op(support, state.reshape(dim, dim).T))
+    return ops
+
+
+def _diagonal(g: Gate) -> bool:
+    return g.kind == "U1" or g.kind == "S"
 
 
 # ---------------------------------------------------------------------------
@@ -882,6 +918,7 @@ def hadamard_series(
     signals.sample_autocorr to it.
     """
     signals.check_seed(seed)
+    signals.check_shots(shots)
     ac = circuit_propagate(model, grid, time_grid, split_order, observers=("autocorr",))["autocorr"]
     out = {"times": ac.times, "exact": ac.values}
     if shots:
@@ -928,6 +965,7 @@ def run_qpe(circuit: Circuit, system_state: np.ndarray, shots: int = 0, seed: in
         raise CircuitError("not a phase-estimation circuit; build it with build_qpe")
     if shots < 0:
         raise CircuitError(f"shots must be nonnegative, got {shots}")
+    signals.check_shots(shots)
     signals.check_seed(seed)
     n_total = circuit.n_qubits
     n_sys = kernels._state_qubits(np.asarray(system_state), 0)

@@ -5,9 +5,12 @@ Each per-gate kernel reshapes the 2**n state into an n-axis (2, ..., 2)
 tensor, pins the fixed/control qubits with length-1 slices and updates the
 resulting view in place, so no amplitude outside the addressed subspace is
 touched. register_op, phase_op and pointwise_op build the operations a
-Program runs.
+Program runs; phase_tables computes the diagonals of controlled phases
+and merge_phases multiplies phase operations into one.
 """
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -17,7 +20,7 @@ DEFAULT_MEMORY_BUDGET = 4 * 2**30
 # tables and temporaries) and RUN_OPERATORS dense operators on n + 1 qubits
 # (a mode register and the electronic qubit) per mode register, which a plan
 # and its bridges hold, plus as many again for the working copies of
-# compile (the identity unitary_of runs over, its transposed result)
+# compile (the identity a fused run's gates run over, its transposed result)
 RUN_STATEVECTORS = 12
 RUN_OPERATORS = 2
 
@@ -154,6 +157,54 @@ def pointwise_op(tables) -> tuple:
     """A 2x2 on the top qubit: its entries 00, 01, 10, 11 per lower index."""
     tables = tuple(t.reshape(-1) for t in tables)
     return [-1, 2, tables[0].size], "pointwise", tables, None
+
+
+def phase_tables(fixed, angles, starts, n_qubits: int) -> np.ndarray:
+    """exp(i times the summed angles) over the 2**n_qubits indices, one row
+    per stretch of (fixed, angle) pairs, the stretches beginning at `starts`:
+    a pair adds its angle where the index's bits match every (qubit, bit) in
+    its fixed list. One vectorised match serves every row."""
+    masks = []
+    for pairs in fixed:
+        mask = bits = 0
+        for q, b in pairs:
+            mask |= 1 << q
+            bits |= b << q
+        masks.append((mask, bits))
+    masks = np.array(masks)
+    match = (np.arange(1 << n_qubits) & masks[:, :1]) == masks[:, 1:]
+    return np.exp(1j * np.add.reduceat(np.array(angles)[:, None] * match, starts))
+
+
+def merge_phases(supports, ops: list[tuple], n_qubits: int) -> list[tuple]:
+    """ops, on the ascending qubit supports, with each stretch of consecutive
+    phases multiplied into one phase_op over n_qubits.
+
+    A stretch's tables are broadcast over one axis per qubit (numpy joins
+    the axes the tables hold alike) and multiplied pair by pair, the pair
+    with the smallest joint support first, so the products stay small; the
+    last product is written straight into the one full table."""
+    out = []
+    for is_phase, stretch in itertools.groupby(zip(supports, ops), lambda so: so[1][1] == "phase"):
+        stretch = list(stretch)
+        if not is_phase or len(stretch) == 1:
+            out += [op for _, op in stretch]
+            continue
+        factors = []
+        for support, op in stretch:
+            shape = [1] * n_qubits
+            for q in support:
+                shape[-1 - q] = 2
+            factors.append((sum(1 << q for q in support), op[2].reshape(shape)))
+        while len(factors) > 2:
+            i, j = min(itertools.combinations(range(len(factors)), 2),
+                       key=lambda ij: (factors[ij[0]][0] | factors[ij[1]][0]).bit_count())
+            (mi, ti), (mj, tj) = factors[i], factors.pop(j)
+            factors[i] = (mi | mj, ti * tj)
+        table = np.empty(1 << n_qubits, dtype=np.complex128)
+        np.multiply(factors[0][1], factors[1][1], out=table.reshape((2,) * n_qubits))
+        out.append(phase_op(range(n_qubits), table))
+    return out
 
 
 def _apply_op(op: tuple, cur: np.ndarray, spare: np.ndarray) -> tuple:

@@ -97,13 +97,26 @@ def _spectra(t, values, tau_fs, damp_d, hbar):
 
 
 def _shot_counts(shots) -> np.ndarray:
-    """A non-empty 1-D int array of positive shot counts."""
-    grid = np.asarray(shots, dtype=int)
+    """A non-empty 1-D int array of positive shot counts; a bool or a count
+    with a fractional part is refused, not truncated."""
+    grid = np.asarray(shots)
     if grid.ndim != 1 or len(grid) == 0:
         raise SignalError(f"need a non-empty 1-D shot grid, got shape {grid.shape}")
+    for s in shots:
+        if isinstance(s, (bool, np.bool_)) or not (isinstance(s, numbers.Real) and float(s).is_integer()):
+            raise SignalError(f"shots must be whole numbers, got {s!r}")
+    grid = grid.astype(int)
     if np.any(grid < 1):
         raise SignalError(f"shots must be positive, got {grid[grid < 1][0]}")
     return grid
+
+
+def check_shots(shots) -> None:
+    """Raise SignalError unless shots is None or 0, which mean no sampling,
+    or a positive whole count."""
+    if shots is None or (shots == 0 and not isinstance(shots, bool)):
+        return
+    _shot_counts([shots])
 
 
 def _quadratures(values: np.ndarray, shots: np.ndarray, rng) -> np.ndarray:

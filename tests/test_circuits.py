@@ -1,6 +1,8 @@
 import hashlib
+import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -726,6 +728,22 @@ def random_circuit(n_qubits, n_gates, seed):
     return c
 
 
+def diagonal_heavy_circuit(n_qubits, n_gates, seed):
+    """Mostly U1 and S gates with 0-2 controls of both polarities on any
+    qubits, so their supports straddle registers, and some H, RX and SWAP."""
+    rng = np.random.default_rng(seed)
+    c = Circuit(n_qubits)
+    for _ in range(n_gates):
+        kind = "U1" if rng.random() < 0.6 else "S" if rng.random() < 0.6 else str(rng.choice(["H", "RX", "SWAP"]))
+        qubits = [int(q) for q in rng.permutation(n_qubits)]
+        n_targets = 2 if kind == "SWAP" else 1
+        n_controls = int(rng.integers(0, 3))
+        controls = tuple((q, int(rng.integers(0, 2))) for q in qubits[n_targets : n_targets + n_controls])
+        theta = float(rng.uniform(-math.pi, math.pi)) if kind in ("U1", "RX") else None
+        c.add(kind, tuple(qubits[:n_targets]), controls=controls, theta=theta)
+    return c
+
+
 BOX4 = GridSpec(n=4, q_min=-5.0, q_max=5.0, convention="periodic")
 BOX3 = GridSpec(n=3, q_min=-4.0, q_max=4.0)
 
@@ -745,6 +763,7 @@ COMPILED_CASES = {
     "bilinear-split": lambda: plan_step(bilinear_tiny(True), BOX3, 0.4, "kinetic-first"),
     # any circuit may be compiled on a layout its qubits fit
     "random": lambda: (random_circuit(7, 60, seed=11), QubitLayout(2, 3)),
+    "diagonal-heavy": lambda: (diagonal_heavy_circuit(10, 60, seed=3), QubitLayout(3, 3)),
 }
 
 
@@ -775,6 +794,47 @@ def test_compiled_program_matches_apply(case):
         apply(circ, plain)
         assert program.run(fused) is fused
         assert np.max(np.abs(fused - plain)) < 1e-12
+
+
+def test_compile_holds_no_second_full_state_temporary():
+    # the step's two merged phase tables take 2 MiB each; a merge that
+    # holds a second full-state temporary peaks a table higher
+    circ, layout = COMPILED_CASES["pyrazine-4d-potential-first"]()
+    tracemalloc.start()
+    try:
+        compile(circ, layout)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * (16 << circ.n_qubits) + (1 << 19)
+
+
+def test_diagonal_heavy_case_takes_every_path_of_the_fuser(monkeypatch):
+    fused, stretches = [], []
+    fuse, merge = circuits._fuse, kernels.merge_phases
+
+    def spy_fuse(runs):
+        fused.extend(gates for _, gates in runs)
+        return fuse(runs)
+
+    def spy_merge(supports, ops, n_qubits):
+        for is_phase, stretch in itertools.groupby(zip(supports, ops), lambda so: so[1][1] == "phase"):
+            stretch = [set(support) for support, _ in stretch]
+            if is_phase and len(stretch) > 1:
+                stretches.append(stretch)
+        return merge(supports, ops, n_qubits)
+
+    monkeypatch.setattr(circuits, "_fuse", spy_fuse)
+    monkeypatch.setattr(kernels, "merge_phases", spy_merge)
+    circ, layout = COMPILED_CASES["diagonal-heavy"]()
+    compile(circ, layout)
+    diagonal = [[g.kind in ("U1", "S") for g in gates] for gates in fused]
+    assert sum(all(d) for d in diagonal) >= 10
+    assert sum(any(d) and not all(d) for d in diagonal) >= 3
+    # a long stretch of phases on supports that straddle the 3-qubit registers
+    longest = max(stretches, key=len)
+    assert len(longest) >= 10
+    assert sum(len({q // 3 for q in support}) > 1 for support in longest) >= 8
 
 
 def _box(n):
@@ -1010,6 +1070,32 @@ def test_hadamard_series_rejects_a_bad_seed_before_propagating(monkeypatch):
                             shots=100, seed=seed)
 
 
+BAD_SHOTS = [(2.7, "shots must be whole numbers, got 2.7"),
+             (1.5, "shots must be whole numbers, got 1.5"),
+             (True, "shots must be whole numbers, got True"),
+             (-5, "shots must be positive, got -5")]
+
+
+@pytest.mark.parametrize("shots, message", BAD_SHOTS)
+def test_hadamard_series_rejects_a_bad_shot_count_before_propagating(shots, message, monkeypatch):
+    def not_built(*args, **kwargs):
+        raise AssertionError("the step was built before the shots were checked")
+
+    monkeypatch.setattr(circuits, "CircuitPlan", not_built)
+    tg = TimeGrid(dt=0.5, n_steps=4, sample_stride=2)
+    with pytest.raises(SignalError, match=message):
+        hadamard_series(two_mode_tiny(), GridSpec(n=2, q_min=-5.0, q_max=5.0), tg, shots=shots, seed=1)
+
+
+def test_hadamard_series_samples_nothing_without_shots():
+    tg = TimeGrid(dt=0.5, n_steps=4, sample_stride=2)
+    grid = GridSpec(n=2, q_min=-5.0, q_max=5.0)
+    for shots in (None, 0):
+        assert "sampled" not in hadamard_series(two_mode_tiny(), grid, tg, shots=shots)
+    whole = hadamard_series(two_mode_tiny(), grid, tg, shots=100.0, seed=2)["sampled"]
+    assert np.array_equal(whole, hadamard_series(two_mode_tiny(), grid, tg, shots=100, seed=2)["sampled"])
+
+
 def test_hadamard_circuits_differ_by_one_s_gate():
     ev = Circuit(2)
     ev.add("H", (0,))
@@ -1131,6 +1217,22 @@ def test_run_qpe_rejects_negative_shots():
     system = np.array([0.0, 1.0], dtype=np.complex128)
     with pytest.raises(CircuitError, match="shots must be nonnegative, got -5"):
         run_qpe(circ, system, shots=-5)
+
+
+@pytest.mark.parametrize("shots, message", BAD_SHOTS)
+def test_run_qpe_rejects_a_bad_shot_count_before_running(shots, message, monkeypatch):
+    ev = Circuit(1)
+    ev.add("U1", (0,), theta=0.7)
+    circ = build_qpe(ev, 3)
+
+    def not_run(*args):
+        raise AssertionError("the circuit ran before the shots were checked")
+
+    monkeypatch.setattr(circuits, "apply", not_run)
+    # a negative count keeps run_qpe's own error
+    error = (CircuitError, "shots must be nonnegative, got -5") if shots == -5 else (SignalError, message)
+    with pytest.raises(error[0], match=error[1]):
+        run_qpe(circ, np.array([0.0, 1.0], dtype=np.complex128), shots=shots, seed=3)
 
 
 def test_qpe_phase_to_energy_window():

@@ -300,11 +300,53 @@ def test_shots_scan_validation(monkeypatch):
         ({"shot_grid": []}, "need a non-empty 1-D shot grid"),
         ({"shot_grid": [[1000, 2000]]}, "need a non-empty 1-D shot grid"),
         ({"shot_grid": [1000, 0, 2000]}, "shots must be positive, got 0"),
+        ({"shot_grid": [1000, -5]}, "shots must be positive, got -5"),
+        ({"shot_grid": [1000, 1500.5]}, "shots must be whole numbers, got 1500.5"),
+        ({"shot_grid": [1000, 2.7]}, "shots must be whole numbers, got 2.7"),
+        ({"shot_grid": [1000, 1.5]}, "shots must be whole numbers, got 1.5"),
+        ({"shot_grid": [1000, True]}, "shots must be whole numbers, got True"),
         ({"tau_fs": 0.0}, "damping time must be positive"),
     ):
         for method in ("autocorr", "direct"):
             with pytest.raises(SignalError, match=message):
                 shots_scan(series, **{"method": method, **kwargs})
+
+
+BAD_SHOTS = [(2.7, "shots must be whole numbers, got 2.7"),
+             (1.5, "shots must be whole numbers, got 1.5"),
+             (True, "shots must be whole numbers, got True"),
+             (-5, "shots must be positive, got -5")]
+
+
+@pytest.mark.parametrize("shots, message", BAD_SHOTS)
+def test_samplers_reject_a_bad_shot_count_before_drawing(shots, message, monkeypatch):
+    # a count is refused, never truncated to a whole number of shots
+    series = damped_cosine_series(n=5)
+    spec = spectrum(damped_cosine_series(n=9))
+
+    def no_draws(*args, **kwargs):
+        pytest.fail("a bad shot count reached the random generator")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    with pytest.raises(SignalError, match=message):
+        sample_autocorr(series, shots, seed=3)
+    with pytest.raises(SignalError, match=message):
+        sample_counts(spec.intensities, shots, seed=3)
+    with pytest.raises(SignalError, match=message):
+        sample_spectrum_direct(spec, shots, seed=3)
+
+
+def test_whole_valued_shot_counts_are_counts():
+    series = damped_cosine_series(n=5)
+    q = np.random.default_rng(0).random(16)
+    for whole in (1000.0, np.float64(1000), np.int64(1000)):
+        assert np.array_equal(sample_autocorr(series, whole, seed=3).values,
+                              sample_autocorr(series, 1000, seed=3).values)
+        assert np.array_equal(sample_counts(q, whole, seed=3), sample_counts(q, 1000, seed=3))
+    a = shots_scan(series, shot_grid=[1000.0, 2000.0], seeds=[1], sustain=1)
+    b = shots_scan(series, shot_grid=[1000, 2000], seeds=[1], sustain=1)
+    assert a["shot_grid"].dtype == b["shot_grid"].dtype
+    assert np.array_equal(a["curves"], b["curves"])
 
 
 def test_default_thresholds_pinned():
