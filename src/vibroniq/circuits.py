@@ -17,13 +17,14 @@ fuses) is not checked again; a derivation that moves qubits checks once
 that its qubit map sends the source qubits one-to-one into range.
 
 Running: apply replays the gate list gate by gate and is the reference.
-compile turns a circuit into a few operations, each the unitary of its
-gates up to rounding: a stretch of diagonal gates (U1, S) sums its angles
-into one table, exponentiated once, and only the other gates run as kernels
-over the identity, as unitary_of runs them. It follows the commuting blocks
-of a time step on its qubit layout: one matrix per mode register for each
-run of register gates (QFT, UK, QFT'), and in each potential run, fused
-greedily on at most n + 1 qubits (a mode register and the electronic
+compile turns a circuit into a few operations, each the unitary of its gates
+up to rounding: a stretch of diagonal gates (U1, S) sums its angles into one
+table, exponentiated once, and only the other gates run as kernels over the
+identity, as unitary_of runs them. It follows the commuting blocks of a time
+step on its qubit layout: one matrix per mode register for each run of
+register gates (QFT, UK, QFT'), run as one chain of transposing matmuls
+(kernels.turn_ops) when every register has one, and in each potential run,
+fused greedily on at most n + 1 qubits (a mode register and the electronic
 qubit), one phase table per stretch of diagonal operations, multiplied
 smallest support first into the full-state table, the coupling rotation
 staying a matrix on the electronic qubit and its register. Gates that
@@ -35,10 +36,11 @@ between its QFT walls, each wall joining the register run next to it.
 soft.propagate advances k steps at a time with the program's stepper, which
 merges the closing half-step of one step into the opening half-step of the
 next: the two full-state phase tables for potential-first, the d walled
-register matrices (in register order at both ends) for kinetic-first. The
-interferometer readout (hadamard_series) runs no state of its own: its
-ancilla-controlled step acts as the plain step on the ancilla-set half, so
-it reads A(t) from circuit_propagate's autocorrelation.
+register matrices (a chain in register order at both ends, merged position
+by position) for kinetic-first. The interferometer readout (hadamard_series)
+runs no state of its own: its ancilla-controlled step acts as the plain step
+on the ancilla-set half, so it reads A(t) from circuit_propagate's
+autocorrelation.
 """
 from __future__ import annotations
 
@@ -244,9 +246,10 @@ def compile(circuit: Circuit, layout: QubitLayout) -> kernels.Program:
     potential runs. A register run is a maximal run of gates that each stay
     inside one mode register, not all of them diagonal (the QFT, UK and
     QFT'); gates on different registers commute, so it becomes one operation
-    per register, that register's gates in order. A potential run is the
-    rest (Udiag, Uc, the bilinear phases and the CCRx expansion, or any
-    gates that straddle registers): it is fused greedily, each run of
+    per register, that register's gates in order, and a run with a dense
+    operation on every register the chain of kernels.turn_ops. A potential
+    run is the rest (Udiag, Uc, the bilinear phases and the CCRx expansion,
+    or any gates that straddle registers): it is fused greedily, each run of
     consecutive gates whose joint support fits in layout.n + 1 qubits (one
     mode register and the electronic qubit) one operation on that support,
     gates never reordered and a wider gate an operation of its own. Each
@@ -277,7 +280,9 @@ def compile(circuit: Circuit, layout: QubitLayout) -> kernels.Program:
             gates: dict[int, list[Gate]] = {}
             for r, g in run:
                 gates.setdefault(r, []).append(g)
-            ops += _fuse([(layout.mode_qubits(r), gates[r]) for r in sorted(gates)])
+            fused = _fuse([(layout.mode_qubits(r), gates[r]) for r in sorted(gates)])
+            dense = [m if how == "left" else m.T.copy() for _, how, m, _ in fused if how != "phase"]
+            ops += kernels.turn_ops(dense) if len(dense) == d else fused
         else:
             fused = _fuse_greedy([g for _, g in run], n + 1)
             ops += kernels.merge_phases([support for support, _ in fused], _fuse(fused), circuit.n_qubits)
@@ -963,8 +968,6 @@ def run_qpe(circuit: Circuit, system_state: np.ndarray, shots: int = 0, seed: in
     m = getattr(circuit, "readout_qubits", None)
     if m is None:
         raise CircuitError("not a phase-estimation circuit; build it with build_qpe")
-    if shots < 0:
-        raise CircuitError(f"shots must be nonnegative, got {shots}")
     signals.check_shots(shots)
     signals.check_seed(seed)
     n_total = circuit.n_qubits

@@ -5,8 +5,10 @@ Each per-gate kernel reshapes the 2**n state into an n-axis (2, ..., 2)
 tensor, pins the fixed/control qubits with length-1 slices and updates the
 resulting view in place, so no amplitude outside the addressed subspace is
 touched. register_op, phase_op and pointwise_op build the operations a
-Program runs; phase_tables computes the diagonals of controlled phases
-and merge_phases multiplies phase operations into one.
+Program runs, and turn_ops the chain of transposing matmuls that applies
+one dense matrix per mode register, each as one GEMM; phase_tables computes
+the diagonals of controlled phases and merge_phases multiplies phase
+operations into one.
 """
 from __future__ import annotations
 
@@ -153,6 +155,22 @@ def register_op(support, u: np.ndarray) -> tuple:
     return shape, "right", u.T.copy(), None if len(axes) == 1 else (order, [shape[a] for a in order])
 
 
+def turn_ops(us) -> list[tuple]:
+    """The dense u_k of mode registers 0, ..., d-1, ascending from qubit 0,
+    as a chain of d "turn" operations, one GEMM each (Van Loan, J. Comput.
+    Appl. Math. 123, 85 (2000)). Each but the last multiplies the lowest
+    register's axis, read off the transposed flat state, and writes that
+    register on top, every other qubit moving down by n. The last multiplies
+    register d-1 batched over the qubits above the registers, and its
+    transposed view puts the turned registers back below it, so the chain
+    ends in the original qubit order. One register is a plain register_op."""
+    dim, d = len(us[0]), len(us)
+    if d == 1:
+        return [register_op(range(dim.bit_length() - 1), us[0])]
+    last = ([dim ** (d - 1), -1, dim], "turn", us[-1], None)
+    return [([-1, dim], "turn", u, None) for u in us[:-1]] + [last]
+
+
 def pointwise_op(tables) -> tuple:
     """A 2x2 on the top qubit: its entries 00, 01, 10, 11 per lower index."""
     tables = tuple(t.reshape(-1) for t in tables)
@@ -211,12 +229,18 @@ def _apply_op(op: tuple, cur: np.ndarray, spare: np.ndarray) -> tuple:
     """Apply one operation to the flat state `cur`; returns (result, free
     buffer) of cur and the same-shaped `spare`. A phase and a pointwise 2x2
     work in place (the pointwise one with the halves of `spare` as
-    temporaries); only "left" and unmoved "right" leave `cur` as it was."""
+    temporaries); only "left", "turn" and unmoved "right" leave `cur` as it
+    was."""
     shape, how, m, moved = op
     v = cur.reshape(shape)
     if how == "phase":
         v *= m
         return cur, spare
+    if how == "turn":  # the view's first axis moves last: the multiplied register goes on
+        # top, and in a chain's last view the registers turned before return to the bottom
+        src = v.transpose(*range(1, len(shape)), 0)
+        np.matmul(m, src, out=spare.reshape(src.shape))
+        return spare, cur
     out = spare.reshape(shape)
     if how == "pointwise":
         v0, v1, t0, t1 = v[:, 0], v[:, 1], out[:, 0], out[:, 1]
@@ -242,8 +266,8 @@ def _apply_op(op: tuple, cur: np.ndarray, spare: np.ndarray) -> tuple:
 def _bridge(tail: tuple, head: tuple) -> tuple:
     """The one operation that applies `tail` and then `head`, two operations
     of the same kind on the same view: the product of the phase tables or of
-    the pointwise 2x2s, H @ T for "left" and T @ H for "right", whose
-    operands are transposes."""
+    the pointwise 2x2s, H @ T for "left" and "turn" and T @ H for "right",
+    whose operands are transposes."""
     shape, how, t, moved = tail
     if moved is not None or head[3] is not None:
         raise CircuitError("cannot merge a gathering operation")
@@ -257,7 +281,7 @@ def _bridge(tail: tuple, head: tuple) -> tuple:
         (h00, h01, h10, h11), (t00, t01, t10, t11) = h, t
         return shape, how, (h00 * t00 + h01 * t10, h00 * t01 + h01 * t11,
                             h10 * t00 + h11 * t10, h10 * t01 + h11 * t11), None
-    return shape, how, h @ t if how == "left" else t @ h, None
+    return shape, how, t @ h if how == "right" else h @ t, None
 
 
 class Program:
@@ -268,10 +292,12 @@ class Program:
     ends in the scratch costs one copy back.
 
     stepper(halves) runs the program k times as one block. The `halves`
-    operations at each end form the step's outer half-step and act on
-    disjoint qubits, so across the boundary of two steps tail op i meets
-    head op i; the bridge applies each such pair as one operation. Every
-    block copies back at most once, not once per step."""
+    operations at each end form the step's outer half-step: operations on
+    disjoint qubits, or the positions of a turn_ops chain, a full cycle of
+    the qubit order. Either way, across the boundary of two steps tail op i
+    meets head op i on the same view, and the bridge applies each such pair
+    as one operation. Every block copies back at most once, not once per
+    step."""
 
     def __init__(self, n_qubits: int, ops: list[tuple]):
         self.n_qubits = n_qubits

@@ -6,11 +6,14 @@ kinetic phases. The diagonal phases and the rotation are fused into one
 pointwise 2x2 electronic operator. The kinetic step applies, along each mode
 axis, that mode's DFT-conjugated phase matrix F^dagger diag(exp(-i K_k dt/hbar)) F:
 the same operator as an FFT, phases and inverse FFT over the whole grid, in
-its DVR form. The default "potential-first" splitting is the palindrome
-V/2 . K . V/2 with the coupling rotation applied innermost (diag, coupling,
-K, coupling, diag), so the scheme stays second order; "kinetic-first" is
-K/2 . V . K/2 with the potential applied once per step, the layout used by
-the second-order (bilinear) model.
+its DVR form. The d matrices run as one chain of transposing matmuls
+(kernels.turn_ops): each multiplies the lowest mode axis as one GEMM and
+turns it to the top, and the last one, batched over the electronic index,
+turns the grid back into its own order. The default "potential-first"
+splitting is the palindrome V/2 . K . V/2 with the coupling rotation
+applied innermost (diag, coupling, K, coupling, diag), so the scheme stays
+second order; "kinetic-first" is K/2 . V . K/2 with the potential applied
+once per step, the layout used by the second-order (bilinear) model.
 
 Plan, the base of PropagatorPlan and circuits.CircuitPlan, holds all that
 propagate, step and energy read of a plan: the checked split order, the
@@ -91,7 +94,7 @@ class Plan:
     """A subclass compiles one step dt into `program`, a kernels.Program
     over the flat state of `layout`. The `halves` operations at each end of
     the program form its outer half-step: the potential for potential-first,
-    one kinetic matrix per mode register, in register order, for
+    the kinetic chain (one matrix per mode register, in register order) for
     kinetic-first. The grid terms are built on first use: vtab holds V_s(Q),
     ctab the coupling field c(Q), and p2[k] applies the kinetic energy per
     unit omega, F^dagger diag(p^2/2) F, on mode k's register."""
@@ -105,7 +108,7 @@ class Plan:
 
     def __post_init__(self) -> None:
         if self.split_order not in SPLIT_ORDERS:
-            raise ValueError(f"unknown split order {self.split_order!r}")
+            raise kernels.CircuitError(f"unknown split order {self.split_order!r}")
         kernels.check_budget(self.model.d, self.grid.n)
         self.layout = QubitLayout(self.model.d, self.grid.n)
 
@@ -144,9 +147,8 @@ class PropagatorPlan(Plan):
         pot_first = self.split_order == "potential-first"
         pot_frac, kin_frac = (0.5, 1.0) if pot_first else (1.0, 0.5)
         kin_phase = -0.5j * momentum_points(self.grid) ** 2 * (kin_frac * self.dt / hbar)
-        kin = [kernels.register_op(self.layout.mode_qubits(k),
-                                   _dft_conjugate(self.grid, np.exp(mode.omega * kin_phase)))
-               for k, mode in enumerate(self.model.modes)]
+        kin = kernels.turn_ops([_dft_conjugate(self.grid, np.exp(mode.omega * kin_phase))
+                                for mode in self.model.modes])
         # in place, phases first into the diagonal slots, to keep peak memory low
         pot_t = pot_frac * self.dt / hbar
         pot = np.empty((4,) + ctab.shape, dtype=np.complex128)

@@ -785,7 +785,7 @@ def test_compiled_program_matches_apply(case):
         # gates straddling registers take the greedy fuser, which alone
         # gathers blocks; every way of applying an operation is used
         assert {(how, moved is None) for _, how, _, moved in program.ops} == {
-            ("phase", True), ("left", True), ("right", True), ("right", False)}
+            ("phase", True), ("left", True), ("right", True), ("right", False), ("turn", True)}
     # one qubit more than the circuit, as in the Hadamard test
     n_state = circ.n_qubits + (1 if case == "random" else 0)
     plain = random_state(n_state, seed=5)
@@ -851,25 +851,25 @@ def _circuit_program(model, n, split):
 
 # the kinds are the same at every register width n
 ENGINE_PROGRAMS = {
-    # mode k's kinetic matrix acts on register k, as in the circuit, so
-    # mode 0's, which holds qubit 0, is a "right" matmul
+    # mode k's kinetic matrix acts on register k, as in the circuit: the d
+    # matrices are one turn_ops chain, register 0 first
     "soft-4d-potential-first": (lambda n: _soft_program(n, "potential-first"),
-                                ["pointwise", "right", "left", "left", "left", "pointwise"]),
+                                ["pointwise", "turn", "turn", "turn", "turn", "pointwise"]),
     "soft-4d-kinetic-first": (lambda n: _soft_program(n, "kinetic-first"),
-                              ["right", "left", "left", "left", "pointwise",
-                               "right", "left", "left", "left"]),
+                              ["turn", "turn", "turn", "turn", "pointwise",
+                               "turn", "turn", "turn", "turn"]),
     # potential run: merged phases, then Uc fused with the last register's
-    # quadratic network; register run: one matrix per register, qubit 0 last
+    # quadratic network; register run: one chain over the registers
     "circuit-4d-potential-first": (lambda n: _circuit_program("pyrazine-4d", n, "potential-first"),
-                                   ["phase", "left", "right", "left", "left", "left", "left", "phase"]),
+                                   ["phase", "left", "turn", "turn", "turn", "turn", "left", "phase"]),
     # each QFT wall joins the register run next to it
     "circuit-4d-kinetic-first": (lambda n: _circuit_program("pyrazine-4d", n, "kinetic-first"),
-                                 ["right", "left", "left", "left", "phase", "left",
-                                  "right", "left", "left", "left"]),
+                                 ["turn", "turn", "turn", "turn", "phase", "left",
+                                  "turn", "turn", "turn", "turn"]),
     "circuit-2mode-potential-first": (lambda n: _circuit_program("pyrazine-2mode", n, "potential-first"),
-                                      ["phase", "left", "right", "left", "left", "phase"]),
+                                      ["phase", "left", "turn", "turn", "left", "phase"]),
     "circuit-2mode-kinetic-first": (lambda n: _circuit_program("pyrazine-2mode", n, "kinetic-first"),
-                                    ["right", "left", "phase", "left", "right", "left"]),
+                                    ["turn", "turn", "phase", "left", "turn", "turn"]),
 }
 
 
@@ -887,6 +887,8 @@ def test_engine_program_census(name, n):
             assert operand.size == 1 << program.n_qubits
         elif how in ("left", "right"):
             assert operand.shape in ((1 << n, 1 << n), (2 << n, 2 << n))
+        elif how == "turn":
+            assert operand.shape == (1 << n, 1 << n)
 
 
 @pytest.fixture
@@ -983,12 +985,13 @@ def test_k_step_advance_matches_single_steps(engine, split, n_steps, stride, mon
     assert np.max(np.abs(out["state"].amplitudes - final)) < 1e-12
 
 
-# every bridge pairs tail op i with head op i, on the same view
+# every bridge pairs tail op i with head op i, on the same view: for
+# kinetic-first, position i of two turn chains, on register i
 BRIDGE_KINDS = {
     "soft-4d-potential-first": ["pointwise"],
     "circuit-4d-potential-first": ["phase"],
-    "soft-4d-kinetic-first": ["right", "left", "left", "left"],
-    "circuit-4d-kinetic-first": ["right", "left", "left", "left"],
+    "soft-4d-kinetic-first": ["turn", "turn", "turn", "turn"],
+    "circuit-4d-kinetic-first": ["turn", "turn", "turn", "turn"],
 }
 
 
@@ -1215,7 +1218,7 @@ def test_run_qpe_rejects_negative_shots():
     ev.add("U1", (0,), theta=0.7)
     circ = build_qpe(ev, 3)
     system = np.array([0.0, 1.0], dtype=np.complex128)
-    with pytest.raises(CircuitError, match="shots must be nonnegative, got -5"):
+    with pytest.raises(SignalError, match="shots must be positive, got -5"):
         run_qpe(circ, system, shots=-5)
 
 
@@ -1229,9 +1232,7 @@ def test_run_qpe_rejects_a_bad_shot_count_before_running(shots, message, monkeyp
         raise AssertionError("the circuit ran before the shots were checked")
 
     monkeypatch.setattr(circuits, "apply", not_run)
-    # a negative count keeps run_qpe's own error
-    error = (CircuitError, "shots must be nonnegative, got -5") if shots == -5 else (SignalError, message)
-    with pytest.raises(error[0], match=error[1]):
+    with pytest.raises(SignalError, match=message):
         run_qpe(circ, np.array([0.0, 1.0], dtype=np.complex128), shots=shots, seed=3)
 
 

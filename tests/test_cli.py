@@ -278,7 +278,7 @@ def test_a_model_file_with_a_non_numeric_frequency_is_a_clean_error(tmp_path, ca
 
 def test_negative_qpe_shots_are_a_clean_error(tmp_path, capsys):
     assert main(["qpe-demo", "--shots", "-5", "--out", str(tmp_path)]) == 1
-    assert capsys.readouterr().err == "error: shots must be nonnegative, got -5\n"
+    assert capsys.readouterr().err == "error: shots must be positive, got -5\n"
 
 
 @pytest.mark.parametrize("seed", ["-1", "-7"])

@@ -11,6 +11,7 @@ from vibroniq.kernels import (
     apply_swap,
     pointwise_op,
     register_op,
+    turn_ops,
 )
 
 
@@ -252,3 +253,50 @@ def test_a_mismatched_head_and_tail_cannot_merge(rng):
     for halves in (0, 2):
         with pytest.raises(CircuitError, match=f"{halves} operations at each end of a 3-operation"):
             Program(n, [cases["left"][0]] * 3).stepper(halves)
+
+
+def _register_ops(us):
+    """One plain register_op per mode register, register r on qubits
+    [r n, (r + 1) n)."""
+    n = len(us[0]).bit_length() - 1
+    return [register_op(range(r * n, (r + 1) * n), u) for r, u in enumerate(us)]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_turn_chain_matches_one_register_op_per_register(d, n, rng):
+    us = [random_unitary(1 << n, rng) for _ in range(d)]
+    chain = turn_ops(us)
+    assert [how for _, how, _, _ in chain] == ["turn"] * d
+    for extra in (0, 1, 2):  # qubits above the registers, as the electronic one
+        plain = random_state(d * n + extra, rng)
+        turned = plain.copy()
+        Program(d * n, _register_ops(us)).run(plain)
+        assert Program(d * n, chain).run(turned) is turned
+        assert np.max(np.abs(turned - plain)) < 1e-12, extra
+
+
+@pytest.mark.parametrize("d", [2, 4])
+def test_bridged_chains_match_chain_runs(d, rng):
+    # a body between two chains; across a step boundary position i of the
+    # tail chain meets position i of the head chain
+    n, extra = 2, 1
+    head, tail = (turn_ops([random_unitary(1 << n, rng) for _ in range(d)]) for _ in range(2))
+    tables = [rng.normal(size=1 << d * n) + 1j * rng.normal(size=1 << d * n) for _ in range(4)]
+    program = Program(d * n + 1, [*head, pointwise_op(tables), *tail])
+    advance = program.stepper(d)
+    for k in range(4):
+        plain = random_state(d * n + 1 + extra, rng)
+        merged = plain.copy()
+        for _ in range(k):
+            program.run(plain)
+        assert advance(merged, k) is merged
+        assert np.max(np.abs(merged - plain)) < 1e-12 * np.max(np.abs(plain)), k
+
+
+def test_one_register_turns_as_a_plain_right_operation(rng):
+    u = random_unitary(8, rng)
+    (op,) = turn_ops([u])
+    shape, how, operand, moved = register_op(range(3), u)
+    assert (op[0], op[1], op[3]) == (shape, how, moved) == ([-1, 8], "right", None)
+    assert np.array_equal(op[2], operand)

@@ -8,7 +8,7 @@ from test_circuits import PLANS, bilinear_tiny
 
 from vibroniq import kernels
 from vibroniq.circuits import circuit_propagate
-from vibroniq.kernels import MemoryBudgetError
+from vibroniq.kernels import CircuitError, MemoryBudgetError
 from vibroniq.model import (
     GridSpec,
     ModeParams,
@@ -431,7 +431,7 @@ def test_both_plans_keep_the_plan_contract(kind, split):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert type(err.value) is ValueError and peak < 2**20
+    assert type(err.value) is CircuitError and peak < 2**20
     model, grid = pyrazine_2mode(), GridSpec(n=3, q_min=-5.0, q_max=5.0)
     plan = PLANS[kind](model, grid, 0.25, split)
     assert plan.halves == (1 if split == "potential-first" else model.d)
