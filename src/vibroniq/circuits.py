@@ -12,9 +12,16 @@ engines.
 Checking: a gate is an immutable tuple of its fields, checked when a caller
 makes it (Gate(...) or Circuit.add, which also range-checks its qubits). A
 gate the package derives from checked ones (append_circuit, the
-per-register copies, controlled(), the CCRx expansion, the runs compile
-fuses) is not checked again; a derivation that moves qubits checks once
-that its qubit map sends the source qubits one-to-one into range.
+per-register and per-pair copies, controlled(), the CCRx expansion, the
+runs compile fuses) is not checked again; a derivation that moves qubits
+checks once that its qubit map sends the source qubits one-to-one into
+range, and a scaled copy checks each new angle once, as Gate would. The
+step builders build each repeated block once through Circuit.add, on
+abstract qubits with unit prefactors (a register's quadratic network, its
+branch-controlled linear phases, a bilinear pair's network and its CCRx
+expansion), and copy it onto every register or pair, each copy scaled by
+its own prefactor: the network angles are ±2^i·2^j, so the scaling is exact
+and the gates are those a gate-by-gate build would add.
 
 Running: apply replays the gate list gate by gate and is the reference.
 compile turns a circuit into a few operations, each the unitary of its gates
@@ -149,33 +156,43 @@ class Circuit:
     def gate_count(self) -> int:
         return len(self.gates)
 
-    def _extend(self, gates, n: int, qubit_map, offset: int) -> None:
-        """Append unchecked copies of checked gates on n qubits, qubit q moved to
-        qubit_map[q] (None: the identity, checked once) and layers shifted by offset."""
-        identity = tuple(range(n))
-        qmap = identity if qubit_map is None else tuple(qubit_map)
+    def _extend(self, other: "Circuit", qubit_map, offset: int, scale=1.0) -> None:
+        """Append unchecked copies of other's checked gates, qubit q moved to
+        qubit_map[q] (None: the identity), layers shifted by offset and angles
+        times scale (a list: one factor per gate). The map is checked once, and
+        each angle a factor other than 1.0 makes is checked once, as Gate checks
+        it; on a failed check nothing is appended."""
+        gates, n = other.gates, other.n_qubits
+        qmap = tuple(range(n)) if qubit_map is None else tuple(qubit_map)
         if len(qmap) != n or len(set(qmap)) != n or min(qmap) < 0 or max(qmap) >= self.n_qubits:
             raise CircuitError(f"qubit map {qmap} does not send {n} qubits one-to-one "
                                f"into the {self.n_qubits}-qubit circuit")
-        if qmap == identity:
-            qmap = None
-        top = self._layer
-        out = self.gates
-        for g in gates:
-            targets, controls = g.targets, g.controls
-            if qmap is not None:
-                targets = tuple([qmap[t] for t in targets])
-                if controls:
-                    controls = tuple([(qmap[c], p) for c, p in controls])
-            layer = g.layer + offset
+        # each distinct target or control tuple is remapped once
+        moved = None if qubit_map is None else {(): ()}
+        scales = scale if isinstance(scale, list) else [scale] * len(gates)
+        top, new = self._layer, []
+        for (kind, targets, controls, theta, layer), s in zip(gates, scales, strict=True):
+            if moved is not None:
+                t, c = moved.get(targets), moved.get(controls)
+                if t is None:
+                    t = moved[targets] = tuple([qmap[q] for q in targets])
+                if c is None:
+                    c = moved[controls] = tuple([(qmap[q], p) for q, p in controls])
+                targets, controls = t, c
+            if theta is not None and s != 1.0:
+                theta *= s
+                if not math.isfinite(theta):
+                    raise CircuitError(f"{kind} needs a finite angle, got {theta}")
+            layer += offset
             if layer > top:
                 top = layer
-            out.append(_derived_gate(g.kind, targets, controls, g.theta, layer))
+            new.append(_derived_gate(kind, targets, controls, theta, layer))
+        self.gates += new
         self._layer = top
 
     def append_circuit(self, other: "Circuit", qubit_map=None) -> None:
         """Concatenate another circuit; its layers land after the current ones."""
-        self._extend(other.gates, other.n_qubits, qubit_map, self._layer + 1)
+        self._extend(other, qubit_map, self._layer + 1)
 
     def controlled(self, control: int) -> "Circuit":
         """Every gate gains `control`, which fires on |1>."""
@@ -392,11 +409,7 @@ def prep_angles(amplitudes: np.ndarray) -> list[tuple[int, np.ndarray]]:
 
 def _gray_cnot_controls(j: int) -> list[int]:
     """Control-bit index (within the j control bits) after each Ry of a block."""
-    out = []
-    for k in range(1, 1 << j):
-        out.append((k & -k).bit_length() - 1)
-    out.append(j - 1)
-    return out
+    return [(k & -k).bit_length() - 1 for k in range(1, 1 << j)] + [j - 1]
 
 
 def build_state_prep(n: int, amplitudes: np.ndarray) -> Circuit:
@@ -436,11 +449,13 @@ def prepare_wavepacket(model: VibronicModel, grid: GridSpec) -> Circuit:
     return circ
 
 
-def _copy_to_registers(circ: Circuit, base: Circuit, layout: QubitLayout) -> None:
-    """Append `base` (one register's gates) on every mode register, keeping
-    its layer ids so the copies run in parallel."""
+def _copy_to_registers(circ: Circuit, base: Circuit, layout: QubitLayout, scales=None, offset: int = 0) -> None:
+    """Append `base` (one register's gates, its qubit n the electronic one)
+    on every mode register r, its angles times scales[r] (Circuit._extend's
+    scale) and its layer ids shifted by offset alike, so the copies run in
+    parallel."""
     for r in range(layout.d):
-        circ._extend(base.gates, base.n_qubits, layout.mode_qubits(r), 0)
+        circ._extend(base, layout.block_qubits(r)[:base.n_qubits], offset, 1.0 if scales is None else scales[r])
 
 
 # ---------------------------------------------------------------------------
@@ -476,30 +491,22 @@ def _branch_coeffs(model: VibronicModel, grid: GridSpec) -> dict:
     return {"quad": quad, "lin": lin, "const": const}
 
 
-def _add_quadratic_network(circ: Circuit, qubits, theta: float, layers, signed: bool = False) -> None:
-    """U1/CU1 phase network for theta * idx^2 over one register.
-
-    `layers` supplies the shared layer ids (n singles then n(n-1) pairs);
-    signed=True uses the two's-complement index with a negative top bit.
-    """
-    n = len(qubits)
+def _quadratic_network(n: int, signed: bool = False) -> Circuit:
+    """U1/CU1 phase network for idx^2 over one n-qubit register, n singles
+    then n(n-1) pairs, one layer each; signed=True uses the two's-complement
+    index with a negative top bit. Its angles are ±2^i·2^j, so a copy scaled
+    by theta gives theta·2^i·2^j exactly."""
     coeff = [float(1 << i) for i in range(n)]
     if signed:
         coeff[n - 1] = -coeff[n - 1]
-    li = iter(layers)
+    circ = Circuit(n)
     for i in range(n):
-        circ.add("U1", (qubits[i],), theta=theta * coeff[i] * coeff[i], layer=next(li))
+        circ.add("U1", (i,), (), coeff[i] * coeff[i])
     for i in range(n):
         for j in range(n):
-            if i == j:
-                continue
-            circ.add(
-                "U1",
-                (qubits[j],),
-                controls=((qubits[i], 1),),
-                theta=theta * coeff[i] * coeff[j],
-                layer=next(li),
-            )
+            if i != j:
+                circ.add("U1", (j,), ((i, 1),), coeff[i] * coeff[j])
+    return circ
 
 
 def build_Udiag_pair(model: VibronicModel, grid: GridSpec, dt: float) -> Circuit:
@@ -519,21 +526,13 @@ def build_Udiag_pair(model: VibronicModel, grid: GridSpec, dt: float) -> Circuit
     circ.add("X", (elec,))
     circ.add("U1", (elec,), theta=pref * co["const"][0])
     circ.add("X", (elec,))
-    lin_layer = circ.new_layer()
-    for k in range(model.d):
-        qubits = layout.mode_qubits(k)
-        for i in range(n):
-            for s, pol in ((0, 0), (1, 1)):
-                circ.add(
-                    "U1",
-                    (qubits[i],),
-                    controls=((elec, pol),),
-                    theta=pref * co["lin"][s][k] * (1 << i),
-                    layer=lin_layer,
-                )
-    quad_layers = [circ.new_layer() for _ in range(n * n)]
-    for k in range(model.d):
-        _add_quadratic_network(circ, layout.mode_qubits(k), pref * co["quad"][k], quad_layers)
+    lin = Circuit(n + 1)
+    for i in range(n):
+        for pol in (0, 1):
+            lin.add("U1", (i,), ((n, pol),), float(1 << i), 0)
+    _copy_to_registers(circ, lin, layout, [[pref * lin0, pref * lin1] * n for lin0, lin1 in zip(*co["lin"])],
+                       circ.new_layer())
+    _copy_to_registers(circ, _quadratic_network(n), layout, [pref * q for q in co["quad"]], circ._layer + 1)
     return circ
 
 
@@ -552,14 +551,10 @@ def build_Uc(model: VibronicModel, grid: GridSpec, dt: float) -> Circuit:
     qubits = layout.mode_qubits(axis)
     elec = layout.electronic
     scale = model.lam * dt / model.hbar
-    first = None
     for i in range(grid.n):
-        layer = circ.new_layer()
-        if first is None:
-            first = layer
-        circ.add("RX", (elec,), controls=((qubits[i], 1),), theta=scale * grid.dq * (1 << i), layer=layer)
+        circ.add("RX", (elec,), controls=((qubits[i], 1),), theta=scale * grid.dq * (1 << i))
     if grid.q_min != 0.0:
-        circ.add("RX", (elec,), theta=scale * grid.q_min, layer=first)
+        circ.add("RX", (elec,), theta=scale * grid.q_min, layer=0)
     return circ
 
 
@@ -569,14 +564,10 @@ def build_UK(model: VibronicModel, grid: GridSpec, dt: float) -> Circuit:
     The quadratic network runs over the signed two's-complement index, n^2
     layers shared across mode registers; no electronic involvement.
     """
-    n = grid.n
-    layout = QubitLayout(model.d, n)
-    circ = Circuit(model.d * n)
+    circ = Circuit(model.d * grid.n)
     base = 2.0 * math.pi / (grid.size * grid.dq)
-    layers = [circ.new_layer() for _ in range(n * n)]
-    for k, mode in enumerate(model.modes):
-        theta = -0.5 * mode.omega * base * base * dt / model.hbar
-        _add_quadratic_network(circ, layout.mode_qubits(k), theta, layers, signed=True)
+    _copy_to_registers(circ, _quadratic_network(grid.n, signed=True), QubitLayout(model.d, grid.n),
+                       [-0.5 * mode.omega * base * base * dt / model.hbar for mode in model.modes])
     return circ
 
 
@@ -662,11 +653,8 @@ def schedule_bilinear_diag(model: VibronicModel) -> list[list[int]]:
         for g, rnd in enumerate(rounds):
             groups[g].extend(rnd)
     if single:
-        trailing: list[int] = []
-        for rnd in single:
-            trailing.extend(rnd)
-        groups.append(trailing)
-    return [g for g in groups if g]
+        groups.append([idx for rnd in single for idx in rnd])
+    return groups
 
 
 def _round_robin_rounds(model: VibronicModel, pair_indices: list[int]) -> list[list[int]]:
@@ -756,37 +744,34 @@ def _append_bilinear_diag_groups(circ: Circuit, model: VibronicModel, grid: Grid
 
     Affine corrections already live in the Udiag coefficients, so each pair
     contributes the pure cross-register quadratic. Branch-split gammas ride
-    the same layers as an open/closed controlled pair.
+    the same layers as an open/closed controlled pair. One pair network is
+    built per kind (split or not) and copied onto each pair, scaled by gamma.
     """
     n = grid.n
-    elec = QubitLayout(model.d, n).electronic
-    pref = -dt / model.hbar
+    layout = QubitLayout(model.d, n)
+    theta = -dt / model.hbar * grid.dq * grid.dq
+    networks = {split: _pair_network(n, theta, split)
+                for split in {pair.gamma1 != pair.gamma2 for pair in model.bilinear_diag}}
     for group in schedule_bilinear_diag(model):
-        layers = [circ.new_layer() for _ in range(n * n)]
+        offset = circ._layer + 1
         for idx in group:
             pair = model.bilinear_diag[idx]
-            li = iter(layers)
-            for i in range(n):
-                for j in range(n):
-                    layer = next(li)
-                    theta_base = pref * grid.dq * grid.dq * (1 << i) * (1 << j)
-                    if pair.gamma1 == pair.gamma2:
-                        circ.add(
-                            "U1",
-                            (pair.m * n + j,),
-                            controls=((pair.l * n + i, 1),),
-                            theta=pair.gamma1 * theta_base,
-                            layer=layer,
-                        )
-                    else:
-                        for gamma, pol in ((pair.gamma1, 0), (pair.gamma2, 1)):
-                            circ.add(
-                                "U1",
-                                (pair.m * n + j,),
-                                controls=((pair.l * n + i, 1), (elec, pol)),
-                                theta=gamma * theta_base,
-                                layer=layer,
-                            )
+            split = pair.gamma1 != pair.gamma2
+            scale = [pair.gamma1, pair.gamma2] * n * n if split else pair.gamma1
+            circ._extend(networks[split], layout.block_qubits(pair.l, pair.m), offset, scale)
+
+
+def _pair_network(n: int, theta: float, split: bool) -> Circuit:
+    """theta * idx_l * idx_m on registers l (qubits 0..n-1) and m (n..2n-1),
+    one layer per bit pair; split=True gives each bit pair a gate per
+    electronic branch (qubit 2n, open then closed)."""
+    circ = Circuit(2 * n + 1)
+    for i in range(n):
+        for j in range(n):
+            layer = circ.new_layer()
+            for branch in ([(2 * n, 0)], [(2 * n, 1)]) if split else ([],):
+                circ.add("U1", (n + j,), [(i, 1), *branch], theta * (1 << i) * (1 << j), layer)
+    return circ
 
 
 def _append_bilinear_offdiag(
@@ -796,43 +781,33 @@ def _append_bilinear_offdiag(
 
     Affine idx->Q corrections are same-axis rotations on the electronic
     qubit, so they ride the coupling block's layer (`fold_layer`) when one
-    exists; otherwise they claim a single fresh layer.
+    exists; otherwise they claim a single fresh layer. Each block is built
+    once on a pair's 2n + 1 qubits (QubitLayout.block_qubits), with angles
+    2^i (1 on the uncontrolled rotation) and 2^i·2^j, and copied onto each
+    pair scaled by 2 mu dt / hbar times q0·dq (q0·q0) or dq·dq.
     """
     if not model.bilinear_off:
         return
-    n = grid.n
+    n, q0, dq = grid.n, grid.q_min, grid.dq
+    elec = 2 * n  # a pair block's electronic qubit
     layout = QubitLayout(model.d, n)
-    elec = layout.electronic
-    q0, dq = grid.q_min, grid.dq
+    pairs = [(layout.block_qubits(p.l, p.m), 2.0 * p.mu * dt / model.hbar) for p in model.bilinear_off]
     if q0 != 0.0:
+        shift = Circuit(elec + 1)
+        for i in range(elec):
+            shift.add("RX", (elec,), ((i, 1),), float(1 << (i % n)), 0)
+        shift.add("RX", (elec,), (), 1.0, 0)
         extra = fold_layer if fold_layer is not None else circ.new_layer()
-        for pair in model.bilinear_off:
-            scale = 2.0 * pair.mu * dt / model.hbar
-            for reg in (pair.l, pair.m):
-                for i in range(n):
-                    circ.add(
-                        "RX",
-                        (elec,),
-                        controls=((reg * n + i, 1),),
-                        theta=scale * q0 * dq * (1 << i),
-                        layer=extra,
-                    )
-            circ.add("RX", (elec,), theta=scale * q0 * q0, layer=extra)
-    for pair in model.bilinear_off:
-        scale = 2.0 * pair.mu * dt / model.hbar
-        for i in range(n):
-            for j in range(n):
-                theta = scale * dq * dq * (1 << i) * (1 << j)
-                # each expansion claims the 5 layers after the previous one
-                ccrx = Gate(
-                    "RX",
-                    (elec,),
-                    ((pair.l * n + i, 1), (pair.m * n + j, 1)),
-                    theta,
-                    layer=circ._layer + 1,
-                )
-                circ.gates += decompose_ccrx(ccrx)
-                circ._layer += 5
+        for qubits, s in pairs:
+            circ._extend(shift, qubits, extra, [s * q0 * dq] * elec + [s * q0 * q0])
+    # each expansion claims the 5 layers after the previous one
+    ccrx = Circuit(elec + 1)
+    for i in range(n):
+        for j in range(n):
+            ccrx.gates += decompose_ccrx(Gate("RX", (elec,), ((i, 1), (n + j, 1)), float((1 << i) * (1 << j)),
+                                              5 * (i * n + j)))
+    for qubits, s in pairs:
+        circ._extend(ccrx, qubits, circ._layer + 1, s * dq * dq)
 
 
 # ---------------------------------------------------------------------------

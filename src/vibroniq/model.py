@@ -408,6 +408,11 @@ class QubitLayout:
     def mode_qubits(self, r: int) -> tuple[int, ...]:
         return tuple(range(r * self.n, (r + 1) * self.n))
 
+    def block_qubits(self, *registers: int) -> tuple[int, ...]:
+        """The qubits of the given mode registers, in order, then the
+        electronic qubit: where a register or pair block is copied."""
+        return sum(map(self.mode_qubits, registers), ()) + (self.electronic,)
+
     @property
     def electronic(self) -> int:
         return self.d * self.n
@@ -424,10 +429,10 @@ class QubitLayout:
 
     def flat_order(self, psi: Wavepacket) -> np.ndarray:
         """psi's amplitudes as a view in the flat state's axis order; a
-        ValueError when their shape is not the layout's."""
+        ModelError when their shape is not the layout's."""
         shape = (2,) + (1 << self.n,) * self.d
         if psi.amplitudes.shape != shape:
-            raise ValueError(f"amplitudes of shape {psi.amplitudes.shape} do not match "
+            raise ModelError(f"amplitudes of shape {psi.amplitudes.shape} do not match "
                              f"the plan's shape {shape}")
         return psi.amplitudes.transpose(0, *range(self.d, 0, -1))
 

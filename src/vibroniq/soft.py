@@ -251,7 +251,7 @@ def propagate(
     """
     unknown = set(observers) - set(OBSERVERS)
     if unknown:
-        raise ValueError(f"unknown observers {sorted(unknown)}; pick from {list(OBSERVERS)}")
+        raise kernels.CircuitError(f"unknown observers {sorted(unknown)}; pick from {list(OBSERVERS)}")
     state = plan.layout.flat(psi0)
     del psi0  # a caller's temporary psi0 is freed: the run reads only the copy
     advance = plan.program.stepper(plan.halves)

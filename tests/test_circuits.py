@@ -169,6 +169,34 @@ def test_append_circuit_checks_the_qubit_map():
     assert dst.gates[1:] == [Gate("H", (3,), (), None, 1), Gate("X", (1,), ((3, 1),), None, 2)]
 
 
+def test_a_scaled_copy_checks_each_new_angle():
+    src = Circuit(2)
+    src.add("H", (0,))
+    src.add("U1", (1,), ((0, 1),), 1e300)
+    src.add("RX", (0,), (), -2.0)
+    dst = Circuit(4)
+    dst.add("X", (3,))
+    # a scale that overflows an angle raises Gate's message for its kind and
+    # appends nothing, whether the scale is one factor or one per gate
+    for scale, message in ((1e10, "U1 needs a finite angle, got inf"),
+                           (math.nan, "U1 needs a finite angle, got nan"),
+                           ([1.0, 1.0, 1e308], "RX needs a finite angle, got -inf")):
+        with pytest.raises(CircuitError, match=re.escape(message)):
+            dst._extend(src, (2, 1), 1, scale)
+        assert dst.gates == [Gate("X", (3,), (), None, 0)] and dst._layer == 0
+    # a good scale multiplies every angle, once per gate with a list
+    dst._extend(src, (2, 1), 1, [1.0, 0.5, 3.0])
+    assert dst.gates[1:] == [Gate("H", (2,), (), None, 1), Gate("U1", (1,), ((2, 1),), 5e299, 2),
+                             Gate("RX", (2,), (), -6.0, 3)]
+    # through a builder: a finite prefactor whose network angle overflows
+    # raises what adding the gate would
+    model, grid = pyrazine_2mode(), GridSpec(4, -5.0, 5.0)
+    base = 2.0 * math.pi / (grid.size * grid.dq)
+    dt = 1e307 * model.hbar / (0.5 * min(mode.omega for mode in model.modes) * base * base)
+    with pytest.raises(CircuitError, match=re.escape("U1 needs a finite angle, got -inf")):
+        build_UK(model, grid, dt)
+
+
 def test_circuit_layers_and_depth():
     c = Circuit(3)
     c.add("H", (0,))
@@ -1304,3 +1332,77 @@ def test_every_emitted_gate_passes_the_checks(name, split):
     for circ in _emitted_circuits(name, split):
         for g in circ.gates:
             assert type(g) is Gate and Gate(*g) == g
+
+
+def _pinned_circuits(name, split):
+    """_emitted_circuits for the three standard steps; pyrazine-2mode's step
+    at n = 2-5; bilinear_tiny's step with and without split gammas at n = 2,
+    3, where every bilinear angle is nonzero and dq is no power of two."""
+    if name in ("bilinear", "bilinear-split"):
+        for n in (2, 3):
+            yield build_timestep(bilinear_tiny(name == "bilinear-split"), GridSpec(n, -5.0, 5.0), 264.0 / 2048, split)
+    elif name == "pyrazine-2mode":
+        for n in (2, 3, 4, 5):
+            yield build_timestep(get_model(name), GridSpec(n, -5.0, 5.0), 264.0 / 2048, split)
+    else:
+        yield from _emitted_circuits(name, split)
+
+
+# sha256 of export_gates of each _pinned_circuits circuit, in its order
+GATE_LIST_DIGESTS = {
+    ("pyrazine-4d", "potential-first"): [
+        "29d53c6eb7a8c63b097128bae3c8fa2280c6449f4df25c26bac7a40fa5a8374d",
+        "83c450b3d1f6531003961d63d0063d7a93db8fbef078a5217b3f67bbd92453df",
+        "73d13e02c2cbab34fac9b576675b99bfdc09d3539773802c390fc5d995ae888c",
+        "40808a6f4d205c962e9874dbe397b91b21dfb182c8b2b9e1aa5d0b910be1c677",
+        "13e25388b2ed43717ac72f8c18f2e0bf3aab2c96324b6938366951ff5b9658e1",
+        "b378b7205e0b9765283ef8eb6815a2bf2a6482e2596d5fc38d8df780f2a6c252",
+        "7affb2fd34f02220396194b913bf6837a582194ea28b1f44aa6810dff894c23d",
+        "5c02d7bfcdc0bd4b305fa5bbbdb1eb362efe3e28e20d797005b40bece10da0ba",
+        "27ae78b5b7ee73509a816ea20ea490acbba5fcc36408f2118a217f7b2b4d7474",
+    ],
+    ("pyrazine-4d", "kinetic-first"): [
+        "ce240b6d0687560f49094422493c32c6b08f6012ce25856fc21928ee6c549a17",
+        "867efe259635e568ea636d9d55ec829c1f598518a0b9383e208c31516aac657d",
+        "b9475a3ad770338757b080a22ce9dece2c834655af345be7446fbf7a01d3d506",
+        "921156512e0840b0082f94340c3f0cf867505ffc9a15622bda742347f360143f",
+        "e9f1831fb62a9c63b068ec90aee03b0080dbef33be38e92a62886f6644ae700f",
+        "16af94ef85c252d15360d736978c7704ef990931dfc1c5afb7cb6ca8bff62b84",
+        "626e175c4ed609c82672262d797c958ab28fd4410954e5bf2ce9594db67e5254",
+        "077382a0d1832229998a1b5f0e46ab712473618b3d33497eb82f95c179495241",
+        "27ae78b5b7ee73509a816ea20ea490acbba5fcc36408f2118a217f7b2b4d7474",
+    ],
+    ("pyrazine-24d-placeholder", "kinetic-first"): [
+        "dfc0daf4472e8af29e6d320875eff077838420b21b085c03d8cb0c14dcd2d692",
+        "c70648cf4b2f2b805b72813240911e14c63d2eb0a9f3b447cd6b141931a8ad33",
+        "ba1050bbcc20c8e52e4db31d861db38e7ab5b3d13e93a669302a793ada5c144d",
+        "00c85d09974dab0c5bc487964b458e8dcd0aa493c33abbf87ec8c84161f2fbdc",
+        "c76f584451beff717fd68f4a42feae9414625a022c340c84981a781ed0966445",
+        "54d1296b35265ce2b9b80d369ab084d884cb86dabfe515d15072c6e95be64bb0",
+        "d74db1af42bfdda10a0ba4c08642636093d64877ef814b3980864ac4bef312de",
+        "6a3e6af34213ecc7783ac9124785a5a4e0d3c161eb6f82d946b28823e090feb8",
+        "c8bc06c56bb93f9ad90230c5fa8a41388ce9df91bb41b03c5fc833ce13af0a7c",
+    ],
+    ("pyrazine-2mode", "kinetic-first"): [
+        "3b36277e4c78e1f47386b3477f0990071bc146fda4699a617c755549c82f2500",
+        "e2941dc5e37243e078cd79421810e1a9194669aa5682d520c72caffb30ba61c8",
+        "f1a2f52101d22a145fed21555b6609a2626f9f65db476edbed449439d54a8ff5",
+        "fabcca2e9ed9688f85ea7d2b1bc854713571936cd69a23013ef8b7738ab5e519",
+    ],
+    ("bilinear", "kinetic-first"): [
+        "0af71995eea008edf6d4acf8d6d54765778e57a7ffb1b807fd8e0eb671760c7f",
+        "77d870a8de3837213c1a0ea6a06f71a1959f21e1ba1a042c62db8e658917fc64",
+    ],
+    ("bilinear-split", "kinetic-first"): [
+        "11cda373240604aaeccb1832431b4c0fd2212a354eb56506958191cac4988b45",
+        "7fd71e8aab5d7306c3b74052598d21f06e44aa00966e75b668c8df01356a6fd2",
+    ],
+}
+
+
+@pytest.mark.parametrize("name, split", sorted(GATE_LIST_DIGESTS))
+def test_every_emitted_gate_list_is_pinned(name, split):
+    # the builders copy one checked block per register or pair; any change
+    # to an angle, a qubit, a layer or the gate order shows here
+    digests = [hashlib.sha256(export_gates(c).encode()).hexdigest() for c in _pinned_circuits(name, split)]
+    assert digests == GATE_LIST_DIGESTS[name, split]

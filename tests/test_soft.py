@@ -11,6 +11,7 @@ from vibroniq.circuits import circuit_propagate
 from vibroniq.kernels import CircuitError, MemoryBudgetError
 from vibroniq.model import (
     GridSpec,
+    ModelError,
     ModeParams,
     TimeGrid,
     VibronicModel,
@@ -257,10 +258,13 @@ def test_unknown_observer_rejected():
     grid = GridSpec(n=3, q_min=-5.0, q_max=5.0)
     tg = TimeGrid(dt=0.25, n_steps=4)
     plan = PropagatorPlan(model, grid, tg.dt)
-    with pytest.raises(ValueError, match="entropy"):
+    # CircuitError, the type of the plan's split-order check
+    with pytest.raises(ValueError, match="entropy") as err:
         propagate(plan, initial_state(model, grid), tg, observers=("entropy",))
-    with pytest.raises(ValueError, match="entropy"):
+    assert type(err.value) is CircuitError
+    with pytest.raises(ValueError, match="entropy") as err:
         circuit_propagate(model, grid, tg, observers=("entropy",))
+    assert type(err.value) is CircuitError
 
 
 def test_no_observers_still_returns_state():
@@ -453,12 +457,12 @@ def test_step_rejects_amplitudes_of_another_shape(kind, split):
     for shape in ((2, 4, 16), (2, 64), (2, 8, 8, 1)):
         psi = Wavepacket(np.ones(shape, dtype=np.complex128))
         both = re.escape(str(shape)) + r".*\(2, 8, 8\)"
-        with pytest.raises(ValueError, match=both):
-            step(plan, psi)
-        with pytest.raises(ValueError, match=both):
-            energy(plan, psi)
-        with pytest.raises(ValueError, match=both):
-            propagate(plan, psi, tg, observers=())
+        # ModelError, from QubitLayout.flat_order
+        for run in (lambda: step(plan, psi), lambda: energy(plan, psi),
+                    lambda: propagate(plan, psi, tg, observers=())):
+            with pytest.raises(ValueError, match=both) as err:
+                run()
+            assert type(err.value) is ModelError
 
 
 ONE_MODE = VibronicModel(modes=(ModeParams("nu", 0.0936, "B1g"),), lam=0.0, delta=0.0)
