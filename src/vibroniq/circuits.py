@@ -37,7 +37,12 @@ smallest support first into the full-state table, the coupling rotation
 staying a matrix on the electronic qubit and its register. Gates that
 straddle registers take the greedy fuser too. A CircuitPlan is a soft.Plan
 whose program is the compiled step, so soft.propagate, soft.step and
-soft.energy run it as they run the soft engine's plan. The state stays in
+soft.energy run it as they run the soft engine's plan. Where the coupling
+lives on the last mode register (soft.Plan.folds), the two matrices of the
+potential-first body that border the kinetic chain (the rotation fused with
+that register's diagonal phases) fold into the chain's last turn
+(kernels.fold_turns): the step runs a phase table, the chain and a phase
+table, the last turn computed from the compiled matrices. The state stays in
 the position basis in both split orders: a kinetic-first step is compiled
 between its QFT walls, each wall joining the register run next to it.
 soft.propagate advances k steps at a time with the program's stepper, which
@@ -386,8 +391,8 @@ def prep_angles(amplitudes: np.ndarray) -> list[tuple[int, np.ndarray]]:
     if probs.size != 1 << n:
         raise CircuitError(f"amplitude count {probs.size} is not a power of two")
     blocks = []
-    for t in range(n - 1, -1, -1):
-        j = n - 1 - t
+    for j in range(n):
+        t = n - 1 - j
         alphas = np.empty(1 << j)
         for w in range(1 << j):
             den = probs[w << (t + 1) : (w + 1) << (t + 1)].sum()
@@ -582,13 +587,13 @@ def build_qft(n: int, inverse: bool = False) -> Circuit:
         for i in range(n // 2):
             circ.add("SWAP", (i, n - 1 - i))
         for t in range(n):
-            for c in range(t - 1, -1, -1):
+            for c in reversed(range(t)):
                 circ.add("U1", (t,), controls=((c, 1),), theta=sign * math.pi / (1 << (t - c)))
             circ.add("H", (t,))
     else:
-        for t in range(n - 1, -1, -1):
+        for t in reversed(range(n)):
             circ.add("H", (t,))
-            for c in range(t - 1, -1, -1):
+            for c in reversed(range(t)):
                 circ.add("U1", (t,), controls=((c, 1),), theta=sign * math.pi / (1 << (t - c)))
         for i in range(n // 2):
             circ.add("SWAP", (i, n - 1 - i))
@@ -840,7 +845,7 @@ class CircuitPlan(_soft.Plan):
             walled.append_circuit(self.step)
             walled.append_circuit(_qft_all(self.model, self.grid, inverse=True))
             self.step = walled
-        self.program = compile(self.step, self.layout)
+        self.program = self._program(compile(self.step, self.layout).ops)
 
 
 def circuit_propagate(

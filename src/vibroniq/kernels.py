@@ -6,9 +6,11 @@ tensor, pins the fixed/control qubits with length-1 slices and updates the
 resulting view in place, so no amplitude outside the addressed subspace is
 touched. register_op, phase_op and pointwise_op build the operations a
 Program runs, and turn_ops the chain of transposing matmuls that applies
-one dense matrix per mode register, each as one GEMM; phase_tables computes
-the diagonals of controlled phases and merge_phases multiplies phase
-operations into one.
+one dense matrix per mode register, each as one GEMM; fold_turns widens the
+chain's last turn to take in the dense operations on register d-1 and the
+electronic qubit that border the chain, so a coupling rotation on that
+register costs no pass of its own. phase_tables computes the diagonals of
+controlled phases and merge_phases multiplies phase operations into one.
 """
 from __future__ import annotations
 
@@ -163,12 +165,54 @@ def turn_ops(us) -> list[tuple]:
     register on top, every other qubit moving down by n. The last multiplies
     register d-1 batched over the qubits above the registers, and its
     transposed view puts the turned registers back below it, so the chain
-    ends in the original qubit order. One register is a plain register_op."""
+    ends in the original qubit order; fold_turns widens it to take in the
+    electronic qubit. One register is a plain register_op. Matrices of
+    unequal size raise CircuitError."""
     dim, d = len(us[0]), len(us)
+    if any(np.shape(u) != (dim, dim) for u in us):
+        raise CircuitError(f"register matrices of shapes {[np.shape(u) for u in us]}, not all {dim}x{dim}")
     if d == 1:
         return [register_op(range(dim.bit_length() - 1), us[0])]
     last = ([dim ** (d - 1), -1, dim], "turn", us[-1], None)
     return [([-1, dim], "turn", u, None) for u in us[:-1]] + [last]
+
+
+def fold_turns(before: tuple, chain: list[tuple], after: tuple) -> list[tuple]:
+    """The turn_ops chain with the dense operations before and after it on
+    the last register's block (register d-1's qubits, then the qubit above
+    the registers: the electronic one) folded into its last turn, which
+    becomes after . (1 (x) u_{d-1}) . before on 2 dim indices, batched over
+    any qubits above the block. They commute with the turns before, which
+    touch neither register d-1 nor the electronic qubit. One register gives
+    a plain register_op on its block. An operation on other qubits, or an
+    operand that is not (2 dim)^2, raises CircuitError."""
+    d, u = len(chain), _matrix(chain[-1])
+    dim = len(u)
+    n = dim.bit_length() - 1
+    block = range((d - 1) * n, d * n + 1)
+    shape = _support_shape(block)[0]
+    mats = []
+    for op in (before, after):
+        if op[3] is not None or op[0] != shape:
+            raise CircuitError(f"a {op[1]} operation on {op[0]} is not on qubits {block[0]}..{block[-1]}")
+        m = _matrix(op)
+        if m.shape != (2 * dim, 2 * dim):
+            raise CircuitError(f"a {m.shape} operand on a {2 * dim}-dimensional block")
+        mats.append(m)
+    # (1 (x) u) b multiplies each of b's two row blocks by u
+    m = mats[1] @ (u @ mats[0].reshape(2, dim, -1)).reshape(2 * dim, -1)
+    if d == 1:
+        return [register_op(block, m)]
+    return chain[:-1] + [([dim ** (d - 1), -1, 2 * dim], "turn", m, None)]
+
+
+def _matrix(op: tuple) -> np.ndarray:
+    """The matrix of an unmoved operation on its support: the table of a
+    phase, the operand of "left" or "turn", the transposed one of "right"."""
+    _, how, m, _ = op
+    if how == "phase":
+        return np.diag(m.reshape(-1))
+    return m.T if how == "right" else m
 
 
 def pointwise_op(tables) -> tuple:

@@ -2,18 +2,23 @@
 
 One step advances psi by dt through diagonal potential phases, an exact
 pointwise rotation for every off-diagonal (electronic X) coupling term, and
-kinetic phases. The diagonal phases and the rotation are fused into one
-pointwise 2x2 electronic operator. The kinetic step applies, along each mode
+kinetic phases. Where the coupling field lives on the last mode alone (both
+pyrazine models), a potential-first step runs the diagonal phases as one
+full-state phase table and folds the rotation, a dense operation on the last
+mode register and the electronic qubit, into the kinetic chain's last turn
+(kernels.fold_turns); any other step fuses the phases and the rotation into
+one pointwise 2x2 electronic operator. The kinetic step applies, along each mode
 axis, that mode's DFT-conjugated phase matrix F^dagger diag(exp(-i K_k dt/hbar)) F:
 the same operator as an FFT, phases and inverse FFT over the whole grid, in
 its DVR form. The d matrices run as one chain of transposing matmuls
 (kernels.turn_ops): each multiplies the lowest mode axis as one GEMM and
-turns it to the top, and the last one, batched over the electronic index,
-turns the grid back into its own order. The default "potential-first"
-splitting is the palindrome V/2 . K . V/2 with the coupling rotation
-applied innermost (diag, coupling, K, coupling, diag), so the scheme stays
-second order; "kinetic-first" is K/2 . V . K/2 with the potential applied
-once per step, the layout used by the second-order (bilinear) model.
+turns it to the top, and the last one turns the grid back into its own
+order, batched over the electronic index or, folded, acting on it too. The
+default "potential-first" splitting is the palindrome V/2 . K . V/2 with
+the coupling rotation applied innermost (diag, coupling, K, coupling, diag),
+so the scheme stays second order; "kinetic-first" is K/2 . V . K/2 with the
+potential applied once per step, the layout used by the second-order
+(bilinear) model.
 
 Plan, the base of PropagatorPlan and circuits.CircuitPlan, holds all that
 propagate, step and energy read of a plan: the checked split order, the
@@ -116,6 +121,29 @@ class Plan:
     def halves(self) -> int:
         return 1 if self.split_order == "potential-first" else self.model.d
 
+    @property
+    def folds(self) -> bool:
+        """Whether the step's coupling rotation folds into the kinetic
+        chain's last turn: a potential-first step whose coupling field c(Q)
+        lives on mode d-1 alone (no off-diagonal bilinear term, and no
+        linear coupling or one on mode d-1)."""
+        m = self.model
+        return (self.split_order == "potential-first" and not m.bilinear_off
+                and (m.lam == 0.0 or m.coupling_mode == m.d - 1))
+
+    def _program(self, ops: list[tuple]) -> kernels.Program:
+        """The step's Program over the layout. Where the rotation folds and
+        the step is a half-step, a dense operation on the last register's
+        block, the d turns of the kinetic chain, a second such operation and
+        a half-step (the block operations: the rotation, in the circuit
+        engine fused with that register's diagonal phases),
+        kernels.fold_turns takes the two into the chain's last turn. The
+        outer half-steps stay as they are, so each bridge still pairs
+        same-shape operations."""
+        if self.folds and len(ops) == self.model.d + 4:
+            ops = [ops[0], *kernels.fold_turns(ops[1], ops[2:-2], ops[-2]), ops[-1]]
+        return kernels.Program(self.layout.total, ops)
+
     @functools.cached_property
     def vtab(self) -> np.ndarray:
         return _diagonal_potentials(self.model, self.grid)
@@ -132,11 +160,16 @@ class Plan:
 
 class PropagatorPlan(Plan):
     """The soft engine's step: mode k's kinetic propagator
-    F^dagger diag(exp(-i K_k t/hbar)) F acts on its register, and C.D
-    (diagonal potential phases D, then the coupling rotation C) pointwise on
-    the top qubit; potential-first closes with D.C, tables 01 and 10
-    swapped. The grid terms are built with the plan, the step's phases from
-    vtab and ctab.
+    F^dagger diag(exp(-i K_k t/hbar)) F acts on its register, and the
+    potential as diagonal phases D and the coupling rotation C. Where c(Q)
+    lives on mode d-1 alone (Plan.folds), a potential-first step is
+    D, C, the chain, C, D with D one full-state phase table and C one 2x2
+    exp(-i c(q_j) X t/hbar) per grid point q_j of register d-1, a dense
+    operation on that register and the electronic qubit, which folds into
+    the chain's last turn; no coupling, no C. Any other step runs C.D
+    pointwise on the top qubit (potential-first closes with D.C, tables 01
+    and 10 swapped). The grid terms are built with the plan, the step's
+    phases from vtab and ctab.
     """
 
     def __post_init__(self) -> None:
@@ -149,8 +182,20 @@ class PropagatorPlan(Plan):
         kin_phase = -0.5j * momentum_points(self.grid) ** 2 * (kin_frac * self.dt / hbar)
         kin = kernels.turn_ops([_dft_conjugate(self.grid, np.exp(mode.omega * kin_phase))
                                 for mode in self.model.modes])
-        # in place, phases first into the diagonal slots, to keep peak memory low
         pot_t = pot_frac * self.dt / hbar
+        if self.folds:
+            table = (-1j * pot_t) * vtab.reshape(-1)
+            phases = kernels.phase_op(range(self.layout.total), np.exp(table, out=table))
+            rot = []
+            if self.model.lam != 0.0:
+                # c(q_j) along mode d-1, the flat order's first mode axis
+                theta = pot_t * ctab.reshape(self.grid.size, -1)[:, 0]
+                cos, sin = np.diag(np.cos(theta)), np.diag(-1j * np.sin(theta))
+                rot = [kernels.register_op(self.layout.block_qubits(self.model.d - 1),
+                                           np.block([[cos, sin], [sin, cos]]))]
+            self.program = self._program([phases, *rot, *kin, *rot, phases])
+            return
+        # in place, phases first into the diagonal slots, to keep peak memory low
         pot = np.empty((4,) + ctab.shape, dtype=np.complex128)
         np.exp(-1j * pot_t * vtab[0], out=pot[0])
         np.exp(-1j * pot_t * vtab[1], out=pot[3])
@@ -161,7 +206,7 @@ class PropagatorPlan(Plan):
         pot[::3] *= np.cos(ctab * pot_t)
         cd = kernels.pointwise_op(pot)
         dc = kernels.pointwise_op((pot[0], pot[2], pot[1], pot[3]))
-        self.program = kernels.Program(self.layout.total, [cd, *kin, dc] if pot_first else [*kin, cd, *kin])
+        self.program = self._program([cd, *kin, dc] if pot_first else [*kin, cd, *kin])
 
 
 def step(plan: Plan, psi: Wavepacket) -> Wavepacket:

@@ -880,22 +880,24 @@ def _circuit_program(model, n, split):
 # the kinds are the same at every register width n
 ENGINE_PROGRAMS = {
     # mode k's kinetic matrix acts on register k, as in the circuit: the d
-    # matrices are one turn_ops chain, register 0 first
+    # matrices are one turn_ops chain, register 0 first; potential-first, the
+    # coupling on the last register folds into the chain's last turn, between
+    # two full-state phase tables
     "soft-4d-potential-first": (lambda n: _soft_program(n, "potential-first"),
-                                ["pointwise", "turn", "turn", "turn", "turn", "pointwise"]),
+                                ["phase", "turn", "turn", "turn", "turn", "phase"]),
     "soft-4d-kinetic-first": (lambda n: _soft_program(n, "kinetic-first"),
                               ["turn", "turn", "turn", "turn", "pointwise",
                                "turn", "turn", "turn", "turn"]),
     # potential run: merged phases, then Uc fused with the last register's
-    # quadratic network; register run: one chain over the registers
+    # quadratic network, which folds into the register run's chain
     "circuit-4d-potential-first": (lambda n: _circuit_program("pyrazine-4d", n, "potential-first"),
-                                   ["phase", "left", "turn", "turn", "turn", "turn", "left", "phase"]),
+                                   ["phase", "turn", "turn", "turn", "turn", "phase"]),
     # each QFT wall joins the register run next to it
     "circuit-4d-kinetic-first": (lambda n: _circuit_program("pyrazine-4d", n, "kinetic-first"),
                                  ["turn", "turn", "turn", "turn", "phase", "left",
                                   "turn", "turn", "turn", "turn"]),
     "circuit-2mode-potential-first": (lambda n: _circuit_program("pyrazine-2mode", n, "potential-first"),
-                                      ["phase", "left", "turn", "turn", "left", "phase"]),
+                                      ["phase", "turn", "turn", "phase"]),
     "circuit-2mode-kinetic-first": (lambda n: _circuit_program("pyrazine-2mode", n, "kinetic-first"),
                                     ["turn", "turn", "phase", "left", "turn", "turn"]),
 }
@@ -915,8 +917,10 @@ def test_engine_program_census(name, n):
             assert operand.size == 1 << program.n_qubits
         elif how in ("left", "right"):
             assert operand.shape in ((1 << n, 1 << n), (2 << n, 2 << n))
-        elif how == "turn":
-            assert operand.shape == (1 << n, 1 << n)
+    # a potential-first chain's last turn takes in the electronic qubit
+    turns = [operand.shape for _, how, operand, _ in program.ops if how == "turn"]
+    last = (2 << n, 2 << n) if name.endswith("potential-first") else (1 << n, 1 << n)
+    assert turns == [(1 << n, 1 << n)] * (len(turns) - 1) + [last]
 
 
 @pytest.fixture
@@ -1016,7 +1020,7 @@ def test_k_step_advance_matches_single_steps(engine, split, n_steps, stride, mon
 # every bridge pairs tail op i with head op i, on the same view: for
 # kinetic-first, position i of two turn chains, on register i
 BRIDGE_KINDS = {
-    "soft-4d-potential-first": ["pointwise"],
+    "soft-4d-potential-first": ["phase"],
     "circuit-4d-potential-first": ["phase"],
     "soft-4d-kinetic-first": ["turn", "turn", "turn", "turn"],
     "circuit-4d-kinetic-first": ["turn", "turn", "turn", "turn"],

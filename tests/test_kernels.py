@@ -9,6 +9,8 @@ from vibroniq.kernels import (
     apply_matrix,
     apply_phase,
     apply_swap,
+    fold_turns,
+    phase_op,
     pointwise_op,
     register_op,
     turn_ops,
@@ -300,3 +302,69 @@ def test_one_register_turns_as_a_plain_right_operation(rng):
     shape, how, operand, moved = register_op(range(3), u)
     assert (op[0], op[1], op[3]) == (shape, how, moved) == ([-1, 8], "right", None)
     assert np.array_equal(op[2], operand)
+
+
+def test_turn_ops_rejects_register_matrices_of_unequal_size():
+    with pytest.raises(CircuitError, match="not all 4x4"):
+        turn_ops([np.eye(4), np.eye(8)])
+    with pytest.raises(CircuitError, match="not all 4x4"):
+        turn_ops([np.eye(4), np.eye(4)[:, :2]])
+
+
+def _block(d, n):
+    """Register d-1's qubits, then the electronic one, as QubitLayout.block_qubits."""
+    return range((d - 1) * n, d * n + 1)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_folded_chain_matches_the_unfolded_run(d, n, rng):
+    us = [random_unitary(1 << n, rng) for _ in range(d)]
+    before, after = (register_op(_block(d, n), random_unitary(2 << n, rng)) for _ in range(2))
+    chain = turn_ops(us)
+    folded = fold_turns(before, chain, after)
+    assert folded[:-1] == chain[:-1]
+    shape, how, operand, moved = folded[-1]
+    if d == 1:  # a plain register_op on the block
+        assert (shape, how, moved) == ([-1, 2 << n], "right", None)
+    else:
+        assert (shape, how, operand.shape) == ([1 << n * (d - 1), -1, 2 << n], "turn", (2 << n, 2 << n))
+    for extra in (0, 1, 2):  # qubits above the electronic one
+        plain = random_state(d * n + 1 + extra, rng)
+        turned = plain.copy()
+        Program(d * n + 1, [before, *chain, after]).run(plain)
+        Program(d * n + 1, folded).run(turned)
+        assert np.max(np.abs(turned - plain)) < 1e-12, extra
+
+
+def test_fold_takes_a_phase_on_the_block(rng):
+    d, n = 2, 2
+    chain = turn_ops([random_unitary(4, rng) for _ in range(d)])
+    table = np.exp(1j * rng.normal(size=8))
+    phase, dense = phase_op(_block(d, n), table), register_op(_block(d, n), random_unitary(8, rng))
+    folded = fold_turns(phase, chain, dense)
+    plain = random_state(d * n + 1, rng)
+    turned = plain.copy()
+    Program(d * n + 1, [phase, *chain, dense]).run(plain)
+    Program(d * n + 1, folded).run(turned)
+    assert np.max(np.abs(turned - plain)) < 1e-12
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_fold_rejects_operations_off_the_last_block(d, rng):
+    n = 2
+    chain = turn_ops([random_unitary(1 << n, rng) for _ in range(d)])
+    good = register_op(_block(d, n), random_unitary(2 << n, rng))
+    # the block without its electronic qubit, and a block one qubit lower
+    for support in (range((d - 1) * n, d * n), range((d - 1) * n - 1, d * n)):
+        if support.start < 0:
+            continue
+        bad = register_op(support, random_unitary(1 << len(support), rng))
+        with pytest.raises(CircuitError, match="is not on qubits"):
+            fold_turns(bad, chain, good)
+        with pytest.raises(CircuitError, match="is not on qubits"):
+            fold_turns(good, chain, bad)
+    # the block's view with an operand of one register's size
+    small = (good[0], good[1], random_unitary(1 << n, rng), None)
+    with pytest.raises(CircuitError, match="operand"):
+        fold_turns(good, chain, small)

@@ -7,7 +7,7 @@ import pytest
 from test_circuits import PLANS, bilinear_tiny
 
 from vibroniq import kernels
-from vibroniq.circuits import circuit_propagate
+from vibroniq.circuits import apply, circuit_propagate
 from vibroniq.kernels import CircuitError, MemoryBudgetError
 from vibroniq.model import (
     GridSpec,
@@ -407,6 +407,53 @@ def test_step_matches_the_fft_step(case, rng):
         psi = nxt
 
 
+# potential-first steps: where c(Q) lives on the last mode alone, the
+# coupling rotation folds into the kinetic chain's last turn, 2^(n+1) wide;
+# an off-diagonal bilinear term or a coupling on another mode keeps the
+# soft engine's pointwise 2x2, and with no coupling there is nothing to fold.
+# Per case: the model, then per engine the operation kinds and how many
+# dense operations are 2^(n+1) wide (None: the engine refuses the model)
+ONE_MODE = VibronicModel(modes=(ModeParams("nu", 0.0936, "B1g"),), lam=0.0, delta=0.0)
+
+
+B1G_FIRST = VibronicModel(modes=(ModeParams("nu10a", 0.0936, "B1g"),
+                                 ModeParams("nu6a", 0.0740, "Ag", kappa1=-0.0964, kappa2=0.1194)),
+                          lam=0.1825, delta=0.4617)
+FOLD_CASES = {
+    "pyrazine-2mode": (pyrazine_2mode(), (["phase", "turn", "turn", "phase"], 1),
+                       (["phase", "turn", "turn", "phase"], 1)),
+    "bilinear": (bilinear_tiny(False), (["pointwise", "turn", "turn", "turn", "pointwise"], 0), None),
+    "b1g-first": (B1G_FIRST, (["pointwise", "turn", "turn", "pointwise"], 0),
+                  (["phase", "right", "turn", "turn", "right", "phase"], 2)),
+    "one-mode": (ONE_MODE, (["phase", "right", "phase"], 0), (["phase", "right", "phase"], 0)),
+    "one-mode-coupled": (dataclasses.replace(ONE_MODE, lam=0.1825, delta=0.4617),
+                         (["phase", "right", "phase"], 1), (["right", "right", "right"], 2)),
+}
+
+
+@pytest.mark.parametrize("case, engine", [(case, engine) for case, (_, *kinds) in FOLD_CASES.items()
+                                          for engine, k in zip(PLANS, kinds) if k is not None])
+def test_potential_first_step_folds_where_the_coupling_lives(case, engine, rng):
+    model, grid = FOLD_CASES[case][0], GridSpec(n=3, q_min=-4.0, q_max=4.0)
+    kinds, wide = FOLD_CASES[case][1 + list(PLANS).index(engine)]
+    plan = PLANS[engine](model, grid, 0.5, "potential-first")
+    ops = plan.program.ops
+    assert [how for _, how, _, _ in ops] == kinds
+    assert sum(how not in ("phase", "pointwise") and len(m) == 2 << grid.n for _, how, m, _ in ops) == wide
+    assert plan.folds == (case not in ("bilinear", "b1g-first"))
+    psi = random_packet(model, grid, rng)
+    state = plan.layout.flat(psi)
+    for _ in range(8):
+        if engine == "soft":
+            want = fft_step(plan, psi.amplitudes)
+            psi = step(plan, psi)
+            assert np.max(np.abs(psi.amplitudes - want)) < 1e-12
+        else:
+            want = apply(plan.step, state.copy())
+            plan.program.run(state)
+            assert np.max(np.abs(state - want)) < 1e-12
+
+
 def test_plan_over_the_memory_budget_fails_before_allocating():
     # 24 modes at n=2: a 49-qubit state, petabytes for the potential tables
     model = get_model("pyrazine-24d-placeholder")
@@ -463,9 +510,6 @@ def test_step_rejects_amplitudes_of_another_shape(kind, split):
             with pytest.raises(ValueError, match=both) as err:
                 run()
             assert type(err.value) is ModelError
-
-
-ONE_MODE = VibronicModel(modes=(ModeParams("nu", 0.0936, "B1g"),), lam=0.0, delta=0.0)
 
 
 # a run's charge covers its full-state arrays and the dense operators on one
