@@ -20,6 +20,11 @@ so the scheme stays second order; "kinetic-first" is K/2 . V . K/2 with the
 potential applied once per step, the layout used by the second-order
 (bilinear) model.
 
+The potential is a list of terms per surface (_terms) at any mode
+coordinates that broadcast; a plan passes the grid axes. Summed they give
+the grid tables, and exp(-i V_s t/hbar) is the product of one exponential
+per mode (N points), per bilinear pair (N^2) and of the constant.
+
 Plan, the base of PropagatorPlan and circuits.CircuitPlan, holds all that
 propagate, step and energy read of a plan: the checked split order, the
 layout (model.QubitLayout, the flat-state basis of both engines), the
@@ -58,40 +63,60 @@ def _on_axis(q: np.ndarray, k: int, d: int) -> np.ndarray:
     return q.reshape((1,) * (d - 1 - k) + (-1,) + (1,) * k)
 
 
-def _diagonal_potentials(model: VibronicModel, grid: GridSpec) -> np.ndarray:
-    """V_s(Q) on the full grid in the flat order, shape (2,) + (N,)*d. s=0
-    is S1, s=1 is S2."""
-    d, q = model.d, grid_points(grid)
+def _terms(model: VibronicModel, coords: list) -> tuple[list, list, list]:
+    """The terms of V_0(Q) (S1), V_1(Q) (S2) and the coupling field c(Q) at
+    the coordinates coords[k] of mode k, arrays that broadcast against each
+    other. Each list holds its terms in the order they add up: for V_s each
+    mode's quadratic and then its linear term on that mode's coordinates,
+    each bilinear pair's term on its two, then the constant offset; for c
+    the linear coupling and then each off-diagonal pair's term."""
     surfaces = []
     for s, offset in ((0, -model.delta), (1, model.delta)):
-        v = np.zeros((grid.size,) * d)
-        for k, mode in enumerate(model.modes):
-            qk = _on_axis(q, k, d)
-            v = v + 0.5 * mode.omega * qk**2
+        terms = []
+        for mode, qk in zip(model.modes, coords):
+            terms.append(0.5 * mode.omega * qk**2)
             if mode.kappa1 is not None:
-                v = v + (mode.kappa1, mode.kappa2)[s] * qk
-        for pair in model.bilinear_diag:
-            v = v + (pair.gamma1, pair.gamma2)[s] * _on_axis(q, pair.l, d) * _on_axis(q, pair.m, d)
-        surfaces.append(v + offset)
-    return np.stack(surfaces)
+                terms.append((mode.kappa1, mode.kappa2)[s] * qk)
+        terms += [(pair.gamma1, pair.gamma2)[s] * coords[pair.l] * coords[pair.m]
+                  for pair in model.bilinear_diag]
+        surfaces.append(terms + [offset])
+    coupling = [model.lam * coords[model.coupling_mode]] if model.lam != 0.0 else []
+    coupling += [pair.mu * coords[pair.l] * coords[pair.m] for pair in model.bilinear_off]
+    return surfaces[0], surfaces[1], coupling
 
 
-def _coupling_field(model: VibronicModel, grid: GridSpec) -> np.ndarray:
-    """Coefficient c(Q) of the electronic X operator in the flat order, shape (N,)*d."""
-    d, q = model.d, grid_points(grid)
-    c = np.zeros((grid.size,) * d)
-    if model.lam != 0.0:
-        c = c + model.lam * _on_axis(q, model.coupling_mode, d)
-    for pair in model.bilinear_off:
-        c = c + pair.mu * _on_axis(q, pair.l, d) * _on_axis(q, pair.m, d)
-    return c
+def _combine(ufunc: np.ufunc, start: float, parts: list, out: np.ndarray) -> np.ndarray:
+    """out = start (op) parts[0] (op) parts[1] ..., left to right by
+    broadcasting: each step runs on the union of its operands' axes, and
+    those that span out's shape run in place in out."""
+    acc = start
+    for part in parts:
+        full = np.broadcast(acc, part).shape == out.shape
+        acc = ufunc(acc, part, out=out if full else None)
+    if acc is not out:
+        out[...] = acc
+    return out
 
 
-def _dft_conjugate(grid: GridSpec, diag: np.ndarray) -> np.ndarray:
-    """F^dagger diag(diag) F, F the unitary DFT matrix: a momentum-diagonal
-    operator on one mode axis in the position basis."""
+def _phases(terms: list, tau: float, out: np.ndarray) -> np.ndarray:
+    """exp(-i tau V) into out, V the sum of terms: one exp per group of
+    terms on the same axes (N points per mode, N^2 per pair, one for the
+    constant), and the product of the groups, smallest first, by _combine:
+    no full-grid temporary."""
+    groups: dict = {}
+    for term in terms:
+        groups[np.shape(term)] = groups.get(np.shape(term), 0.0) + term
+    factors = sorted((np.exp(-1j * tau * g) for g in groups.values()), key=np.size)
+    return _combine(np.multiply, 1.0, factors, out)
+
+
+def _dft_conjugate(grid: GridSpec, diags: list) -> list:
+    """F^dagger diag(x) F for each x in diags, F the unitary DFT matrix
+    (built once): momentum-diagonal operators on one mode axis in the
+    position basis."""
     dft = np.fft.fft(np.eye(grid.size), axis=0, norm="ortho")
-    return dft.conj().T @ (diag[:, None] * dft)
+    dft_h = dft.conj().T
+    return [dft_h @ (x[:, None] * dft) for x in diags]
 
 
 @dataclass
@@ -101,8 +126,10 @@ class Plan:
     the program form its outer half-step: the potential for potential-first,
     the kinetic chain (one matrix per mode register, in register order) for
     kinetic-first. The grid terms are built on first use: vtab holds V_s(Q),
-    ctab the coupling field c(Q), and p2[k] applies the kinetic energy per
-    unit omega, F^dagger diag(p^2/2) F, on mode k's register."""
+    ctab the coupling field c(Q), each the sum of its _terms at the grid
+    axes, added in the order of the list and over the full grid only once
+    the partial sum spans it; p2[k] applies the kinetic energy per unit
+    omega, F^dagger diag(p^2/2) F, on mode k's register."""
 
     model: VibronicModel
     grid: GridSpec
@@ -145,17 +172,30 @@ class Plan:
         return kernels.Program(self.layout.total, ops)
 
     @functools.cached_property
+    def _grid_terms(self) -> tuple[list, list, list]:
+        """_terms at the grid points of each mode, on its axis of the flat order."""
+        d, q = self.model.d, grid_points(self.grid)
+        return _terms(self.model, [_on_axis(q, k, d) for k in range(d)])
+
+    @functools.cached_property
     def vtab(self) -> np.ndarray:
-        return _diagonal_potentials(self.model, self.grid)
+        vtab = np.empty((2,) + (self.grid.size,) * self.model.d)
+        for terms, out in zip(self._grid_terms, vtab):
+            _combine(np.add, 0.0, terms, out)
+        return vtab
 
     @functools.cached_property
     def ctab(self) -> np.ndarray:
-        return _coupling_field(self.model, self.grid)
+        return _combine(np.add, 0.0, self._grid_terms[2], np.empty((self.grid.size,) * self.model.d))
 
     @functools.cached_property
     def p2(self) -> list:
-        p2 = _dft_conjugate(self.grid, 0.5 * momentum_points(self.grid) ** 2)
-        return [kernels.register_op(self.layout.mode_qubits(k), p2) for k in range(self.model.d)]
+        return self._kinetic_matrices([])[0]
+
+    def _kinetic_matrices(self, diags: list) -> tuple[list, list]:
+        """p2, and F^dagger diag(x) F for each x in diags, from one DFT matrix."""
+        p2, *mats = _dft_conjugate(self.grid, [0.5 * momentum_points(self.grid) ** 2, *diags])
+        return [kernels.register_op(self.layout.mode_qubits(k), p2) for k in range(self.model.d)], mats
 
 
 class PropagatorPlan(Plan):
@@ -168,24 +208,33 @@ class PropagatorPlan(Plan):
     operation on that register and the electronic qubit, which folds into
     the chain's last turn; no coupling, no C. Any other step runs C.D
     pointwise on the top qubit (potential-first closes with D.C, tables 01
-    and 10 swapped). The grid terms are built with the plan, the step's
-    phases from vtab and ctab.
+    and 10 swapped). The grid terms are built with the plan. The phases
+    exp(-i V_s t/hbar) come from the terms that vtab sums, through _phases,
+    which writes each surface's table in place: into the phase table's half
+    or the 2x2's diagonal slot. C comes from ctab, and one DFT matrix
+    conjugates the kinetic propagators and p2.
     """
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        # p2 too: built by energy during a run, it would raise the run's peak
-        vtab, ctab, _ = self.vtab, self.ctab, self.p2
         hbar = self.model.hbar
         pot_first = self.split_order == "potential-first"
         pot_frac, kin_frac = (0.5, 1.0) if pot_first else (1.0, 0.5)
         kin_phase = -0.5j * momentum_points(self.grid) ** 2 * (kin_frac * self.dt / hbar)
-        kin = kernels.turn_ops([_dft_conjugate(self.grid, np.exp(mode.omega * kin_phase))
-                                for mode in self.model.modes])
+        # p2 for energy: built during a run, it would raise the run's peak
+        self.p2, kin = self._kinetic_matrices([np.exp(mode.omega * kin_phase) for mode in self.model.modes])
+        kin = kernels.turn_ops(kin)
         pot_t = pot_frac * self.dt / hbar
+        # exp(-i V_s t/hbar) of S1 and S2: the halves of the phase table, or
+        # the diagonal slots of the pointwise 2x2
+        pot = np.empty((2 if self.folds else 4,) + (self.grid.size,) * self.model.d, dtype=np.complex128)
+        _phases(self._grid_terms[0], pot_t, pot[0])
+        _phases(self._grid_terms[1], pot_t, pot[-1])
+        # vtab for energy, as p2; both tables after the phases' temporaries
+        ctab, _ = self.ctab, self.vtab
+        del self._grid_terms  # kept through the fold, they would raise its peak
         if self.folds:
-            table = (-1j * pot_t) * vtab.reshape(-1)
-            phases = kernels.phase_op(range(self.layout.total), np.exp(table, out=table))
+            phases = kernels.phase_op(range(self.layout.total), pot.reshape(-1))
             rot = []
             if self.model.lam != 0.0:
                 # c(q_j) along mode d-1, the flat order's first mode axis
@@ -195,15 +244,13 @@ class PropagatorPlan(Plan):
                                            np.block([[cos, sin], [sin, cos]]))]
             self.program = self._program([phases, *rot, *kin, *rot, phases])
             return
-        # in place, phases first into the diagonal slots, to keep peak memory low
-        pot = np.empty((4,) + ctab.shape, dtype=np.complex128)
-        np.exp(-1j * pot_t * vtab[0], out=pot[0])
-        np.exp(-1j * pot_t * vtab[1], out=pot[3])
-        sin_t = np.sin(ctab * pot_t)
+        # in place, into the off-diagonal slots, to keep peak memory low
+        theta = ctab * pot_t
+        sin_t = np.sin(theta)
         np.multiply(sin_t, pot[3], out=pot[1])
         np.multiply(sin_t, pot[0], out=pot[2])
         pot[1:3] *= -1j
-        pot[::3] *= np.cos(ctab * pot_t)
+        pot[::3] *= np.cos(theta, out=theta)
         cd = kernels.pointwise_op(pot)
         dc = kernels.pointwise_op((pot[0], pot[2], pot[1], pot[3]))
         self.program = self._program([cd, *kin, dc] if pot_first else [*kin, cd, *kin])

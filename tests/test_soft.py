@@ -134,6 +134,52 @@ def fft_step(plan: PropagatorPlan, a: np.ndarray) -> np.ndarray:
     return kinetic(coupling(exp_pot * kinetic(a)))
 
 
+def grid_loop_tables(model: VibronicModel, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """vtab and ctab summed over the full grid one term at a time, each mode's
+    quadratic then linear term, then the pairs, then the offset."""
+    d, q = model.d, grid_points(grid)
+
+    def on_axis(k):
+        return q.reshape((1,) * (d - 1 - k) + (-1,) + (1,) * k)
+
+    surfaces = []
+    for s, offset in ((0, -model.delta), (1, model.delta)):
+        v = np.zeros((grid.size,) * d)
+        for k, mode in enumerate(model.modes):
+            v = v + 0.5 * mode.omega * on_axis(k) ** 2
+            if mode.kappa1 is not None:
+                v = v + (mode.kappa1, mode.kappa2)[s] * on_axis(k)
+        for pair in model.bilinear_diag:
+            v = v + (pair.gamma1, pair.gamma2)[s] * on_axis(pair.l) * on_axis(pair.m)
+        surfaces.append(v + offset)
+    c = np.zeros((grid.size,) * d)
+    if model.lam != 0.0:
+        c = c + model.lam * on_axis(model.coupling_mode)
+    for pair in model.bilinear_off:
+        c = c + pair.mu * on_axis(pair.l) * on_axis(pair.m)
+    return np.stack(surfaces), c
+
+
+def assert_potential_tables(plan: PropagatorPlan) -> None:
+    """vtab and ctab equal the full-grid loop's bit for bit, and the step's
+    potential tables (the phase table, or the pointwise 2x2's entries) are
+    within 1e-14 of np.exp of them."""
+    vtab, ctab = grid_loop_tables(plan.model, plan.grid)
+    assert np.array_equal(plan.vtab, vtab) and np.array_equal(plan.ctab, ctab)
+    pot_first = plan.split_order == "potential-first"
+    tau = (0.5 if pot_first else 1.0) * plan.dt / plan.model.hbar
+    e0, e1 = np.exp(-1j * tau * vtab)
+    cos, sin = np.cos(tau * ctab), -1j * np.sin(tau * ctab)
+    # potential-first closes with D.C: entries 01 and 10 swapped
+    want = {"phase": [[np.stack([e0, e1])]] * 2,
+            "pointwise": [[cos * e0, sin * e1, sin * e0, cos * e1], [cos * e0, sin * e0, sin * e1, cos * e1]]}
+    ops = plan.program.ops
+    for i, (_, how, tables, _) in enumerate([ops[0], ops[-1]] if pot_first else [ops[plan.model.d]]):
+        tables = [tables] if how == "phase" else tables
+        for got, exact in zip(tables, want[how][i], strict=True):
+            assert np.max(np.abs(got.reshape(-1) - exact.reshape(-1))) < 1e-14
+
+
 def random_packet(model: VibronicModel, grid: GridSpec, rng: np.random.Generator) -> Wavepacket:
     shape = (2,) + (grid.size,) * model.d
     a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
@@ -398,6 +444,7 @@ def test_step_matches_the_fft_step(case, rng):
                      box, "potential-first"),
     }[case]
     plan = PropagatorPlan(model, grid, dt=0.5, split_order=split)
+    assert_potential_tables(plan)
     psi = random_packet(model, grid, rng)
     for _ in range(8):
         before = psi.amplitudes.copy()
@@ -441,6 +488,8 @@ def test_potential_first_step_folds_where_the_coupling_lives(case, engine, rng):
     assert [how for _, how, _, _ in ops] == kinds
     assert sum(how not in ("phase", "pointwise") and len(m) == 2 << grid.n for _, how, m, _ in ops) == wide
     assert plan.folds == (case not in ("bilinear", "b1g-first"))
+    if engine == "soft":
+        assert_potential_tables(plan)
     psi = random_packet(model, grid, rng)
     state = plan.layout.flat(psi)
     for _ in range(8):
