@@ -11,17 +11,17 @@ engines.
 
 Checking: a gate is an immutable tuple of its fields, checked when a caller
 makes it (Gate(...) or Circuit.add, which also range-checks its qubits). A
-gate the package derives from checked ones (append_circuit, the
-per-register and per-pair copies, controlled(), the CCRx expansion, the
-runs compile fuses) is not checked again; a derivation that moves qubits
-checks once that its qubit map sends the source qubits one-to-one into
-range, and a scaled copy checks each new angle once, as Gate would. The
-step builders build each repeated block once through Circuit.add, on
-abstract qubits with unit prefactors (a register's quadratic network, its
-branch-controlled linear phases, a bilinear pair's network and its CCRx
-expansion), and copy it onto every register or pair, each copy scaled by
-its own prefactor: the network angles are ±2^i·2^j, so the scaling is exact
-and the gates are those a gate-by-gate build would add.
+gate derived from checked ones (a Circuit._extend copy, the CCRx expansion,
+the runs compile fuses) is not checked again; a copy checks once that its
+qubit map sends the source qubits one-to-one into range and that its control
+(controlled(), the Hadamard test, phase estimation) is free in each gate, and
+a scaled copy checks each new angle once, as Gate would. A time step is one
+circuit that each block appends into. Each repeated block (a register's QFT,
+quadratic network and branch-controlled linear phases, a bilinear pair's
+network and its CCRx expansion) is built once through Circuit.add on
+abstract qubits with unit prefactors and copied onto every register or pair,
+scaled by its own prefactor: the network angles are ±2^i·2^j, so the scaling
+is exact and the gates are those a gate-by-gate build would add.
 
 Running: apply replays the gate list gate by gate and is the reference.
 compile turns a circuit into a few operations, each the unitary of its gates
@@ -161,28 +161,38 @@ class Circuit:
     def gate_count(self) -> int:
         return len(self.gates)
 
-    def _extend(self, other: "Circuit", qubit_map, offset: int, scale=1.0) -> None:
+    def _extend(self, other: "Circuit", qubit_map, offset: int, scale=1.0, control: int | None = None) -> None:
         """Append unchecked copies of other's checked gates, qubit q moved to
-        qubit_map[q] (None: the identity), layers shifted by offset and angles
-        times scale (a list: one factor per gate). The map is checked once, and
-        each angle a factor other than 1.0 makes is checked once, as Gate checks
-        it; on a failed check nothing is appended."""
+        qubit_map[q] (None: the identity), layers shifted by offset, angles
+        times scale (a list: one factor per gate) and, given a control, each
+        gate controlled on that qubit's |1>. The map is checked once, the
+        control against each gate's qubits, and each angle a factor other than
+        1.0 makes once, as Gate checks it; on a failed check nothing is appended."""
         gates, n = other.gates, other.n_qubits
         qmap = tuple(range(n)) if qubit_map is None else tuple(qubit_map)
         if len(qmap) != n or len(set(qmap)) != n or min(qmap) < 0 or max(qmap) >= self.n_qubits:
             raise CircuitError(f"qubit map {qmap} does not send {n} qubits one-to-one "
                                f"into the {self.n_qubits}-qubit circuit")
-        # each distinct target or control tuple is remapped once
-        moved = None if qubit_map is None else {(): ()}
+        if control is not None and not 0 <= control < self.n_qubits:
+            raise CircuitError(f"qubit {control} outside the {self.n_qubits}-qubit circuit")
+        # each distinct target or control tuple is remapped and checked once
+        extra = () if control is None else ((control, 1),)
+        moved = None if qubit_map is None and control is None else {(): extra}
         scales = scale if isinstance(scale, list) else [scale] * len(gates)
         top, new = self._layer, []
-        for (kind, targets, controls, theta, layer), s in zip(gates, scales, strict=True):
+        for g, s in zip(gates, scales, strict=True):
+            kind, targets, controls, theta, layer = g
             if moved is not None:
                 t, c = moved.get(targets), moved.get(controls)
                 if t is None:
                     t = moved[targets] = tuple([qmap[q] for q in targets])
+                    if control in t:
+                        raise CircuitError(f"control qubit {control} already used by {g}")
                 if c is None:
-                    c = moved[controls] = tuple([(qmap[q], p) for q, p in controls])
+                    c = tuple([(qmap[q], p) for q, p in controls])
+                    if control in [q for q, _ in c]:
+                        raise CircuitError(f"control qubit {control} already used by {g}")
+                    c = moved[controls] = c + extra
                 targets, controls = t, c
             if theta is not None and s != 1.0:
                 theta *= s
@@ -201,15 +211,8 @@ class Circuit:
 
     def controlled(self, control: int) -> "Circuit":
         """Every gate gains `control`, which fires on |1>."""
-        if control < 0:
-            raise CircuitError(f"qubit {control} outside the {self.n_qubits}-qubit circuit")
         out = Circuit(max(self.n_qubits, control + 1))
-        for g in self.gates:
-            if control in g.targets or control in [q for q, _ in g.controls]:
-                raise CircuitError(f"control qubit {control} already used by {g}")
-            controls = g.controls + ((control, 1),)
-            out.gates.append(_derived_gate(g.kind, g.targets, controls, g.theta, g.layer))
-            out._layer = max(out._layer, g.layer)
+        out._extend(self, None, 0, control=control)
         return out
 
 
@@ -450,15 +453,18 @@ def prepare_wavepacket(model: VibronicModel, grid: GridSpec) -> Circuit:
     layout = QubitLayout(model.d, grid.n)
     circ = Circuit(layout.total)
     circ.add("X", (layout.electronic,), layer=0)
-    _copy_to_registers(circ, build_state_prep(grid.n, ground_gaussian(grid)), layout)
+    _copy_to_registers(circ, build_state_prep(grid.n, ground_gaussian(grid)), layout, offset=0)
     return circ
 
 
-def _copy_to_registers(circ: Circuit, base: Circuit, layout: QubitLayout, scales=None, offset: int = 0) -> None:
+def _copy_to_registers(circ: Circuit, base: Circuit, layout: QubitLayout, scales=None,
+                       offset: int | None = None) -> None:
     """Append `base` (one register's gates, its qubit n the electronic one)
     on every mode register r, its angles times scales[r] (Circuit._extend's
-    scale) and its layer ids shifted by offset alike, so the copies run in
-    parallel."""
+    scale) and its layer ids shifted by offset (None: the circuit's next
+    layer) alike, so the copies run in parallel."""
+    if offset is None:
+        offset = circ._layer + 1
     for r in range(layout.d):
         circ._extend(base, layout.block_qubits(r)[:base.n_qubits], offset, 1.0 if scales is None else scales[r])
 
@@ -521,12 +527,18 @@ def build_Udiag_pair(model: VibronicModel, grid: GridSpec, dt: float) -> Circuit
     shared layer of branch-controlled linear phases, and the branch-free
     quadratic network (n^2 layers shared across mode registers).
     """
+    circ = Circuit(QubitLayout(model.d, grid.n).total)
+    _append_Udiag_pair(circ, model, grid, dt)
+    return circ
+
+
+def _append_Udiag_pair(circ: Circuit, model: VibronicModel, grid: GridSpec, dt: float) -> None:
+    """build_Udiag_pair's gates, appended from the circuit's next layer on."""
     co = _branch_coeffs(model, grid)
     pref = -dt / (2.0 * model.hbar)
     n = grid.n
     layout = QubitLayout(model.d, n)
     elec = layout.electronic
-    circ = Circuit(layout.total)
     circ.add("U1", (elec,), theta=pref * co["const"][1])
     circ.add("X", (elec,))
     circ.add("U1", (elec,), theta=pref * co["const"][0])
@@ -535,10 +547,8 @@ def build_Udiag_pair(model: VibronicModel, grid: GridSpec, dt: float) -> Circuit
     for i in range(n):
         for pol in (0, 1):
             lin.add("U1", (i,), ((n, pol),), float(1 << i), 0)
-    _copy_to_registers(circ, lin, layout, [[pref * lin0, pref * lin1] * n for lin0, lin1 in zip(*co["lin"])],
-                       circ.new_layer())
-    _copy_to_registers(circ, _quadratic_network(n), layout, [pref * q for q in co["quad"]], circ._layer + 1)
-    return circ
+    _copy_to_registers(circ, lin, layout, [[pref * lin0, pref * lin1] * n for lin0, lin1 in zip(*co["lin"])])
+    _copy_to_registers(circ, _quadratic_network(n), layout, [pref * q for q in co["quad"]])
 
 
 def build_Uc(model: VibronicModel, grid: GridSpec, dt: float) -> Circuit:
@@ -548,19 +558,24 @@ def build_Uc(model: VibronicModel, grid: GridSpec, dt: float) -> Circuit:
     bits; the grid-offset rotation shares the first layer (same axis, same
     target, commuting).
     """
-    layout = QubitLayout(model.d, grid.n)
-    circ = Circuit(layout.total)
+    circ = Circuit(QubitLayout(model.d, grid.n).total)
+    _append_Uc(circ, model, grid, dt)
+    return circ
+
+
+def _append_Uc(circ: Circuit, model: VibronicModel, grid: GridSpec, dt: float) -> None:
+    """build_Uc's gates, appended from the circuit's next layer on."""
     if model.lam == 0.0:
-        return circ
-    axis = model.coupling_mode
-    qubits = layout.mode_qubits(axis)
+        return
+    layout = QubitLayout(model.d, grid.n)
+    qubits = layout.mode_qubits(model.coupling_mode)
     elec = layout.electronic
     scale = model.lam * dt / model.hbar
+    first = circ._layer + 1
     for i in range(grid.n):
         circ.add("RX", (elec,), controls=((qubits[i], 1),), theta=scale * grid.dq * (1 << i))
     if grid.q_min != 0.0:
-        circ.add("RX", (elec,), theta=scale * grid.q_min, layer=0)
-    return circ
+        circ.add("RX", (elec,), theta=scale * grid.q_min, layer=first)
 
 
 def build_UK(model: VibronicModel, grid: GridSpec, dt: float) -> Circuit:
@@ -570,10 +585,15 @@ def build_UK(model: VibronicModel, grid: GridSpec, dt: float) -> Circuit:
     layers shared across mode registers; no electronic involvement.
     """
     circ = Circuit(model.d * grid.n)
+    _append_UK(circ, model, grid, dt)
+    return circ
+
+
+def _append_UK(circ: Circuit, model: VibronicModel, grid: GridSpec, dt: float) -> None:
+    """build_UK's gates, appended from the circuit's next layer on."""
     base = 2.0 * math.pi / (grid.size * grid.dq)
     _copy_to_registers(circ, _quadratic_network(grid.n, signed=True), QubitLayout(model.d, grid.n),
                        [-0.5 * mode.omega * base * base * dt / model.hbar for mode in model.modes])
-    return circ
 
 
 def build_qft(n: int, inverse: bool = False) -> Circuit:
@@ -597,14 +617,6 @@ def build_qft(n: int, inverse: bool = False) -> Circuit:
                 circ.add("U1", (t,), controls=((c, 1),), theta=sign * math.pi / (1 << (t - c)))
         for i in range(n // 2):
             circ.add("SWAP", (i, n - 1 - i))
-    return circ
-
-
-def _qft_all(model: VibronicModel, grid: GridSpec, inverse: bool) -> Circuit:
-    """QFT applied to every mode register in parallel layers."""
-    layout = QubitLayout(model.d, grid.n)
-    circ = Circuit(layout.total)
-    _copy_to_registers(circ, build_qft(grid.n, inverse), layout)
     return circ
 
 
@@ -718,30 +730,36 @@ def build_timestep(
     runs UK/2 QFT' V QFT UK/2 with the full-step potential applied once,
     bilinear groups included and every doubly controlled Rx expanded.
     """
+    circ = Circuit(QubitLayout(model.d, grid.n).total)
+    _add_timestep(circ, model, grid, dt, split_order)
+    return circ
+
+
+def _add_timestep(circ: Circuit, model: VibronicModel, grid: GridSpec, dt: float, split_order: str) -> None:
+    """build_timestep's blocks, each appended from the circuit's next layer
+    on; the QFT walls are build_qft copied onto every mode register."""
     if split_order not in _soft.SPLIT_ORDERS:
         raise CircuitError(f"unknown split order {split_order!r}")
     layout = QubitLayout(model.d, grid.n)
-    circ = Circuit(layout.total)
     if split_order == "potential-first":
         if model.bilinear_diag or model.bilinear_off:
             raise CircuitError("bilinear terms use the kinetic-first split")
-        udiag, uc = build_Udiag_pair(model, grid, dt), build_Uc(model, grid, dt)
-        for block in (udiag, uc, _qft_all(model, grid, inverse=False), build_UK(model, grid, dt),
-                      _qft_all(model, grid, inverse=True), uc, udiag):
-            circ.append_circuit(block)
-        return circ
-    uk_half = build_UK(model, grid, dt / 2.0)
-    circ.append_circuit(uk_half)
-    circ.append_circuit(_qft_all(model, grid, inverse=True))
-    circ.append_circuit(build_Udiag_pair(model, grid, 2.0 * dt))
+        _append_Udiag_pair(circ, model, grid, dt)
+        _append_Uc(circ, model, grid, dt)
+        _copy_to_registers(circ, build_qft(grid.n), layout)
+        _append_UK(circ, model, grid, dt)
+        _copy_to_registers(circ, build_qft(grid.n, inverse=True), layout)
+        _append_Uc(circ, model, grid, dt)
+        _append_Udiag_pair(circ, model, grid, dt)
+        return
+    _append_UK(circ, model, grid, dt / 2.0)
+    _copy_to_registers(circ, build_qft(grid.n, inverse=True), layout)
+    _append_Udiag_pair(circ, model, grid, 2.0 * dt)
     _append_bilinear_diag_groups(circ, model, grid, dt)
-    uc = build_Uc(model, grid, 2.0 * dt)
-    circ.append_circuit(uc)
-    fold_layer = circ._layer if uc.gates else None
-    _append_bilinear_offdiag(circ, model, grid, dt, fold_layer)
-    circ.append_circuit(_qft_all(model, grid, inverse=False))
-    circ.append_circuit(uk_half)
-    return circ
+    _append_Uc(circ, model, grid, 2.0 * dt)
+    _append_bilinear_offdiag(circ, model, grid, dt)
+    _copy_to_registers(circ, build_qft(grid.n), layout)
+    _append_UK(circ, model, grid, dt / 2.0)
 
 
 def _append_bilinear_diag_groups(circ: Circuit, model: VibronicModel, grid: GridSpec, dt: float) -> None:
@@ -779,17 +797,15 @@ def _pair_network(n: int, theta: float, split: bool) -> Circuit:
     return circ
 
 
-def _append_bilinear_offdiag(
-    circ: Circuit, model: VibronicModel, grid: GridSpec, dt: float, fold_layer: int | None
-) -> None:
+def _append_bilinear_offdiag(circ: Circuit, model: VibronicModel, grid: GridSpec, dt: float) -> None:
     """Off-diagonal bilinear couplings, each CCRx expanded to 5 gates.
 
     Affine idx->Q corrections are same-axis rotations on the electronic
-    qubit, so they ride the coupling block's layer (`fold_layer`) when one
-    exists; otherwise they claim a single fresh layer. Each block is built
-    once on a pair's 2n + 1 qubits (QubitLayout.block_qubits), with angles
-    2^i (1 on the uncontrolled rotation) and 2^i·2^j, and copied onto each
-    pair scaled by 2 mu dt / hbar times q0·dq (q0·q0) or dq·dq.
+    qubit, so they ride the last layer of the coupling block appended just
+    before when lam != 0; otherwise they claim a single fresh layer. Each
+    block is built once on a pair's 2n + 1 qubits (QubitLayout.block_qubits),
+    with angles 2^i (1 on the uncontrolled rotation) and 2^i·2^j, and copied
+    onto each pair scaled by 2 mu dt / hbar times q0·dq (q0·q0) or dq·dq.
     """
     if not model.bilinear_off:
         return
@@ -802,7 +818,7 @@ def _append_bilinear_offdiag(
         for i in range(elec):
             shift.add("RX", (elec,), ((i, 1),), float(1 << (i % n)), 0)
         shift.add("RX", (elec,), (), 1.0, 0)
-        extra = fold_layer if fold_layer is not None else circ.new_layer()
+        extra = circ._layer if model.lam != 0.0 else circ.new_layer()
         for qubits, s in pairs:
             circ._extend(shift, qubits, extra, [s * q0 * dq] * elec + [s * q0 * q0])
     # each expansion claims the 5 layers after the previous one
@@ -839,12 +855,13 @@ class CircuitPlan(_soft.Plan):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        self.step = build_timestep(self.model, self.grid, self.dt, self.split_order)
-        if self.split_order == "kinetic-first":
-            walled = _qft_all(self.model, self.grid, inverse=False)
-            walled.append_circuit(self.step)
-            walled.append_circuit(_qft_all(self.model, self.grid, inverse=True))
-            self.step = walled
+        self.step = Circuit(self.layout.total)
+        walled = self.split_order == "kinetic-first"
+        if walled:
+            _copy_to_registers(self.step, build_qft(self.grid.n), self.layout)
+        _add_timestep(self.step, self.model, self.grid, self.dt, self.split_order)
+        if walled:
+            _copy_to_registers(self.step, build_qft(self.grid.n, inverse=True), self.layout)
         self.program = self._program(compile(self.step, self.layout).ops)
 
 
@@ -876,7 +893,7 @@ def build_hadamard_test(evolution: Circuit, part: str = "real") -> Circuit:
     anc = evolution.n_qubits
     circ = Circuit(anc + 1)
     circ.add("H", (anc,))
-    circ.append_circuit(evolution.controlled(anc))
+    circ._extend(evolution, None, circ._layer + 1, control=anc)
     if part == "imag":
         circ.add("S", (anc,))
     circ.add("H", (anc,))
@@ -930,9 +947,8 @@ def build_qpe(evolution_step: Circuit, m: int) -> Circuit:
     for j in range(m):
         circ.add("H", (base + j,))
     for j in range(m):
-        ctrl = evolution_step.controlled(base + j)
         for _ in range(1 << j):
-            circ.append_circuit(ctrl)
+            circ._extend(evolution_step, None, circ._layer + 1, control=base + j)
     iqft = build_qft(m, inverse=True)
     circ.append_circuit(iqft, qubit_map=[base + j for j in range(m)])
     circ.readout_qubits = m

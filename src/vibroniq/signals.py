@@ -133,12 +133,6 @@ def _quadratures(values: np.ndarray, shots: np.ndarray, rng) -> np.ndarray:
     return x[:, 0] + 1j * x[:, 1]
 
 
-def _bins(q: np.ndarray, shots: np.ndarray, rng) -> np.ndarray:
-    """Bin counts, one row per shot count, from one multinomial draw on the
-    distribution `q`."""
-    return rng.multinomial(shots, q)
-
-
 def sample_autocorr(series: AutocorrSeries, shots: int, seed=None) -> AutocorrSeries:
     """Interferometer shot noise on each quadrature of each sample.
 
@@ -158,7 +152,7 @@ def sample_counts(weights: np.ndarray, shots: int, seed=None) -> np.ndarray:
     total = weights.sum()
     if total <= 0.0:
         raise SignalError("cannot sample from an empty distribution")
-    return _bins(weights / total, counts, np.random.default_rng(seed))[0]
+    return np.random.default_rng(seed).multinomial(counts, weights / total)[0]
 
 
 def sample_spectrum_direct(spec: SpectrumSeries, shots: int, seed=None) -> SpectrumSeries:
@@ -251,7 +245,7 @@ def shots_scan(
             noisy = _quadratures(autocorr.values, grid, rng)
             sampled = _spectra(autocorr.times, noisy, tau_fs, damp_d, HBAR_EV_FS)[1]
         else:
-            sampled = _bins(q, grid, rng) / grid[:, None]
+            sampled = rng.multinomial(grid, q) / grid[:, None]
         curve[:] = _tvd_rows(sampled, exact)
         for thr in thresholds:
             per_seed[thr].append(_first_sustained(grid, curve, thr, sustain))

@@ -7,9 +7,14 @@ are session-scoped and computed once.
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from vibroniq import GridSpec, TimeGrid, initial_state, pyrazine_4d
 from vibroniq.soft import PropagatorPlan, propagate
+
+# Hypothesis draws the same examples on every run, so Tier-1 is deterministic
+settings.register_profile("deterministic", derandomize=True)
+settings.load_profile("deterministic")
 
 PROD_RANGE = (-5.0, 5.0)
 PROD_TOTAL_FS = 264.0

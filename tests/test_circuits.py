@@ -255,15 +255,21 @@ def test_controlled_circuit():
     assert two.controlled(2).gates == [Gate("X", (0,), ((1, 1), (2, 1)), None, 0)]
 
 
+def _qft_wall(model, grid, inverse=False):
+    """build_qft on every mode register, as the step lays its walls."""
+    layout = QubitLayout(model.d, grid.n)
+    wall = Circuit(layout.total)
+    circuits._copy_to_registers(wall, build_qft(grid.n, inverse), layout)
+    return wall
+
+
 def test_inverse_circuit(rng):
     # the inverse transform is built directly, not by reversing a circuit;
     # the register-parallel pair must undo itself on a random state
-    from vibroniq.circuits import _qft_all
-
     model = pyrazine_2mode()
     grid = GridSpec(n=3, q_min=-5.0, q_max=5.0)
-    fwd = _qft_all(model, grid, inverse=False)
-    inv = _qft_all(model, grid, inverse=True)
+    fwd = _qft_wall(model, grid, inverse=False)
+    inv = _qft_wall(model, grid, inverse=True)
     assert inv.depth() == fwd.depth() == qft_depth(grid.n)
     v = rng.normal(size=1 << fwd.n_qubits) + 1j * rng.normal(size=1 << fwd.n_qubits)
     s = apply(inv, apply(fwd, v.copy()))
@@ -645,8 +651,6 @@ def test_timestep_unitary_matches_soft_step():
     # potential-first holds position; kinetic-first holds the transformed
     # basis, so its step is conjugated by the per-register QFT pair, which
     # the plan's step carries as its walls
-    from vibroniq.circuits import _qft_all
-
     cases = [(two_mode_tiny(), GridSpec(n=2, q_min=-5.0, q_max=5.0), "potential-first")]
     for split_gamma in (False, True):
         cases.append((bilinear_tiny(split_gamma), GridSpec(n=2, q_min=-4.0, q_max=4.0), "kinetic-first"))
@@ -654,8 +658,8 @@ def test_timestep_unitary_matches_soft_step():
     for model, grid, split in cases:
         u = unitary_of(build_timestep(model, grid, dt, split))
         if split == "kinetic-first":
-            u = unitary_of(_qft_all(model, grid, inverse=True)) @ u @ unitary_of(
-                _qft_all(model, grid, inverse=False))
+            u = unitary_of(_qft_wall(model, grid, inverse=True)) @ u @ unitary_of(
+                _qft_wall(model, grid, inverse=False))
         # run the split-operator plan's program and the circuit plan's
         # program, both over the one flat basis, on every basis vector
         plan = PropagatorPlan(model, grid, dt, split_order=split)
@@ -1410,3 +1414,44 @@ def test_every_emitted_gate_list_is_pinned(name, split):
     # to an angle, a qubit, a layer or the gate order shows here
     digests = [hashlib.sha256(export_gates(c).encode()).hexdigest() for c in _pinned_circuits(name, split)]
     assert digests == GATE_LIST_DIGESTS[name, split]
+
+
+@pytest.mark.parametrize("name, split", [("pyrazine-4d", "potential-first"), ("pyrazine-4d", "kinetic-first"),
+                                         ("pyrazine-2mode", "kinetic-first")])
+def test_public_blocks_compose_the_step(name, split):
+    # the step appends every block where it lays it; the public blocks,
+    # concatenated in the order build_timestep's docstring gives, are the
+    # same gate list
+    model, dt = get_model(name), 264.0 / 2048
+    for n in (2, 3, 4, 5):
+        grid = GridSpec(n, -5.0, 5.0)
+        if split == "potential-first":
+            udiag, uc = build_Udiag_pair(model, grid, dt), build_Uc(model, grid, dt)
+            blocks = [udiag, uc, _qft_wall(model, grid), build_UK(model, grid, dt),
+                      _qft_wall(model, grid, inverse=True), uc, udiag]
+        else:
+            uk_half = build_UK(model, grid, dt / 2.0)
+            blocks = [uk_half, _qft_wall(model, grid, inverse=True), build_Udiag_pair(model, grid, 2.0 * dt),
+                      build_Uc(model, grid, 2.0 * dt), _qft_wall(model, grid), uk_half]
+        composed = Circuit(QubitLayout(model.d, n).total)
+        for block in blocks:
+            composed.append_circuit(block)
+        assert export_gates(composed) == export_gates(build_timestep(model, grid, dt, split)), n
+
+
+# sha256 of export_gates of a kinetic-first CircuitPlan's step, the step
+# between its QFT walls, on the periodic [-5, 5] grid with dt = 264/2048 fs:
+# (model, n, gates, depth, digest)
+WALLED_STEPS = [
+    ("pyrazine-2mode", 4, 217, 105, "d006dd942d625bc750d5747e8ec1bf950e65afe25c94d9b9fde7012df25f05a4"),
+    ("bilinear", 3, 252, 117, "a0440accbb7322eef7364467e24239ab2ed3d3541c677cbfa8b597df1662cf03"),
+    ("bilinear-split", 3, 261, 117, "226ee78b5cb17b5e485c5e50326cc5ac97faf0f3120568368c9d61d8ef2e84cb"),
+]
+
+
+@pytest.mark.parametrize("name, n, gates, depth, digest", WALLED_STEPS)
+def test_walled_steps_are_pinned(name, n, gates, depth, digest):
+    model = bilinear_tiny(name == "bilinear-split") if name.startswith("bilinear") else get_model(name)
+    step = CircuitPlan(model, GridSpec(n, -5.0, 5.0), 264.0 / 2048, "kinetic-first").step
+    assert (step.gate_count(), step.depth()) == (gates, depth)
+    assert hashlib.sha256(export_gates(step).encode()).hexdigest() == digest
