@@ -1,381 +1,49 @@
-"""Gate-level circuit builders plus a statevector emulator.
+"""The paper's circuits: state preparation, the Udiag, Uc, UK and QFT blocks,
+the bilinear pair blocks, one Trotter step (build_timestep), the circuit
+engine's plan (CircuitPlan) and the Hadamard-test and phase-estimation
+readouts. They are built on kernels.Circuit, which this module re-exports
+with the names that run a circuit (apply, unitary_of, compile).
 
-Depth accounting: every gate carries a layer id declared by its builder, and
-depth(circuit) is the number of distinct layers. Builders declare layers the
-way the cost tables count them (register-parallel blocks share ids, phase
-networks are sequential); gates sharing a layer always commute, so replaying
-layer by layer equals replaying the gate list.
+Depth accounting: builders declare layers the way the cost tables count
+them (register-parallel blocks share ids, phase networks are sequential).
 
 Qubit layout: model.QubitLayout, re-exported here, the one basis of both
 engines.
 
-Checking: a gate is an immutable tuple of its fields, checked when a caller
-makes it (Gate(...) or Circuit.add, which also range-checks its qubits). A
-gate derived from checked ones (a Circuit._extend copy, the CCRx expansion,
-the runs compile fuses) is not checked again; a copy checks once that its
-qubit map sends the source qubits one-to-one into range and that its control
-(controlled(), the Hadamard test, phase estimation) is free in each gate, and
-a scaled copy checks each new angle once, as Gate would. A time step is one
-circuit that each block appends into. Each repeated block (a register's QFT,
-quadratic network and branch-controlled linear phases, a bilinear pair's
-network and its CCRx expansion) is built once through Circuit.add on
-abstract qubits with unit prefactors and copied onto every register or pair,
-scaled by its own prefactor: the network angles are ±2^i·2^j, so the scaling
-is exact and the gates are those a gate-by-gate build would add.
+Building: a time step is one circuit that each block appends into. Each
+repeated block (a register's QFT, quadratic network and branch-controlled
+linear phases, a bilinear pair's network and its CCRx expansion) is built
+once through Circuit.add on abstract qubits with unit prefactors and copied
+onto every register or pair through Circuit._extend, scaled by its own
+prefactor: the network angles are ±2^i·2^j, so the scaling is exact and the
+gates are those a gate-by-gate build would add. A block that a step lays
+twice with the same angles (the potential-first Udiag pair and Uc, the
+kinetic-first UK/2) is built once and appended twice.
 
-Running: apply replays the gate list gate by gate and is the reference.
-compile turns a circuit into a few operations, each the unitary of its gates
-up to rounding: a stretch of diagonal gates (U1, S) sums its angles into one
-table, exponentiated once, and only the other gates run as kernels over the
-identity, as unitary_of runs them. It follows the commuting blocks of a time
-step on its qubit layout: one matrix per mode register for each run of
-register gates (QFT, UK, QFT'), run as one chain of transposing matmuls
-(kernels.turn_ops) when every register has one, and in each potential run,
-fused greedily on at most n + 1 qubits (a mode register and the electronic
-qubit), one phase table per stretch of diagonal operations, multiplied
-smallest support first into the full-state table, the coupling rotation
-staying a matrix on the electronic qubit and its register. Gates that
-straddle registers take the greedy fuser too. A CircuitPlan is a soft.Plan
-whose program is the compiled step, so soft.propagate, soft.step and
-soft.energy run it as they run the soft engine's plan. Where the coupling
-lives on the last mode register (soft.Plan.folds), the two matrices of the
-potential-first body that border the kinetic chain (the rotation fused with
-that register's diagonal phases) fold into the chain's last turn
-(kernels.fold_turns): the step runs a phase table, the chain and a phase
-table, the last turn computed from the compiled matrices. The state stays in
-the position basis in both split orders: a kinetic-first step is compiled
-between its QFT walls, each wall joining the register run next to it.
-soft.propagate advances k steps at a time with the program's stepper, which
-merges the closing half-step of one step into the opening half-step of the
-next: the two full-state phase tables for potential-first, the d walled
-register matrices (a chain in register order at both ends, merged position
-by position) for kinetic-first. The interferometer readout (hadamard_series)
-runs no state of its own: its ancilla-controlled step acts as the plain step
-on the ancilla-set half, so it reads A(t) from circuit_propagate's
-autocorrelation.
+Running: a CircuitPlan is a soft.Plan whose program is kernels.compile of
+the step, so soft.propagate, soft.step and soft.energy run it as they run
+the soft engine's plan. Where the coupling lives on the last mode register
+(soft.Plan.folds), the potential-first body's two matrices that border the
+kinetic chain fold into its last turn (kernels.fold_turns), so the step is
+a phase table, the chain and a phase table. A kinetic-first step is
+compiled between its QFT walls, each joining the register run next to it,
+so the state stays in the position basis, and the stepper merges the walled
+register matrices of two steps position by position. The interferometer
+readout (hadamard_series) runs no state of its own: its ancilla-controlled
+step acts as the plain step on the ancilla-set half, so it reads A(t) from
+circuit_propagate's autocorrelation.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
 from . import kernels, signals
-from .kernels import CircuitError
+from .kernels import KINDS, Circuit, CircuitError, Gate, _derived_gate, apply, compile, unitary_of
 from .model import GridSpec, QubitLayout, TimeGrid, VibronicModel, Wavepacket, ground_gaussian, initial_state
 from . import soft as _soft
-
-PARAM_KINDS = ("U1", "RY", "RX")
-FIXED_KINDS = ("H", "X", "S", "SWAP")
-KINDS = PARAM_KINDS + FIXED_KINDS
-_N_TARGETS = {kind: 2 if kind == "SWAP" else 1 for kind in KINDS}
-
-_H_MAT = np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2)
-_X_MAT = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-
-
-class _GateFields(NamedTuple):
-    kind: str
-    targets: tuple[int, ...]
-    controls: tuple[tuple[int, int], ...] = ()
-    theta: float | None = None
-    layer: int = 0
-
-
-class Gate(_GateFields):
-    """One gate: base kind, target qubit(s), control (qubit, polarity) list.
-
-    An immutable tuple of its fields, checked when a caller makes it."""
-
-    __slots__ = ()
-
-    def __new__(cls, kind, targets, controls=(), theta=None, layer=0):
-        if kind not in KINDS:
-            raise CircuitError(f"unknown gate kind {kind!r}")
-        want_targets = _N_TARGETS[kind]
-        if len(targets) != want_targets or (want_targets == 2 and targets[0] == targets[1]):
-            raise CircuitError(f"{kind} needs {want_targets} distinct target(s), got {targets}")
-        if kind in PARAM_KINDS:
-            if theta is None or not math.isfinite(theta):
-                raise CircuitError(f"{kind} needs a finite angle, got {theta}")
-        elif theta is not None:
-            raise CircuitError(f"{kind} takes no angle")
-        if controls:
-            seen = set(targets)
-            for q, _ in controls:
-                if q in seen:
-                    raise CircuitError(f"controls {controls} must be distinct and disjoint from targets")
-                seen.add(q)
-            for _, pol in controls:
-                if pol not in (0, 1):
-                    raise CircuitError(f"control polarity must be 0 or 1, got {pol}")
-        return tuple.__new__(cls, (kind, targets, controls, theta, layer))
-
-    @classmethod
-    def _make(cls, iterable) -> "Gate":
-        """A checked Gate from its fields; _replace goes through it too."""
-        return cls(*iterable)
-
-
-def _derived_gate(*fields) -> Gate:
-    """A Gate made without the checks, for gates derived from checked ones."""
-    return tuple.__new__(Gate, fields)
-
-
-class Circuit:
-    """Gate list over a fixed qubit count, with declared layers and no global
-    phase: builders make constant phases with gates, which controlled() keeps."""
-
-    def __init__(self, n_qubits: int):
-        if n_qubits < 1:
-            raise CircuitError(f"need at least one qubit, got {n_qubits}")
-        self.n_qubits = n_qubits
-        self.gates: list[Gate] = []
-        self._layer = -1
-
-    def new_layer(self) -> int:
-        self._layer += 1
-        return self._layer
-
-    def add(self, kind, targets, controls=(), theta=None, layer=None) -> Gate:
-        if layer is None:
-            layer = self.new_layer()
-        else:
-            self._layer = max(self._layer, layer)
-        # tuple() hands a tuple back as it is
-        targets, controls = tuple(targets), tuple(map(tuple, controls))
-        gate = Gate(kind, targets, controls, theta, layer)
-        n = self.n_qubits
-        bad = [q for q in targets if not 0 <= q < n] + [q for q, _ in controls if not 0 <= q < n]
-        if bad:
-            raise CircuitError(f"qubit {bad[0]} outside the {n}-qubit circuit")
-        self.gates.append(gate)
-        return gate
-
-    def depth(self) -> int:
-        return len({g.layer for g in self.gates})
-
-    def gate_count(self) -> int:
-        return len(self.gates)
-
-    def _extend(self, other: "Circuit", qubit_map, offset: int, scale=1.0, control: int | None = None) -> None:
-        """Append unchecked copies of other's checked gates, qubit q moved to
-        qubit_map[q] (None: the identity), layers shifted by offset, angles
-        times scale (a list: one factor per gate) and, given a control, each
-        gate controlled on that qubit's |1>. The map is checked once, the
-        control against each gate's qubits, and each angle a factor other than
-        1.0 makes once, as Gate checks it; on a failed check nothing is appended."""
-        gates, n = other.gates, other.n_qubits
-        qmap = tuple(range(n)) if qubit_map is None else tuple(qubit_map)
-        if len(qmap) != n or len(set(qmap)) != n or min(qmap) < 0 or max(qmap) >= self.n_qubits:
-            raise CircuitError(f"qubit map {qmap} does not send {n} qubits one-to-one "
-                               f"into the {self.n_qubits}-qubit circuit")
-        if control is not None and not 0 <= control < self.n_qubits:
-            raise CircuitError(f"qubit {control} outside the {self.n_qubits}-qubit circuit")
-        # each distinct target or control tuple is remapped and checked once
-        extra = () if control is None else ((control, 1),)
-        moved = None if qubit_map is None and control is None else {(): extra}
-        scales = scale if isinstance(scale, list) else [scale] * len(gates)
-        top, new = self._layer, []
-        for g, s in zip(gates, scales, strict=True):
-            kind, targets, controls, theta, layer = g
-            if moved is not None:
-                t, c = moved.get(targets), moved.get(controls)
-                if t is None:
-                    t = moved[targets] = tuple([qmap[q] for q in targets])
-                    if control in t:
-                        raise CircuitError(f"control qubit {control} already used by {g}")
-                if c is None:
-                    c = tuple([(qmap[q], p) for q, p in controls])
-                    if control in [q for q, _ in c]:
-                        raise CircuitError(f"control qubit {control} already used by {g}")
-                    c = moved[controls] = c + extra
-                targets, controls = t, c
-            if theta is not None and s != 1.0:
-                theta *= s
-                if not math.isfinite(theta):
-                    raise CircuitError(f"{kind} needs a finite angle, got {theta}")
-            layer += offset
-            if layer > top:
-                top = layer
-            new.append(_derived_gate(kind, targets, controls, theta, layer))
-        self.gates += new
-        self._layer = top
-
-    def append_circuit(self, other: "Circuit", qubit_map=None) -> None:
-        """Concatenate another circuit; its layers land after the current ones."""
-        self._extend(other, qubit_map, self._layer + 1)
-
-    def controlled(self, control: int) -> "Circuit":
-        """Every gate gains `control`, which fires on |1>."""
-        out = Circuit(max(self.n_qubits, control + 1))
-        out._extend(self, None, 0, control=control)
-        return out
-
-
-def _rx_mat(theta: float) -> np.ndarray:
-    c, s = math.cos(theta / 2), math.sin(theta / 2)
-    return np.array([[c, -1j * s], [-1j * s, c]], dtype=np.complex128)
-
-
-def _ry_mat(theta: float) -> np.ndarray:
-    c, s = math.cos(theta / 2), math.sin(theta / 2)
-    return np.array([[c, -s], [s, c]], dtype=np.complex128)
-
-
-def apply(circuit: Circuit, state: np.ndarray) -> np.ndarray:
-    """Run the circuit over `state` in place (and return it), gate by gate.
-
-    `state` may live on more qubits than the circuit uses.
-    """
-    n_state = kernels._state_qubits(state, circuit.n_qubits)
-    for g in circuit.gates:
-        if g.kind == "U1":
-            kernels.apply_phase(state, n_state, g.controls + ((g.targets[0], 1),), np.exp(1j * g.theta))
-        elif g.kind == "S":
-            kernels.apply_phase(state, n_state, g.controls + ((g.targets[0], 1),), 1j)
-        elif g.kind == "SWAP":
-            kernels.apply_swap(state, n_state, g.targets[0], g.targets[1], g.controls)
-        elif g.kind == "H":
-            kernels.apply_matrix(state, n_state, g.targets[0], g.controls, _H_MAT)
-        elif g.kind == "X":
-            kernels.apply_matrix(state, n_state, g.targets[0], g.controls, _X_MAT)
-        elif g.kind == "RX":
-            kernels.apply_matrix(state, n_state, g.targets[0], g.controls, _rx_mat(g.theta))
-        else:  # RY
-            kernels.apply_matrix(state, n_state, g.targets[0], g.controls, _ry_mat(g.theta))
-    return state
-
-
-def unitary_of(circuit: Circuit, n_qubits: int | None = None) -> np.ndarray:
-    """Dense matrix of a small circuit from one apply over the flattened
-    identity, a 2n-qubit state whose top n qubits hold the column index."""
-    n = circuit.n_qubits if n_qubits is None else n_qubits
-    if n < circuit.n_qubits:
-        raise CircuitError(f"a {circuit.n_qubits}-qubit circuit has no {n}-qubit unitary")
-    if n > 14:
-        raise CircuitError(f"refusing a dense unitary on {n} qubits")
-    dim = 1 << n
-    state = np.eye(dim, dtype=np.complex128).reshape(-1)
-    return apply(circuit, state).reshape(dim, dim).T
-
-
-def compile(circuit: Circuit, layout: QubitLayout) -> kernels.Program:
-    """The circuit as a kernels.Program of operations, each the unitary of
-    its gates as unitary_of computes it, up to rounding (_fuse).
-
-    The layout's mode registers split the gates into register runs and
-    potential runs. A register run is a maximal run of gates that each stay
-    inside one mode register, not all of them diagonal (the QFT, UK and
-    QFT'); gates on different registers commute, so it becomes one operation
-    per register, that register's gates in order, and a run with a dense
-    operation on every register the chain of kernels.turn_ops. A potential
-    run is the rest (Udiag, Uc, the bilinear phases and the CCRx expansion,
-    or any gates that straddle registers): it is fused greedily, each run of
-    consecutive gates whose joint support fits in layout.n + 1 qubits (one
-    mode register and the electronic qubit) one operation on that support,
-    gates never reordered and a wider gate an operation of its own. Each
-    stretch of consecutive phase operations this yields is multiplied into
-    one phase table over the whole state (kernels.merge_phases)."""
-    n, d = layout.n, layout.d
-    owner = [q // n if q < n * d else None for q in range(circuit.n_qubits)]
-
-    def register(g: Gate) -> int | None:
-        r = owner[g.targets[0]]
-        for q in g.targets[1:]:
-            if owner[q] != r:
-                return None
-        for q, _ in g.controls:
-            if owner[q] != r:
-                return None
-        return r
-
-    def in_registers(run: list) -> bool:
-        return run[0][0] is not None and not all(_diagonal(g) for _, g in run)
-
-    tagged = [(register(g), g) for g in circuit.gates]
-    runs = [list(run) for _, run in itertools.groupby(tagged, lambda rg: rg[0] is None)]
-    ops = []
-    for by_register, group in itertools.groupby(runs, in_registers):
-        run = [rg for part in group for rg in part]
-        if by_register:
-            gates: dict[int, list[Gate]] = {}
-            for r, g in run:
-                gates.setdefault(r, []).append(g)
-            fused = _fuse([(layout.mode_qubits(r), gates[r]) for r in sorted(gates)])
-            dense = [m if how == "left" else m.T.copy() for _, how, m, _ in fused if how != "phase"]
-            ops += kernels.turn_ops(dense) if len(dense) == d else fused
-        else:
-            fused = _fuse_greedy([g for _, g in run], n + 1)
-            ops += kernels.merge_phases([support for support, _ in fused], _fuse(fused), circuit.n_qubits)
-    return kernels.Program(circuit.n_qubits, ops)
-
-
-def _fuse_greedy(gates: list[Gate], width: int) -> list[tuple]:
-    """(ascending support, gates) of each run of consecutive gates within
-    `width` qubits."""
-    runs: list[tuple[set, list]] = []
-    for g in gates:
-        qubits = {*g.targets, *(q for q, _ in g.controls)}
-        if runs and len(runs[-1][0] | qubits) <= width:
-            runs[-1][0].update(qubits)
-            runs[-1][1].append(g)
-        else:
-            runs.append((qubits, [g]))
-    return [(sorted(qs), gs) for qs, gs in runs]
-
-
-def _fuse(runs: list[tuple]) -> list[tuple]:
-    """The operation of each (ascending support, gates) run.
-
-    Each stretch of consecutive diagonal gates (U1, S) is one table of
-    summed angles over the support's indices, exponentiated once;
-    kernels.phase_tables computes the tables of all the runs at once. A run
-    of one stretch is its phase table. Any other run starts from the
-    2k-qubit identity that unitary_of runs a circuit over: each stretch
-    multiplies it by its table, and each other gate runs over it through
-    apply."""
-    fixed, angles, starts, parts = [], [], [], []
-    for support, gates in runs:
-        local = {q: j for j, q in enumerate(support)}
-        stretches = []
-        for diagonal, stretch in itertools.groupby(gates, _diagonal):
-            if diagonal:
-                starts.append(len(angles))
-                for g in stretch:
-                    fixed.append([(local[q], b) for q, b in g.controls] + [(local[g.targets[0]], 1)])
-                    angles.append(math.pi / 2 if g.kind == "S" else g.theta)
-            else:
-                stretch = [_derived_gate(g.kind, tuple(local[t] for t in g.targets),
-                                         tuple((local[c], p) for c, p in g.controls), g.theta, g.layer)
-                           for g in stretch]
-            stretches.append((diagonal, stretch))
-        parts.append(stretches)
-    if starts:
-        tables = iter(kernels.phase_tables(fixed, angles, starts, max(len(s) for s, _ in runs)))
-    ops = []
-    for (support, _), stretches in zip(runs, parts):
-        dim = 1 << len(support)
-        if len(stretches) == 1 and stretches[0][0]:
-            ops.append(kernels.phase_op(support, next(tables)[:dim]))
-            continue
-        state = np.eye(dim, dtype=np.complex128).reshape(-1)
-        sub = Circuit(len(support))
-        for diagonal, stretch in stretches:
-            if diagonal:
-                state.reshape(dim, dim)[...] *= next(tables)[:dim]
-            else:
-                sub.gates = stretch
-                apply(sub, state)
-        ops.append(kernels.register_op(support, state.reshape(dim, dim).T))
-    return ops
-
-
-def _diagonal(g: Gate) -> bool:
-    return g.kind == "U1" or g.kind == "S"
 
 
 # ---------------------------------------------------------------------------
@@ -527,18 +195,12 @@ def build_Udiag_pair(model: VibronicModel, grid: GridSpec, dt: float) -> Circuit
     shared layer of branch-controlled linear phases, and the branch-free
     quadratic network (n^2 layers shared across mode registers).
     """
-    circ = Circuit(QubitLayout(model.d, grid.n).total)
-    _append_Udiag_pair(circ, model, grid, dt)
-    return circ
-
-
-def _append_Udiag_pair(circ: Circuit, model: VibronicModel, grid: GridSpec, dt: float) -> None:
-    """build_Udiag_pair's gates, appended from the circuit's next layer on."""
     co = _branch_coeffs(model, grid)
     pref = -dt / (2.0 * model.hbar)
     n = grid.n
     layout = QubitLayout(model.d, n)
     elec = layout.electronic
+    circ = Circuit(layout.total)
     circ.add("U1", (elec,), theta=pref * co["const"][1])
     circ.add("X", (elec,))
     circ.add("U1", (elec,), theta=pref * co["const"][0])
@@ -549,6 +211,7 @@ def _append_Udiag_pair(circ: Circuit, model: VibronicModel, grid: GridSpec, dt: 
             lin.add("U1", (i,), ((n, pol),), float(1 << i), 0)
     _copy_to_registers(circ, lin, layout, [[pref * lin0, pref * lin1] * n for lin0, lin1 in zip(*co["lin"])])
     _copy_to_registers(circ, _quadratic_network(n), layout, [pref * q for q in co["quad"]])
+    return circ
 
 
 def build_Uc(model: VibronicModel, grid: GridSpec, dt: float) -> Circuit:
@@ -558,24 +221,17 @@ def build_Uc(model: VibronicModel, grid: GridSpec, dt: float) -> Circuit:
     bits; the grid-offset rotation shares the first layer (same axis, same
     target, commuting).
     """
-    circ = Circuit(QubitLayout(model.d, grid.n).total)
-    _append_Uc(circ, model, grid, dt)
-    return circ
-
-
-def _append_Uc(circ: Circuit, model: VibronicModel, grid: GridSpec, dt: float) -> None:
-    """build_Uc's gates, appended from the circuit's next layer on."""
-    if model.lam == 0.0:
-        return
     layout = QubitLayout(model.d, grid.n)
+    circ = Circuit(layout.total)
+    if model.lam == 0.0:
+        return circ
     qubits = layout.mode_qubits(model.coupling_mode)
-    elec = layout.electronic
     scale = model.lam * dt / model.hbar
-    first = circ._layer + 1
     for i in range(grid.n):
-        circ.add("RX", (elec,), controls=((qubits[i], 1),), theta=scale * grid.dq * (1 << i))
+        circ.add("RX", (layout.electronic,), controls=((qubits[i], 1),), theta=scale * grid.dq * (1 << i))
     if grid.q_min != 0.0:
-        circ.add("RX", (elec,), theta=scale * grid.q_min, layer=first)
+        circ.add("RX", (layout.electronic,), theta=scale * grid.q_min, layer=0)
+    return circ
 
 
 def build_UK(model: VibronicModel, grid: GridSpec, dt: float) -> Circuit:
@@ -585,15 +241,10 @@ def build_UK(model: VibronicModel, grid: GridSpec, dt: float) -> Circuit:
     layers shared across mode registers; no electronic involvement.
     """
     circ = Circuit(model.d * grid.n)
-    _append_UK(circ, model, grid, dt)
-    return circ
-
-
-def _append_UK(circ: Circuit, model: VibronicModel, grid: GridSpec, dt: float) -> None:
-    """build_UK's gates, appended from the circuit's next layer on."""
     base = 2.0 * math.pi / (grid.size * grid.dq)
     _copy_to_registers(circ, _quadratic_network(grid.n, signed=True), QubitLayout(model.d, grid.n),
                        [-0.5 * mode.omega * base * base * dt / model.hbar for mode in model.modes])
+    return circ
 
 
 def build_qft(n: int, inverse: bool = False) -> Circuit:
@@ -737,29 +388,32 @@ def build_timestep(
 
 def _add_timestep(circ: Circuit, model: VibronicModel, grid: GridSpec, dt: float, split_order: str) -> None:
     """build_timestep's blocks, each appended from the circuit's next layer
-    on; the QFT walls are build_qft copied onto every mode register."""
+    on, a block laid twice built once; the QFT walls are build_qft copied
+    onto every mode register."""
     if split_order not in _soft.SPLIT_ORDERS:
         raise CircuitError(f"unknown split order {split_order!r}")
     layout = QubitLayout(model.d, grid.n)
     if split_order == "potential-first":
         if model.bilinear_diag or model.bilinear_off:
             raise CircuitError("bilinear terms use the kinetic-first split")
-        _append_Udiag_pair(circ, model, grid, dt)
-        _append_Uc(circ, model, grid, dt)
+        half = [build_Udiag_pair(model, grid, dt), build_Uc(model, grid, dt)]
+        for block in half:
+            circ.append_circuit(block)
         _copy_to_registers(circ, build_qft(grid.n), layout)
-        _append_UK(circ, model, grid, dt)
+        circ.append_circuit(build_UK(model, grid, dt))
         _copy_to_registers(circ, build_qft(grid.n, inverse=True), layout)
-        _append_Uc(circ, model, grid, dt)
-        _append_Udiag_pair(circ, model, grid, dt)
+        for block in reversed(half):
+            circ.append_circuit(block)
         return
-    _append_UK(circ, model, grid, dt / 2.0)
+    uk = build_UK(model, grid, dt / 2.0)
+    circ.append_circuit(uk)
     _copy_to_registers(circ, build_qft(grid.n, inverse=True), layout)
-    _append_Udiag_pair(circ, model, grid, 2.0 * dt)
+    circ.append_circuit(build_Udiag_pair(model, grid, 2.0 * dt))
     _append_bilinear_diag_groups(circ, model, grid, dt)
-    _append_Uc(circ, model, grid, 2.0 * dt)
+    circ.append_circuit(build_Uc(model, grid, 2.0 * dt))
     _append_bilinear_offdiag(circ, model, grid, dt)
     _copy_to_registers(circ, build_qft(grid.n), layout)
-    _append_UK(circ, model, grid, dt / 2.0)
+    circ.append_circuit(uk)
 
 
 def _append_bilinear_diag_groups(circ: Circuit, model: VibronicModel, grid: GridSpec, dt: float) -> None:

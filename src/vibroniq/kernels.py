@@ -1,5 +1,5 @@
-"""Statevector kernels: the per-gate reference kernels and the one operation
-executor, Program, that both engines run.
+"""Statevector kernels, the circuit type, and the one operation executor,
+Program, that both engines run.
 
 Each per-gate kernel reshapes the 2**n state into an n-axis (2, ..., 2)
 tensor, pins the fixed/control qubits with length-1 slices and updates the
@@ -11,10 +11,41 @@ chain's last turn to take in the dense operations on register d-1 and the
 electronic qubit that border the chain, so a coupling rotation on that
 register costs no pass of its own. phase_tables computes the diagonals of
 controlled phases and merge_phases multiplies phase operations into one.
+
+Circuits: a Circuit is a gate list over a fixed qubit count. Each gate has
+a layer id its builder declares, and depth(circuit) is the number of
+distinct layers; gates sharing a layer commute, so replaying layer by layer
+equals replaying the gate list. A gate is an immutable tuple of its fields,
+checked when a caller makes it (Gate(...) or Circuit.add, which also
+range-checks its qubits): integer and distinct qubits, as many targets as
+its kind takes, integer 0/1 polarities and a finite real angle where the
+kind takes one, else CircuitError. A gate derived from checked ones (a
+Circuit._extend copy, the CCRx expansion, the runs compile fuses) is not
+checked again; a copy checks once that its qubit map sends the source qubits
+one-to-one into range and that its control (controlled(), the Hadamard
+test, phase estimation) is free in each gate, and a scaled copy checks each
+new angle once, as Gate would.
+
+Running: apply replays the gate list gate by gate and is the reference.
+compile turns a circuit into a few operations, each the unitary of its gates
+up to rounding: a stretch of diagonal gates (U1, S) sums its angles into one
+table, exponentiated once, and only the other gates run as kernels over the
+identity, as unitary_of runs them. It follows the commuting blocks of a time
+step on its qubit layout: one matrix per mode register for each run of
+register gates (QFT, UK, QFT'), run as one chain of transposing matmuls
+(turn_ops) when every register has one, and in each potential run, fused
+greedily on at most n + 1 qubits (a mode register and the electronic
+qubit), one phase table per stretch of diagonal operations, multiplied
+smallest support first into the full-state table, the coupling rotation
+staying a matrix on the electronic qubit and its register. Gates that
+straddle registers take the greedy fuser too.
 """
 from __future__ import annotations
 
 import itertools
+import math
+import operator
+from typing import NamedTuple
 
 import numpy as np
 
@@ -386,3 +417,327 @@ class Program:
         if cur is not state:
             state[...] = cur
         return state
+
+
+PARAM_KINDS = ("U1", "RY", "RX")
+FIXED_KINDS = ("H", "X", "S", "SWAP")
+KINDS = PARAM_KINDS + FIXED_KINDS
+_N_TARGETS = {kind: 2 if kind == "SWAP" else 1 for kind in KINDS}
+
+_H_MAT = np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2)
+_X_MAT = np.array([[0, 1], [1, 0]], dtype=np.complex128)
+
+
+class _GateFields(NamedTuple):
+    kind: str
+    targets: tuple[int, ...]
+    controls: tuple[tuple[int, int], ...] = ()
+    theta: float | None = None
+    layer: int = 0
+
+
+class Gate(_GateFields):
+    """One gate: base kind, target qubit(s), control (qubit, polarity) list.
+
+    An immutable tuple of its fields, checked when a caller makes it: its
+    targets and controls become tuples, its qubits must be integers."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind, targets, controls=(), theta=None, layer=0):
+        if kind not in KINDS:
+            raise CircuitError(f"unknown gate kind {kind!r}")
+        try:
+            targets, controls = tuple(map(operator.index, targets)), tuple(map(tuple, controls))
+        except TypeError:
+            raise CircuitError(f"qubits must be integers and controls (qubit, polarity) pairs, "
+                               f"got targets {targets!r} and controls {controls!r}") from None
+        want_targets = _N_TARGETS[kind]
+        if len(targets) != want_targets or (want_targets == 2 and targets[0] == targets[1]):
+            raise CircuitError(f"{kind} needs {want_targets} distinct target(s), got {targets}")
+        if kind in PARAM_KINDS:
+            try:
+                finite = math.isfinite(theta)
+            except TypeError:  # None, a string or a complex number
+                finite = False
+            if not finite:
+                raise CircuitError(f"{kind} needs a finite angle, got {theta!r}")
+        elif theta is not None:
+            raise CircuitError(f"{kind} takes no angle")
+        if controls:
+            seen = set(targets)
+            try:
+                for q, pol in controls:
+                    if operator.index(q) in seen:
+                        raise CircuitError(f"controls {controls} must be distinct and disjoint from targets")
+                    if operator.index(pol) not in (0, 1):
+                        raise CircuitError(f"control polarity must be 0 or 1, got {pol}")
+                    seen.add(q)
+            except TypeError:
+                raise CircuitError(f"control qubits and polarities must be integers, got {controls}") from None
+        return tuple.__new__(cls, (kind, targets, controls, theta, layer))
+
+    @classmethod
+    def _make(cls, iterable) -> "Gate":
+        """A checked Gate from its fields; _replace goes through it too."""
+        return cls(*iterable)
+
+
+def _derived_gate(*fields) -> Gate:
+    """A Gate made without the checks, for gates derived from checked ones."""
+    return tuple.__new__(Gate, fields)
+
+
+class Circuit:
+    """Gate list over a fixed qubit count, with declared layers and no global
+    phase: builders make constant phases with gates, which controlled() keeps."""
+
+    def __init__(self, n_qubits: int):
+        if n_qubits < 1:
+            raise CircuitError(f"need at least one qubit, got {n_qubits}")
+        self.n_qubits = n_qubits
+        self.gates: list[Gate] = []
+        self._layer = -1
+
+    def new_layer(self) -> int:
+        self._layer += 1
+        return self._layer
+
+    def add(self, kind, targets, controls=(), theta=None, layer=None) -> Gate:
+        if layer is None:
+            layer = self.new_layer()
+        else:
+            self._layer = max(self._layer, layer)
+        gate = Gate(kind, targets, controls, theta, layer)
+        n = self.n_qubits
+        for q in gate.targets:
+            if not 0 <= q < n:
+                raise CircuitError(f"qubit {q} outside the {n}-qubit circuit")
+        for q, _ in gate.controls:
+            if not 0 <= q < n:
+                raise CircuitError(f"qubit {q} outside the {n}-qubit circuit")
+        self.gates.append(gate)
+        return gate
+
+    def depth(self) -> int:
+        return len({g.layer for g in self.gates})
+
+    def gate_count(self) -> int:
+        return len(self.gates)
+
+    def _extend(self, other: "Circuit", qubit_map, offset: int, scale=1.0, control: int | None = None) -> None:
+        """Append unchecked copies of other's checked gates, qubit q moved to
+        qubit_map[q] (None: the identity), layers shifted by offset, angles
+        times scale (a list: one factor per gate) and, given a control, each
+        gate controlled on that qubit's |1>. The map is checked once, the
+        control against each gate's qubits, and each angle a factor other than
+        1.0 makes once, as Gate checks it; on a failed check nothing is appended."""
+        gates, n = other.gates, other.n_qubits
+        qmap = tuple(range(n)) if qubit_map is None else tuple(qubit_map)
+        if len(qmap) != n or len(set(qmap)) != n or min(qmap) < 0 or max(qmap) >= self.n_qubits:
+            raise CircuitError(f"qubit map {qmap} does not send {n} qubits one-to-one "
+                               f"into the {self.n_qubits}-qubit circuit")
+        if control is not None and not 0 <= control < self.n_qubits:
+            raise CircuitError(f"qubit {control} outside the {self.n_qubits}-qubit circuit")
+        # each distinct target or control tuple is remapped and checked once
+        extra = () if control is None else ((control, 1),)
+        moved = None if qubit_map is None and control is None else {(): extra}
+        scales = scale if isinstance(scale, list) else [scale] * len(gates)
+        top, new = self._layer, []
+        for g, s in zip(gates, scales, strict=True):
+            kind, targets, controls, theta, layer = g
+            if moved is not None:
+                t, c = moved.get(targets), moved.get(controls)
+                if t is None:
+                    t = moved[targets] = tuple([qmap[q] for q in targets])
+                    if control in t:
+                        raise CircuitError(f"control qubit {control} already used by {g}")
+                if c is None:
+                    c = tuple([(qmap[q], p) for q, p in controls])
+                    if control in [q for q, _ in c]:
+                        raise CircuitError(f"control qubit {control} already used by {g}")
+                    c = moved[controls] = c + extra
+                targets, controls = t, c
+            if theta is not None and s != 1.0:
+                theta *= s
+                if not math.isfinite(theta):
+                    raise CircuitError(f"{kind} needs a finite angle, got {theta}")
+            layer += offset
+            if layer > top:
+                top = layer
+            # _derived_gate inlined: its call costs a tenth of this loop
+            new.append(tuple.__new__(Gate, (kind, targets, controls, theta, layer)))
+        self.gates += new
+        self._layer = top
+
+    def append_circuit(self, other: "Circuit", qubit_map=None) -> None:
+        """Concatenate another circuit; its layers land after the current ones."""
+        self._extend(other, qubit_map, self._layer + 1)
+
+    def controlled(self, control: int) -> "Circuit":
+        """Every gate gains `control`, which fires on |1>."""
+        out = Circuit(max(self.n_qubits, control + 1))
+        out._extend(self, None, 0, control=control)
+        return out
+
+
+def _rx_mat(theta: float) -> np.ndarray:
+    c, s = math.cos(theta / 2), math.sin(theta / 2)
+    return np.array([[c, -1j * s], [-1j * s, c]], dtype=np.complex128)
+
+
+def _ry_mat(theta: float) -> np.ndarray:
+    c, s = math.cos(theta / 2), math.sin(theta / 2)
+    return np.array([[c, -s], [s, c]], dtype=np.complex128)
+
+
+def apply(circuit: Circuit, state: np.ndarray) -> np.ndarray:
+    """Run the circuit over `state` in place (and return it), gate by gate.
+
+    `state` may live on more qubits than the circuit uses.
+    """
+    n_state = _state_qubits(state, circuit.n_qubits)
+    for g in circuit.gates:
+        if g.kind == "U1":
+            apply_phase(state, n_state, g.controls + ((g.targets[0], 1),), np.exp(1j * g.theta))
+        elif g.kind == "S":
+            apply_phase(state, n_state, g.controls + ((g.targets[0], 1),), 1j)
+        elif g.kind == "SWAP":
+            apply_swap(state, n_state, g.targets[0], g.targets[1], g.controls)
+        elif g.kind == "H":
+            apply_matrix(state, n_state, g.targets[0], g.controls, _H_MAT)
+        elif g.kind == "X":
+            apply_matrix(state, n_state, g.targets[0], g.controls, _X_MAT)
+        elif g.kind == "RX":
+            apply_matrix(state, n_state, g.targets[0], g.controls, _rx_mat(g.theta))
+        else:  # RY
+            apply_matrix(state, n_state, g.targets[0], g.controls, _ry_mat(g.theta))
+    return state
+
+
+def unitary_of(circuit: Circuit, n_qubits: int | None = None) -> np.ndarray:
+    """Dense matrix of a small circuit from one apply over the flattened
+    identity, a 2n-qubit state whose top n qubits hold the column index."""
+    n = circuit.n_qubits if n_qubits is None else n_qubits
+    if n < circuit.n_qubits:
+        raise CircuitError(f"a {circuit.n_qubits}-qubit circuit has no {n}-qubit unitary")
+    if n > 14:
+        raise CircuitError(f"refusing a dense unitary on {n} qubits")
+    dim = 1 << n
+    state = np.eye(dim, dtype=np.complex128).reshape(-1)
+    return apply(circuit, state).reshape(dim, dim).T
+
+
+def compile(circuit: Circuit, layout) -> Program:
+    """The circuit as a Program of operations, each the unitary of its gates
+    as unitary_of computes it, up to rounding (_fuse).
+
+    The mode registers of the layout (a model.QubitLayout) split the gates
+    into register runs and potential runs. A register run is a maximal run
+    of gates that each stay inside one mode register, not all of them
+    diagonal (the QFT, UK and QFT'); gates on different registers commute,
+    so it becomes one operation per register, that register's gates in
+    order, and a run with a dense operation on every register the chain of
+    turn_ops. A potential run is the rest (Udiag, Uc, the bilinear phases
+    and the CCRx expansion, or any gates that straddle registers): it is
+    fused greedily, each run of consecutive gates whose joint support fits in
+    layout.n + 1 qubits (one mode register and the electronic qubit) one
+    operation on that support, gates never reordered and a wider gate an
+    operation of its own. Each stretch of consecutive phase operations this
+    yields is multiplied into one phase table over the whole state
+    (merge_phases)."""
+    n, d = layout.n, layout.d
+    owner = [q // n if q < n * d else None for q in range(circuit.n_qubits)]
+
+    def register(g: Gate) -> int | None:
+        r = owner[g.targets[0]]
+        for q in g.targets[1:]:
+            if owner[q] != r:
+                return None
+        for q, _ in g.controls:
+            if owner[q] != r:
+                return None
+        return r
+
+    def in_registers(run: list) -> bool:
+        return run[0][0] is not None and not all(_diagonal(g) for _, g in run)
+
+    tagged = [(register(g), g) for g in circuit.gates]
+    runs = [list(run) for _, run in itertools.groupby(tagged, lambda rg: rg[0] is None)]
+    ops = []
+    for by_register, group in itertools.groupby(runs, in_registers):
+        run = [rg for part in group for rg in part]
+        if by_register:
+            gates: dict[int, list[Gate]] = {}
+            for r, g in run:
+                gates.setdefault(r, []).append(g)
+            fused = _fuse([(layout.mode_qubits(r), gates[r]) for r in sorted(gates)])
+            dense = [m if how == "left" else m.T.copy() for _, how, m, _ in fused if how != "phase"]
+            ops += turn_ops(dense) if len(dense) == d else fused
+        else:
+            fused = _fuse_greedy([g for _, g in run], n + 1)
+            ops += merge_phases([support for support, _ in fused], _fuse(fused), circuit.n_qubits)
+    return Program(circuit.n_qubits, ops)
+
+
+def _fuse_greedy(gates: list[Gate], width: int) -> list[tuple]:
+    """(ascending support, gates) of each run of consecutive gates within
+    `width` qubits."""
+    runs: list[tuple[set, list]] = []
+    for g in gates:
+        qubits = {*g.targets, *(q for q, _ in g.controls)}
+        if runs and len(runs[-1][0] | qubits) <= width:
+            runs[-1][0].update(qubits)
+            runs[-1][1].append(g)
+        else:
+            runs.append((qubits, [g]))
+    return [(sorted(qs), gs) for qs, gs in runs]
+
+
+def _fuse(runs: list[tuple]) -> list[tuple]:
+    """The operation of each (ascending support, gates) run.
+
+    Each stretch of consecutive diagonal gates (U1, S) is one table of
+    summed angles over the support's indices, exponentiated once;
+    phase_tables computes the tables of all the runs at once. A run of one
+    stretch is its phase table. Any other run starts from the 2k-qubit
+    identity that unitary_of runs a circuit over: each stretch multiplies it
+    by its table, and each other gate runs over it through apply."""
+    fixed, angles, starts, parts = [], [], [], []
+    for support, gates in runs:
+        local = {q: j for j, q in enumerate(support)}
+        stretches = []
+        for diagonal, stretch in itertools.groupby(gates, _diagonal):
+            if diagonal:
+                starts.append(len(angles))
+                for g in stretch:
+                    fixed.append([(local[q], b) for q, b in g.controls] + [(local[g.targets[0]], 1)])
+                    angles.append(math.pi / 2 if g.kind == "S" else g.theta)
+            else:
+                stretch = [_derived_gate(g.kind, tuple(local[t] for t in g.targets),
+                                         tuple((local[c], p) for c, p in g.controls), g.theta, g.layer)
+                           for g in stretch]
+            stretches.append((diagonal, stretch))
+        parts.append(stretches)
+    if starts:
+        tables = iter(phase_tables(fixed, angles, starts, max(len(s) for s, _ in runs)))
+    ops = []
+    for (support, _), stretches in zip(runs, parts):
+        dim = 1 << len(support)
+        if len(stretches) == 1 and stretches[0][0]:
+            ops.append(phase_op(support, next(tables)[:dim]))
+            continue
+        state = np.eye(dim, dtype=np.complex128).reshape(-1)
+        sub = Circuit(len(support))
+        for diagonal, stretch in stretches:
+            if diagonal:
+                state.reshape(dim, dim)[...] *= next(tables)[:dim]
+            else:
+                sub.gates = stretch
+                apply(sub, state)
+        ops.append(register_op(support, state.reshape(dim, dim).T))
+    return ops
+
+
+def _diagonal(g: Gate) -> bool:
+    return g.kind == "U1" or g.kind == "S"

@@ -112,6 +112,9 @@ CONSTRUCTION_ERRORS = [
     (("H", (0,), ((1, 1), (1, 0))), "controls ((1, 1), (1, 0)) must be distinct"),
     (("H", (0,), ((1, 2),)), "control polarity must be 0 or 1, got 2"),
     (("X", (0,), ((1, 1), (2, -1))), "control polarity must be 0 or 1, got -1"),
+    (("H", (0,), ((1.5, 1),)), "control qubits and polarities must be integers, got ((1.5, 1),)"),
+    (("H", (0,), ((1, 1.0),)), "control qubits and polarities must be integers, got ((1, 1.0),)"),
+    (("H", (0,), (1,)), "qubits must be integers and controls (qubit, polarity) pairs, got targets (0,)"),
 ]
 
 
@@ -124,6 +127,27 @@ def test_gate_validation():
         with pytest.raises(CircuitError, match=re.escape(message)):
             c.add(*args)
         assert c.gates == []
+
+
+# each was let through once and failed later with a bare TypeError: a float
+# qubit in apply, a list of targets when a copy hashed it, a string angle in
+# math.isfinite
+@pytest.mark.parametrize("make, message", [
+    (lambda: Circuit(2).add("H", (0.5,)), "got targets (0.5,) and controls ()"),
+    (lambda: Gate("H", [0], [[1, 1]]), None),
+    (lambda: Circuit(2).add("RX", (0,), theta="0.3"), "RX needs a finite angle, got '0.3'"),
+], ids=["float-qubit", "list-qubits", "string-angle"])
+def test_malformed_gates_are_caught_or_mended_at_construction(make, message):
+    if message is not None:
+        with pytest.raises(CircuitError, match=re.escape(message)):
+            make()
+        return
+    src = Circuit(2)
+    src.gates.append(make())
+    assert type(src.gates[0].targets) is tuple and type(src.gates[0].controls[0]) is tuple
+    dst = Circuit(2)
+    dst.append_circuit(src, qubit_map=[1, 0])
+    assert dst.gates == [Gate("H", (1,), ((0, 1),))]
 
 
 def test_make_and_replace_check_too():
@@ -843,7 +867,7 @@ def test_compile_holds_no_second_full_state_temporary():
 
 def test_diagonal_heavy_case_takes_every_path_of_the_fuser(monkeypatch):
     fused, stretches = [], []
-    fuse, merge = circuits._fuse, kernels.merge_phases
+    fuse, merge = kernels._fuse, kernels.merge_phases
 
     def spy_fuse(runs):
         fused.extend(gates for _, gates in runs)
@@ -856,7 +880,7 @@ def test_diagonal_heavy_case_takes_every_path_of_the_fuser(monkeypatch):
                 stretches.append(stretch)
         return merge(supports, ops, n_qubits)
 
-    monkeypatch.setattr(circuits, "_fuse", spy_fuse)
+    monkeypatch.setattr(kernels, "_fuse", spy_fuse)
     monkeypatch.setattr(kernels, "merge_phases", spy_merge)
     circ, layout = COMPILED_CASES["diagonal-heavy"]()
     compile(circ, layout)
