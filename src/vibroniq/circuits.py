@@ -382,37 +382,39 @@ def build_timestep(
     bilinear groups included and every doubly controlled Rx expanded.
     """
     circ = Circuit(QubitLayout(model.d, grid.n).total)
-    _add_timestep(circ, model, grid, dt, split_order)
+    _add_timestep(circ, model, grid, dt, split_order, (build_qft(grid.n), build_qft(grid.n, inverse=True)))
     return circ
 
 
-def _add_timestep(circ: Circuit, model: VibronicModel, grid: GridSpec, dt: float, split_order: str) -> None:
+def _add_timestep(circ: Circuit, model: VibronicModel, grid: GridSpec, dt: float, split_order: str,
+                  walls: tuple[Circuit, Circuit]) -> None:
     """build_timestep's blocks, each appended from the circuit's next layer
-    on, a block laid twice built once; the QFT walls are build_qft copied
-    onto every mode register."""
+    on, a block laid twice built once; the QFT walls are the forward and
+    inverse build_qft of `walls` copied onto every mode register."""
     if split_order not in _soft.SPLIT_ORDERS:
         raise CircuitError(f"unknown split order {split_order!r}")
     layout = QubitLayout(model.d, grid.n)
+    qft, iqft = walls
     if split_order == "potential-first":
         if model.bilinear_diag or model.bilinear_off:
             raise CircuitError("bilinear terms use the kinetic-first split")
         half = [build_Udiag_pair(model, grid, dt), build_Uc(model, grid, dt)]
         for block in half:
             circ.append_circuit(block)
-        _copy_to_registers(circ, build_qft(grid.n), layout)
+        _copy_to_registers(circ, qft, layout)
         circ.append_circuit(build_UK(model, grid, dt))
-        _copy_to_registers(circ, build_qft(grid.n, inverse=True), layout)
+        _copy_to_registers(circ, iqft, layout)
         for block in reversed(half):
             circ.append_circuit(block)
         return
     uk = build_UK(model, grid, dt / 2.0)
     circ.append_circuit(uk)
-    _copy_to_registers(circ, build_qft(grid.n, inverse=True), layout)
+    _copy_to_registers(circ, iqft, layout)
     circ.append_circuit(build_Udiag_pair(model, grid, 2.0 * dt))
     _append_bilinear_diag_groups(circ, model, grid, dt)
     circ.append_circuit(build_Uc(model, grid, 2.0 * dt))
     _append_bilinear_offdiag(circ, model, grid, dt)
-    _copy_to_registers(circ, build_qft(grid.n), layout)
+    _copy_to_registers(circ, qft, layout)
     circ.append_circuit(uk)
 
 
@@ -511,11 +513,12 @@ class CircuitPlan(_soft.Plan):
         super().__post_init__()
         self.step = Circuit(self.layout.total)
         walled = self.split_order == "kinetic-first"
+        qft, iqft = walls = build_qft(self.grid.n), build_qft(self.grid.n, inverse=True)
         if walled:
-            _copy_to_registers(self.step, build_qft(self.grid.n), self.layout)
-        _add_timestep(self.step, self.model, self.grid, self.dt, self.split_order)
+            _copy_to_registers(self.step, qft, self.layout)
+        _add_timestep(self.step, self.model, self.grid, self.dt, self.split_order, walls)
         if walled:
-            _copy_to_registers(self.step, build_qft(self.grid.n, inverse=True), self.layout)
+            _copy_to_registers(self.step, iqft, self.layout)
         self.program = self._program(compile(self.step, self.layout).ops)
 
 

@@ -1,16 +1,20 @@
 """Statevector kernels, the circuit type, and the one operation executor,
 Program, that both engines run.
 
-Each per-gate kernel reshapes the 2**n state into an n-axis (2, ..., 2)
-tensor, pins the fixed/control qubits with length-1 slices and updates the
-resulting view in place, so no amplitude outside the addressed subspace is
-touched. register_op, phase_op and pointwise_op build the operations a
-Program runs, and turn_ops the chain of transposing matmuls that applies
-one dense matrix per mode register, each as one GEMM; fold_turns widens the
-chain's last turn to take in the dense operations on register d-1 and the
-electronic qubit that border the chain, so a coupling rotation on that
-register costs no pass of its own. phase_tables computes the diagonals of
-controlled phases and merge_phases multiplies phase operations into one.
+Each per-gate kernel views the flat state with one axis per stretch of free
+qubits, picks the fixed (control and target) bits with integer indices and
+updates the view in place, so no amplitude outside the addressed subspace is
+touched. When the lowest free stretch fits in one 64-byte cache line, the
+longest is swapped innermost and the ufuncs run in that order, so each pass
+streams long rows. A 2x2 gate takes six passes, an H-like one (m00 == m01,
+m10 == -m11) a butterfly of four, rounding apart from the general update.
+register_op, phase_op and pointwise_op build the operations a Program runs,
+and turn_ops the chain of transposing matmuls that applies one dense matrix
+per mode register, each as one GEMM; fold_turns widens the chain's last turn
+to take in the dense operations on register d-1 and the electronic qubit
+that border the chain, so a coupling rotation on that register costs no
+pass of its own. phase_tables computes the diagonals of controlled phases
+and merge_phases multiplies phase operations into one.
 
 Circuits: a Circuit is a gate list over a fixed qubit count. Each gate has
 a layer id its builder declares, and depth(circuit) is the number of
@@ -18,13 +22,13 @@ distinct layers; gates sharing a layer commute, so replaying layer by layer
 equals replaying the gate list. A gate is an immutable tuple of its fields,
 checked when a caller makes it (Gate(...) or Circuit.add, which also
 range-checks its qubits): integer and distinct qubits, as many targets as
-its kind takes, integer 0/1 polarities and a finite real angle where the
-kind takes one, else CircuitError. A gate derived from checked ones (a
-Circuit._extend copy, the CCRx expansion, the runs compile fuses) is not
-checked again; a copy checks once that its qubit map sends the source qubits
-one-to-one into range and that its control (controlled(), the Hadamard
-test, phase estimation) is free in each gate, and a scaled copy checks each
-new angle once, as Gate would.
+its kind takes, integer 0/1 polarities, a non-negative int layer and a
+finite real, non-bool angle where the kind takes one, else CircuitError. A
+gate derived from checked ones (a Circuit._extend copy, the CCRx expansion,
+the runs compile fuses) is not checked again; a copy checks once that its
+qubit map sends the source qubits one-to-one into range and that its
+control (controlled(), the Hadamard test, phase estimation) is free in each
+gate, and a scaled copy checks each new angle once, as Gate would.
 
 Running: apply replays the gate list gate by gate and is the reference.
 compile turns a circuit into a few operations, each the unitary of its gates
@@ -42,6 +46,7 @@ straddle registers take the greedy fuser too.
 """
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 import operator
@@ -58,6 +63,8 @@ DEFAULT_MEMORY_BUDGET = 4 * 2**30
 # compile (the identity a fused run's gates run over, its transposed result)
 RUN_STATEVECTORS = 12
 RUN_OPERATORS = 2
+# complex128 amplitudes in one 64-byte cache line
+_LINE = 4
 
 
 class MemoryBudgetError(MemoryError):
@@ -111,35 +118,51 @@ def _state_qubits(state: np.ndarray, n_qubits: int) -> int:
 
 
 def _np_view(state: np.ndarray, n_qubits: int, fixed) -> np.ndarray:
-    t = state.reshape((2,) * n_qubits)
-    idx = [slice(None)] * n_qubits
-    for qubit, bit in fixed:
-        # length-1 slice, not an integer, so the result is always a view
-        idx[n_qubits - 1 - qubit] = slice(bit, bit + 1)
-    return t[tuple(idx)]
+    """The amplitudes whose bits match every (qubit, bit) in `fixed`: a view
+    of the flat state with one axis per stretch of free qubits, top first.
+    When the lowest stretch fits in one cache line, the longest stretch is
+    swapped innermost, so a ufunc run with order="C" streams long rows."""
+    shape, idx, top = [], [], n_qubits
+    for q, b in sorted(fixed, key=operator.itemgetter(0), reverse=True):
+        shape += [1 << (top - q - 1), 2]
+        idx += [slice(None), b]
+        top = q
+    v = state.reshape([*shape, 1 << top])[tuple(idx)].squeeze()  # a view, 0-d when all are fixed
+    if v.ndim > 1 and v.shape[-1] <= _LINE:
+        v = v.swapaxes(v.shape.index(max(v.shape)), -1)
+    return v
 
 
 def apply_matrix(state, n_qubits, target, controls, mat) -> None:
-    """In-place controlled 2x2 update on `target`; controls are (qubit, bit)."""
-    m00, m01, m10, m11 = complex(mat[0, 0]), complex(mat[0, 1]), complex(mat[1, 0]), complex(mat[1, 1])
-    v0 = _np_view(state, n_qubits, list(controls) + [(target, 0)])
-    v1 = _np_view(state, n_qubits, list(controls) + [(target, 1)])
-    t0 = v0.copy()
-    v0 *= m00
-    v0 += m01 * v1
-    v1 *= m11
-    v1 += m10 * t0
+    """In-place controlled 2x2 update on `target`; controls are (qubit, bit).
+    A matrix with m00 == m01 and m10 == -m11 (H) runs as a butterfly."""
+    (m00, m01), (m10, m11) = mat
+    m00, m01, m10, m11 = complex(m00), complex(m01), complex(m10), complex(m11)
+    v0 = _np_view(state, n_qubits, (*controls, (target, 0)))
+    v1 = _np_view(state, n_qubits, (*controls, (target, 1)))
+    if m00 == m01 and m10 == -m11:
+        t = np.add(v0, v1, order="C")
+        np.subtract(v0, v1, out=v1, order="C")
+        np.multiply(m00, t, out=v0, order="C")
+        np.multiply(m10, v1, out=v1, order="C")
+        return
+    t = np.multiply(m10, v0, order="C")
+    np.multiply(v0, m00, out=v0, order="C")
+    np.add(v0, np.multiply(m01, v1, order="C"), out=v0, order="C")
+    np.multiply(v1, m11, out=v1, order="C")
+    np.add(v1, t, out=v1, order="C")
 
 
 def apply_phase(state, n_qubits, fixed, phase) -> None:
     """Multiply amplitudes whose bits match every (qubit, bit) in `fixed`."""
-    _np_view(state, n_qubits, fixed)[...] *= phase
+    v = _np_view(state, n_qubits, fixed)
+    np.multiply(v, phase, out=v, order="C")
 
 
 def apply_swap(state, n_qubits, t1, t2, controls) -> None:
     """In-place (controlled) SWAP of qubits t1 and t2."""
-    va = _np_view(state, n_qubits, list(controls) + [(t1, 1), (t2, 0)])
-    vb = _np_view(state, n_qubits, list(controls) + [(t1, 0), (t2, 1)])
+    va = _np_view(state, n_qubits, (*controls, (t1, 1), (t2, 0)))
+    vb = _np_view(state, n_qubits, (*controls, (t1, 0), (t2, 1)))
     tmp = va.copy()
     va[...] = vb
     vb[...] = tmp
@@ -424,8 +447,9 @@ FIXED_KINDS = ("H", "X", "S", "SWAP")
 KINDS = PARAM_KINDS + FIXED_KINDS
 _N_TARGETS = {kind: 2 if kind == "SWAP" else 1 for kind in KINDS}
 
-_H_MAT = np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2)
-_X_MAT = np.array([[0, 1], [1, 0]], dtype=np.complex128)
+# the fixed 2x2s as Python scalars; apply builds RX and RY from math.cos and math.sin
+_MATS = {"H": ((1 / math.sqrt(2), 1 / math.sqrt(2)), (1 / math.sqrt(2), -1 / math.sqrt(2))),
+         "X": ((0, 1), (1, 0))}
 
 
 class _GateFields(NamedTuple):
@@ -440,7 +464,8 @@ class Gate(_GateFields):
     """One gate: base kind, target qubit(s), control (qubit, polarity) list.
 
     An immutable tuple of its fields, checked when a caller makes it: its
-    targets and controls become tuples, its qubits must be integers."""
+    targets and controls become tuples, its qubits must be integers and its
+    layer a non-negative int."""
 
     __slots__ = ()
 
@@ -455,9 +480,11 @@ class Gate(_GateFields):
         want_targets = _N_TARGETS[kind]
         if len(targets) != want_targets or (want_targets == 2 and targets[0] == targets[1]):
             raise CircuitError(f"{kind} needs {want_targets} distinct target(s), got {targets}")
+        if isinstance(layer, bool) or not isinstance(layer, int) or layer < 0:
+            raise CircuitError(f"layer must be a non-negative integer, got {layer!r}")
         if kind in PARAM_KINDS:
             try:
-                finite = math.isfinite(theta)
+                finite = not isinstance(theta, (bool, np.bool_)) and math.isfinite(theta)
             except TypeError:  # None, a string or a complex number
                 finite = False
             if not finite:
@@ -504,18 +531,14 @@ class Circuit:
         return self._layer
 
     def add(self, kind, targets, controls=(), theta=None, layer=None) -> Gate:
-        if layer is None:
-            layer = self.new_layer()
-        else:
-            self._layer = max(self._layer, layer)
-        gate = Gate(kind, targets, controls, theta, layer)
+        """Append a checked gate, on the next layer when `layer` is None; the
+        circuit's layer count moves only once the gate passes its checks."""
+        gate = Gate(kind, targets, controls, theta, self._layer + 1 if layer is None else layer)
         n = self.n_qubits
-        for q in gate.targets:
+        for q in (*gate.targets, *(q for q, _ in gate.controls)):
             if not 0 <= q < n:
                 raise CircuitError(f"qubit {q} outside the {n}-qubit circuit")
-        for q, _ in gate.controls:
-            if not 0 <= q < n:
-                raise CircuitError(f"qubit {q} outside the {n}-qubit circuit")
+        self._layer = max(self._layer, gate.layer)
         self.gates.append(gate)
         return gate
 
@@ -581,37 +604,23 @@ class Circuit:
         return out
 
 
-def _rx_mat(theta: float) -> np.ndarray:
-    c, s = math.cos(theta / 2), math.sin(theta / 2)
-    return np.array([[c, -1j * s], [-1j * s, c]], dtype=np.complex128)
-
-
-def _ry_mat(theta: float) -> np.ndarray:
-    c, s = math.cos(theta / 2), math.sin(theta / 2)
-    return np.array([[c, -s], [s, c]], dtype=np.complex128)
-
-
 def apply(circuit: Circuit, state: np.ndarray) -> np.ndarray:
     """Run the circuit over `state` in place (and return it), gate by gate.
 
     `state` may live on more qubits than the circuit uses.
     """
     n_state = _state_qubits(state, circuit.n_qubits)
-    for g in circuit.gates:
-        if g.kind == "U1":
-            apply_phase(state, n_state, g.controls + ((g.targets[0], 1),), np.exp(1j * g.theta))
-        elif g.kind == "S":
-            apply_phase(state, n_state, g.controls + ((g.targets[0], 1),), 1j)
-        elif g.kind == "SWAP":
-            apply_swap(state, n_state, g.targets[0], g.targets[1], g.controls)
-        elif g.kind == "H":
-            apply_matrix(state, n_state, g.targets[0], g.controls, _H_MAT)
-        elif g.kind == "X":
-            apply_matrix(state, n_state, g.targets[0], g.controls, _X_MAT)
-        elif g.kind == "RX":
-            apply_matrix(state, n_state, g.targets[0], g.controls, _rx_mat(g.theta))
-        else:  # RY
-            apply_matrix(state, n_state, g.targets[0], g.controls, _ry_mat(g.theta))
+    for kind, targets, controls, theta, _ in circuit.gates:
+        if kind == "U1" or kind == "S":
+            apply_phase(state, n_state, controls + ((targets[0], 1),), 1j if kind == "S" else cmath.exp(1j * theta))
+        elif kind == "SWAP":
+            apply_swap(state, n_state, targets[0], targets[1], controls)
+        else:
+            mat = _MATS.get(kind)
+            if mat is None:
+                c, s = math.cos(theta / 2), math.sin(theta / 2)
+                mat = ((c, -1j * s), (-1j * s, c)) if kind == "RX" else ((c, -s), (s, c))
+            apply_matrix(state, n_state, targets[0], controls, mat)
     return state
 
 

@@ -150,6 +150,29 @@ def test_malformed_gates_are_caught_or_mended_at_construction(make, message):
     assert dst.gates == [Gate("H", (1,), ((0, 1),))]
 
 
+@pytest.mark.parametrize("args, message", [
+    (("H", (0,), (), None, 0.5), "layer must be a non-negative integer, got 0.5"),
+    (("H", (0,), (), None, -1), "layer must be a non-negative integer, got -1"),
+    (("H", (0,), (), None, "2"), "layer must be a non-negative integer, got '2'"),
+    (("H", (0,), (), None, True), "layer must be a non-negative integer, got True"),
+    (("U1", (0,), (), True), "U1 needs a finite angle, got True"),
+    (("RX", (0,), (), np.False_), "RX needs a finite angle, got np.False_"),
+    (("H", (5,), (), None, 7), "qubit 5 outside the 4-qubit circuit"),
+    (("X", (0,), ((4, 1),)), "qubit 4 outside the 4-qubit circuit"),
+], ids=["float-layer", "negative-layer", "string-layer", "bool-layer", "bool-angle", "numpy-bool-angle",
+        "range-with-layer", "range-next-layer"])
+def test_a_refused_gate_leaves_the_circuit_as_it_was(args, message):
+    c = Circuit(4)
+    c.add("X", (1,), layer=2)
+    with pytest.raises(CircuitError, match=re.escape(message)):
+        c.add(*args)
+    assert c.gates == [Gate("X", (1,), (), None, 2)] and c._layer == 2
+    assert c.add("H", (0,)).layer == 3
+    if "outside" not in message:
+        with pytest.raises(CircuitError, match=re.escape(message)):
+            Gate(*args)
+
+
 def test_make_and_replace_check_too():
     # the NamedTuple constructors a caller can reach go through the same checks
     base = Gate("X", (0,))

@@ -1,11 +1,19 @@
+import inspect
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from vibroniq import kernels
 from vibroniq.kernels import (
+    KINDS,
+    Circuit,
     CircuitError,
     MemoryBudgetError,
     Program,
     allocate_state,
+    apply,
     apply_matrix,
     apply_phase,
     apply_swap,
@@ -157,6 +165,106 @@ def test_kernels_match_index_reference_on_random_circuits(rng):
             apply_swap(s, n, op[1], op[2], op[3])
         ref = _reference_apply(ref, op)
     assert np.max(np.abs(s - ref)) < 1e-12
+
+
+def _reference_op(g):
+    """A gate as a _reference_apply operation, its matrix written out here."""
+    kind, targets, controls, theta, _ = g
+    if kind in ("U1", "S"):
+        return "phase", controls + ((targets[0], 1),), 1j if kind == "S" else np.exp(1j * theta)
+    if kind == "SWAP":
+        return "swap", targets[0], targets[1], controls
+    c, s = (math.cos(theta / 2), math.sin(theta / 2)) if theta is not None else (0.0, 0.0)
+    mat = {"H": np.array([[1, 1], [1, -1]]) / math.sqrt(2), "X": np.array([[0, 1], [1, 0]]),
+           "RX": np.array([[c, -1j * s], [-1j * s, c]]), "RY": np.array([[c, -s], [s, c]])}[kind]
+    return "mat", targets[0], controls, mat
+
+
+def _addressed(size, g):
+    """The indices a gate may change: its controls match and, for a phase,
+    its target is set; for a SWAP, its targets differ."""
+    idx = np.arange(size)
+    hit = np.ones(size, dtype=bool)
+    for q, b in g.controls:
+        hit &= (idx >> q & 1) == b
+    if g.kind in ("U1", "S"):
+        hit &= (idx >> g.targets[0] & 1) == 1
+    elif g.kind == "SWAP":
+        hit &= (idx >> g.targets[0] & 1) != (idx >> g.targets[1] & 1)
+    return hit
+
+
+@pytest.mark.parametrize("extra", [0, 2])
+def test_every_gate_kind_through_apply_matches_the_index_reference(extra, rng):
+    # targets and controls on qubits 0 and 1 (the lowest stretch one or two
+    # amplitudes long, so the longest is moved innermost), n - 2 and the top
+    # qubit; open and closed controls; two qubits above the circuit or none
+    n = 6
+    edge = (0, 1, n - 2, n - 1)
+    gates = []
+    for kind in KINDS:
+        for i, t in enumerate(edge):
+            targets = (t, edge[i - 1]) if kind == "SWAP" else (t,)
+            for n_controls in (0, 1, 2):
+                free = [q for q in edge if q not in targets]
+                controls = tuple((int(q), int(rng.integers(2))) for q in rng.permutation(free)[:n_controls])
+                theta = float(rng.normal() * 3) if kind in ("U1", "RX", "RY") else None
+                gates.append(kernels.Gate(kind, targets, controls, theta))
+    assert {b for g in gates for _, b in g.controls} == {0, 1}
+    for g in gates:
+        before = random_state(n + extra, rng)
+        circuit = Circuit(n)
+        circuit.gates = [g]
+        out = apply(circuit, before.copy())
+        hit = _addressed(before.size, g)
+        assert np.array_equal(out[~hit], before[~hit]), g
+        assert np.max(np.abs(out - _reference_apply(before, _reference_op(g)))) < 1e-15, g
+
+
+def test_apply_of_every_kind_allocates_no_scratch_state():
+    # each kernel's temporaries are at most two half views, so a circuit of
+    # every kind, controlled and not, peaks near one statevector of scratch
+    n = 16
+    circuit = Circuit(n)
+    for kind in KINDS:
+        targets = (1, n - 1) if kind == "SWAP" else (1,)
+        theta = 0.3 if kind in ("U1", "RX", "RY") else None
+        circuit.add(kind, targets, (), theta)
+        circuit.add(kind, targets, ((0, 1),), theta)
+    state = np.ones(1 << n, dtype=np.complex128)
+    tracemalloc.start()
+    try:
+        apply(circuit, state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.26 * state.nbytes, peak / state.nbytes
+
+
+def test_apply_runs_each_gate_through_the_traced_kernel_signatures(monkeypatch):
+    # vbench/tracing.py wraps the kernels at their module attributes and tags
+    # their spans by position: a[1] the qubit count, a[3] (matrix), a[2]
+    # (phase) and a[4] (swap) the pinned (qubit, bit) pairs
+    params = {"apply_matrix": ["state", "n_qubits", "target", "controls", "mat"],
+              "apply_phase": ["state", "n_qubits", "fixed", "phase"],
+              "apply_swap": ["state", "n_qubits", "t1", "t2", "controls"]}
+    for name, names in params.items():
+        assert list(inspect.signature(getattr(kernels, name)).parameters) == names
+    calls = {name: [] for name in params}
+    for name in params:
+        def counted(*a, _name=name, _fn=getattr(kernels, name)):
+            calls[_name].append(a)
+            return _fn(*a)
+        monkeypatch.setattr(kernels, name, counted)
+    circuit = Circuit(4)
+    for kind in KINDS:
+        circuit.add(kind, (0, 2) if kind == "SWAP" else (0,), ((3, 1),), 0.3 if kind in ("U1", "RX", "RY") else None)
+    apply(circuit, np.ones(1 << 5, dtype=np.complex128))
+    assert {name: len(a) for name, a in calls.items()} == {"apply_matrix": 4, "apply_phase": 2, "apply_swap": 1}
+    assert all(a[1] == 5 for a in sum(calls.values(), []))
+    assert [len(a[3]) for a in calls["apply_matrix"]] == [1] * 4
+    assert [len(a[2]) for a in calls["apply_phase"]] == [2] * 2
+    assert [len(a[4]) for a in calls["apply_swap"]] == [1]
 
 
 def test_matrix_preserves_norm(rng):
