@@ -8,13 +8,22 @@ touched. When the lowest free stretch fits in one 64-byte cache line, the
 longest is swapped innermost and the ufuncs run in that order, so each pass
 streams long rows. A 2x2 gate takes six passes, an H-like one (m00 == m01,
 m10 == -m11) a butterfly of four, rounding apart from the general update.
-register_op, phase_op and pointwise_op build the operations a Program runs,
-and turn_ops the chain of transposing matmuls that applies one dense matrix
-per mode register, each as one GEMM; fold_turns widens the chain's last turn
-to take in the dense operations on register d-1 and the electronic qubit
-that border the chain, so a coupling rotation on that register costs no
-pass of its own. phase_tables computes the diagonals of controlled phases
-and merge_phases multiplies phase operations into one.
+
+Operations: a Program runs (shape, how, operand) tuples, `shape` a view of
+the flat state and the operand exactly what its kind applies: a "phase"
+table, the four tables of a "pointwise" 2x2 on the top qubit, or a dense u
+from the "left", from the "right" (v u.T, on a block ending at qubit 0), as
+a "turn" or, on several blocks, as a "gather" of (u, order). phase_op,
+pointwise_op and register_op build them, and turn_ops the chain of
+transposing matmuls that applies one dense matrix per mode register, each
+as one GEMM; fold_turns widens the chain's last turn to take in the dense
+operations on register d-1 and the electronic qubit that border the chain,
+so a coupling rotation there costs no pass of its own. phase_tables
+computes the diagonals of controlled phases and merge_phases multiplies
+phase tables into one. The presets' engine programs use phase, pointwise,
+left and turn; "right" serves energy's p2 on register 0, one-register
+layouts and arbitrary circuits, and "gather" the bilinear steps, a coupling
+off the last mode and arbitrary circuits.
 
 Circuits: a Circuit is a gate list over a fixed qubit count. Each gate has
 a layer id its builder declares, and depth(circuit) is the number of
@@ -60,7 +69,7 @@ DEFAULT_MEMORY_BUDGET = 4 * 2**30
 # tables and temporaries) and RUN_OPERATORS dense operators on n + 1 qubits
 # (a mode register and the electronic qubit) per mode register, which a plan
 # and its bridges hold, plus as many again for the working copies of
-# compile (the identity a fused run's gates run over, its transposed result)
+# compile (the identity a fused run's gates run over)
 RUN_STATEVECTORS = 12
 RUN_OPERATORS = 2
 # complex128 amplitudes in one 64-byte cache line
@@ -191,24 +200,19 @@ def phase_op(support, table: np.ndarray) -> tuple:
     """A diagonal on the ascending qubit support, bit j of the table's index
     on qubit support[j]."""
     shape, axes = _support_shape(support)
-    return shape, "phase", table.reshape([s if a in axes else 1 for a, s in enumerate(shape)]), None
+    return shape, "phase", table.reshape([s if a in axes else 1 for a, s in enumerate(shape)])
 
 
 def register_op(support, u: np.ndarray) -> tuple:
-    """(shape, how, operand, moved): u on the ascending qubit support, bit j of
-    u's index on qubit support[j]. `shape` views the flat state as
-    _support_shape does. A diagonal u is a phase_op; otherwise the operand is
-    u for "left" or u.T for "right", a matmul from that side: "right" serves
-    a block that ends at qubit 0, and several blocks once `moved` (a
-    transpose and its shape) brings them onto the lowest axes."""
-    table = np.diagonal(u)
-    if np.count_nonzero(u) == np.count_nonzero(table):  # U1, S and X pairs leave exact zeros
-        return phase_op(support, table)
+    """(shape, how, operand): the dense u on the ascending qubit support, bit
+    j of u's index on qubit support[j], `shape` as _support_shape views the
+    flat state. One block takes u from the left, or by u.T from the right
+    when it ends at qubit 0; several are a "gather" of (u, order), `order`
+    the view's axes with the blocks last."""
     shape, axes = _support_shape(support)
-    if len(axes) == 1 and axes[0] < len(shape) - 1:
-        return shape, "left", u, None
-    order = [a for a in range(len(shape)) if a not in axes] + axes
-    return shape, "right", u.T.copy(), None if len(axes) == 1 else (order, [shape[a] for a in order])
+    if len(axes) == 1:
+        return shape, "left" if axes[0] < len(shape) - 1 else "right", u
+    return shape, "gather", (u, [a for a in range(len(shape)) if a not in axes] + axes)
 
 
 def turn_ops(us) -> list[tuple]:
@@ -227,8 +231,7 @@ def turn_ops(us) -> list[tuple]:
         raise CircuitError(f"register matrices of shapes {[np.shape(u) for u in us]}, not all {dim}x{dim}")
     if d == 1:
         return [register_op(range(dim.bit_length() - 1), us[0])]
-    last = ([dim ** (d - 1), -1, dim], "turn", us[-1], None)
-    return [([-1, dim], "turn", u, None) for u in us[:-1]] + [last]
+    return [([-1, dim], "turn", u) for u in us[:-1]] + [([dim ** (d - 1), -1, dim], "turn", us[-1])]
 
 
 def fold_turns(before: tuple, chain: list[tuple], after: tuple) -> list[tuple]:
@@ -240,16 +243,17 @@ def fold_turns(before: tuple, chain: list[tuple], after: tuple) -> list[tuple]:
     touch neither register d-1 nor the electronic qubit. One register gives
     a plain register_op on its block. An operation on other qubits, or an
     operand that is not (2 dim)^2, raises CircuitError."""
-    d, u = len(chain), _matrix(chain[-1])
+    d, u = len(chain), chain[-1][2]
     dim = len(u)
     n = dim.bit_length() - 1
     block = range((d - 1) * n, d * n + 1)
     shape = _support_shape(block)[0]
     mats = []
-    for op in (before, after):
-        if op[3] is not None or op[0] != shape:
-            raise CircuitError(f"a {op[1]} operation on {op[0]} is not on qubits {block[0]}..{block[-1]}")
-        m = _matrix(op)
+    for op_shape, how, m in (before, after):
+        if op_shape != shape:
+            raise CircuitError(f"a {how} operation on {op_shape} is not on qubits {block[0]}..{block[-1]}")
+        if how == "phase":
+            m = np.diag(m.reshape(-1))
         if m.shape != (2 * dim, 2 * dim):
             raise CircuitError(f"a {m.shape} operand on a {2 * dim}-dimensional block")
         mats.append(m)
@@ -257,22 +261,13 @@ def fold_turns(before: tuple, chain: list[tuple], after: tuple) -> list[tuple]:
     m = mats[1] @ (u @ mats[0].reshape(2, dim, -1)).reshape(2 * dim, -1)
     if d == 1:
         return [register_op(block, m)]
-    return chain[:-1] + [([dim ** (d - 1), -1, 2 * dim], "turn", m, None)]
-
-
-def _matrix(op: tuple) -> np.ndarray:
-    """The matrix of an unmoved operation on its support: the table of a
-    phase, the operand of "left" or "turn", the transposed one of "right"."""
-    _, how, m, _ = op
-    if how == "phase":
-        return np.diag(m.reshape(-1))
-    return m.T if how == "right" else m
+    return chain[:-1] + [([dim ** (d - 1), -1, 2 * dim], "turn", m)]
 
 
 def pointwise_op(tables) -> tuple:
     """A 2x2 on the top qubit: its entries 00, 01, 10, 11 per lower index."""
     tables = tuple(t.reshape(-1) for t in tables)
-    return [-1, 2, tables[0].size], "pointwise", tables, None
+    return [-1, 2, tables[0].size], "pointwise", tables
 
 
 def phase_tables(fixed, angles, starts, n_qubits: int) -> np.ndarray:
@@ -292,26 +287,27 @@ def phase_tables(fixed, angles, starts, n_qubits: int) -> np.ndarray:
     return np.exp(1j * np.add.reduceat(np.array(angles)[:, None] * match, starts))
 
 
-def merge_phases(supports, ops: list[tuple], n_qubits: int) -> list[tuple]:
-    """ops, on the ascending qubit supports, with each stretch of consecutive
-    phases multiplied into one phase_op over n_qubits.
+def merge_phases(parts, n_qubits: int) -> list[tuple]:
+    """The operations of (ascending support, diagonal, table or matrix)
+    parts, as _fuse returns them, each stretch of consecutive diagonal parts
+    multiplied into one phase_op over n_qubits.
 
     A stretch's tables are broadcast over one axis per qubit (numpy joins
     the axes the tables hold alike) and multiplied pair by pair, the pair
     with the smallest joint support first, so the products stay small; the
     last product is written straight into the one full table."""
     out = []
-    for is_phase, stretch in itertools.groupby(zip(supports, ops), lambda so: so[1][1] == "phase"):
+    for diagonal, stretch in itertools.groupby(parts, operator.itemgetter(1)):
         stretch = list(stretch)
-        if not is_phase or len(stretch) == 1:
-            out += [op for _, op in stretch]
+        if not diagonal or len(stretch) == 1:
+            out += [phase_op(sup, m) if diagonal else register_op(sup, m) for sup, _, m in stretch]
             continue
         factors = []
-        for support, op in stretch:
+        for support, _, table in stretch:
             shape = [1] * n_qubits
             for q in support:
                 shape[-1 - q] = 2
-            factors.append((sum(1 << q for q in support), op[2].reshape(shape)))
+            factors.append((sum(1 << q for q in support), table.reshape(shape)))
         while len(factors) > 2:
             i, j = min(itertools.combinations(range(len(factors)), 2),
                        key=lambda ij: (factors[ij[0]][0] | factors[ij[1]][0]).bit_count())
@@ -327,9 +323,9 @@ def _apply_op(op: tuple, cur: np.ndarray, spare: np.ndarray) -> tuple:
     """Apply one operation to the flat state `cur`; returns (result, free
     buffer) of cur and the same-shaped `spare`. A phase and a pointwise 2x2
     work in place (the pointwise one with the halves of `spare` as
-    temporaries); only "left", "turn" and unmoved "right" leave `cur` as it
-    was."""
-    shape, how, m, moved = op
+    temporaries); "left" (u v), "right" (v u.T) and "turn" write `spare`,
+    leaving `cur` as it was, and "gather" uses both."""
+    shape, how, m = op
     v = cur.reshape(shape)
     if how == "phase":
         v *= m
@@ -351,35 +347,35 @@ def _apply_op(op: tuple, cur: np.ndarray, spare: np.ndarray) -> tuple:
         return cur, spare
     if how == "left":
         np.matmul(m, v, out=out)
-    elif moved is None:
-        np.matmul(v, m, out=out)
+    elif how == "right":
+        np.matmul(v, m.T, out=out)
     else:  # gather the blocks in the spare, multiply into cur, scatter back
-        order, moved_shape = moved
-        spare.reshape(moved_shape)[...] = v.transpose(order)
-        np.matmul(spare.reshape(-1, len(m)), m, out=cur.reshape(-1, len(m)))
-        out[...] = cur.reshape(moved_shape).transpose(np.argsort(order))
+        u, order = m
+        gathered = [shape[a] for a in order]
+        spare.reshape(gathered)[...] = v.transpose(order)
+        np.matmul(spare.reshape(-1, len(u)), u.T, out=cur.reshape(-1, len(u)))
+        out[...] = cur.reshape(gathered).transpose(np.argsort(order))
     return spare, cur
 
 
 def _bridge(tail: tuple, head: tuple) -> tuple:
     """The one operation that applies `tail` and then `head`, two operations
-    of the same kind on the same view: the product of the phase tables or of
-    the pointwise 2x2s, H @ T for "left" and "turn" and T @ H for "right",
-    whose operands are transposes."""
-    shape, how, t, moved = tail
-    if moved is not None or head[3] is not None:
+    of the same kind on the same view: the product of the phase tables, of
+    the pointwise 2x2s or, for the dense kinds, H @ T."""
+    shape, how, t = tail
+    if "gather" in (how, head[1]):
         raise CircuitError("cannot merge a gathering operation")
     if (how, shape) != (head[1], head[0]):
         raise CircuitError(f"cannot merge a {how} operation on {shape} "
                            f"with a {head[1]} operation on {head[0]}")
     h = head[2]
     if how == "phase":
-        return shape, how, h * t, None
+        return shape, how, h * t
     if how == "pointwise":
         (h00, h01, h10, h11), (t00, t01, t10, t11) = h, t
         return shape, how, (h00 * t00 + h01 * t10, h00 * t01 + h01 * t11,
-                            h10 * t00 + h11 * t10, h10 * t01 + h11 * t11), None
-    return shape, how, t @ h if how == "right" else h @ t, None
+                            h10 * t00 + h11 * t10, h10 * t01 + h11 * t11)
+    return shape, how, h @ t
 
 
 class Program:
@@ -641,21 +637,22 @@ def compile(circuit: Circuit, layout) -> Program:
     """The circuit as a Program of operations, each the unitary of its gates
     as unitary_of computes it, up to rounding (_fuse).
 
-    The mode registers of the layout (a model.QubitLayout) split the gates
-    into register runs and potential runs. A register run is a maximal run
-    of gates that each stay inside one mode register, not all of them
-    diagonal (the QFT, UK and QFT'); gates on different registers commute,
-    so it becomes one operation per register, that register's gates in
-    order, and a run with a dense operation on every register the chain of
-    turn_ops. A potential run is the rest (Udiag, Uc, the bilinear phases
-    and the CCRx expansion, or any gates that straddle registers): it is
-    fused greedily, each run of consecutive gates whose joint support fits in
-    layout.n + 1 qubits (one mode register and the electronic qubit) one
-    operation on that support, gates never reordered and a wider gate an
-    operation of its own. Each stretch of consecutive phase operations this
-    yields is multiplied into one phase table over the whole state
-    (merge_phases)."""
-    n, d = layout.n, layout.d
+    The mode registers of the layout (a model.QubitLayout) that the circuit
+    holds whole split the gates into register runs and potential runs. A
+    register run is a maximal run of gates that each stay inside one mode
+    register, not all of them diagonal (the QFT, UK and QFT'); gates on
+    different registers commute, so it becomes one operation per register,
+    that register's gates in order, and a run with a dense operation on
+    every register the chain of turn_ops. A potential run is the rest
+    (Udiag, Uc, the bilinear phases and the CCRx expansion, or any gates
+    that straddle registers): it is fused greedily, each run of consecutive
+    gates whose joint support fits in layout.n + 1 qubits (one mode register
+    and the electronic qubit) one operation on that support, gates never
+    reordered and a wider gate an operation of its own. Each stretch of
+    consecutive phase operations this yields is multiplied into one phase
+    table over the whole state (merge_phases)."""
+    n = layout.n
+    d = min(layout.d, circuit.n_qubits // n)  # the registers the circuit holds whole
     owner = [q // n if q < n * d else None for q in range(circuit.n_qubits)]
 
     def register(g: Gate) -> int | None:
@@ -680,12 +677,12 @@ def compile(circuit: Circuit, layout) -> Program:
             gates: dict[int, list[Gate]] = {}
             for r, g in run:
                 gates.setdefault(r, []).append(g)
-            fused = _fuse([(layout.mode_qubits(r), gates[r]) for r in sorted(gates)])
-            dense = [m if how == "left" else m.T.copy() for _, how, m, _ in fused if how != "phase"]
-            ops += turn_ops(dense) if len(dense) == d else fused
+            parts = _fuse([(layout.mode_qubits(r), gates[r]) for r in sorted(gates)])
+            dense = [m for _, diagonal, m in parts if not diagonal]
+            ops += turn_ops(dense) if len(dense) == d else [
+                phase_op(sup, m) if diagonal else register_op(sup, m) for sup, diagonal, m in parts]
         else:
-            fused = _fuse_greedy([g for _, g in run], n + 1)
-            ops += merge_phases([support for support, _ in fused], _fuse(fused), circuit.n_qubits)
+            ops += merge_phases(_fuse(_fuse_greedy([g for _, g in run], n + 1)), circuit.n_qubits)
     return Program(circuit.n_qubits, ops)
 
 
@@ -704,7 +701,8 @@ def _fuse_greedy(gates: list[Gate], width: int) -> list[tuple]:
 
 
 def _fuse(runs: list[tuple]) -> list[tuple]:
-    """The operation of each (ascending support, gates) run.
+    """(support, diagonal, table or matrix) of each (ascending support,
+    gates) run: its unitary, as its diagonal when it has no other nonzero.
 
     Each stretch of consecutive diagonal gates (U1, S) is one table of
     summed angles over the support's indices, exponentiated once;
@@ -730,11 +728,11 @@ def _fuse(runs: list[tuple]) -> list[tuple]:
         parts.append(stretches)
     if starts:
         tables = iter(phase_tables(fixed, angles, starts, max(len(s) for s, _ in runs)))
-    ops = []
+    out = []
     for (support, _), stretches in zip(runs, parts):
         dim = 1 << len(support)
         if len(stretches) == 1 and stretches[0][0]:
-            ops.append(phase_op(support, next(tables)[:dim]))
+            out.append((support, True, next(tables)[:dim]))
             continue
         state = np.eye(dim, dtype=np.complex128).reshape(-1)
         sub = Circuit(len(support))
@@ -744,8 +742,11 @@ def _fuse(runs: list[tuple]) -> list[tuple]:
             else:
                 sub.gates = stretch
                 apply(sub, state)
-        ops.append(register_op(support, state.reshape(dim, dim).T))
-    return ops
+        u = state.reshape(dim, dim).T
+        # a diagonal unitary, as U1, S and X pairs leave, has exact zeros elsewhere
+        diagonal = np.count_nonzero(u) == np.count_nonzero(np.diagonal(u))
+        out.append((support, diagonal, np.diagonal(u) if diagonal else u))
+    return out
 
 
 def _diagonal(g: Gate) -> bool:

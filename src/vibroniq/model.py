@@ -176,15 +176,11 @@ def pyrazine_4d() -> VibronicModel:
 
 
 def pyrazine_2mode() -> VibronicModel:
-    """Reduced two-mode model (one tuning mode plus the coupling mode)."""
-    return VibronicModel(
-        modes=(
-            ModeParams("nu6a", 0.0740, "Ag", kappa1=-0.0964, kappa2=0.1194),
-            ModeParams("nu10a", 0.0936, "B1g"),
-        ),
-        lam=0.1825,
-        delta=0.4617,
-    )
+    """Reduced two-mode model (one tuning mode plus the coupling mode):
+    pyrazine_4d's nu6a and nu10a, with its lambda and delta."""
+    full = pyrazine_4d()
+    modes = {mode.label: mode for mode in full.modes}
+    return VibronicModel(modes=(modes["nu6a"], modes["nu10a"]), lam=full.lam, delta=full.delta)
 
 
 def _number(value, what: str) -> float:

@@ -232,7 +232,6 @@ class PropagatorPlan(Plan):
         _phases(self._grid_terms[1], pot_t, pot[-1])
         # vtab for energy, as p2; both tables after the phases' temporaries
         ctab, _ = self.ctab, self.vtab
-        del self._grid_terms  # kept through the fold, they would raise its peak
         if self.folds:
             phases = kernels.phase_op(range(self.layout.total), pot.reshape(-1))
             rot = []

@@ -823,6 +823,32 @@ def diagonal_heavy_circuit(n_qubits, n_gates, seed):
     return c
 
 
+def narrow_circuit():
+    """Five qubits on the 3-qubit registers of QubitLayout(2, 3): register 0
+    whole, then qubits 3 and 4 of register 1."""
+    c = Circuit(5)
+    c.add("H", (0,))
+    c.add("RY", (1,), controls=((0, 1),), theta=0.3)
+    c.add("U1", (2,), theta=0.2)
+    c.add("RX", (4,), theta=0.5)
+    c.add("SWAP", (3, 4))
+    c.add("U1", (3,), controls=((4, 0),), theta=-0.7)
+    return c
+
+
+def gather_circuit():
+    """Gates that each straddle the 2-qubit registers of QubitLayout(2, 2)
+    and together fit on qubits 0, 2 and 4: one run of the greedy fuser."""
+    c = Circuit(5)
+    c.add("RY", (0,), controls=((2, 1),), theta=0.7)
+    c.add("X", (4,), controls=((2, 0),))
+    c.add("H", (2,), controls=((4, 1),))
+    c.add("S", (4,), controls=((0, 0),))
+    c.add("RX", (0,), controls=((4, 0),), theta=-1.1)
+    return c
+
+
+ONE_MODE = VibronicModel(modes=(ModeParams("c", 0.0936, "B1g"),), lam=0.1825, delta=0.4617)
 BOX4 = GridSpec(n=4, q_min=-5.0, q_max=5.0, convention="periodic")
 BOX3 = GridSpec(n=3, q_min=-4.0, q_max=4.0)
 
@@ -843,6 +869,21 @@ COMPILED_CASES = {
     # any circuit may be compiled on a layout its qubits fit
     "random": lambda: (random_circuit(7, 60, seed=11), QubitLayout(2, 3)),
     "diagonal-heavy": lambda: (diagonal_heavy_circuit(10, 60, seed=3), QubitLayout(3, 3)),
+    "one-register": lambda: plan_step(ONE_MODE, BOX3, 0.4),
+    "narrow": lambda: (narrow_circuit(), QubitLayout(2, 3)),
+    "gather": lambda: (gather_circuit(), QubitLayout(2, 2)),
+}
+
+# the operation kinds of the cases that pin one path each
+COMPILED_KINDS = {
+    # the potential runs fill the one block, ending at qubit 0; the register
+    # run is turn_ops's plain register_op
+    "one-register": ["right", "right", "right"],
+    # only register 0 is whole: its run is one register's turn_ops, and the
+    # gates on qubits 3 and 4 take the greedy fuser
+    "narrow": ["right", "left"],
+    # qubits 0, 2 and 4: three blocks
+    "gather": ["gather"],
 }
 
 
@@ -863,10 +904,13 @@ def test_compiled_program_matches_apply(case):
     if case == "random":
         # gates straddling registers take the greedy fuser, which alone
         # gathers blocks; every way of applying an operation is used
-        assert {(how, moved is None) for _, how, _, moved in program.ops} == {
-            ("phase", True), ("left", True), ("right", True), ("right", False), ("turn", True)}
+        assert {how for _, how, _ in program.ops} == {"phase", "left", "right", "gather", "turn"}
+    if case in COMPILED_KINDS:
+        assert [how for _, how, _ in program.ops] == COMPILED_KINDS[case]
+    if case == "gather":
+        assert program.ops[0][0] == [-1, 2, 2, 2, 2, 2]
     # one qubit more than the circuit, as in the Hadamard test
-    n_state = circ.n_qubits + (1 if case == "random" else 0)
+    n_state = circ.n_qubits + (1 if case in ("random", "gather") else 0)
     plain = random_state(n_state, seed=5)
     fused = plain.copy()
     for _ in range(8):
@@ -896,12 +940,12 @@ def test_diagonal_heavy_case_takes_every_path_of_the_fuser(monkeypatch):
         fused.extend(gates for _, gates in runs)
         return fuse(runs)
 
-    def spy_merge(supports, ops, n_qubits):
-        for is_phase, stretch in itertools.groupby(zip(supports, ops), lambda so: so[1][1] == "phase"):
-            stretch = [set(support) for support, _ in stretch]
-            if is_phase and len(stretch) > 1:
+    def spy_merge(parts, n_qubits):
+        for diagonal, stretch in itertools.groupby(parts, lambda part: part[1]):
+            stretch = [set(support) for support, _, _ in stretch]
+            if diagonal and len(stretch) > 1:
                 stretches.append(stretch)
-        return merge(supports, ops, n_qubits)
+        return merge(parts, n_qubits)
 
     monkeypatch.setattr(kernels, "_fuse", spy_fuse)
     monkeypatch.setattr(kernels, "merge_phases", spy_merge)
@@ -960,16 +1004,15 @@ ENGINE_PROGRAMS = {
 def test_engine_program_census(name, n):
     make, kinds = ENGINE_PROGRAMS[name]
     program = make(n)
-    assert [how for _, how, _, _ in program.ops] == kinds
     # no engine operation gathers blocks of several registers
-    assert all(moved is None for *_, moved in program.ops)
-    for _, how, operand, _ in program.ops:
+    assert [how for _, how, _ in program.ops] == kinds
+    for _, how, operand in program.ops:
         if how == "phase":
             assert operand.size == 1 << program.n_qubits
         elif how in ("left", "right"):
             assert operand.shape in ((1 << n, 1 << n), (2 << n, 2 << n))
     # a potential-first chain's last turn takes in the electronic qubit
-    turns = [operand.shape for _, how, operand, _ in program.ops if how == "turn"]
+    turns = [operand.shape for _, how, operand in program.ops if how == "turn"]
     last = (2 << n, 2 << n) if name.endswith("potential-first") else (1 << n, 1 << n)
     assert turns == [(1 << n, 1 << n)] * (len(turns) - 1) + [last]
 
@@ -1092,9 +1135,9 @@ def test_bridge_census(name, monkeypatch):
     assert made == []
     advance(state, 2)
     advance(state, 3)  # the bridge is built once
-    assert [how for _, how, _, _ in made] == BRIDGE_KINDS[name]
-    for (shape, how, operand, moved), head, tail in zip(made, program.ops, program.ops[-halves:]):
-        assert shape == head[0] == tail[0] and moved is None
+    assert [how for _, how, _ in made] == BRIDGE_KINDS[name]
+    for (shape, how, operand), head, tail in zip(made, program.ops, program.ops[-halves:]):
+        assert shape == head[0] == tail[0]
         if how == "phase":
             assert operand.size == 1 << program.n_qubits
 

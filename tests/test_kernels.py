@@ -296,17 +296,16 @@ def on_support(n, support, u):
 
 
 def _operation_cases(rng, n=7):
-    phase = np.diag(np.exp(1j * rng.normal(size=8)))
+    phase = np.exp(1j * rng.normal(size=8))
     tables = [rng.normal(size=1 << (n - 1)) + 1j * rng.normal(size=1 << (n - 1)) for _ in range(4)]
     pointwise = np.zeros((1 << n, 1 << n), dtype=np.complex128)
     for k, t in enumerate(tables):  # entries 00, 01, 10, 11 of a 2x2 on the top qubit
         a, b = divmod(k, 2)
         pointwise += np.kron(np.outer(np.eye(2)[a], np.eye(2)[b]), np.diag(t))
-    cases = {}
-    for name, support, u in (("phase", [1, 3, 4], phase),
-                             ("left", [2, 3, 4], random_unitary(8, rng)),
+    cases = {"phase": (phase_op([1, 3, 4], phase), on_support(n, [1, 3, 4], np.diag(phase)))}
+    for name, support, u in (("left", [2, 3, 4], random_unitary(8, rng)),
                              ("right", [0, 1, 2], random_unitary(8, rng)),
-                             ("right-moved", [0, 2, 5], random_unitary(8, rng))):
+                             ("gather", [0, 2, 5], random_unitary(8, rng))):
         cases[name] = (register_op(support, u), on_support(n, support, u))
     cases["pointwise"] = (pointwise_op(tables), pointwise)
     return cases
@@ -315,9 +314,7 @@ def _operation_cases(rng, n=7):
 def test_every_operation_kind_matches_its_dense_operator(rng):
     n = 7
     cases = _operation_cases(rng, n)
-    kinds = {name: (op[1], op[3] is not None) for name, (op, _) in cases.items()}
-    assert kinds == {"phase": ("phase", False), "left": ("left", False), "right": ("right", False),
-                     "right-moved": ("right", True), "pointwise": ("pointwise", False)}
+    assert {name: op[1] for name, (op, _) in cases.items()} == {name: name for name in cases}
     for name, (op, dense) in cases.items():
         for extra in (0, 1):  # one more top qubit than the program acts on
             full = np.kron(np.eye(1 << extra), dense)
@@ -333,7 +330,7 @@ def test_k_step_advance_matches_k_runs(kind, rng):
     # head and tail of one kind on one view, different operators, around a body
     n = 7
     first, last = _operation_cases(rng, n)[kind][0], _operation_cases(rng, n)[kind][0]
-    body = _operation_cases(rng, n)["right-moved"][0]
+    body = _operation_cases(rng, n)["gather"][0]
     program = Program(n, [first, body, last])
     advance = program.stepper(1)
     for k in range(5):
@@ -351,7 +348,7 @@ def test_a_mismatched_head_and_tail_cannot_merge(rng):
     state = random_state(n, rng)
     for head, tail, message in (("phase", "left", "cannot merge a left operation"),
                                 ("left", "right", "cannot merge a right operation"),
-                                ("right-moved", "right-moved", "cannot merge a gathering operation")):
+                                ("gather", "gather", "cannot merge a gathering operation")):
         advance = Program(n, [cases[head][0], cases["pointwise"][0], cases[tail][0]]).stepper(1)
         advance(state, 1)  # one step merges nothing
         with pytest.raises(CircuitError, match=message):
@@ -377,7 +374,7 @@ def _register_ops(us):
 def test_turn_chain_matches_one_register_op_per_register(d, n, rng):
     us = [random_unitary(1 << n, rng) for _ in range(d)]
     chain = turn_ops(us)
-    assert [how for _, how, _, _ in chain] == ["turn"] * d
+    assert [how for _, how, _ in chain] == ["turn"] * d
     for extra in (0, 1, 2):  # qubits above the registers, as the electronic one
         plain = random_state(d * n + extra, rng)
         turned = plain.copy()
@@ -407,9 +404,8 @@ def test_bridged_chains_match_chain_runs(d, rng):
 def test_one_register_turns_as_a_plain_right_operation(rng):
     u = random_unitary(8, rng)
     (op,) = turn_ops([u])
-    shape, how, operand, moved = register_op(range(3), u)
-    assert (op[0], op[1], op[3]) == (shape, how, moved) == ([-1, 8], "right", None)
-    assert np.array_equal(op[2], operand)
+    assert op == register_op(range(3), u)
+    assert op[:2] == ([-1, 8], "right") and op[2] is u
 
 
 def test_turn_ops_rejects_register_matrices_of_unequal_size():
@@ -432,9 +428,9 @@ def test_folded_chain_matches_the_unfolded_run(d, n, rng):
     chain = turn_ops(us)
     folded = fold_turns(before, chain, after)
     assert folded[:-1] == chain[:-1]
-    shape, how, operand, moved = folded[-1]
+    shape, how, operand = folded[-1]
     if d == 1:  # a plain register_op on the block
-        assert (shape, how, moved) == ([-1, 2 << n], "right", None)
+        assert (shape, how) == ([-1, 2 << n], "right")
     else:
         assert (shape, how, operand.shape) == ([1 << n * (d - 1), -1, 2 << n], "turn", (2 << n, 2 << n))
     for extra in (0, 1, 2):  # qubits above the electronic one
@@ -473,6 +469,6 @@ def test_fold_rejects_operations_off_the_last_block(d, rng):
         with pytest.raises(CircuitError, match="is not on qubits"):
             fold_turns(good, chain, bad)
     # the block's view with an operand of one register's size
-    small = (good[0], good[1], random_unitary(1 << n, rng), None)
+    small = (good[0], good[1], random_unitary(1 << n, rng))
     with pytest.raises(CircuitError, match="operand"):
         fold_turns(good, chain, small)

@@ -174,7 +174,7 @@ def assert_potential_tables(plan: PropagatorPlan) -> None:
     want = {"phase": [[np.stack([e0, e1])]] * 2,
             "pointwise": [[cos * e0, sin * e1, sin * e0, cos * e1], [cos * e0, sin * e0, sin * e1, cos * e1]]}
     ops = plan.program.ops
-    for i, (_, how, tables, _) in enumerate([ops[0], ops[-1]] if pot_first else [ops[plan.model.d]]):
+    for i, (_, how, tables) in enumerate([ops[0], ops[-1]] if pot_first else [ops[plan.model.d]]):
         tables = [tables] if how == "phase" else tables
         for got, exact in zip(tables, want[how][i], strict=True):
             assert np.max(np.abs(got.reshape(-1) - exact.reshape(-1))) < 1e-14
@@ -471,7 +471,7 @@ FOLD_CASES = {
                        (["phase", "turn", "turn", "phase"], 1)),
     "bilinear": (bilinear_tiny(False), (["pointwise", "turn", "turn", "turn", "pointwise"], 0), None),
     "b1g-first": (B1G_FIRST, (["pointwise", "turn", "turn", "pointwise"], 0),
-                  (["phase", "right", "turn", "turn", "right", "phase"], 2)),
+                  (["phase", "gather", "turn", "turn", "gather", "phase"], 2)),
     "one-mode": (ONE_MODE, (["phase", "right", "phase"], 0), (["phase", "right", "phase"], 0)),
     "one-mode-coupled": (dataclasses.replace(ONE_MODE, lam=0.1825, delta=0.4617),
                          (["phase", "right", "phase"], 1), (["right", "right", "right"], 2)),
@@ -485,8 +485,9 @@ def test_potential_first_step_folds_where_the_coupling_lives(case, engine, rng):
     kinds, wide = FOLD_CASES[case][1 + list(PLANS).index(engine)]
     plan = PLANS[engine](model, grid, 0.5, "potential-first")
     ops = plan.program.ops
-    assert [how for _, how, _, _ in ops] == kinds
-    assert sum(how not in ("phase", "pointwise") and len(m) == 2 << grid.n for _, how, m, _ in ops) == wide
+    assert [how for _, how, _ in ops] == kinds
+    assert sum(how not in ("phase", "pointwise") and len(m[0] if how == "gather" else m) == 2 << grid.n
+               for _, how, m in ops) == wide
     assert plan.folds == (case not in ("bilinear", "b1g-first"))
     if engine == "soft":
         assert_potential_tables(plan)
