@@ -31,7 +31,8 @@ layout (model.QubitLayout, the flat-state basis of both engines), the
 compiled step and the grid terms of H. propagate advances k steps between
 two samples as one block, each step's closing half-step and the next step's
 opening half-step applied as one merged operation (Strang merging), so a
-block of k steps costs k - 1 half-steps fewer than k steps.
+block of k steps costs k - 1 half-steps fewer than k steps. The population,
+boundary and energy observers read one |a|^2 buffer, filled once per sample.
 """
 from __future__ import annotations
 
@@ -110,15 +111,6 @@ def _phases(terms: list, tau: float, out: np.ndarray) -> np.ndarray:
     return _combine(np.multiply, 1.0, factors, out)
 
 
-def _dft_conjugate(grid: GridSpec, diags: list) -> list:
-    """F^dagger diag(x) F for each x in diags, F the unitary DFT matrix
-    (built once): momentum-diagonal operators on one mode axis in the
-    position basis."""
-    dft = np.fft.fft(np.eye(grid.size), axis=0, norm="ortho")
-    dft_h = dft.conj().T
-    return [dft_h @ (x[:, None] * dft) for x in diags]
-
-
 @dataclass
 class Plan:
     """A subclass compiles one step dt into `program`, a kernels.Program
@@ -193,8 +185,12 @@ class Plan:
         return self._kinetic_matrices([])[0]
 
     def _kinetic_matrices(self, diags: list) -> tuple[list, list]:
-        """p2, and F^dagger diag(x) F for each x in diags, from one DFT matrix."""
-        p2, *mats = _dft_conjugate(self.grid, [0.5 * momentum_points(self.grid) ** 2, *diags])
+        """p2, and F^dagger diag(x) F for each x in diags (momentum-diagonal
+        operators on one mode register in the position basis), F the unitary
+        DFT matrix, built once."""
+        dft = np.fft.fft(np.eye(self.grid.size), axis=0, norm="ortho")
+        dft_h = dft.conj().T
+        p2, *mats = [dft_h @ (x[:, None] * dft) for x in (0.5 * momentum_points(self.grid) ** 2, *diags)]
         return [kernels.register_op(self.layout.mode_qubits(k), p2) for k in range(self.model.d)], mats
 
 
@@ -287,34 +283,29 @@ class EnergySeries:
     values: np.ndarray
 
 
-def populations(psi: Wavepacket) -> tuple[float, float]:
-    a = psi.amplitudes
-    p1 = float(np.sum(np.abs(a[0]) ** 2))
-    p2 = float(np.sum(np.abs(a[1]) ** 2))
-    return p1, p2
+def populations(prob: np.ndarray) -> tuple[float, float]:
+    """The population of each surface from |a|^2 in the flat order."""
+    return float(np.sum(prob[0])), float(np.sum(prob[1]))
 
 
-def boundary_maxima(psi: Wavepacket) -> np.ndarray:
-    """For each mode, the larger of the first/last grid-slice marginals."""
-    prob = np.abs(psi.amplitudes) ** 2
+def boundary_maxima(prob: np.ndarray) -> np.ndarray:
+    """For each mode, mode 0 first, the larger of its first and last grid-slice
+    marginals: the sums of two edge slices of |a|^2 in the flat order."""
     d = prob.ndim - 1
     out = np.empty(d)
     for k in range(d):
-        axis = k + 1
-        other = tuple(i for i in range(prob.ndim) if i != axis)
-        marg = prob.sum(axis=other)
-        out[k] = max(marg[0], marg[-1])
+        edge = (slice(None),) * (d - k)
+        out[k] = max(np.sum(prob[edge + (0,)]), np.sum(prob[edge + (-1,)]))
     return out
 
 
-def energy(plan: Plan, psi: Wavepacket) -> float:
+def energy(plan: Plan, psi: Wavepacket, prob: np.ndarray) -> float:
     """<H> = <V_diag> + <c(Q) X> + <K>, with <K> = sum_k omega_k <a|p2_k a>,
-    from the grid terms of either engine's plan. psi's amplitudes are read
-    in the flat order, which for plan.layout.position's view is the flat
-    state itself, and the p2 products go to the plan's program scratch."""
+    from the grid terms of either engine's plan, psi and its |a|^2 prob, both
+    read in the flat order (for plan.layout.position's view, the flat state
+    itself); the p2 products go to the plan's program scratch."""
     a = plan.layout.flat_order(psi)
     vtab, ctab, p2 = plan.vtab, plan.ctab, plan.p2  # built before the temporaries below
-    prob = np.abs(a) ** 2
     ev = float(np.sum(vtab * prob))
     ec = float(np.sum(ctab * 2.0 * np.real(np.conj(a[0]) * a[1])))
     # each p2 operation is dense on one register: it writes only the scratch
@@ -337,7 +328,7 @@ def propagate(
     psi0 is copied once into the flat state of plan.layout, and the copy is
     advanced in place, k steps at a time as one block between two samples
     (kernels.Program.stepper). plan.layout.position views it as a
-    Wavepacket for boundary, energy and the final "state", without a copy.
+    Wavepacket for energy and the final "state", without a copy.
     Returns the series keyed by observer name, plus "state".
     """
     unknown = set(observers) - set(OBSERVERS)
@@ -347,20 +338,21 @@ def propagate(
     del psi0  # a caller's temporary psi0 is freed: the run reads only the copy
     advance = plan.program.stepper(plan.halves)
     rows: dict = {name: [] for name in OBSERVERS if name in observers}
-    ref = state.reshape(2, -1).copy()
+    ref = state.copy()
+    # |a|^2 in the flat order, filled once per sample for the observers that read it
+    prob = np.empty((2,) + (plan.grid.size,) * plan.model.d) if rows.keys() - {"autocorr"} else None
 
     def record() -> None:
-        amps = state.reshape(2, -1)
         if "autocorr" in rows:
-            rows["autocorr"].append(np.vdot(ref, amps))
+            rows["autocorr"].append(np.vdot(ref, state))
+        if prob is not None:
+            np.square(np.abs(state.reshape(prob.shape), out=prob), out=prob)
         if "population" in rows:
-            rows["population"].append(populations(Wavepacket(amps)))
-        if "boundary" in rows or "energy" in rows:
-            psi = plan.layout.position(state)
-            if "boundary" in rows:
-                rows["boundary"].append(boundary_maxima(psi))
-            if "energy" in rows:
-                rows["energy"].append(energy(plan, psi))
+            rows["population"].append(populations(prob))
+        if "boundary" in rows:
+            rows["boundary"].append(boundary_maxima(prob))
+        if "energy" in rows:
+            rows["energy"].append(energy(plan, plan.layout.position(state), prob))
 
     stride = time_grid.sample_stride
     record()

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import re
+import time
 import tracemalloc
 
 import numpy as np
@@ -919,6 +920,35 @@ def test_compiled_program_matches_apply(case):
         assert np.max(np.abs(fused - plain)) < 1e-12
 
 
+@st.composite
+def compiled_cases(draw):
+    """A layout (d 1-3, n 1-4, at most 12 qubits); a circuit on all of its
+    qubits or on its lowest few, of seeded gates of every kind, U1 and S
+    about half of them, with 0-2 controls of either polarity; and a random
+    state on 0 or 1 qubits more than the circuit."""
+    d = draw(st.integers(1, 3))
+    layout = QubitLayout(d, draw(st.integers(1, min(4, 11 // d))))
+    width = draw(st.one_of(st.just(layout.total), st.integers(1, layout.total)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = ["U1", "S"] * 2 + [k for k in KINDS if width > 1 or k != "SWAP"]
+    circ = Circuit(width)
+    for _ in range(draw(st.integers(1, 24))):
+        kind = str(rng.choice(kinds))
+        n_targets = 2 if kind == "SWAP" else 1
+        qubits = [int(q) for q in rng.permutation(width)[:n_targets + rng.integers(0, 3)]]
+        controls = [(q, int(rng.integers(0, 2))) for q in qubits[n_targets:]]
+        theta = float(rng.uniform(-7.0, 7.0)) if kind in ("U1", "RX", "RY") else None
+        circ.add(kind, qubits[:n_targets], controls, theta)
+    return circ, layout, random_state(width + draw(st.integers(0, 1)), int(rng.integers(2**32)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(compiled_cases())
+def test_compile_matches_apply_on_any_circuit(case):
+    circ, layout, state = case
+    assert np.max(np.abs(compile(circ, layout).run(state.copy()) - apply(circ, state))) < 1e-12
+
+
 def test_compile_holds_no_second_full_state_temporary():
     # the step's two merged phase tables take 2 MiB each; a merge that
     # holds a second full-state temporary peaks a table higher
@@ -1068,6 +1098,11 @@ def test_one_circuit_plan_serves_every_run(split, compiled):
 PLANS = {"soft": PropagatorPlan, "circuit": CircuitPlan}
 
 
+def flat_prob(layout, psi):
+    """|a|^2 of psi in the layout's flat order, as soft.propagate's buffer holds it."""
+    return np.abs(layout.flat_order(psi)) ** 2
+
+
 def _single_step_series(plan, psi0, tg):
     """Every observer at every sample of a loop of single runs of the plan's
     program over its flat copy of psi0."""
@@ -1077,10 +1112,11 @@ def _single_step_series(plan, psi0, tg):
 
     def record():
         psi = position(state)
+        prob = flat_prob(plan.layout, psi)
         rows["autocorr"].append(np.vdot(ref, state))
-        rows["population"].append(populations(psi))
-        rows["boundary"].append(boundary_maxima(psi))
-        rows["energy"].append(energy(plan, psi))
+        rows["population"].append(populations(prob))
+        rows["boundary"].append(boundary_maxima(prob))
+        rows["energy"].append(energy(plan, psi, prob))
 
     record()
     for s in range(1, tg.n_steps + 1):
@@ -1274,6 +1310,26 @@ def test_qpe_on_a_phase_gate():
     # the readout register resolves the eigenphase phi as phi/2pi exactly
     assert int(np.argmax(probs)) == 5
     assert probs.max() == pytest.approx(1.0, abs=1e-10)
+
+
+def test_build_qpe_refuses_a_register_over_budget(monkeypatch):
+    ev = Circuit(1)
+    ev.add("U1", (0,), theta=0.7)
+    # 2^40 - 1 controlled copies of even a one-gate step: refused before the first is built
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(kernels.MemoryBudgetError, match="40-bit phase estimation"):
+            build_qpe(ev, 40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1.0 and peak < 2**20
+    # the charge is the controlled copies at _GATE_BYTES each
+    monkeypatch.setattr(kernels, "DEFAULT_MEMORY_BUDGET", 7 * kernels._GATE_BYTES)
+    assert build_qpe(ev, 3).readout_qubits == 3
+    with pytest.raises(kernels.MemoryBudgetError, match="4-bit"):
+        build_qpe(ev, 4)
 
 
 @pytest.mark.parametrize("size, message", [(12, "state length 12 is not a power of two"),

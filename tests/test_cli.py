@@ -250,6 +250,12 @@ def test_qpe_demo_checks_dt(total_fs, tmp_path, capsys):
     assert not (tmp_path / "qpe_demo.csv").exists()
 
 
+def test_qpe_demo_refuses_a_readout_register_over_budget(tmp_path, capsys):
+    assert main(["qpe-demo", "--m-bits", "40", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: 40-bit phase estimation: its 2^40 - 1 controlled steps")
+    assert not (tmp_path / "qpe_demo.csv").exists()
+
+
 def test_a_nan_damping_time_is_a_clean_error(tmp_path, capsys):
     args = ["spectrum", "--model", "pyrazine-2mode", "--nt", "32", "--stride", "1", "--n", "2"]
     assert main([*args, "--tau-fs", "nan", "--out", str(tmp_path)]) == 1

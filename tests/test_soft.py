@@ -1,18 +1,20 @@
 import dataclasses
+import functools
 import re
 import tracemalloc
 
 import numpy as np
 import pytest
-from test_circuits import PLANS, bilinear_tiny
+from test_circuits import PLANS, bilinear_tiny, flat_prob
 
-from vibroniq import kernels
+from vibroniq import kernels, soft
 from vibroniq.circuits import apply, circuit_propagate
 from vibroniq.kernels import CircuitError, MemoryBudgetError
 from vibroniq.model import (
     GridSpec,
     ModelError,
     ModeParams,
+    QubitLayout,
     TimeGrid,
     VibronicModel,
     Wavepacket,
@@ -362,11 +364,12 @@ def test_coupled_model_transfers_population():
 def test_populations_and_boundary_helpers():
     model = pyrazine_2mode()
     grid = GridSpec(n=4, q_min=-5.0, q_max=5.0)
+    layout = QubitLayout(model.d, grid.n)
     psi = initial_state(model, grid)
-    p1, p2 = populations(psi)
+    p1, p2 = populations(flat_prob(layout, psi))
     assert p1 == pytest.approx(0.0, abs=1e-14)
     assert p2 == pytest.approx(1.0, abs=1e-12)
-    edges = boundary_maxima(psi)
+    edges = boundary_maxima(flat_prob(layout, psi))
     assert edges.shape == (2,)
     assert np.all(edges >= 0.0)
     assert np.all(edges < 1e-4)
@@ -377,7 +380,58 @@ def test_populations_and_boundary_helpers():
     gauss = np.exp(-((q - 3.5) ** 2) / 2.0)
     outer = np.einsum("i,j->ij", gauss, gauss)
     shifted.amplitudes[1] = outer / np.linalg.norm(outer)
-    assert boundary_maxima(shifted).max() > edges.max()
+    assert boundary_maxima(flat_prob(layout, shifted)).max() > edges.max()
+
+
+def full_marginals(a: np.ndarray) -> list:
+    """Each mode's full marginal of |a|^2, mode 0 first, from amplitudes in
+    psi's order (mode 0 on axis 1)."""
+    prob = np.abs(a) ** 2
+    return [prob.sum(axis=tuple(i for i in range(prob.ndim) if i != k + 1)) for k in range(a.ndim - 1)]
+
+
+@pytest.mark.parametrize("wall", [0, -1])
+def test_boundary_maxima_finds_a_packet_at_each_wall(wall, rng):
+    model, grid = pyrazine_4d(), GridSpec(n=3, q_min=-5.0, q_max=5.0)
+    layout, q = QubitLayout(model.d, grid.n), grid_points(grid)
+    for k in range(model.d):
+        # a Gaussian on S2, mode k's factor centred on its wall slice, over faint noise
+        centres = [q[wall] if j == k else 0.0 for j in range(model.d)]
+        a = 1e-3 * random_packet(model, grid, rng).amplitudes
+        a[1] += functools.reduce(np.multiply.outer, [np.exp(-((q - c) ** 2)) for c in centres])
+        a /= np.linalg.norm(a)
+        got = boundary_maxima(flat_prob(layout, Wavepacket(a)))
+        marg = full_marginals(a)
+        assert np.max(np.abs(got - [max(m[0], m[-1]) for m in marg])) < 1e-15
+        # mode k reports the largest edge, the one on this wall
+        assert np.argmax(got) == k and marg[k][wall] > marg[k][-1 - wall]
+
+
+def test_every_observer_reads_one_probability_buffer(monkeypatch):
+    seen = []
+    for name in ("populations", "boundary_maxima", "energy"):
+        monkeypatch.setattr(soft, name, lambda *args, real=getattr(soft, name): seen.append(args[-1]) or real(*args))
+    model, grid = pyrazine_2mode(), GridSpec(n=3, q_min=-5.0, q_max=5.0)
+    plan = PropagatorPlan(model, grid, 0.25)
+    out = propagate(plan, initial_state(model, grid), TimeGrid(0.25, 4, 2), observers=OBSERVERS)
+    # three samples, three observers, one buffer: |a|^2 of the state at the last sample
+    assert len(seen) == 9 and all(prob is seen[0] for prob in seen)
+    assert np.array_equal(seen[0], np.abs(plan.layout.flat_order(out["state"])) ** 2)
+
+
+def test_observers_make_no_state_sized_temporary():
+    model, grid = pyrazine_4d(), GridSpec(n=4, q_min=-5.0, q_max=5.0)
+    prob = flat_prob(QubitLayout(model.d, grid.n), initial_state(model, grid))
+    for observe in (populations, boundary_maxima):
+        observe(prob)
+        tracemalloc.start()
+        try:
+            observe(prob)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # below 1/16 of a statevector
+        assert peak < 1 << (model.d * grid.n + 1), observe.__name__
 
 
 def test_energy_matches_dense_expectation():
@@ -388,7 +442,7 @@ def test_energy_matches_dense_expectation():
     h = dense_hamiltonian(model, grid)
     vec = psi.amplitudes.reshape(-1)
     expected = float(np.real(np.vdot(vec, h @ vec)))
-    assert energy(plan, psi) == pytest.approx(expected, abs=1e-10)
+    assert energy(plan, psi, flat_prob(plan.layout, psi)) == pytest.approx(expected, abs=1e-10)
 
 
 @pytest.mark.parametrize("case", ["pyrazine-4d", "pyrazine-2mode", "one-mode"])
@@ -403,7 +457,7 @@ def test_energy_matches_the_fft_formula(case, rng):
     plan = PropagatorPlan(model, grid, dt=0.5)
     for psi in (initial_state(model, grid), random_packet(model, grid, rng)):
         expected = fft_energy(plan, psi.amplitudes)
-        assert energy(plan, psi) == pytest.approx(expected, rel=1e-12, abs=0.0)
+        assert energy(plan, psi, flat_prob(plan.layout, psi)) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def test_zpe_table_values():
@@ -538,7 +592,8 @@ def test_both_plans_keep_the_plan_contract(kind, split):
     assert plan.halves == (1 if split == "potential-first" else model.d)
     terms = ["vtab", "ctab", "p2"]
     assert [t for t in terms if t in vars(plan)] == (terms if kind == "soft" else [])
-    energy(plan, initial_state(model, grid))
+    psi = initial_state(model, grid)
+    energy(plan, psi, flat_prob(plan.layout, psi))
     assert [t for t in terms if t in vars(plan)] == terms
 
 
@@ -555,7 +610,7 @@ def test_step_rejects_amplitudes_of_another_shape(kind, split):
         psi = Wavepacket(np.ones(shape, dtype=np.complex128))
         both = re.escape(str(shape)) + r".*\(2, 8, 8\)"
         # ModelError, from QubitLayout.flat_order
-        for run in (lambda: step(plan, psi), lambda: energy(plan, psi),
+        for run in (lambda: step(plan, psi), lambda: energy(plan, psi, np.abs(psi.amplitudes) ** 2),
                     lambda: propagate(plan, psi, tg, observers=())):
             with pytest.raises(ValueError, match=both) as err:
                 run()

@@ -93,3 +93,35 @@ def test_every_package_name_the_benchmark_reads_resolves():
     # the scan sees the calls it is there for
     assert n_refs >= 30
     assert {("circuits.wavepacket_to_state", "n_extra"), ("circuits.QubitLayout", "ancilla")} <= keywords
+
+
+def test_every_span_name_the_tracer_reads_resolves():
+    """vbench/tracing.py finds its per-layer spans by name: the string
+    literals it passes to ix.named(name, ...) and ix.kids(i, name). A span
+    is named after the function it wraps, so a name whose package function
+    was renamed or moved matches no span and its metric silently reads 0
+    (CHANGES.md, FOUND 20 and FOUND 66). Each literal that starts with a
+    package module resolves on it by getattr; f-strings are skipped."""
+    layers = {path.stem for path in SOURCES}
+    tracing = pathlib.Path(__file__).parents[1] / "vbench" / "tracing.py"
+    names, missing = set(), []
+    for node in ast.walk(ast.parse(tracing.read_text(), str(tracing))):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("named", "kids")):
+            continue
+        args = node.args[node.func.attr == "kids":]
+        if args and isinstance(args[0], ast.Constant) and isinstance(args[0].value, str):
+            if args[0].value.split(".")[0] in layers:
+                names.add(args[0].value)
+    for name in sorted(names):
+        layer, *path = name.split(".")
+        obj = importlib.import_module(f"vibroniq.{layer}")
+        try:
+            for attr in path:
+                obj = getattr(obj, attr)
+        except AttributeError:
+            missing.append(name)
+    assert not missing
+    # the scan sees the spans it is there for
+    assert {"soft.populations", "soft.boundary_maxima", "soft.energy", "circuits.Circuit.controlled"} <= names
+    assert len(names) >= 15
