@@ -11,19 +11,18 @@ m10 == -m11) a butterfly of four, rounding apart from the general update.
 
 Operations: a Program runs (shape, how, operand) tuples, `shape` a view of
 the flat state and the operand exactly what its kind applies: a "phase"
-table, the four tables of a "pointwise" 2x2 on the top qubit, or a dense u
-from the "left", from the "right" (v u.T, on a block ending at qubit 0), as
-a "turn" or, on several blocks, as a "gather" of (u, order). phase_op,
-pointwise_op and register_op build them, and turn_ops the chain of
+table, or a dense u from the "left", from the "right" (v u.T, on a block
+ending at qubit 0), as a "turn" or, on several blocks, as a "gather" of
+(u, order). phase_op and register_op build them, and turn_ops the chain of
 transposing matmuls that applies one dense matrix per mode register, each
 as one GEMM; fold_turns widens the chain's last turn to take in the dense
 operations on register d-1 and the electronic qubit that border the chain,
 so a coupling rotation there costs no pass of its own. phase_tables
 computes the diagonals of controlled phases and merge_phases multiplies
-phase tables into one. The presets' engine programs use phase, pointwise,
-left and turn; "right" serves energy's p2 on register 0, one-register
-layouts and arbitrary circuits, and "gather" the bilinear steps, a coupling
-off the last mode and arbitrary circuits.
+phase tables into one. Both engines' preset programs use phase, left and
+turn; "right" serves energy's p2 on register 0, one-register layouts and
+arbitrary circuits, and "gather" the circuit engine's bilinear steps, its
+coupling off the last mode and arbitrary circuits.
 
 Circuits: a Circuit is a gate list over a fixed qubit count. Each gate has
 a layer id its builder declares, and depth(circuit) is the number of
@@ -87,6 +86,15 @@ class CircuitError(ValueError):
     """A malformed gate, circuit or statevector."""
 
 
+def is_integer(value) -> bool:
+    """Whether value is an integer, as operator.index takes it, and no bool."""
+    try:
+        operator.index(value)
+    except TypeError:
+        return False
+    return not isinstance(value, (bool, np.bool_))
+
+
 def backend() -> str:
     """Name of the kernel implementation, recorded in run provenance."""
     return "numpy"
@@ -99,15 +107,14 @@ def run_bytes(d: int, n: int) -> int:
     return 16 * (RUN_STATEVECTORS << (d * n + 1)) + 16 * (RUN_OPERATORS * (d + 1) << 2 * (n + 1))
 
 
-def check_budget(d: int, n: int, budget: int | None = None) -> None:
+def check_budget(d: int, n: int) -> None:
     """Raise MemoryBudgetError, before anything is allocated, when a
-    propagation run on d mode registers of n qubits is over budget."""
-    budget = DEFAULT_MEMORY_BUDGET if budget is None else budget
-    if run_bytes(d, n) > budget:
+    propagation run on d mode registers of n qubits is over the budget."""
+    if run_bytes(d, n) > DEFAULT_MEMORY_BUDGET:
         q = d * n + 1
         raise MemoryBudgetError(f"a {q}-qubit statevector needs {16 << q} bytes and a run holds "
                                 f"{RUN_STATEVECTORS} of them and {RUN_OPERATORS * (d + 1)} dense "
-                                f"{n + 1}-qubit operators, over the {budget}-byte budget")
+                                f"{n + 1}-qubit operators, over the {DEFAULT_MEMORY_BUDGET}-byte budget")
 
 
 def allocate_state(n_qubits: int, budget: int | None = None) -> np.ndarray:
@@ -267,12 +274,6 @@ def fold_turns(before: tuple, chain: list[tuple], after: tuple) -> list[tuple]:
     return chain[:-1] + [([dim ** (d - 1), -1, 2 * dim], "turn", m)]
 
 
-def pointwise_op(tables) -> tuple:
-    """A 2x2 on the top qubit: its entries 00, 01, 10, 11 per lower index."""
-    tables = tuple(t.reshape(-1) for t in tables)
-    return [-1, 2, tables[0].size], "pointwise", tables
-
-
 def phase_tables(fixed, angles, starts, n_qubits: int) -> np.ndarray:
     """exp(i times the summed angles) over the 2**n_qubits indices, one row
     per stretch of (fixed, angle) pairs, the stretches beginning at `starts`:
@@ -324,10 +325,9 @@ def merge_phases(parts, n_qubits: int) -> list[tuple]:
 
 def _apply_op(op: tuple, cur: np.ndarray, spare: np.ndarray) -> tuple:
     """Apply one operation to the flat state `cur`; returns (result, free
-    buffer) of cur and the same-shaped `spare`. A phase and a pointwise 2x2
-    work in place (the pointwise one with the halves of `spare` as
-    temporaries); "left" (u v), "right" (v u.T) and "turn" write `spare`,
-    leaving `cur` as it was, and "gather" uses both."""
+    buffer) of cur and the same-shaped `spare`. A phase works in place;
+    "left" (u v), "right" (v u.T) and "turn" write `spare`, leaving `cur` as
+    it was, and "gather" uses both."""
     shape, how, m = op
     v = cur.reshape(shape)
     if how == "phase":
@@ -339,15 +339,6 @@ def _apply_op(op: tuple, cur: np.ndarray, spare: np.ndarray) -> tuple:
         np.matmul(m, src, out=spare.reshape(src.shape))
         return spare, cur
     out = spare.reshape(shape)
-    if how == "pointwise":
-        v0, v1, t0, t1 = v[:, 0], v[:, 1], out[:, 0], out[:, 1]
-        np.multiply(m[1], v1, out=t0)
-        np.multiply(m[2], v0, out=t1)
-        np.multiply(m[0], v0, out=v0)  # m * v: numpy's complex v * m may round apart
-        v0 += t0
-        np.multiply(m[3], v1, out=v1)
-        v1 += t1
-        return cur, spare
     if how == "left":
         np.matmul(m, v, out=out)
     elif how == "right":
@@ -363,8 +354,8 @@ def _apply_op(op: tuple, cur: np.ndarray, spare: np.ndarray) -> tuple:
 
 def _bridge(tail: tuple, head: tuple) -> tuple:
     """The one operation that applies `tail` and then `head`, two operations
-    of the same kind on the same view: the product of the phase tables, of
-    the pointwise 2x2s or, for the dense kinds, H @ T."""
+    of the same kind on the same view: the product of the phase tables or,
+    for the dense kinds, H @ T."""
     shape, how, t = tail
     if "gather" in (how, head[1]):
         raise CircuitError("cannot merge a gathering operation")
@@ -372,21 +363,15 @@ def _bridge(tail: tuple, head: tuple) -> tuple:
         raise CircuitError(f"cannot merge a {how} operation on {shape} "
                            f"with a {head[1]} operation on {head[0]}")
     h = head[2]
-    if how == "phase":
-        return shape, how, h * t
-    if how == "pointwise":
-        (h00, h01, h10, h11), (t00, t01, t10, t11) = h, t
-        return shape, how, (h00 * t00 + h01 * t10, h00 * t01 + h01 * t11,
-                            h10 * t00 + h11 * t10, h10 * t01 + h11 * t11)
-    return shape, how, h @ t
+    return shape, how, h * t if how == "phase" else h @ t
 
 
 class Program:
     """Operations run in order: run(state) applies them in place and returns
-    the state, which may live on more qubits than n_qubits. Phases and
-    pointwise 2x2s work in place; every other operation writes to one reused
-    scratch buffer, which then swaps roles with the state, and a run that
-    ends in the scratch costs one copy back.
+    the state, which may live on more qubits than n_qubits. A phase works
+    in place; every other operation writes to one reused scratch buffer,
+    which then swaps roles with the state, and a run that ends in the
+    scratch costs one copy back.
 
     stepper(halves) runs the program k times as one block. The `halves`
     operations at each end form the step's outer half-step: operations on
@@ -519,8 +504,8 @@ class Circuit:
     phase: builders make constant phases with gates, which controlled() keeps."""
 
     def __init__(self, n_qubits: int):
-        if n_qubits < 1:
-            raise CircuitError(f"need at least one qubit, got {n_qubits}")
+        if not is_integer(n_qubits) or n_qubits < 1:
+            raise CircuitError(f"need an integer count of at least one qubit, got {n_qubits!r}")
         self.n_qubits = n_qubits
         self.gates: list[Gate] = []
         self._layer = -1

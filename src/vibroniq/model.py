@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .kernels import CircuitError
+from .kernels import CircuitError, is_integer
 
 HBAR_EV_FS = 0.6582119569
 
@@ -308,8 +308,8 @@ class GridSpec:
     convention: str = "periodic"
 
     def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ModelError(f"need at least 2 qubits per mode, got {self.n}")
+        if not is_integer(self.n) or self.n < 2:
+            raise ModelError(f"need an integer of at least 2 qubits per mode, got {self.n!r}")
         if not (math.isfinite(self.q_min) and math.isfinite(self.q_max)):
             raise ModelError(f"coordinate range [{self.q_min}, {self.q_max}] must be finite")
         if not self.q_min < self.q_max:
@@ -354,12 +354,10 @@ class TimeGrid:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise ModelError(f"dt must be positive and finite, got {self.dt}")
-        if self.n_steps < 1:
-            raise ModelError(f"need at least one step, got {self.n_steps}")
-        if not 1 <= self.sample_stride <= self.n_steps:
-            raise ModelError(
-                f"sample_stride {self.sample_stride} outside [1, {self.n_steps}]"
-            )
+        if not is_integer(self.n_steps) or self.n_steps < 1:
+            raise ModelError(f"need an integer count of at least one step, got {self.n_steps!r}")
+        if not is_integer(self.sample_stride) or not 1 <= self.sample_stride <= self.n_steps:
+            raise ModelError(f"sample_stride {self.sample_stride!r} is not an integer in [1, {self.n_steps}]")
 
     @property
     def total_time(self) -> float:

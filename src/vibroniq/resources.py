@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from .kernels import is_integer
 from .model import GridSpec, VibronicModel, get_model, ground_gaussian, pyrazine_4d
 
 
@@ -28,10 +29,10 @@ class AssayInput:
             raise ResourceError(f"unknown model class {self.model_class!r}")
         if self.variant not in VARIANTS:
             raise ResourceError(f"variant must be A or B, got {self.variant!r}")
-        if self.n < 2:
-            raise ResourceError(f"need at least 2 qubits per mode, got {self.n}")
-        if self.n_t < 2 or self.n_t & (self.n_t - 1):
-            raise ResourceError(f"step count must be a power of two >= 2, got {self.n_t}")
+        if not is_integer(self.n) or self.n < 2:
+            raise ResourceError(f"need an integer of at least 2 qubits per mode, got {self.n!r}")
+        if not is_integer(self.n_t) or self.n_t < 2 or self.n_t & (self.n_t - 1):
+            raise ResourceError(f"step count must be an integer power of two >= 2, got {self.n_t!r}")
 
 
 @dataclass(frozen=True)

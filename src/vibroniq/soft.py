@@ -1,24 +1,26 @@
 """Second-order split-operator propagator: the ground-truth dynamics engine.
 
-One step advances psi by dt through diagonal potential phases, an exact
-pointwise rotation for every off-diagonal (electronic X) coupling term, and
-kinetic phases. Where the coupling field lives on the last mode alone (both
-pyrazine models), a potential-first step runs the diagonal phases as one
-full-state phase table and folds the rotation, a dense operation on the last
-mode register and the electronic qubit, into the kinetic chain's last turn
-(kernels.fold_turns); any other step fuses the phases and the rotation into
-one pointwise 2x2 electronic operator. The kinetic step applies, along each mode
-axis, that mode's DFT-conjugated phase matrix F^dagger diag(exp(-i K_k dt/hbar)) F:
-the same operator as an FFT, phases and inverse FFT over the whole grid, in
-its DVR form. The d matrices run as one chain of transposing matmuls
-(kernels.turn_ops): each multiplies the lowest mode axis as one GEMM and
-turns it to the top, and the last one turns the grid back into its own
-order, batched over the electronic index or, folded, acting on it too. The
-default "potential-first" splitting is the palindrome V/2 . K . V/2 with
-the coupling rotation applied innermost (diag, coupling, K, coupling, diag),
-so the scheme stays second order; "kinetic-first" is K/2 . V . K/2 with the
-potential applied once per step, the layout used by the second-order
-(bilinear) model.
+One step advances psi by dt through the potential, the diagonal phases of
+both surfaces as one full-state phase table and then the coupling rotation
+exp(-i c(Q) X dt/hbar), and the kinetic phases. Where the coupling field
+lives on the last mode alone (both pyrazine models), the rotation is one
+dense operation on the last mode register and the electronic qubit, which
+a potential-first step folds into the kinetic chain's last turn
+(kernels.fold_turns), and the program has the circuit engine's operation
+kinds and shapes. Any other rotation is a full-state phase table between
+two Hadamards on the electronic qubit. The kinetic step applies,
+along each mode axis, that mode's DFT-conjugated phase matrix
+F^dagger diag(exp(-i K_k dt/hbar)) F: the same operator as an FFT, phases
+and inverse FFT over the whole grid, in its DVR form. The d matrices run as
+one chain of transposing matmuls (kernels.turn_ops): each multiplies the
+lowest mode axis as one GEMM and turns it to the top, and the last one
+turns the grid back into its own order, batched over the electronic index
+or, folded, acting on it too. The default "potential-first" splitting is
+the palindrome V/2 . K . V/2 with the coupling rotation applied innermost
+(diag, coupling, K, coupling, diag), so the scheme stays second order;
+"kinetic-first" is K/2 . V . K/2 with the potential (diag, then coupling)
+applied once per step, the layout used by the second-order (bilinear)
+model.
 
 The potential is a list of terms per surface (_terms) at any mode
 coordinates that broadcast; a plan passes the grid axes. Summed they give
@@ -141,14 +143,17 @@ class Plan:
         return 1 if self.split_order == "potential-first" else self.model.d
 
     @property
+    def local(self) -> bool:
+        """Whether the coupling field c(Q) lives on mode d-1 alone: no
+        off-diagonal bilinear term, and no linear coupling or one on mode d-1."""
+        m = self.model
+        return not m.bilinear_off and (m.lam == 0.0 or m.coupling_mode == m.d - 1)
+
+    @property
     def folds(self) -> bool:
         """Whether the step's coupling rotation folds into the kinetic
-        chain's last turn: a potential-first step whose coupling field c(Q)
-        lives on mode d-1 alone (no off-diagonal bilinear term, and no
-        linear coupling or one on mode d-1)."""
-        m = self.model
-        return (self.split_order == "potential-first" and not m.bilinear_off
-                and (m.lam == 0.0 or m.coupling_mode == m.d - 1))
+        chain's last turn: a potential-first step with a local coupling."""
+        return self.split_order == "potential-first" and self.local
 
     def _program(self, ops: list[tuple]) -> kernels.Program:
         """The step's Program over the layout. Where the rotation folds and
@@ -197,23 +202,23 @@ class Plan:
 class PropagatorPlan(Plan):
     """The soft engine's step: mode k's kinetic propagator
     F^dagger diag(exp(-i K_k t/hbar)) F acts on its register, and the
-    potential as diagonal phases D and the coupling rotation C. Where c(Q)
-    lives on mode d-1 alone (Plan.folds), a potential-first step is
-    D, C, the chain, C, D with D one full-state phase table and C one 2x2
-    exp(-i c(q_j) X t/hbar) per grid point q_j of register d-1, a dense
-    operation on that register and the electronic qubit, which folds into
-    the chain's last turn; no coupling, no C. Any other step runs C.D
-    pointwise on the top qubit (potential-first closes with D.C, tables 01
-    and 10 swapped). The grid terms are built with the plan. The phases
-    exp(-i V_s t/hbar) come from the terms that vtab sums, through _phases,
-    which writes each surface's table in place: into the phase table's half
-    or the 2x2's diagonal slot. C comes from ctab, and one DFT matrix
-    conjugates the kinetic propagators and p2.
+    potential as the diagonal phases D, one full-state phase table, and the
+    coupling rotation C = exp(-i c(Q) X t/hbar): potential-first D, C, the
+    chain, C, D, kinetic-first the chain, D, C, the chain, as the circuit
+    engine compiles them. Where c(Q) lives on mode d-1 alone (Plan.local),
+    C is one 2x2 per grid point of register d-1, a dense operation on that
+    register and the electronic qubit, which folds into the chain's last
+    turn potential-first; no coupling, no C. Any other C is h, Z, h, as
+    exp(-i theta X) = H exp(-i theta Z) H (Nielsen and Chuang, sec. 4.2): h
+    the Hadamard on the electronic qubit, Z a phase table exp(-+i c(Q) t/hbar)
+    on S1 and S2. The plan builds the grid terms: D from the terms vtab sums,
+    each surface's half in place through _phases, C from ctab; one DFT
+    matrix conjugates the kinetic propagators and p2.
     """
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        hbar = self.model.hbar
+        hbar, d, layout = self.model.hbar, self.model.d, self.layout
         pot_first = self.split_order == "potential-first"
         pot_frac, kin_frac = (0.5, 1.0) if pot_first else (1.0, 0.5)
         kin_phase = -0.5j * momentum_points(self.grid) ** 2 * (kin_frac * self.dt / hbar)
@@ -221,34 +226,28 @@ class PropagatorPlan(Plan):
         self.p2, kin = self._kinetic_matrices([np.exp(mode.omega * kin_phase) for mode in self.model.modes])
         kin = kernels.turn_ops(kin)
         pot_t = pot_frac * self.dt / hbar
-        # exp(-i V_s t/hbar) of S1 and S2: the halves of the phase table, or
-        # the diagonal slots of the pointwise 2x2
-        pot = np.empty((2 if self.folds else 4,) + (self.grid.size,) * self.model.d, dtype=np.complex128)
+        # exp(-i V_s t/hbar) of S1 and S2: the halves of the phase table
+        pot = np.empty((2,) + (self.grid.size,) * d, dtype=np.complex128)
         _phases(self._grid_terms[0], pot_t, pot[0])
-        _phases(self._grid_terms[1], pot_t, pot[-1])
+        _phases(self._grid_terms[1], pot_t, pot[1])
         # vtab for energy, as p2; both tables after the phases' temporaries
         ctab, _ = self.ctab, self.vtab
-        if self.folds:
-            phases = kernels.phase_op(range(self.layout.total), pot.reshape(-1))
-            rot = []
-            if self.model.lam != 0.0:
-                # c(q_j) along mode d-1, the flat order's first mode axis
-                theta = pot_t * ctab.reshape(self.grid.size, -1)[:, 0]
-                cos, sin = np.diag(np.cos(theta)), np.diag(-1j * np.sin(theta))
-                rot = [kernels.register_op(self.layout.block_qubits(self.model.d - 1),
-                                           np.block([[cos, sin], [sin, cos]]))]
-            self.program = self._program([phases, *rot, *kin, *rot, phases])
-            return
-        # in place, into the off-diagonal slots, to keep peak memory low
-        theta = ctab * pot_t
-        sin_t = np.sin(theta)
-        np.multiply(sin_t, pot[3], out=pot[1])
-        np.multiply(sin_t, pot[0], out=pot[2])
-        pot[1:3] *= -1j
-        pot[::3] *= np.cos(theta, out=theta)
-        cd = kernels.pointwise_op(pot)
-        dc = kernels.pointwise_op((pot[0], pot[2], pot[1], pot[3]))
-        self.program = self._program([cd, *kin, dc] if pot_first else [*kin, cd, *kin])
+        phases = kernels.phase_op(range(layout.total), pot.reshape(-1))
+        rot = []
+        if not self.local:
+            zrot = np.empty_like(pot)
+            np.exp(-1j * pot_t * ctab, out=zrot[0])
+            np.conjugate(zrot[0], out=zrot[1])
+            h = kernels.register_op([layout.electronic], np.array(kernels._MATS["H"]))
+            rot = [h, kernels.phase_op(range(layout.total), zrot.reshape(-1)), h]
+        elif self.model.lam != 0.0:
+            # c(q_j) along mode d-1, the flat order's first mode axis
+            theta = pot_t * ctab.reshape(self.grid.size, -1)[:, 0]
+            cos, sin = np.diag(np.cos(theta)), np.diag(-1j * np.sin(theta))
+            rot = [kernels.register_op(layout.block_qubits(d - 1), np.block([[cos, sin], [sin, cos]]))]
+        # potential-first, the two h of h, Z, h that border the chain cancel
+        self.program = self._program([*kin, phases, *rot, *kin] if not pot_first
+                                     else [phases, *rot[:2], *kin, *rot[-2:], phases])
 
 
 def step(plan: Plan, psi: Wavepacket) -> Wavepacket:

@@ -258,8 +258,9 @@ def test_circuit_layers_and_depth():
         with pytest.raises(CircuitError, match=re.escape(f"qubit {bad} outside the 3-qubit circuit")):
             c.add("H", targets, controls)
     assert c.gate_count() == 3
-    with pytest.raises(CircuitError):
-        Circuit(0)
+    for n_qubits in (0, 2.5, 2.0, True):
+        with pytest.raises(CircuitError):
+            Circuit(n_qubits)
 
 
 def test_append_circuit_offsets_layers():
@@ -994,8 +995,8 @@ def _box(n):
     return GridSpec(n=n, q_min=-5.0, q_max=5.0)
 
 
-def _soft_program(n, split):
-    return PropagatorPlan(get_model("pyrazine-4d"), _box(n), 0.13, split).program
+def _soft_program(model, n, split):
+    return PropagatorPlan(get_model(model), _box(n), 0.13, split).program
 
 
 def _circuit_program(model, n, split):
@@ -1007,12 +1008,17 @@ ENGINE_PROGRAMS = {
     # mode k's kinetic matrix acts on register k, as in the circuit: the d
     # matrices are one turn_ops chain, register 0 first; potential-first, the
     # coupling on the last register folds into the chain's last turn, between
-    # two full-state phase tables
-    "soft-4d-potential-first": (lambda n: _soft_program(n, "potential-first"),
+    # two full-state phase tables; kinetic-first, the phase table and then
+    # the coupling rotation on the last register's block lie between two chains
+    "soft-4d-potential-first": (lambda n: _soft_program("pyrazine-4d", n, "potential-first"),
                                 ["phase", "turn", "turn", "turn", "turn", "phase"]),
-    "soft-4d-kinetic-first": (lambda n: _soft_program(n, "kinetic-first"),
-                              ["turn", "turn", "turn", "turn", "pointwise",
+    "soft-4d-kinetic-first": (lambda n: _soft_program("pyrazine-4d", n, "kinetic-first"),
+                              ["turn", "turn", "turn", "turn", "phase", "left",
                                "turn", "turn", "turn", "turn"]),
+    "soft-2mode-potential-first": (lambda n: _soft_program("pyrazine-2mode", n, "potential-first"),
+                                   ["phase", "turn", "turn", "phase"]),
+    "soft-2mode-kinetic-first": (lambda n: _soft_program("pyrazine-2mode", n, "kinetic-first"),
+                                 ["turn", "turn", "phase", "left", "turn", "turn"]),
     # potential run: merged phases, then Uc fused with the last register's
     # quadratic network, which folds into the register run's chain
     "circuit-4d-potential-first": (lambda n: _circuit_program("pyrazine-4d", n, "potential-first"),
@@ -1045,6 +1051,10 @@ def test_engine_program_census(name, n):
     turns = [operand.shape for _, how, operand in program.ops if how == "turn"]
     last = (2 << n, 2 << n) if name.endswith("potential-first") else (1 << n, 1 << n)
     assert turns == [(1 << n, 1 << n)] * (len(turns) - 1) + [last]
+    if name.startswith("soft-"):  # the soft plan builds the form the circuit compiles to
+        circuit = ENGINE_PROGRAMS[name.replace("soft", "circuit")][0](n)
+        assert [(shape, how, m.shape) for shape, how, m in program.ops] == [
+            (shape, how, m.shape) for shape, how, m in circuit.ops]
 
 
 @pytest.fixture

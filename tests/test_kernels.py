@@ -19,7 +19,6 @@ from vibroniq.kernels import (
     apply_swap,
     fold_turns,
     phase_op,
-    pointwise_op,
     register_op,
     turn_ops,
 )
@@ -297,17 +296,11 @@ def on_support(n, support, u):
 
 def _operation_cases(rng, n=7):
     phase = np.exp(1j * rng.normal(size=8))
-    tables = [rng.normal(size=1 << (n - 1)) + 1j * rng.normal(size=1 << (n - 1)) for _ in range(4)]
-    pointwise = np.zeros((1 << n, 1 << n), dtype=np.complex128)
-    for k, t in enumerate(tables):  # entries 00, 01, 10, 11 of a 2x2 on the top qubit
-        a, b = divmod(k, 2)
-        pointwise += np.kron(np.outer(np.eye(2)[a], np.eye(2)[b]), np.diag(t))
     cases = {"phase": (phase_op([1, 3, 4], phase), on_support(n, [1, 3, 4], np.diag(phase)))}
     for name, support, u in (("left", [2, 3, 4], random_unitary(8, rng)),
                              ("right", [0, 1, 2], random_unitary(8, rng)),
                              ("gather", [0, 2, 5], random_unitary(8, rng))):
         cases[name] = (register_op(support, u), on_support(n, support, u))
-    cases["pointwise"] = (pointwise_op(tables), pointwise)
     return cases
 
 
@@ -325,7 +318,7 @@ def test_every_operation_kind_matches_its_dense_operator(rng):
             assert np.max(np.abs(state - want)) < 1e-12, name
 
 
-@pytest.mark.parametrize("kind", ["phase", "left", "right", "pointwise"])
+@pytest.mark.parametrize("kind", ["phase", "left", "right"])
 def test_k_step_advance_matches_k_runs(kind, rng):
     # head and tail of one kind on one view, different operators, around a body
     n = 7
@@ -349,7 +342,7 @@ def test_a_mismatched_head_and_tail_cannot_merge(rng):
     for head, tail, message in (("phase", "left", "cannot merge a left operation"),
                                 ("left", "right", "cannot merge a right operation"),
                                 ("gather", "gather", "cannot merge a gathering operation")):
-        advance = Program(n, [cases[head][0], cases["pointwise"][0], cases[tail][0]]).stepper(1)
+        advance = Program(n, [cases[head][0], cases["phase"][0], cases[tail][0]]).stepper(1)
         advance(state, 1)  # one step merges nothing
         with pytest.raises(CircuitError, match=message):
             advance(state, 2)
@@ -385,12 +378,15 @@ def test_turn_chain_matches_one_register_op_per_register(d, n, rng):
 
 @pytest.mark.parametrize("d", [2, 4])
 def test_bridged_chains_match_chain_runs(d, rng):
-    # a body between two chains; across a step boundary position i of the
+    # a body between two chains, phase tables around a 2x2 on the top qubit
+    # as in a kinetic-first step; across a step boundary position i of the
     # tail chain meets position i of the head chain
     n, extra = 2, 1
     head, tail = (turn_ops([random_unitary(1 << n, rng) for _ in range(d)]) for _ in range(2))
-    tables = [rng.normal(size=1 << d * n) + 1j * rng.normal(size=1 << d * n) for _ in range(4)]
-    program = Program(d * n + 1, [*head, pointwise_op(tables), *tail])
+    tables = [rng.normal(size=2 << d * n) + 1j * rng.normal(size=2 << d * n) for _ in range(2)]
+    body = [phase_op(range(d * n + 1), tables[0]), register_op([d * n], random_unitary(2, rng)),
+            phase_op(range(d * n + 1), tables[1])]
+    program = Program(d * n + 1, [*head, *body, *tail])
     advance = program.stepper(d)
     for k in range(4):
         plain = random_state(d * n + 1 + extra, rng)

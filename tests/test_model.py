@@ -121,6 +121,10 @@ def test_model_validation():
 def test_grid_spec_validation():
     with pytest.raises(ModelError):
         GridSpec(n=1, q_min=-1.0, q_max=1.0)
+    for n in (3.0, True, "3"):  # sizes are integers, and no bool
+        with pytest.raises(ModelError, match="an integer of at least 2 qubits"):
+            GridSpec(n=n, q_min=-1.0, q_max=1.0)
+    assert GridSpec(n=np.int64(3), q_min=-1.0, q_max=1.0).size == 8
     with pytest.raises(ModelError):
         GridSpec(n=3, q_min=1.0, q_max=1.0)
     with pytest.raises(ModelError):
@@ -206,6 +210,9 @@ def test_time_grid():
         TimeGrid(dt=0.1, n_steps=0)
     with pytest.raises(ModelError):
         TimeGrid(dt=0.1, n_steps=4, sample_stride=5)
+    for steps, stride in ((2.5, 1), (4.0, 1), (True, 1), (4, 2.0), (4, True)):
+        with pytest.raises(ModelError):
+            TimeGrid(dt=0.1, n_steps=steps, sample_stride=stride)
 
 
 def test_initial_state_is_an_s2_gaussian():

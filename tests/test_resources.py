@@ -33,6 +33,9 @@ def test_assay_input_validation():
         AssayInput("4D-linear", 4, 1)
     with pytest.raises(ResourceError):
         AssayInput("4D-linear", 4, 512, variant="C")
+    for n, n_t in ((4.0, 512), (True, 512), (4, 512.0), (4, True)):
+        with pytest.raises(ResourceError, match="integer"):
+            AssayInput("4D-linear", n, n_t)
 
 
 def test_depth_formulas():

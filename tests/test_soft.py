@@ -164,22 +164,17 @@ def grid_loop_tables(model: VibronicModel, grid: GridSpec) -> tuple[np.ndarray, 
 
 def assert_potential_tables(plan: PropagatorPlan) -> None:
     """vtab and ctab equal the full-grid loop's bit for bit, and the step's
-    potential tables (the phase table, or the pointwise 2x2's entries) are
-    within 1e-14 of np.exp of them."""
+    phase tables are within 1e-14 of np.exp of them: the diagonal phases D
+    and, where the coupling is not local, the Z rotation's exp(-+i tau c) on
+    S1 and S2, in step order (potential-first: D, Z, Z, D)."""
     vtab, ctab = grid_loop_tables(plan.model, plan.grid)
     assert np.array_equal(plan.vtab, vtab) and np.array_equal(plan.ctab, ctab)
     pot_first = plan.split_order == "potential-first"
     tau = (0.5 if pot_first else 1.0) * plan.dt / plan.model.hbar
-    e0, e1 = np.exp(-1j * tau * vtab)
-    cos, sin = np.cos(tau * ctab), -1j * np.sin(tau * ctab)
-    # potential-first closes with D.C: entries 01 and 10 swapped
-    want = {"phase": [[np.stack([e0, e1])]] * 2,
-            "pointwise": [[cos * e0, sin * e1, sin * e0, cos * e1], [cos * e0, sin * e0, sin * e1, cos * e1]]}
-    ops = plan.program.ops
-    for i, (_, how, tables) in enumerate([ops[0], ops[-1]] if pot_first else [ops[plan.model.d]]):
-        tables = [tables] if how == "phase" else tables
-        for got, exact in zip(tables, want[how][i], strict=True):
-            assert np.max(np.abs(got.reshape(-1) - exact.reshape(-1))) < 1e-14
+    want = [np.exp(-1j * tau * vtab)] + ([] if plan.local else [np.exp([-1j * tau * ctab, 1j * tau * ctab])])
+    got = [table for _, how, table in plan.program.ops if how == "phase"]
+    for table, exact in zip(got, want + want[::-1] if pot_first else want, strict=True):
+        assert np.max(np.abs(table.reshape(-1) - exact.reshape(-1))) < 1e-14
 
 
 def random_packet(model: VibronicModel, grid: GridSpec, rng: np.random.Generator) -> Wavepacket:
@@ -481,18 +476,20 @@ def test_split_orders_registry():
 
 
 @pytest.mark.parametrize("case", ["pyrazine-4d", "pyrazine-4d-kinetic-first", "pyrazine-2mode",
-                                  "bilinear", "bilinear-split", "one-mode"])
+                                  "bilinear", "bilinear-split", "b1g-first-kinetic-first", "one-mode"])
 def test_step_matches_the_fft_step(case, rng):
     box = GridSpec(n=4, q_min=-5.0, q_max=5.0)
     model, grid, split = {
         "pyrazine-4d": (pyrazine_4d(), box, "potential-first"),
-        # nine operations: the program ends in the scratch and copies back
+        # nine of the ten operations write the scratch: a run ends there and copies back
         "pyrazine-4d-kinetic-first": (pyrazine_4d(), box, "kinetic-first"),
         "pyrazine-2mode": (pyrazine_2mode(), box, "kinetic-first"),
         "bilinear": (bilinear_tiny(False), GridSpec(n=3, q_min=-4.0, q_max=4.0, convention="endpoint"),
                      "kinetic-first"),
         "bilinear-split": (bilinear_tiny(True), GridSpec(n=3, q_min=-4.0, q_max=4.0,
                                                          convention="endpoint"), "kinetic-first"),
+        # the coupling on mode 0: a Z rotation between two Hadamards
+        "b1g-first-kinetic-first": (B1G_FIRST, box, "kinetic-first"),
         # the qpe-demo model: its only axis takes the last-axis branch
         "one-mode": (VibronicModel(modes=(ModeParams("nu", 0.0936, "B1g"),), lam=0.0, delta=0.0),
                      box, "potential-first"),
@@ -510,8 +507,10 @@ def test_step_matches_the_fft_step(case, rng):
 
 # potential-first steps: where c(Q) lives on the last mode alone, the
 # coupling rotation folds into the kinetic chain's last turn, 2^(n+1) wide;
-# an off-diagonal bilinear term or a coupling on another mode keeps the
-# soft engine's pointwise 2x2, and with no coupling there is nothing to fold.
+# with an off-diagonal bilinear term or a coupling on another mode the soft
+# engine's rotation is a Z phase table between two 2x2 Hadamards ("left" on
+# the electronic qubit), the pair beside the chain cancelled, and the
+# circuit engine gathers; with no coupling there is nothing to fold.
 # Per case: the model, then per engine the operation kinds and how many
 # dense operations are 2^(n+1) wide (None: the engine refuses the model)
 ONE_MODE = VibronicModel(modes=(ModeParams("nu", 0.0936, "B1g"),), lam=0.0, delta=0.0)
@@ -523,8 +522,9 @@ B1G_FIRST = VibronicModel(modes=(ModeParams("nu10a", 0.0936, "B1g"),
 FOLD_CASES = {
     "pyrazine-2mode": (pyrazine_2mode(), (["phase", "turn", "turn", "phase"], 1),
                        (["phase", "turn", "turn", "phase"], 1)),
-    "bilinear": (bilinear_tiny(False), (["pointwise", "turn", "turn", "turn", "pointwise"], 0), None),
-    "b1g-first": (B1G_FIRST, (["pointwise", "turn", "turn", "pointwise"], 0),
+    "bilinear": (bilinear_tiny(False), (["phase", "left", "phase", "turn", "turn", "turn",
+                                         "phase", "left", "phase"], 0), None),
+    "b1g-first": (B1G_FIRST, (["phase", "left", "phase", "turn", "turn", "phase", "left", "phase"], 0),
                   (["phase", "gather", "turn", "turn", "gather", "phase"], 2)),
     "one-mode": (ONE_MODE, (["phase", "right", "phase"], 0), (["phase", "right", "phase"], 0)),
     "one-mode-coupled": (dataclasses.replace(ONE_MODE, lam=0.1825, delta=0.4617),
@@ -540,7 +540,7 @@ def test_potential_first_step_folds_where_the_coupling_lives(case, engine, rng):
     plan = PLANS[engine](model, grid, 0.5, "potential-first")
     ops = plan.program.ops
     assert [how for _, how, _ in ops] == kinds
-    assert sum(how not in ("phase", "pointwise") and len(m[0] if how == "gather" else m) == 2 << grid.n
+    assert sum(how != "phase" and len(m[0] if how == "gather" else m) == 2 << grid.n
                for _, how, m in ops) == wide
     assert plan.folds == (case not in ("bilinear", "b1g-first"))
     if engine == "soft":
