@@ -30,11 +30,13 @@ per mode (N points), per bilinear pair (N^2) and of the constant.
 Plan, the base of PropagatorPlan and circuits.CircuitPlan, holds all that
 propagate, step and energy read of a plan: the checked split order, the
 layout (model.QubitLayout, the flat-state basis of both engines), the
-compiled step and the grid terms of H. propagate advances k steps between
-two samples as one block, each step's closing half-step and the next step's
+compiled step, all a plan builds, and the grid terms of H, whose tables
+energy builds on its first read. propagate advances k steps between two
+samples as one block, each step's closing half-step and the next step's
 opening half-step applied as one merged operation (Strang merging), so a
-block of k steps costs k - 1 half-steps fewer than k steps. The population,
-boundary and energy observers read one |a|^2 buffer, filled once per sample.
+block of k steps costs k - 1 half-steps fewer than k steps. A run holds
+what its observers read: one |a|^2 buffer, filled once per sample, and
+for autocorr the reference state.
 """
 from __future__ import annotations
 
@@ -119,10 +121,10 @@ class Plan:
     over the flat state of `layout`. The `halves` operations at each end of
     the program form its outer half-step: the potential for potential-first,
     the kinetic chain (one matrix per mode register, in register order) for
-    kinetic-first. The grid terms are built on first use: vtab holds V_s(Q),
-    ctab the coupling field c(Q), each the sum of its _terms at the grid
-    axes, added in the order of the list and over the full grid only once
-    the partial sum spans it; p2[k] applies the kinetic energy per unit
+    kinetic-first. energy's tables are built on its first read: vtab holds
+    V_s(Q), ctab the coupling field c(Q), each the sum of its _terms at the
+    grid axes, added in the order of the list and over the full grid only
+    once the partial sum spans it; p2[k] applies the kinetic energy per unit
     omega, F^dagger diag(p^2/2) F, on mode k's register."""
 
     model: VibronicModel
@@ -187,16 +189,15 @@ class Plan:
 
     @functools.cached_property
     def p2(self) -> list:
-        return self._kinetic_matrices([])[0]
+        [p2] = self._kinetic_matrices([0.5 * momentum_points(self.grid) ** 2])
+        return [kernels.register_op(self.layout.mode_qubits(k), p2) for k in range(self.model.d)]
 
-    def _kinetic_matrices(self, diags: list) -> tuple[list, list]:
-        """p2, and F^dagger diag(x) F for each x in diags (momentum-diagonal
-        operators on one mode register in the position basis), F the unitary
-        DFT matrix, built once."""
+    def _kinetic_matrices(self, diags: list) -> list:
+        """F^dagger diag(x) F for each x in diags (momentum-diagonal operators
+        on one mode register in the position basis), F the unitary DFT matrix."""
         dft = np.fft.fft(np.eye(self.grid.size), axis=0, norm="ortho")
         dft_h = dft.conj().T
-        p2, *mats = [dft_h @ (x[:, None] * dft) for x in (0.5 * momentum_points(self.grid) ** 2, *diags)]
-        return [kernels.register_op(self.layout.mode_qubits(k), p2) for k in range(self.model.d)], mats
+        return [dft_h @ (x[:, None] * dft) for x in diags]
 
 
 class PropagatorPlan(Plan):
@@ -211,9 +212,9 @@ class PropagatorPlan(Plan):
     turn potential-first; no coupling, no C. Any other C is h, Z, h, as
     exp(-i theta X) = H exp(-i theta Z) H (Nielsen and Chuang, sec. 4.2): h
     the Hadamard on the electronic qubit, Z a phase table exp(-+i c(Q) t/hbar)
-    on S1 and S2. The plan builds the grid terms: D from the terms vtab sums,
-    each surface's half in place through _phases, C from ctab; one DFT
-    matrix conjugates the kinetic propagators and p2.
+    on S1 and S2. D (each surface's half in place) and Z are _phases of the
+    _grid_terms, the local C reads the coupling term on mode d-1's axis, and
+    one DFT matrix conjugates the kinetic propagators.
     """
 
     def __post_init__(self) -> None:
@@ -222,27 +223,23 @@ class PropagatorPlan(Plan):
         pot_first = self.split_order == "potential-first"
         pot_frac, kin_frac = (0.5, 1.0) if pot_first else (1.0, 0.5)
         kin_phase = -0.5j * momentum_points(self.grid) ** 2 * (kin_frac * self.dt / hbar)
-        # p2 for energy: built during a run, it would raise the run's peak
-        self.p2, kin = self._kinetic_matrices([np.exp(mode.omega * kin_phase) for mode in self.model.modes])
-        kin = kernels.turn_ops(kin)
+        kin = kernels.turn_ops(self._kinetic_matrices([np.exp(m.omega * kin_phase) for m in self.model.modes]))
         pot_t = pot_frac * self.dt / hbar
         # exp(-i V_s t/hbar) of S1 and S2: the halves of the phase table
         pot = np.empty((2,) + (self.grid.size,) * d, dtype=np.complex128)
-        _phases(self._grid_terms[0], pot_t, pot[0])
-        _phases(self._grid_terms[1], pot_t, pot[1])
-        # vtab for energy, as p2; both tables after the phases' temporaries
-        ctab, _ = self.ctab, self.vtab
+        for terms, out in zip(self._grid_terms, pot):
+            _phases(terms, pot_t, out)
         phases = kernels.phase_op(range(layout.total), pot.reshape(-1))
-        rot = []
+        coupling, rot = self._grid_terms[2], []
         if not self.local:
             zrot = np.empty_like(pot)
-            np.exp(-1j * pot_t * ctab, out=zrot[0])
+            _phases(coupling, pot_t, zrot[0])
             np.conjugate(zrot[0], out=zrot[1])
             h = kernels.register_op([layout.electronic], np.array(kernels._MATS["H"]))
             rot = [h, kernels.phase_op(range(layout.total), zrot.reshape(-1)), h]
-        elif self.model.lam != 0.0:
-            # c(q_j) along mode d-1, the flat order's first mode axis
-            theta = pot_t * ctab.reshape(self.grid.size, -1)[:, 0]
+        elif coupling:
+            # c(q_j) = lam q_j, the one term, on mode d-1's axis
+            theta = pot_t * coupling[0].reshape(-1)
             cos, sin = np.diag(np.cos(theta)), np.diag(-1j * np.sin(theta))
             rot = [kernels.register_op(layout.block_qubits(d - 1), np.block([[cos, sin], [sin, cos]]))]
         # potential-first, the two h of h, Z, h that border the chain cancel
@@ -302,17 +299,19 @@ def energy(plan: Plan, psi: Wavepacket, prob: np.ndarray) -> float:
     """<H> = <V_diag> + <c(Q) X> + <K>, with <K> = sum_k omega_k <a|p2_k a>,
     from the grid terms of either engine's plan, psi and its |a|^2 prob, both
     read in the flat order (for plan.layout.position's view, the flat state
-    itself); the p2 products go to the plan's program scratch."""
-    a = plan.layout.flat_order(psi)
-    vtab, ctab, p2 = plan.vtab, plan.ctab, plan.p2  # built before the temporaries below
-    ev = float(np.sum(vtab * prob))
-    ec = float(np.sum(ctab * 2.0 * np.real(np.conj(a[0]) * a[1])))
-    # each p2 operation is dense on one register: it writes only the scratch
-    flat = a.reshape(-1)
+    itself); all products go to the plan's program scratch."""
+    vtab, ctab, p2 = plan.vtab, plan.ctab, plan.p2  # built before the scratch, on a first call
+    flat = plan.layout.flat_order(psi).reshape(-1)
     spare = plan.program.scratch(flat)
+    ev = np.vdot(vtab, prob)
+    # Re(conj(a_0) a_1) = re_0 re_1 + im_0 im_1 on float views: float times complex casts c
+    re_im = flat.view(np.float64).reshape(2, -1, 2)
+    products = np.multiply(*re_im, out=spare.view(np.float64).reshape(2, -1, 2)[0])
+    ec = 2.0 * np.sum(ctab.reshape(-1) @ products)
+    # each p2 operation is dense on one register: it writes only the scratch
     ek = sum(mode.omega * np.vdot(flat, kernels._apply_op(op, flat, spare)[0]).real
              for op, mode in zip(p2, plan.model.modes))
-    return ev + ec + float(ek)
+    return float(ev + ec + ek)
 
 
 def propagate(
@@ -326,8 +325,8 @@ def propagate(
 
     psi0 is copied once into the flat state of plan.layout, and the copy is
     advanced in place, k steps at a time as one block between two samples
-    (kernels.Program.stepper). plan.layout.position views it as a
-    Wavepacket for energy and the final "state", without a copy.
+    (kernels.Program.stepper); autocorr alone keeps a reference copy. The
+    layout's position views the state for energy and the final "state".
     Returns the series keyed by observer name, plus "state".
     """
     unknown = set(observers) - set(OBSERVERS)
@@ -337,7 +336,7 @@ def propagate(
     del psi0  # a caller's temporary psi0 is freed: the run reads only the copy
     advance = plan.program.stepper(plan.halves)
     rows: dict = {name: [] for name in OBSERVERS if name in observers}
-    ref = state.copy()
+    ref = state.copy() if "autocorr" in rows else None
     # |a|^2 in the flat order, filled once per sample for the observers that read it
     prob = np.empty((2,) + (plan.grid.size,) * plan.model.d) if rows.keys() - {"autocorr"} else None
 

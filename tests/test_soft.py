@@ -416,8 +416,14 @@ def test_every_observer_reads_one_probability_buffer(monkeypatch):
 
 def test_observers_make_no_state_sized_temporary():
     model, grid = pyrazine_4d(), GridSpec(n=4, q_min=-5.0, q_max=5.0)
-    prob = flat_prob(QubitLayout(model.d, grid.n), initial_state(model, grid))
-    for observe in (populations, boundary_maxima):
+    # energy reads the flat-state view and the |a|^2 buffer that propagate
+    # passes, and builds its tables on the first call
+    plan = PropagatorPlan(model, grid, 0.5)
+    psi = plan.layout.position(plan.layout.flat(initial_state(model, grid)))
+    prob = flat_prob(plan.layout, psi)
+    observers = {"populations": populations, "boundary_maxima": boundary_maxima,
+                 "energy": functools.partial(energy, plan, psi)}
+    for name, observe in observers.items():
         observe(prob)
         tracemalloc.start()
         try:
@@ -426,7 +432,7 @@ def test_observers_make_no_state_sized_temporary():
         finally:
             tracemalloc.stop()
         # below 1/16 of a statevector
-        assert peak < 1 << (model.d * grid.n + 1), observe.__name__
+        assert peak < 1 << (model.d * grid.n + 1), (name, peak)
 
 
 def test_energy_matches_dense_expectation():
@@ -572,8 +578,9 @@ def test_plan_over_the_memory_budget_fails_before_allocating():
     assert peak < 2**20
 
 
-# the soft plan's step reads its grid terms, so it builds them with the
-# plan; the circuit plan builds them when energy first reads them
+# neither plan builds the tables that only energy reads (vtab, ctab, p2)
+# until energy first reads them, whatever the coupling: local, bilinear or
+# on another mode
 @pytest.mark.parametrize("kind", list(PLANS))
 @pytest.mark.parametrize("split", SPLIT_ORDERS)
 def test_both_plans_keep_the_plan_contract(kind, split):
@@ -587,14 +594,16 @@ def test_both_plans_keep_the_plan_contract(kind, split):
     finally:
         tracemalloc.stop()
     assert type(err.value) is CircuitError and peak < 2**20
-    model, grid = pyrazine_2mode(), GridSpec(n=3, q_min=-5.0, q_max=5.0)
-    plan = PLANS[kind](model, grid, 0.25, split)
-    assert plan.halves == (1 if split == "potential-first" else model.d)
-    terms = ["vtab", "ctab", "p2"]
-    assert [t for t in terms if t in vars(plan)] == (terms if kind == "soft" else [])
-    psi = initial_state(model, grid)
-    energy(plan, psi, flat_prob(plan.layout, psi))
-    assert [t for t in terms if t in vars(plan)] == terms
+    grid, terms = GridSpec(n=3, q_min=-5.0, q_max=5.0), ["vtab", "ctab", "p2"]
+    # the circuit engine takes bilinear terms kinetic-first only
+    bilinear = [bilinear_tiny()] if kind == "soft" or split == "kinetic-first" else []
+    for model in (pyrazine_2mode(), B1G_FIRST, *bilinear):
+        plan = PLANS[kind](model, grid, 0.25, split)
+        assert plan.halves == (1 if split == "potential-first" else model.d)
+        assert [t for t in terms if t in vars(plan)] == []
+        psi = initial_state(model, grid)
+        energy(plan, psi, flat_prob(plan.layout, psi))
+        assert [t for t in terms if t in vars(plan)] == terms
 
 
 # the soft plan keeps the bare split order as its id
@@ -637,19 +646,25 @@ def test_a_run_peaks_within_its_memory_charge(name, n, kind, split):
     assert peak <= kernels.run_bytes(model.d, n), peak / (16 << (model.d * n + 1))
 
 
-# measured in statevectors: the circuit engine's run holds the state, the
-# program scratch (which energy's p2 products borrow), the reference copy and
-# the energy tables (vtab one statevector, ctab half) and peaks at 7.0; the
-# soft engine's plan is its own tables and peaks at 6.25 (potential-first)
-@pytest.mark.parametrize("kind, statevectors", [("soft", 6.5), ("circuit", 7.5)])
+# measured in statevectors: an observer-free run holds the state, the
+# program scratch and the bridge's merged operands (one statevector at this
+# size) and peaks at 3.0; every observer adds the reference copy, the |a|^2
+# buffer and the energy tables that both plans build on energy's first read
+# (vtab half a statevector, ctab a quarter, p2's one register matrix half),
+# and the run peaks at 5.75 (soft) and 5.76 (circuit)
+@pytest.mark.parametrize("kind, statevectors, observers", [
+    pytest.param("soft", 6.5, OBSERVERS, id="soft-6.5"),
+    pytest.param("circuit", 7.5, OBSERVERS, id="circuit-7.5"),
+    pytest.param("soft", 3.1, (), id="soft-no-observers-3.1"),
+    pytest.param("circuit", 3.1, (), id="circuit-no-observers-3.1")])
 @pytest.mark.parametrize("split", SPLIT_ORDERS)
-def test_a_run_with_energy_peaks_at_its_measured_size(kind, statevectors, split):
+def test_a_run_with_energy_peaks_at_its_measured_size(kind, statevectors, observers, split):
     model, grid = pyrazine_2mode(), GridSpec(n=8, q_min=-5.0, q_max=5.0)
     tg = TimeGrid(dt=0.13, n_steps=4, sample_stride=2)
     plan, psi0 = PLANS[kind](model, grid, tg.dt, split), initial_state(model, grid)
     tracemalloc.start()
     try:
-        propagate(plan, psi0, tg, observers=OBSERVERS)
+        propagate(plan, psi0, tg, observers=observers)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
