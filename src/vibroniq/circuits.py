@@ -599,10 +599,8 @@ def build_qpe(evolution_step: Circuit, m: int) -> Circuit:
     """
     if m < 1:
         raise CircuitError(f"need at least one readout qubit, got {m}")
-    n_bytes = ((1 << m) - 1) * len(evolution_step.gates) * kernels._GATE_BYTES
-    if n_bytes > kernels.DEFAULT_MEMORY_BUDGET:
-        raise kernels.MemoryBudgetError(f"{m}-bit phase estimation: its 2^{m} - 1 controlled steps take "
-                                        f"{n_bytes} bytes, over the {kernels.DEFAULT_MEMORY_BUDGET}-byte budget")
+    kernels.charge(((1 << m) - 1) * len(evolution_step.gates) * kernels._GATE_BYTES,
+                   f"{m}-bit phase estimation: its 2^{m} - 1 controlled steps of {len(evolution_step.gates)} gates")
     base = evolution_step.n_qubits
     circ = Circuit(base + m)
     for j in range(m):

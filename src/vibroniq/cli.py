@@ -12,8 +12,7 @@ import sys
 
 import numpy as np
 
-from . import circuits, resources, signals, soft
-from .kernels import MemoryBudgetError
+from . import circuits, kernels, resources, signals, soft
 from .model import (
     GridSpec,
     ModelError,
@@ -54,10 +53,6 @@ def _dt_from_args(args) -> float:
     return args.total_fs / args.nt
 
 
-def _time_grid_from_args(args) -> TimeGrid:
-    return TimeGrid(dt=_dt_from_args(args), n_steps=args.nt, sample_stride=args.stride)
-
-
 def cmd_zpe_scan(args) -> int:
     """Two convergence tables: point count at fixed range, and range at
     matched resolution. Columns: scan, n_points, dq, zpe_eV."""
@@ -80,7 +75,7 @@ def cmd_zpe_scan(args) -> int:
 
 def _run_engine(args, model, engine, observers=soft.DEFAULT_OBSERVERS) -> dict:
     grid = _grid_from_args(args)
-    tg = _time_grid_from_args(args)
+    tg = TimeGrid(dt=_dt_from_args(args), n_steps=args.nt, sample_stride=args.stride)
     make = soft.PropagatorPlan if engine == "soft" else circuits.CircuitPlan
     plan = make(model, grid, tg.dt, args.split_order)
     return soft.propagate(plan, initial_state(model, grid), tg, observers=observers)
@@ -115,6 +110,7 @@ def cmd_propagate(args) -> int:
 def cmd_spectrum(args) -> int:
     """Damped energy-weighted spectrum of the engine's autocorrelation."""
     model = get_model(args.model)
+    signals.check_damping(args.tau_fs)  # before the propagation
     result = _run_engine(args, model, args.engine, observers=("autocorr",))
     spec = signals.spectrum(result["autocorr"], tau_fs=args.tau_fs, damp_d=args.damp_d, hbar=model.hbar)
     path = os.path.join(args.out, "spectrum.csv")
@@ -189,29 +185,28 @@ def cmd_qpe_demo(args) -> int:
     from .model import ModeParams, VibronicModel
 
     signals.check_seed(args.seed)  # before the step is built and diagonalised
+    signals.check_shots(args.shots)
     model = VibronicModel(modes=(ModeParams("nu", 0.0936, "B1g"),), lam=0.0, delta=0.0)
     grid = _grid_from_args(args)
     dt = TimeGrid(dt=_dt_from_args(args), n_steps=args.nt).dt
     step_circ = circuits.build_timestep(model, grid, dt)
-    u = circuits.unitary_of(step_circ)
-    w, v = np.linalg.eig(u)
+    qpe_circ = circuits.build_qpe(step_circ, args.m_bits)
+    # the dense step and eig's copy, eigenvectors and workspace peak at 4.1-4.8
+    # matrices by RSS (9- to 11-qubit steps); 5 are charged
+    q = step_circ.n_qubits
+    kernels.charge(5 * (16 << 2 * q), f"a dense {q}-qubit step and its eigendecomposition")
+    _, v = np.linalg.eig(kernels.unitary_of(step_circ))
     # pick the step eigenstate closest to the S2-branch grid ground state
-    target = np.zeros(1 << step_circ.n_qubits, dtype=np.complex128)
+    target = np.zeros(1 << q, dtype=np.complex128)
     target[grid.size : 2 * grid.size] = ground_gaussian(grid)
     best = int(np.argmax(np.abs(v.conj().T @ target)))
-    eigstate = v[:, best]
-    qpe_circ = circuits.build_qpe(step_circ, args.m_bits)
-    out = circuits.run_qpe(qpe_circ, eigstate, shots=args.shots, seed=args.seed)
-    probs = out["probs"]
+    probs = circuits.run_qpe(qpe_circ, v[:, best], shots=args.shots, seed=args.seed)["probs"]
+    rows = [(k, circuits.qpe_phase_to_energy(k / (1 << args.m_bits), dt, model.hbar), probs[k])
+            for k in range(1 << args.m_bits)]
     top = int(np.argmax(probs))
-    energy = circuits.qpe_phase_to_energy(top / (1 << args.m_bits), dt, model.hbar)
-    rows = [
-        (k, circuits.qpe_phase_to_energy(k / (1 << args.m_bits), dt, model.hbar), probs[k])
-        for k in range(1 << args.m_bits)
-    ]
     path = os.path.join(args.out, "qpe_demo.csv")
     _write_csv(path, ["bin", "e_eV", "probability"], rows)
-    print(f"top bin {top}: p={probs[top]:.4f}, E={energy:.6f} eV "
+    print(f"top bin {top}: p={probs[top]:.4f}, E={rows[top][1]:.6f} eV "
           f"(bin width {2*np.pi*model.hbar/dt/(1 << args.m_bits):.6f} eV)")
     print(f"wrote {path}")
     return 0
@@ -313,7 +308,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ModelError, circuits.CircuitError, signals.SignalError,
-            resources.ResourceError, MemoryBudgetError, OSError) as exc:
+            resources.ResourceError, kernels.MemoryBudgetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

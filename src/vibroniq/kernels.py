@@ -51,6 +51,9 @@ qubit), one phase table per stretch of diagonal operations, multiplied
 smallest support first into the full-state table, the coupling rotation
 staying a matrix on the electronic qubit and its register. Gates that
 straddle registers take the greedy fuser too.
+
+Memory: every refusal comes from charge, the one comparison with the budget,
+which each code path calls with its measured peak before it allocates.
 """
 from __future__ import annotations
 
@@ -71,6 +74,10 @@ DEFAULT_MEMORY_BUDGET = 4 * 2**30
 # compile (the identity a fused run's gates run over)
 RUN_STATEVECTORS = 12
 RUN_OPERATORS = 2
+# gates run over a state peak at APPLY_STATEVECTORS statevectors (the state and a 2x2
+# update's two temporaries) and _APPLY_BYTES of views (tracemalloc, 6- to 18-qubit states)
+APPLY_STATEVECTORS = 3
+_APPLY_BYTES = 4096
 # one gate of a built circuit: its Gate, target and control tuples and list
 # slot (143 bytes by tracemalloc, over phase-estimation circuits of 62k-250k gates)
 _GATE_BYTES = 144
@@ -107,22 +114,18 @@ def run_bytes(d: int, n: int) -> int:
     return 16 * (RUN_STATEVECTORS << (d * n + 1)) + 16 * (RUN_OPERATORS * (d + 1) << 2 * (n + 1))
 
 
-def check_budget(d: int, n: int) -> None:
-    """Raise MemoryBudgetError, before anything is allocated, when a
-    propagation run on d mode registers of n qubits is over the budget."""
-    if run_bytes(d, n) > DEFAULT_MEMORY_BUDGET:
-        q = d * n + 1
-        raise MemoryBudgetError(f"a {q}-qubit statevector needs {16 << q} bytes and a run holds "
-                                f"{RUN_STATEVECTORS} of them and {RUN_OPERATORS * (d + 1)} dense "
-                                f"{n + 1}-qubit operators, over the {DEFAULT_MEMORY_BUDGET}-byte budget")
+def charge(nbytes: int, what: str) -> None:
+    """Raise MemoryBudgetError when nbytes, what `what` needs, is over the
+    budget: the one place a request meets it, called before any allocation."""
+    if nbytes > DEFAULT_MEMORY_BUDGET:
+        raise MemoryBudgetError(f"{what}: {nbytes} bytes, over the {DEFAULT_MEMORY_BUDGET}-byte budget")
 
 
-def allocate_state(n_qubits: int, budget: int | None = None) -> np.ndarray:
-    """Zeroed 2**n_qubits complex statevector, refused when over budget."""
-    budget = DEFAULT_MEMORY_BUDGET if budget is None else budget
-    if 16 << n_qubits > budget:
-        raise MemoryBudgetError(f"a {n_qubits}-qubit statevector needs {16 << n_qubits} bytes, "
-                                f"over the {budget}-byte budget")
+def allocate_state(n_qubits: int) -> np.ndarray:
+    """Zeroed 2**n_qubits complex statevector, charged as gates run over it:
+    APPLY_STATEVECTORS statevectors and _APPLY_BYTES."""
+    charge(16 * (APPLY_STATEVECTORS << n_qubits) + _APPLY_BYTES,
+           f"a {n_qubits}-qubit statevector and the gates run over it")
     return np.zeros(1 << n_qubits, dtype=np.complex128)
 
 
@@ -610,14 +613,13 @@ def apply(circuit: Circuit, state: np.ndarray) -> np.ndarray:
 
 def unitary_of(circuit: Circuit, n_qubits: int | None = None) -> np.ndarray:
     """Dense matrix of a small circuit from one apply over the flattened
-    identity, a 2n-qubit state whose top n qubits hold the column index."""
+    identity, a 2n-qubit allocate_state whose top n qubits hold the column index."""
     n = circuit.n_qubits if n_qubits is None else n_qubits
     if n < circuit.n_qubits:
         raise CircuitError(f"a {circuit.n_qubits}-qubit circuit has no {n}-qubit unitary")
-    if n > 14:
-        raise CircuitError(f"refusing a dense unitary on {n} qubits")
     dim = 1 << n
-    state = np.eye(dim, dtype=np.complex128).reshape(-1)
+    state = allocate_state(2 * n)
+    state[:: dim + 1] = 1.0
     return apply(circuit, state).reshape(dim, dim).T
 
 

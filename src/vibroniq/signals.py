@@ -29,7 +29,8 @@ class SpectrumSeries:
             raise SignalError("energies and intensities must align")
 
 
-def _check_damping(tau_fs: float) -> None:
+def check_damping(tau_fs: float) -> None:
+    """Raise SignalError unless the damping time tau_fs is positive."""
     if not tau_fs > 0.0:  # NaN fails too
         raise SignalError(f"damping time must be positive, got {tau_fs}")
 
@@ -66,7 +67,7 @@ def spectrum(
     dt = float(t[1] - t[0])
     if not np.allclose(np.diff(t), dt, rtol=0.0, atol=1e-9 * max(dt, 1.0)):
         raise SignalError("autocorrelation samples must be uniformly spaced")
-    _check_damping(tau_fs)
+    check_damping(tau_fs)
     if not 0.0 < hbar < math.inf:  # NaN fails too
         raise SignalError(f"hbar must be positive and finite, got {hbar}")
     energies, intensities, spacing = _spectra(t, autocorr.values[None], tau_fs, damp_d, hbar)
@@ -208,7 +209,7 @@ def check_scan(method: str, seeds, shot_grid=None, sustain: int = 5,
             raise SignalError(f"seeds must be non-negative integers, got {seed!r}")
     if sustain < 1:
         raise SignalError(f"sustain must be at least 1, got {sustain}")
-    _check_damping(tau_fs)
+    check_damping(tau_fs)
     return seeds, _shot_counts(default_shot_grid() if shot_grid is None else shot_grid)
 
 

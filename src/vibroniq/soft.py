@@ -137,8 +137,11 @@ class Plan:
     def __post_init__(self) -> None:
         if self.split_order not in SPLIT_ORDERS:
             raise kernels.CircuitError(f"unknown split order {self.split_order!r}")
-        kernels.check_budget(self.model.d, self.grid.n)
-        self.layout = QubitLayout(self.model.d, self.grid.n)
+        d, n = self.model.d, self.grid.n
+        kernels.charge(kernels.run_bytes(d, n), f"a {d * n + 1}-qubit statevector needs {16 << d * n + 1} bytes and a "
+                       f"run holds {kernels.RUN_STATEVECTORS} of them and {kernels.RUN_OPERATORS * (d + 1)} "
+                       f"dense {n + 1}-qubit operators")
+        self.layout = QubitLayout(d, n)
 
     @property
     def halves(self) -> int:

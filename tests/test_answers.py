@@ -13,7 +13,9 @@ Regenerate the file from the tree this runs in with
 and state in the change's record the largest move it reports.
 """
 
+import importlib.util
 import json
+import time
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +50,36 @@ def test_the_production_answers_stay_where_they_are_pinned(prod_run, prod_run_10
     moves = largest_moves(got, json.loads(ANSWERS.read_text()))
     print("largest move per series: " + ", ".join(f"{k} {v:.3g}" for k, v in moves.items()))
     assert max(moves.values()) <= TOLERANCE, moves
+
+
+def _answers_tool():
+    """tools/answers.py, the comparison of two revisions' answers, as a module."""
+    spec = importlib.util.spec_from_file_location("answers_tool", ANSWERS.parents[1] / "tools" / "answers.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_answer_dump_runs_in_process_and_compares_item_by_item():
+    tool = _answers_tool()
+    start = time.perf_counter()
+    items = tool.dump(presets=("pyrazine-2mode",), ns=(3,))
+    assert time.perf_counter() - start < 1.0
+    # serialize; per split the export digest and, per engine, the program, the state and four series
+    assert len(items) == 1 + 2 * (1 + 2 * 6)
+    assert {verdict for _, verdict in tool.compare(items, items)} == {"bit-identical"}
+    key = "pyrazine-2mode n=3 kinetic-first soft"
+    changed = dict(items)
+    changed[f"{key} energy"] = items[f"{key} energy"] + 1e-9
+    changed[f"{key} program"] = [("phase", *op[1:]) for op in items[f"{key} program"]]
+    changed["pyrazine-2mode serialize"] += " "
+    del changed[f"{key} state"]
+    verdicts = dict(tool.compare(items, changed))
+    assert verdicts[f"{key} energy"].startswith("largest |Δ| 1e-09")
+    assert verdicts[f"{key} program"].startswith("kinds or shapes differ: [('turn'")
+    assert verdicts["pyrazine-2mode serialize"] == "differs"
+    assert verdicts[f"{key} state"] == "only in the parent"
+    assert verdicts[f"{key} autocorr"] == "bit-identical"
 
 
 if __name__ == "__main__":

@@ -415,8 +415,73 @@ def test_unitary_of_matches_column_by_column():
 
 
 def test_unitary_of_refuses_large_circuits():
-    with pytest.raises(CircuitError):
-        unitary_of(Circuit(15))
+    # the 15-qubit identity alone is 16 GiB: refused before any of it is allocated
+    tracemalloc.start()
+    try:
+        with pytest.raises(kernels.MemoryBudgetError, match="a 30-qubit statevector and the gates run over it"):
+            unitary_of(Circuit(15))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def _spy_charges(monkeypatch) -> list:
+    """The bytes of every kernels.charge call from here on, in order."""
+    charged, charge = [], kernels.charge
+
+    def spy(nbytes, what):
+        charged.append(nbytes)
+        charge(nbytes, what)
+
+    monkeypatch.setattr(kernels, "charge", spy)
+    return charged
+
+
+def _qpe_demo_step(n: int) -> Circuit:
+    """The step qpe-demo diagonalises: one uncoupled mode on n qubits and the electronic qubit."""
+    model = VibronicModel(modes=(ModeParams("nu", 0.0936, "B1g"),), lam=0.0, delta=0.0)
+    return build_timestep(model, GridSpec(n=n, q_min=-6.0, q_max=6.0), 1.0)
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_unitary_of_peaks_within_its_charge(n, monkeypatch):
+    step = _qpe_demo_step(n)
+    charged = _spy_charges(monkeypatch)
+    tracemalloc.start()
+    try:
+        u = unitary_of(step)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert u.shape == (2 << n, 2 << n) and len(charged) == 1
+    assert peak <= charged[0], peak / u.nbytes
+    # refused, with the budget one byte short, before the identity is allocated
+    monkeypatch.setattr(kernels, "DEFAULT_MEMORY_BUDGET", charged[0] - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(kernels.MemoryBudgetError, match=f"a {2 * n + 2}-qubit statevector"):
+            unitary_of(step)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < min(u.nbytes, 2**20)
+
+
+def test_run_qpe_peaks_within_its_charge(monkeypatch):
+    qpe = build_qpe(_qpe_demo_step(3), 6)
+    system = np.zeros(16, dtype=np.complex128)
+    system[1] = 1.0
+    run_qpe(qpe, system, shots=64, seed=3)  # first-call imports and caches are not the run's
+    charged = _spy_charges(monkeypatch)
+    tracemalloc.start()
+    try:
+        run_qpe(qpe, system, shots=64, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert charged == [16 * (kernels.APPLY_STATEVECTORS << 10) + kernels._APPLY_BYTES]
+    assert peak <= charged[0], peak / (16 << 10)
 
 
 def test_unitary_of_refuses_a_width_below_the_circuit():
@@ -751,8 +816,9 @@ def test_kinetic_first_step_matches_soft(split_gamma):
 def test_both_engines_charge_a_run_more_than_one_statevector(split, monkeypatch):
     model = pyrazine_2mode()
     one = 16 << (model.d * BOX3.n + 1)
-    monkeypatch.setattr(kernels, "DEFAULT_MEMORY_BUDGET", 2 * one)
-    kernels.allocate_state(model.d * BOX3.n + 1)  # one statevector fits
+    # one statevector, with the gates run over it, fits
+    monkeypatch.setattr(kernels, "DEFAULT_MEMORY_BUDGET", kernels.APPLY_STATEVECTORS * one + kernels._APPLY_BYTES)
+    kernels.allocate_state(model.d * BOX3.n + 1)
     tg = TimeGrid(dt=0.13, n_steps=4, sample_stride=2)
     message = f"a 7-qubit statevector needs {one} bytes and a run holds"
     with pytest.raises(kernels.MemoryBudgetError, match=message):

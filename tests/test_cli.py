@@ -146,6 +146,34 @@ def test_shots_scan_rejects_bad_scan_inputs_before_the_engine_runs(flags, tmp_pa
     assert not (tmp_path / "shots_scan.csv").exists()
 
 
+# (command and flags, memory budget or None for the default): each is refused
+# before the engine runs, and qpe-demo before the step's unitary is built
+REFUSALS = [
+    (["spectrum", "--tau-fs", "nan"], None), (["spectrum", "--tau-fs", "0"], None),
+    (["shots-scan", "--seed", "-1"], None), (["shots-scan", "--n-seeds", "0"], None),
+    (["shots-scan", "--tau-fs", "0"], None), (["shots-scan", "--tau-fs", "nan"], None),
+    (["qpe-demo", "--seed", "-1"], None), (["qpe-demo", "--shots", "-5"], None),
+    (["qpe-demo", "--m-bits", "40"], None),
+    # a 7-qubit step: its dense unitary and eigendecomposition take 1.25 MiB
+    (["qpe-demo", "--n", "6", "--m-bits", "2"], 2**20),
+]
+
+
+@pytest.mark.parametrize("flags, budget", REFUSALS, ids=[" ".join(f) for f, _ in REFUSALS])
+def test_every_refusal_comes_before_any_work(flags, budget, tmp_path, capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        pytest.fail("work started before the inputs were refused")
+
+    for name in ("vibroniq.cli._run_engine", "vibroniq.kernels.unitary_of",
+                 "vibroniq.circuits.unitary_of", "numpy.linalg.eig"):
+        monkeypatch.setattr(name, no_work)
+    if budget is not None:
+        monkeypatch.setattr("vibroniq.kernels.DEFAULT_MEMORY_BUDGET", budget)
+    assert main([*flags, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not list(tmp_path.iterdir())
+
+
 def test_resources_single_row(tmp_path):
     args = ["resources", "--model-class", "4d", "--n", "4", "--nt", "512",
             "--variant", "A", "--out", str(tmp_path)]

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from vibroniq import kernels
 from vibroniq.kernels import (
@@ -18,6 +20,7 @@ from vibroniq.kernels import (
     apply_phase,
     apply_swap,
     fold_turns,
+    merge_phases,
     phase_op,
     register_op,
     turn_ops,
@@ -36,8 +39,29 @@ def test_allocate_state():
     assert np.all(s == 0)
     with pytest.raises(MemoryBudgetError):
         allocate_state(40)
-    with pytest.raises(MemoryBudgetError):
-        allocate_state(10, budget=100)
+
+
+def test_charge_refuses_only_a_request_over_the_budget(monkeypatch):
+    monkeypatch.setattr(kernels, "DEFAULT_MEMORY_BUDGET", 1000)
+    kernels.charge(1000, "a request at the budget")
+    with pytest.raises(MemoryBudgetError, match="^a request: 1001 bytes, over the 1000-byte budget$"):
+        kernels.charge(1001, "a request")
+
+
+def test_a_state_just_over_the_budget_is_refused_before_it_is_allocated(monkeypatch):
+    # a 16-qubit state is 1 MiB; its charge adds the temporaries of the gates run over it
+    need = 16 * (kernels.APPLY_STATEVECTORS << 16) + kernels._APPLY_BYTES
+    monkeypatch.setattr(kernels, "DEFAULT_MEMORY_BUDGET", need)
+    assert allocate_state(16).size == 1 << 16
+    monkeypatch.setattr(kernels, "DEFAULT_MEMORY_BUDGET", need - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(MemoryBudgetError, match="a 16-qubit statevector and the gates run over it"):
+            allocate_state(16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_x_gate_flips_the_low_bit():
@@ -468,3 +492,123 @@ def test_fold_rejects_operations_off_the_last_block(d, rng):
     small = (good[0], good[1], random_unitary(1 << n, rng))
     with pytest.raises(CircuitError, match="operand"):
         fold_turns(good, chain, small)
+
+
+# Properties of the executor, over generated operations. Each example draws a
+# seed for its operands and states; the shapes come from the strategies.
+
+
+def _seeded(draw) -> np.random.Generator:
+    return np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+
+def _operation(kind: str, support, rng) -> tuple:
+    """A phase table or a dense unitary on the ascending support, with random operands."""
+    if kind == "phase":
+        return phase_op(support, np.exp(1j * rng.normal(size=1 << len(support))))
+    return register_op(support, random_unitary(1 << len(support), rng))
+
+
+@st.composite
+def _supports(draw, n_qubits: int, contiguous: bool = False):
+    """An ascending support of 1-3 qubits out of n_qubits; one block if contiguous."""
+    size = draw(st.integers(1, min(3, n_qubits)))
+    if contiguous:
+        low = draw(st.integers(0, n_qubits - size))
+        return list(range(low, low + size))
+    return sorted(draw(st.lists(st.integers(0, n_qubits - 1), min_size=size, max_size=size, unique=True)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_merge_phases_equals_the_plain_product_of_its_tables(data):
+    n = data.draw(st.integers(1, 7))
+    rng = _seeded(data.draw)
+    parts = []
+    for support in data.draw(st.lists(_supports(n), min_size=1, max_size=6)):
+        parts.append((support, True, np.exp(1j * rng.normal(size=1 << len(support)))))
+    ops = merge_phases(parts, n)
+    assert len(ops) == 1 and ops[0][1] == "phase"
+    index = np.arange(1 << n)
+    plain = np.ones(1 << n, dtype=np.complex128)
+    for support, _, table in parts:  # bit j of a table's index is qubit support[j]
+        plain *= table[sum(((index >> q) & 1) << j for j, q in enumerate(support))]
+    state = random_state(n, rng)
+    want = plain * state
+    assert np.max(np.abs(Program(n, ops).run(state) - want)) < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.sampled_from(["phase", "dense"]),
+       st.sampled_from(["phase", "dense"]), st.integers(0, 2), st.integers(0, 2**32 - 1))
+def test_fold_turns_equals_the_unfolded_run(d, n, before, after, extra, seed):
+    rng = np.random.default_rng(seed)
+    chain = turn_ops([random_unitary(1 << n, rng) for _ in range(d)])
+    ends = [_operation(kind, list(_block(d, n)), rng) for kind in (before, after)]
+    plain = random_state(d * n + 1 + extra, rng)
+    folded = plain.copy()
+    Program(d * n + 1, [ends[0], *chain, ends[1]]).run(plain)
+    Program(d * n + 1, fold_turns(ends[0], chain, ends[1])).run(folded)
+    assert np.max(np.abs(folded - plain)) < 1e-12
+
+
+@st.composite
+def _stepped_programs(draw):
+    """(n_qubits, program ops, halves, rng): head and tail share kinds and
+    views, with different operands. Either end is one phase or one-block
+    dense operation, two such on disjoint blocks, or a turn_ops chain over
+    d registers; the body is 0-3 operations of any kind on any support."""
+    rng = _seeded(draw)
+    form = draw(st.sampled_from(["one", "two", "chain"]))
+    if form == "chain":
+        d, n = draw(st.integers(2, 3)), draw(st.integers(1, 2))
+        n_qubits = d * n + 1
+        head, tail = (turn_ops([random_unitary(1 << n, rng) for _ in range(d)]) for _ in range(2))
+    else:
+        n_qubits = draw(st.integers(2, 7))
+        cut = draw(st.integers(1, n_qubits - 1))
+        blocks = [range(draw(st.integers(0, cut - 1)), cut), range(cut, draw(st.integers(cut + 1, n_qubits)))]
+        if form == "one":
+            blocks = [draw(st.sampled_from(blocks))]
+        kinds = [draw(st.sampled_from(["phase", "dense"])) for _ in blocks]
+        head, tail = ([_operation(k, list(b), rng) for k, b in zip(kinds, blocks)] for _ in range(2))
+    body = [_operation(draw(st.sampled_from(["phase", "dense"])), draw(_supports(n_qubits)), rng)
+            for _ in range(draw(st.integers(0, 3)))]
+    return n_qubits, head + body + tail, len(head), rng
+
+
+@settings(max_examples=40, deadline=None)
+@given(_stepped_programs(), st.integers(0, 1))
+def test_stepper_over_k_steps_equals_k_runs(case, extra):
+    n_qubits, ops, halves, rng = case
+    program = Program(n_qubits, ops)
+    advance = program.stepper(halves)
+    for k in range(5):
+        plain = random_state(n_qubits + extra, rng)
+        merged = plain.copy()
+        for _ in range(k):
+            program.run(plain)
+        assert advance(merged, k) is merged
+        assert np.max(np.abs(merged - plain)) <= 1e-12 * max(k, 1), k
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_a_head_and_tail_that_cannot_merge_raise_on_the_first_bridged_call(data):
+    n = data.draw(st.integers(2, 6))
+    rng = _seeded(data.draw)
+    ends = [_operation(data.draw(st.sampled_from(["phase", "dense"])), data.draw(_supports(n)), rng)
+            for _ in range(2)]
+    assume("gather" in (ends[0][1], ends[1][1]) or ends[0][:2] != ends[1][:2])
+    body = _operation("dense", data.draw(_supports(n)), rng)
+    program = Program(n, [ends[0], body, ends[1]])
+    advance = program.stepper(1)
+    state = random_state(n, rng)
+    plain = state.copy()
+    for k in (0, 1):  # no bridge yet
+        advance(state, k)
+        for _ in range(k):
+            program.run(plain)
+    assert np.max(np.abs(state - plain)) < 1e-12
+    with pytest.raises(CircuitError, match="cannot merge"):
+        advance(state, data.draw(st.integers(2, 4)))

@@ -10,6 +10,7 @@ import vibroniq
 
 SOURCES = sorted(pathlib.Path(vibroniq.__file__).parent.glob("*.py"))
 VBENCH = sorted((pathlib.Path(__file__).parents[1] / "vbench").glob("*.py"))
+TOOLS = sorted((pathlib.Path(__file__).parents[1] / "tools").glob("*.py"))
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
@@ -54,12 +55,12 @@ def _dotted(node: ast.AST) -> tuple[str | None, list]:
 def test_every_package_name_the_benchmark_reads_resolves():
     """vbench/ is frozen: the benchmark runs its files as they are, so a
     change that drops or renames a name they use fails the benchmark run,
-    not Tier-1. This reads only vbench's sources, parsed and not run: every
-    attribute they read off a package module or name resolves, and each
-    direct call binds its keywords (and its count of positional arguments)
-    to the callee's signature."""
+    not Tier-1; the scripts under tools/ run outside Tier-1 too. This reads
+    only their sources, parsed and not run: every attribute they read off a
+    package module or name resolves, and each direct call binds its keywords
+    (and its count of positional arguments) to the callee's signature."""
     missing, keywords, n_refs = [], set(), 0
-    for source in VBENCH:
+    for source in VBENCH + TOOLS:
         tree = ast.parse(source.read_text(), str(source))
         bound, unbound = _bound_names(tree)
         missing += unbound
@@ -92,7 +93,8 @@ def test_every_package_name_the_benchmark_reads_resolves():
     assert not missing
     # the scan sees the calls it is there for
     assert n_refs >= 30
-    assert {("circuits.wavepacket_to_state", "n_extra"), ("circuits.QubitLayout", "ancilla")} <= keywords
+    assert {("circuits.wavepacket_to_state", "n_extra"), ("circuits.QubitLayout", "ancilla"),
+            ("soft.propagate", "observers")} <= keywords
 
 
 def test_every_span_name_the_tracer_reads_resolves():
