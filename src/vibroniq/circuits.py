@@ -31,7 +31,8 @@ so the state stays in the position basis, and the stepper merges the walled
 register matrices of two steps position by position. The interferometer
 readout (hadamard_series) runs no state of its own: its ancilla-controlled
 step acts as the plain step on the ancilla-set half, so it reads A(t) from
-circuit_propagate's autocorrelation.
+soft.autocorrelation of the CircuitPlan, which propagates half the steps
+for a potential-first (symmetric) step.
 """
 from __future__ import annotations
 
@@ -570,15 +571,17 @@ def hadamard_series(
     reads 0 with P(0) = (1 + Re A)/2, and with one S gate before the last H,
     P(0) = (1 - Im A)/2. With the ancilla on the top qubit, the controlled
     step is the plain step on the half of the state where the ancilla is set,
-    so the interferometer's A(t) is circuit_propagate's autocorrelation, the
-    "exact" series here. For kinetic-first, circuit_propagate runs the step
-    between its QFT walls, which is conjugate to the held step, so A(t) is
-    the same. With shots, "sampled" adds the binomial shot noise of
-    signals.sample_autocorr to it.
+    so the interferometer's A(t) is the CircuitPlan's autocorrelation, the
+    "exact" series here, read by soft.autocorrelation: half the steps for
+    potential-first, whose step is symmetric, and circuit_propagate's series
+    for kinetic-first. That plan runs the step between its QFT walls, which
+    is conjugate to the held step, so A(t) is the same. With shots,
+    "sampled" adds the binomial shot noise of signals.sample_autocorr to it.
     """
     signals.check_seed(seed)
     signals.check_shots(shots)
-    ac = circuit_propagate(model, grid, time_grid, split_order, observers=("autocorr",))["autocorr"]
+    plan = CircuitPlan(model, grid, time_grid.dt, split_order)
+    ac = _soft.autocorrelation(plan, initial_state(model, grid), time_grid)
     out = {"times": ac.times, "exact": ac.values}
     if shots:
         out["sampled"] = signals.sample_autocorr(ac, shots, seed).values

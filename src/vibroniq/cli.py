@@ -74,10 +74,15 @@ def cmd_zpe_scan(args) -> int:
 
 
 def _run_engine(args, model, engine, observers=soft.DEFAULT_OBSERVERS) -> dict:
+    """soft.propagate of the engine's plan; a run that observes only the
+    autocorrelation reads it from soft.autocorrelation (half the steps for a
+    potential-first split)."""
     grid = _grid_from_args(args)
     tg = TimeGrid(dt=_dt_from_args(args), n_steps=args.nt, sample_stride=args.stride)
     make = soft.PropagatorPlan if engine == "soft" else circuits.CircuitPlan
     plan = make(model, grid, tg.dt, args.split_order)
+    if tuple(observers) == ("autocorr",):
+        return {"autocorr": soft.autocorrelation(plan, initial_state(model, grid), tg)}
     return soft.propagate(plan, initial_state(model, grid), tg, observers=observers)
 
 
@@ -189,18 +194,27 @@ def cmd_qpe_demo(args) -> int:
     model = VibronicModel(modes=(ModeParams("nu", 0.0936, "B1g"),), lam=0.0, delta=0.0)
     grid = _grid_from_args(args)
     dt = TimeGrid(dt=_dt_from_args(args), n_steps=args.nt).dt
+    # the peak is unitary_of's (2.0-2.1 step matrices by RSS, 9- to 10-qubit
+    # steps), charged before the step is built as unitary_of charges it; the
+    # S2 block's copy and eigendecomposition, about 5 block matrices, come
+    # once the step is freed
+    q, size = grid.n + 1, grid.size
+    kernels.charge(16 * (kernels.APPLY_STATEVECTORS << 2 * q) + kernels._APPLY_BYTES,
+                   f"a dense {q}-qubit step and the eigendecomposition of its S2 block")
     step_circ = circuits.build_timestep(model, grid, dt)
     qpe_circ = circuits.build_qpe(step_circ, args.m_bits)
-    # the dense step and eig's copy, eigenvectors and workspace peak at 4.1-4.8
-    # matrices by RSS (9- to 11-qubit steps); 5 are charged
-    q = step_circ.n_qubits
-    kernels.charge(5 * (16 << 2 * q), f"a dense {q}-qubit step and its eigendecomposition")
-    _, v = np.linalg.eig(kernels.unitary_of(step_circ))
-    # pick the step eigenstate closest to the S2-branch grid ground state
-    target = np.zeros(1 << q, dtype=np.complex128)
-    target[grid.size : 2 * grid.size] = ground_gaussian(grid)
-    best = int(np.argmax(np.abs(v.conj().T @ target)))
-    probs = circuits.run_qpe(qpe_circ, v[:, best], shots=args.shots, seed=args.seed)["probs"]
+    u = kernels.unitary_of(step_circ)
+    # with lam = delta = 0 the step is two equal blocks, one per surface
+    if np.any(u[:size, size:]) or np.any(u[size:, :size]):
+        raise circuits.CircuitError("the single-mode step couples S1 and S2")
+    block = u[size:, size:].copy()
+    del u
+    _, v = np.linalg.eig(block)
+    # pick the S2 eigenstate closest to the grid ground state
+    best = int(np.argmax(np.abs(v.conj().T @ ground_gaussian(grid))))
+    eigenstate = np.zeros(1 << q, dtype=np.complex128)
+    eigenstate[size:] = v[:, best]
+    probs = circuits.run_qpe(qpe_circ, eigenstate, shots=args.shots, seed=args.seed)["probs"]
     rows = [(k, circuits.qpe_phase_to_energy(k / (1 << args.m_bits), dt, model.hbar), probs[k])
             for k in range(1 << args.m_bits)]
     top = int(np.argmax(probs))

@@ -37,6 +37,12 @@ opening half-step applied as one merged operation (Strang merging), so a
 block of k steps costs k - 1 half-steps fewer than k steps. A run holds
 what its observers read: one |a|^2 buffer, filled once per sample, and
 for autocorr the reference state.
+
+autocorrelation is the one entry for a readout that needs only A(t) (the
+spectrum, the shot scans, the Hadamard test). A potential-first step is
+symmetric (Plan.symmetric), so for a real psi0 it propagates half the steps,
+A(2 tau) = psi(tau)^T psi(tau), and keeps no reference state; any other run
+is propagate's.
 """
 from __future__ import annotations
 
@@ -155,6 +161,16 @@ class Plan:
         return not m.bilinear_off and (m.lam == 0.0 or m.coupling_mode == m.d - 1)
 
     @property
+    def symmetric(self) -> bool:
+        """Whether the step U is symmetric, U^T = U in the flat basis:
+        potential-first, whose step in both engines is the palindrome
+        D . C . K . C . D of symmetric factors (diagonal phases, a rotation
+        exp(-i theta X) per grid point, and kinetic propagators
+        F^dagger diag(exp(-i K_k t/hbar)) F with p^2 even in p). It follows
+        from the structure; a test pins it, nothing checks it at run time."""
+        return self.split_order == "potential-first"
+
+    @property
     def folds(self) -> bool:
         """Whether the step's coupling rotation folds into the kinetic
         chain's last turn: a potential-first step with a local coupling."""
@@ -192,13 +208,18 @@ class Plan:
 
     @functools.cached_property
     def p2(self) -> list:
-        [p2] = self._kinetic_matrices([0.5 * momentum_points(self.grid) ** 2])
+        # F^dagger (diag(p^2/2) F) as an inverse FFT along axis 0: two N x N matrices at once
+        p2 = np.fft.ifft(self._dft() * (0.5 * momentum_points(self.grid) ** 2)[:, None], axis=0, norm="ortho")
         return [kernels.register_op(self.layout.mode_qubits(k), p2) for k in range(self.model.d)]
+
+    def _dft(self) -> np.ndarray:
+        """F, the unitary DFT matrix of one mode register."""
+        return np.fft.fft(np.eye(self.grid.size), axis=0, norm="ortho")
 
     def _kinetic_matrices(self, diags: list) -> list:
         """F^dagger diag(x) F for each x in diags (momentum-diagonal operators
-        on one mode register in the position basis), F the unitary DFT matrix."""
-        dft = np.fft.fft(np.eye(self.grid.size), axis=0, norm="ortho")
+        on one mode register in the position basis)."""
+        dft = self._dft()
         dft_h = dft.conj().T
         return [dft_h @ (x[:, None] * dft) for x in diags]
 
@@ -337,6 +358,11 @@ def propagate(
         raise kernels.CircuitError(f"unknown observers {sorted(unknown)}; pick from {list(OBSERVERS)}")
     state = plan.layout.flat(psi0)
     del psi0  # a caller's temporary psi0 is freed: the run reads only the copy
+    return _propagate_flat(plan, state, time_grid, observers)
+
+
+def _propagate_flat(plan: Plan, state: np.ndarray, time_grid: TimeGrid, observers: tuple[str, ...]) -> dict:
+    """propagate's run from the flat state, which it advances in place."""
     advance = plan.program.stepper(plan.halves)
     rows: dict = {name: [] for name in OBSERVERS if name in observers}
     ref = state.copy() if "autocorr" in rows else None
@@ -369,6 +395,36 @@ def propagate(
     out = {name: series[name](r) for name, r in rows.items()}
     out["state"] = plan.layout.position(state)
     return out
+
+
+def autocorrelation(plan: Plan, psi0: Wavepacket, time_grid: TimeGrid) -> AutocorrSeries:
+    """A(t) = <psi0|U^t|psi0> at the sample steps of time_grid, as
+    propagate(plan, psi0, time_grid, ("autocorr",)) records it.
+
+    For a real psi0 and a symmetric step (Plan.symmetric),
+    A(2 tau) = psi(tau)^T psi(tau) and A(2 tau + 1) = psi(tau)^T psi(tau + 1),
+    psi(tau) = U^tau psi0 (Engel, Chem. Phys. Lett. 189, 76 (1992); Beck et
+    al., Phys. Rep. 324, 1 (2000)), so half the steps are enough: one state
+    advances to floor(t/2) for each sample t, an odd t advances a copy one
+    step further, and that copy is the state from then on. No reference copy
+    is kept. Any other plan or psi0 takes propagate's path.
+    """
+    state = plan.layout.flat(psi0)
+    del psi0  # as in propagate: a caller's temporary psi0 is freed
+    if not plan.symmetric or np.any(state.imag):
+        return _propagate_flat(plan, state, time_grid, ("autocorr",))["autocorr"]
+    advance = plan.program.stepper(plan.halves)
+    at, values = 0, []
+    for t in time_grid.sample_steps():
+        advance(state, t // 2 - at)
+        at = t // 2
+        if t % 2:
+            nxt = advance(state.copy(), 1)
+            values.append(state @ nxt)
+            state, at = nxt, at + 1
+        else:
+            values.append(state @ state)
+    return AutocorrSeries(time_grid.sample_times(), np.array(values, dtype=np.complex128))
 
 
 def zpe(model: VibronicModel, grid: GridSpec) -> float:

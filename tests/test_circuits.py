@@ -1287,7 +1287,12 @@ def test_hadamard_test_probabilities(split):
     series = hadamard_series(model, grid, tg, split)
     assert np.allclose(series["times"], reference.times)
     assert np.max(np.abs(series["exact"] - reference.values)) < 1e-10
-    circuit = circuit_propagate(model, grid, tg, split, observers=("autocorr",))["autocorr"]
+    # the series is soft.autocorrelation's: potential-first half the steps,
+    # kinetic-first circuit_propagate's autocorrelation
+    if split == "potential-first":
+        circuit = soft.autocorrelation(CircuitPlan(model, grid, tg.dt, split), initial_state(model, grid), tg)
+    else:
+        circuit = circuit_propagate(model, grid, tg, split, observers=("autocorr",))["autocorr"]
     assert np.array_equal(series["exact"], circuit.values)
 
 
@@ -1303,7 +1308,7 @@ def test_hadamard_series_rejects_a_bad_seed_before_propagating(monkeypatch):
     def not_run(*args, **kwargs):
         raise AssertionError("the series was propagated before the seed was checked")
 
-    monkeypatch.setattr(circuits, "circuit_propagate", not_run)
+    monkeypatch.setattr(circuits, "CircuitPlan", not_run)
     tg = TimeGrid(dt=0.5, n_steps=4, sample_stride=2)
     for seed in (-1, 1.5):
         with pytest.raises(SignalError, match=f"a Generator, got {seed}"):

@@ -6,8 +6,17 @@ import math
 import numpy as np
 import pytest
 
+from vibroniq import circuits, kernels
 from vibroniq.cli import main
-from vibroniq.model import HBAR_EV_FS, pyrazine_2mode, serialize
+from vibroniq.model import (
+    HBAR_EV_FS,
+    GridSpec,
+    ModeParams,
+    VibronicModel,
+    ground_gaussian,
+    pyrazine_2mode,
+    serialize,
+)
 
 
 def read_csv(path):
@@ -133,44 +142,45 @@ def test_shots_scan_prints_a_budget_below_the_grid_as_a_bound(tmp_path, capsys):
     assert not any(line.endswith("median shots 1000") for line in lines)
 
 
-@pytest.mark.parametrize("flags", [["--seed", "-1"], ["--n-seeds", "0"], ["--tau-fs", "0"],
-                                   ["--tau-fs", "nan"]])
-def test_shots_scan_rejects_bad_scan_inputs_before_the_engine_runs(flags, tmp_path, capsys,
-                                                                     monkeypatch):
-    def no_engine(*args, **kwargs):
-        pytest.fail("the engine ran before the scan inputs were checked")
-
-    monkeypatch.setattr("vibroniq.cli._run_engine", no_engine)
-    assert main(["shots-scan", *flags, "--out", str(tmp_path)]) == 1
-    assert capsys.readouterr().err.startswith("error: ")
-    assert not (tmp_path / "shots_scan.csv").exists()
-
-
-# (command and flags, memory budget or None for the default): each is refused
-# before the engine runs, and qpe-demo before the step's unitary is built
+# (command and flags, memory budget or None for the default, the start of the
+# error line; one that ends in a newline is the whole line): each is refused
+# before the engine runs and before the step's unitary is built, and all but
+# the readout register's charge, which counts the built step's gates, before
+# the step is built
 REFUSALS = [
-    (["spectrum", "--tau-fs", "nan"], None), (["spectrum", "--tau-fs", "0"], None),
-    (["shots-scan", "--seed", "-1"], None), (["shots-scan", "--n-seeds", "0"], None),
-    (["shots-scan", "--tau-fs", "0"], None), (["shots-scan", "--tau-fs", "nan"], None),
-    (["qpe-demo", "--seed", "-1"], None), (["qpe-demo", "--shots", "-5"], None),
-    (["qpe-demo", "--m-bits", "40"], None),
-    # a 7-qubit step: its dense unitary and eigendecomposition take 1.25 MiB
-    (["qpe-demo", "--n", "6", "--m-bits", "2"], 2**20),
+    (["spectrum", "--tau-fs", "nan"], None, "damping time must be positive, got nan\n"),
+    (["spectrum", "--tau-fs", "0"], None, "damping time must be positive, got 0.0\n"),
+    (["shots-scan", "--seed", "-1"], None, "seeds must be non-negative integers, got -1\n"),
+    (["shots-scan", "--n-seeds", "0"], None, "need at least one seed\n"),
+    (["shots-scan", "--tau-fs", "0"], None, "damping time must be positive, got 0.0\n"),
+    (["shots-scan", "--tau-fs", "nan"], None, "damping time must be positive, got nan\n"),
+    (["qpe-demo", "--seed", "-1"], None,
+     "seed must be None, a non-negative integer or a Generator, got -1\n"),
+    (["qpe-demo", "--seed", "-7"], None,
+     "seed must be None, a non-negative integer or a Generator, got -7\n"),
+    (["qpe-demo", "--shots", "-5"], None, "shots must be positive, got -5\n"),
+    (["qpe-demo", "--m-bits", "40"], None, "40-bit phase estimation: its 2^40 - 1 controlled steps"),
+    # a 7-qubit step: unitary_of's charge of it, 0.75 MiB, over half a MiB
+    (["qpe-demo", "--n", "6", "--m-bits", "2"], 2**19, "a dense 7-qubit step and the eigendecomposition"),
 ]
+STEP_BUILT = {"qpe-demo --m-bits 40"}
 
 
-@pytest.mark.parametrize("flags, budget", REFUSALS, ids=[" ".join(f) for f, _ in REFUSALS])
-def test_every_refusal_comes_before_any_work(flags, budget, tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("flags, budget, message", REFUSALS, ids=[" ".join(f) for f, _, _ in REFUSALS])
+def test_every_refusal_comes_before_any_work(flags, budget, message, tmp_path, capsys, monkeypatch):
     def no_work(*args, **kwargs):
         pytest.fail("work started before the inputs were refused")
 
-    for name in ("vibroniq.cli._run_engine", "vibroniq.kernels.unitary_of",
-                 "vibroniq.circuits.unitary_of", "numpy.linalg.eig"):
+    names = ["vibroniq.cli._run_engine", "vibroniq.kernels.unitary_of",
+             "vibroniq.circuits.unitary_of", "numpy.linalg.eig"]
+    if " ".join(flags) not in STEP_BUILT:
+        names.append("vibroniq.circuits.build_timestep")
+    for name in names:
         monkeypatch.setattr(name, no_work)
     if budget is not None:
         monkeypatch.setattr("vibroniq.kernels.DEFAULT_MEMORY_BUDGET", budget)
     assert main([*flags, "--out", str(tmp_path)]) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    assert capsys.readouterr().err.startswith(f"error: {message}")
     assert not list(tmp_path.iterdir())
 
 
@@ -210,6 +220,30 @@ def test_qpe_demo(tmp_path, capsys):
     top = int(np.argmax(probs))
     assert probs[top] >= 4 / math.pi**2
     assert "top bin" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_qpe_demo_reads_one_block_as_the_full_step(n, tmp_path):
+    # the full-matrix path: eig of the whole two-surface step, the eigenvector
+    # closest to the S2 ground packet
+    model = VibronicModel(modes=(ModeParams("nu", 0.0936, "B1g"),), lam=0.0, delta=0.0)
+    grid = GridSpec(n=n, q_min=-6.0, q_max=6.0)
+    step = circuits.build_timestep(model, grid, 1.0)
+    _, v = np.linalg.eig(kernels.unitary_of(step))
+    target = np.zeros(2 * grid.size)
+    target[grid.size:] = ground_gaussian(grid)
+    best = v[:, int(np.argmax(np.abs(v.conj().T @ target)))]
+    want = circuits.run_qpe(circuits.build_qpe(step, 6), best)["probs"]
+    assert main(["qpe-demo", "--n", str(n), "--out", str(tmp_path)]) == 0
+    _, rows = read_csv(tmp_path / "qpe_demo.csv")
+    assert np.max(np.abs(np.array([float(r[2]) for r in rows]) - want)) < 1e-12
+
+
+def test_qpe_demo_refuses_a_step_that_couples_the_surfaces(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("vibroniq.kernels.unitary_of", lambda circ: np.ones((16, 16), dtype=complex))
+    assert main(["qpe-demo", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "error: the single-mode step couples S1 and S2\n"
+    assert not list(tmp_path.iterdir())
 
 
 def test_verify_small(capsys):
@@ -278,19 +312,6 @@ def test_qpe_demo_checks_dt(total_fs, tmp_path, capsys):
     assert not (tmp_path / "qpe_demo.csv").exists()
 
 
-def test_qpe_demo_refuses_a_readout_register_over_budget(tmp_path, capsys):
-    assert main(["qpe-demo", "--m-bits", "40", "--out", str(tmp_path)]) == 1
-    assert capsys.readouterr().err.startswith("error: 40-bit phase estimation: its 2^40 - 1 controlled steps")
-    assert not (tmp_path / "qpe_demo.csv").exists()
-
-
-def test_a_nan_damping_time_is_a_clean_error(tmp_path, capsys):
-    args = ["spectrum", "--model", "pyrazine-2mode", "--nt", "32", "--stride", "1", "--n", "2"]
-    assert main([*args, "--tau-fs", "nan", "--out", str(tmp_path)]) == 1
-    assert capsys.readouterr().err == "error: damping time must be positive, got nan\n"
-    assert not (tmp_path / "spectrum.csv").exists()
-
-
 def test_a_model_file_with_zero_hbar_is_a_clean_error(tmp_path, capsys):
     data = json.loads(serialize(pyrazine_2mode()))
     data["hbar"] = 0
@@ -308,24 +329,6 @@ def test_a_model_file_with_a_non_numeric_frequency_is_a_clean_error(tmp_path, ca
     path.write_text(json.dumps(data))
     assert main(["propagate", "--model", str(path), "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err == "error: mode nu6a: omega must be a number, got 'fast'\n"
-
-
-def test_negative_qpe_shots_are_a_clean_error(tmp_path, capsys):
-    assert main(["qpe-demo", "--shots", "-5", "--out", str(tmp_path)]) == 1
-    assert capsys.readouterr().err == "error: shots must be positive, got -5\n"
-
-
-@pytest.mark.parametrize("seed", ["-1", "-7"])
-def test_a_bad_qpe_seed_is_a_clean_error_before_anything_is_built(seed, tmp_path, capsys,
-                                                                  monkeypatch):
-    def not_run(*args):
-        pytest.fail("the step was built before the seed was checked")
-
-    monkeypatch.setattr("vibroniq.circuits.build_timestep", not_run)
-    assert main(["qpe-demo", "--seed", seed, "--out", str(tmp_path)]) == 1
-    err = capsys.readouterr().err
-    assert err == f"error: seed must be None, a non-negative integer or a Generator, got {seed}\n"
-    assert not (tmp_path / "qpe_demo.csv").exists()
 
 
 def test_float_formatting_round_trips(tmp_path):

@@ -670,3 +670,93 @@ def test_a_run_with_energy_peaks_at_its_measured_size(kind, statevectors, observ
         tracemalloc.stop()
     one = 16 << (model.d * grid.n + 1)
     assert peak <= statevectors * one, peak / one
+
+
+# the half path: A(2 tau) = psi(tau)^T psi(tau) and A(2 tau + 1) =
+# psi(tau)^T psi(tau + 1) for a real psi0 and a symmetric step, over even and
+# odd step counts and strides that do not divide them
+@pytest.mark.parametrize("kind", list(PLANS))
+@pytest.mark.parametrize("name", ["pyrazine-2mode", "pyrazine-4d"])
+def test_autocorrelation_takes_half_the_steps_within_rounding(kind, name, monkeypatch):
+    model, grid = get_model(name), GridSpec(n=3, q_min=-5.0, q_max=5.0)
+    plan, psi0 = PLANS[kind](model, grid, 0.13), initial_state(model, grid)
+    assert plan.symmetric
+    steps = []
+    stepper = plan.program.stepper
+
+    def counted(halves):
+        advance = stepper(halves)
+        return lambda state, k: steps.append(k) or advance(state, k)
+
+    for n_steps, stride in ((40, 1), (41, 1), (40, 2), (37, 2), (36, 3), (35, 3), (64, 16), (61, 16)):
+        tg = TimeGrid(dt=plan.dt, n_steps=n_steps, sample_stride=stride)
+        want = propagate(plan, psi0, tg, observers=("autocorr",))["autocorr"]
+        steps.clear()
+        monkeypatch.setattr(plan.program, "stepper", counted)
+        got = soft.autocorrelation(plan, psi0, tg)
+        monkeypatch.undo()
+        assert np.array_equal(got.times, want.times)
+        assert np.max(np.abs(got.values - want.values)) < 1e-12
+        last = tg.sample_steps()[-1]
+        assert sum(steps) == (last + 1) // 2
+
+
+@pytest.mark.parametrize("kind", list(PLANS))
+def test_an_asymmetric_step_or_a_complex_state_takes_the_direct_path(kind, rng):
+    model, grid = pyrazine_2mode(), GridSpec(n=3, q_min=-5.0, q_max=5.0)
+    tg = TimeGrid(dt=0.13, n_steps=37, sample_stride=3)
+    for split, psi0 in (("kinetic-first", initial_state(model, grid)),
+                        ("potential-first", random_packet(model, grid, rng))):
+        plan = PLANS[kind](model, grid, tg.dt, split)
+        want = propagate(plan, psi0, tg, observers=("autocorr",))["autocorr"]
+        got = soft.autocorrelation(plan, psi0, tg)
+        assert np.array_equal(got.values, want.values) and np.array_equal(got.times, want.times)
+
+
+def asymmetry(plan, rng) -> float:
+    """max |y^T U x - x^T U y| / (|x| |y|) over seeded real vectors x, y."""
+    worst = 0.0
+    for _ in range(3):
+        x, y = rng.normal(size=(2, 2 << plan.layout.total - 1)).astype(np.complex128)
+        ux, uy = plan.program.run(x.copy()), plan.program.run(y.copy())
+        worst = max(worst, abs(y @ ux - x @ uy) / (np.linalg.norm(x) * np.linalg.norm(y)))
+    return worst
+
+
+# Plan.symmetric is read off the split order, not checked at run time: the
+# step it names symmetric is, in both engines, for every potential-first
+# preset and fold case, and kinetic-first is far from it
+@pytest.mark.parametrize("kind", list(PLANS))
+def test_a_symmetric_plan_has_a_symmetric_step(kind, rng):
+    grid = GridSpec(n=3, q_min=-4.0, q_max=4.0)
+    models = [pyrazine_2mode(), pyrazine_4d()]
+    models += [model for model, *kinds in FOLD_CASES.values() if kinds[list(PLANS).index(kind)] is not None]
+    for model in models:
+        plan = PLANS[kind](model, grid, 0.5)
+        assert plan.symmetric and asymmetry(plan, rng) <= 1e-14
+    for model in (pyrazine_2mode(), pyrazine_4d()):
+        plan = PLANS[kind](model, grid, 0.5, "kinetic-first")
+        assert not plan.symmetric and asymmetry(plan, rng) > 1e-8
+
+
+# after a first run has made the program scratch and the bridge, the half
+# path peaks a statevector below propagate, which keeps a reference copy,
+# and the direct path no higher than propagate: neither holds the caller's
+# psi0 while it runs
+@pytest.mark.parametrize("kind", list(PLANS))
+@pytest.mark.parametrize("split, stride", [("potential-first", 2), ("potential-first", 3), ("kinetic-first", 2)])
+def test_an_autocorrelation_readout_holds_no_extra_state(kind, split, stride):
+    model, grid = pyrazine_4d(), GridSpec(n=4, q_min=-5.0, q_max=5.0)
+    tg = TimeGrid(dt=0.13, n_steps=7, sample_stride=stride)
+    plan = PLANS[kind](model, grid, tg.dt, split)
+    peaks = []
+    for run in (lambda: propagate(plan, initial_state(model, grid), tg, observers=("autocorr",))["autocorr"],
+                lambda: soft.autocorrelation(plan, initial_state(model, grid), tg)):
+        run()
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1] / (16 << (model.d * grid.n + 1)))
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] - (0.99 if split == "potential-first" else -0.01), peaks
