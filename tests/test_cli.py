@@ -142,6 +142,19 @@ def test_shots_scan_prints_a_budget_below_the_grid_as_a_bound(tmp_path, capsys):
     assert not any(line.endswith("median shots 1000") for line in lines)
 
 
+@pytest.mark.parametrize("flags", [["--seed", "-1"], ["--n-seeds", "0"], ["--tau-fs", "0"],
+                                   ["--tau-fs", "nan"]])
+def test_shots_scan_rejects_bad_scan_inputs_before_the_engine_runs(flags, tmp_path, capsys,
+                                                                     monkeypatch):
+    def no_engine(*args, **kwargs):
+        pytest.fail("the engine ran before the scan inputs were checked")
+
+    monkeypatch.setattr("vibroniq.cli._run_engine", no_engine)
+    assert main(["shots-scan", *flags, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "shots_scan.csv").exists()
+
+
 # (command and flags, memory budget or None for the default, the start of the
 # error line; one that ends in a newline is the whole line): each is refused
 # before the engine runs and before the step's unitary is built, and all but
@@ -156,8 +169,6 @@ REFUSALS = [
     (["shots-scan", "--tau-fs", "nan"], None, "damping time must be positive, got nan\n"),
     (["qpe-demo", "--seed", "-1"], None,
      "seed must be None, a non-negative integer or a Generator, got -1\n"),
-    (["qpe-demo", "--seed", "-7"], None,
-     "seed must be None, a non-negative integer or a Generator, got -7\n"),
     (["qpe-demo", "--shots", "-5"], None, "shots must be positive, got -5\n"),
     (["qpe-demo", "--m-bits", "40"], None, "40-bit phase estimation: its 2^40 - 1 controlled steps"),
     # a 7-qubit step: unitary_of's charge of it, 0.75 MiB, over half a MiB
@@ -312,6 +323,19 @@ def test_qpe_demo_checks_dt(total_fs, tmp_path, capsys):
     assert not (tmp_path / "qpe_demo.csv").exists()
 
 
+def test_qpe_demo_refuses_a_readout_register_over_budget(tmp_path, capsys):
+    assert main(["qpe-demo", "--m-bits", "40", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: 40-bit phase estimation: its 2^40 - 1 controlled steps")
+    assert not (tmp_path / "qpe_demo.csv").exists()
+
+
+def test_a_nan_damping_time_is_a_clean_error(tmp_path, capsys):
+    args = ["spectrum", "--model", "pyrazine-2mode", "--nt", "32", "--stride", "1", "--n", "2"]
+    assert main([*args, "--tau-fs", "nan", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "error: damping time must be positive, got nan\n"
+    assert not (tmp_path / "spectrum.csv").exists()
+
+
 def test_a_model_file_with_zero_hbar_is_a_clean_error(tmp_path, capsys):
     data = json.loads(serialize(pyrazine_2mode()))
     data["hbar"] = 0
@@ -329,6 +353,24 @@ def test_a_model_file_with_a_non_numeric_frequency_is_a_clean_error(tmp_path, ca
     path.write_text(json.dumps(data))
     assert main(["propagate", "--model", str(path), "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err == "error: mode nu6a: omega must be a number, got 'fast'\n"
+
+
+def test_negative_qpe_shots_are_a_clean_error(tmp_path, capsys):
+    assert main(["qpe-demo", "--shots", "-5", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "error: shots must be positive, got -5\n"
+
+
+@pytest.mark.parametrize("seed", ["-1", "-7"])
+def test_a_bad_qpe_seed_is_a_clean_error_before_anything_is_built(seed, tmp_path, capsys,
+                                                                  monkeypatch):
+    def not_run(*args):
+        pytest.fail("the step was built before the seed was checked")
+
+    monkeypatch.setattr("vibroniq.circuits.build_timestep", not_run)
+    assert main(["qpe-demo", "--seed", seed, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: seed must be None, a non-negative integer or a Generator, got {seed}\n"
+    assert not (tmp_path / "qpe_demo.csv").exists()
 
 
 def test_float_formatting_round_trips(tmp_path):
