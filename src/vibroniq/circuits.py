@@ -22,10 +22,10 @@ kinetic-first UK/2) is built once and appended twice.
 
 Running: a CircuitPlan is a soft.Plan whose program is kernels.compile of
 the step, so soft.propagate, soft.step and soft.energy run it as they run
-the soft engine's plan. Where the coupling lives on the last mode register
-(soft.Plan.folds), the potential-first body's two matrices that border the
-kinetic chain fold into its last turn (kernels.fold_turns), so the step is
-a phase table, the chain and a phase table. A kinetic-first step is
+the soft engine's plan. Where the coupling lives on the last mode register,
+compile folds the potential-first body's two matrices that border the
+kinetic chain into its last turn (kernels.fold_turns), so the step is a
+phase table, the chain and a phase table. A kinetic-first step is
 compiled between its QFT walls, each joining the register run next to it,
 so the state stays in the position basis, and the stepper merges the walled
 register matrices of two steps position by position. The interferometer
@@ -504,9 +504,9 @@ def wavepacket_to_state(psi: Wavepacket, n_extra: int = 0) -> np.ndarray:
 
 @dataclass
 class CircuitPlan(_soft.Plan):
-    """The circuit engine's step, compiled once into the soft.Plan's
-    program. `step` is the compiled circuit, for kinetic-first the step
-    between its QFT walls, so the state stays in the position basis."""
+    """The circuit engine's step: `program` is kernels.compile of `step`,
+    the one circuit, for kinetic-first the step between its QFT walls, so
+    the state stays in the position basis."""
 
     step: Circuit = field(init=False, repr=False)
 
@@ -520,7 +520,7 @@ class CircuitPlan(_soft.Plan):
         _add_timestep(self.step, self.model, self.grid, self.dt, self.split_order, walls)
         if walled:
             _copy_to_registers(self.step, iqft, self.layout)
-        self.program = self._program(compile(self.step, self.layout).ops)
+        self.program = compile(self.step, self.layout)
 
 
 def circuit_propagate(

@@ -199,8 +199,7 @@ def cmd_qpe_demo(args) -> int:
     # S2 block's copy and eigendecomposition, about 5 block matrices, come
     # once the step is freed
     q, size = grid.n + 1, grid.size
-    kernels.charge(16 * (kernels.APPLY_STATEVECTORS << 2 * q) + kernels._APPLY_BYTES,
-                   f"a dense {q}-qubit step and the eigendecomposition of its S2 block")
+    kernels.charge(kernels.apply_bytes(2 * q), f"a dense {q}-qubit step and the eigendecomposition of its S2 block")
     step_circ = circuits.build_timestep(model, grid, dt)
     qpe_circ = circuits.build_qpe(step_circ, args.m_bits)
     u = kernels.unitary_of(step_circ)

@@ -50,7 +50,9 @@ greedily on at most n + 1 qubits (a mode register and the electronic
 qubit), one phase table per stretch of diagonal operations, multiplied
 smallest support first into the full-state table, the coupling rotation
 staying a matrix on the electronic qubit and its register. Gates that
-straddle registers take the greedy fuser too.
+straddle registers take the greedy fuser too. Operations on register d-1's
+block on both sides of a chain, as the potential-first coupling rotations,
+fold into the chain's last turn (fold_turns).
 
 Memory: every refusal comes from charge, the one comparison with the budget,
 which each code path calls with its measured peak before it allocates.
@@ -121,11 +123,15 @@ def charge(nbytes: int, what: str) -> None:
         raise MemoryBudgetError(f"{what}: {nbytes} bytes, over the {DEFAULT_MEMORY_BUDGET}-byte budget")
 
 
-def allocate_state(n_qubits: int) -> np.ndarray:
-    """Zeroed 2**n_qubits complex statevector, charged as gates run over it:
+def apply_bytes(n_qubits: int) -> int:
+    """The bytes gates running over an n_qubits state are charged:
     APPLY_STATEVECTORS statevectors and _APPLY_BYTES."""
-    charge(16 * (APPLY_STATEVECTORS << n_qubits) + _APPLY_BYTES,
-           f"a {n_qubits}-qubit statevector and the gates run over it")
+    return 16 * (APPLY_STATEVECTORS << n_qubits) + _APPLY_BYTES
+
+
+def allocate_state(n_qubits: int) -> np.ndarray:
+    """Zeroed 2**n_qubits complex statevector, charged apply_bytes as gates run over it."""
+    charge(apply_bytes(n_qubits), f"a {n_qubits}-qubit statevector and the gates run over it")
     return np.zeros(1 << n_qubits, dtype=np.complex128)
 
 
@@ -640,7 +646,12 @@ def compile(circuit: Circuit, layout) -> Program:
     and the electronic qubit) one operation on that support, gates never
     reordered and a wider gate an operation of its own. Each stretch of
     consecutive phase operations this yields is multiplied into one phase
-    table over the whole state (merge_phases)."""
+    table over the whole state (merge_phases).
+
+    Then a chain of d turns with an operation on each side whose view is
+    layout.block_qubits(d - 1)'s (register d-1 and the electronic qubit)
+    takes the two into its last turn (fold_turns); with one on one side
+    only, or one register (no turn), the operations stay as they are."""
     n = layout.n
     d = min(layout.d, circuit.n_qubits // n)  # the registers the circuit holds whole
     owner = [q // n if q < n * d else None for q in range(circuit.n_qubits)]
@@ -673,6 +684,13 @@ def compile(circuit: Circuit, layout) -> Program:
                 phase_op(sup, m) if diagonal else register_op(sup, m) for sup, diagonal, m in parts]
         else:
             ops += merge_phases(_fuse(_fuse_greedy([g for _, g in run], n + 1)), circuit.n_qubits)
+    if d > 1:
+        view, i = _support_shape(layout.block_qubits(d - 1))[0], 1
+        while i + d < len(ops):
+            chain = ops[i:i + d]
+            if ops[i - 1][0] == view == ops[i + d][0] and all(how == "turn" for _, how, _ in chain):
+                ops[i - 1:i + d + 1] = fold_turns(ops[i - 1], chain, ops[i + d])
+            i += 1
     return Program(circuit.n_qubits, ops)
 
 

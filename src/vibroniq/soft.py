@@ -5,8 +5,9 @@ both surfaces as one full-state phase table and then the coupling rotation
 exp(-i c(Q) X dt/hbar), and the kinetic phases. Where the coupling field
 lives on the last mode alone (both pyrazine models), the rotation is one
 dense operation on the last mode register and the electronic qubit, which
-a potential-first step folds into the kinetic chain's last turn
-(kernels.fold_turns), and the program has the circuit engine's operation
+PropagatorPlan folds potential-first into the kinetic chain's last turn
+where it builds the chain (kernels.fold_turns), as kernels.compile folds
+the circuit engine's, and the program has the circuit engine's operation
 kinds and shapes. Any other rotation is a full-state phase table between
 two Hadamards on the electronic qubit. The kinetic step applies,
 along each mode axis, that mode's DFT-conjugated phase matrix
@@ -27,16 +28,17 @@ coordinates that broadcast; a plan passes the grid axes. Summed they give
 the grid tables, and exp(-i V_s t/hbar) is the product of one exponential
 per mode (N points), per bilinear pair (N^2) and of the constant.
 
-Plan, the base of PropagatorPlan and circuits.CircuitPlan, holds all that
-propagate, step and energy read of a plan: the checked split order, the
-layout (model.QubitLayout, the flat-state basis of both engines), the
-compiled step, all a plan builds, and the grid terms of H, whose tables
-energy builds on its first read. propagate advances k steps between two
-samples as one block, each step's closing half-step and the next step's
-opening half-step applied as one merged operation (Strang merging), so a
-block of k steps costs k - 1 half-steps fewer than k steps. A run holds
-what its observers read: one |a|^2 buffer, filled once per sample, and
-for autocorr the reference state.
+Plan, the base of PropagatorPlan and circuits.CircuitPlan, holds only what
+both engines read: the checked split order, the memory charge, the layout
+(model.QubitLayout, the flat-state basis of both engines), the compiled
+step with its outer half-step and symmetry, and the grid terms of H, whose
+tables energy builds on its first read; each engine builds, and folds, its
+own step. propagate advances k steps between two samples as one block,
+each step's closing half-step and the next step's opening half-step
+applied as one merged operation (Strang merging), so a block of k steps
+costs k - 1 half-steps fewer than k steps. A run holds what its observers
+read: one |a|^2 buffer, filled once per sample, and for autocorr the
+reference state.
 
 autocorrelation is the one entry for a readout that needs only A(t) (the
 spectrum, the shot scans, the Hadamard test). A potential-first step is
@@ -154,13 +156,6 @@ class Plan:
         return 1 if self.split_order == "potential-first" else self.model.d
 
     @property
-    def local(self) -> bool:
-        """Whether the coupling field c(Q) lives on mode d-1 alone: no
-        off-diagonal bilinear term, and no linear coupling or one on mode d-1."""
-        m = self.model
-        return not m.bilinear_off and (m.lam == 0.0 or m.coupling_mode == m.d - 1)
-
-    @property
     def symmetric(self) -> bool:
         """Whether the step U is symmetric, U^T = U in the flat basis:
         potential-first, whose step in both engines is the palindrome
@@ -169,25 +164,6 @@ class Plan:
         F^dagger diag(exp(-i K_k t/hbar)) F with p^2 even in p). It follows
         from the structure; a test pins it, nothing checks it at run time."""
         return self.split_order == "potential-first"
-
-    @property
-    def folds(self) -> bool:
-        """Whether the step's coupling rotation folds into the kinetic
-        chain's last turn: a potential-first step with a local coupling."""
-        return self.split_order == "potential-first" and self.local
-
-    def _program(self, ops: list[tuple]) -> kernels.Program:
-        """The step's Program over the layout. Where the rotation folds and
-        the step is a half-step, a dense operation on the last register's
-        block, the d turns of the kinetic chain, a second such operation and
-        a half-step (the block operations: the rotation, in the circuit
-        engine fused with that register's diagonal phases),
-        kernels.fold_turns takes the two into the chain's last turn. The
-        outer half-steps stay as they are, so each bridge still pairs
-        same-shape operations."""
-        if self.folds and len(ops) == self.model.d + 4:
-            ops = [ops[0], *kernels.fold_turns(ops[1], ops[2:-2], ops[-2]), ops[-1]]
-        return kernels.Program(self.layout.total, ops)
 
     @functools.cached_property
     def _grid_terms(self) -> tuple[list, list, list]:
@@ -216,13 +192,6 @@ class Plan:
         """F, the unitary DFT matrix of one mode register."""
         return np.fft.fft(np.eye(self.grid.size), axis=0, norm="ortho")
 
-    def _kinetic_matrices(self, diags: list) -> list:
-        """F^dagger diag(x) F for each x in diags (momentum-diagonal operators
-        on one mode register in the position basis)."""
-        dft = self._dft()
-        dft_h = dft.conj().T
-        return [dft_h @ (x[:, None] * dft) for x in diags]
-
 
 class PropagatorPlan(Plan):
     """The soft engine's step: mode k's kinetic propagator
@@ -230,7 +199,7 @@ class PropagatorPlan(Plan):
     potential as the diagonal phases D, one full-state phase table, and the
     coupling rotation C = exp(-i c(Q) X t/hbar): potential-first D, C, the
     chain, C, D, kinetic-first the chain, D, C, the chain, as the circuit
-    engine compiles them. Where c(Q) lives on mode d-1 alone (Plan.local),
+    engine compiles them. Where c(Q) lives on mode d-1 alone (local),
     C is one 2x2 per grid point of register d-1, a dense operation on that
     register and the electronic qubit, which folds into the chain's last
     turn potential-first; no coupling, no C. Any other C is h, Z, h, as
@@ -241,13 +210,22 @@ class PropagatorPlan(Plan):
     one DFT matrix conjugates the kinetic propagators.
     """
 
+    @property
+    def local(self) -> bool:
+        """Whether the coupling field c(Q) lives on mode d-1 alone: no
+        off-diagonal bilinear term, and no linear coupling or one on mode d-1."""
+        m = self.model
+        return not m.bilinear_off and (m.lam == 0.0 or m.coupling_mode == m.d - 1)
+
     def __post_init__(self) -> None:
         super().__post_init__()
         hbar, d, layout = self.model.hbar, self.model.d, self.layout
         pot_first = self.split_order == "potential-first"
         pot_frac, kin_frac = (0.5, 1.0) if pot_first else (1.0, 0.5)
         kin_phase = -0.5j * momentum_points(self.grid) ** 2 * (kin_frac * self.dt / hbar)
-        kin = kernels.turn_ops(self._kinetic_matrices([np.exp(m.omega * kin_phase) for m in self.model.modes]))
+        dft = self._dft()
+        dft_h = dft.conj().T
+        kin = kernels.turn_ops([dft_h @ (np.exp(m.omega * kin_phase)[:, None] * dft) for m in self.model.modes])
         pot_t = pot_frac * self.dt / hbar
         # exp(-i V_s t/hbar) of S1 and S2: the halves of the phase table
         pot = np.empty((2,) + (self.grid.size,) * d, dtype=np.complex128)
@@ -266,9 +244,11 @@ class PropagatorPlan(Plan):
             theta = pot_t * coupling[0].reshape(-1)
             cos, sin = np.diag(np.cos(theta)), np.diag(-1j * np.sin(theta))
             rot = [kernels.register_op(layout.block_qubits(d - 1), np.block([[cos, sin], [sin, cos]]))]
+            if pot_first:  # C, the chain, C as one chain
+                kin, rot = kernels.fold_turns(rot[0], kin, rot[0]), []
         # potential-first, the two h of h, Z, h that border the chain cancel
-        self.program = self._program([*kin, phases, *rot, *kin] if not pot_first
-                                     else [phases, *rot[:2], *kin, *rot[-2:], phases])
+        ops = [*kin, phases, *rot, *kin] if not pot_first else [phases, *rot[:2], *kin, *rot[-2:], phases]
+        self.program = kernels.Program(layout.total, ops)
 
 
 def step(plan: Plan, psi: Wavepacket) -> Wavepacket:
@@ -405,23 +385,25 @@ def autocorrelation(plan: Plan, psi0: Wavepacket, time_grid: TimeGrid) -> Autoco
     A(2 tau) = psi(tau)^T psi(tau) and A(2 tau + 1) = psi(tau)^T psi(tau + 1),
     psi(tau) = U^tau psi0 (Engel, Chem. Phys. Lett. 189, 76 (1992); Beck et
     al., Phys. Rep. 324, 1 (2000)), so half the steps are enough: one state
-    advances to floor(t/2) for each sample t, an odd t advances a copy one
-    step further, and that copy is the state from then on. No reference copy
-    is kept. Any other plan or psi0 takes propagate's path.
+    advances to floor(t/2) for each sample t, an odd t advances a copy in
+    one spare buffer one step further, and the two swap roles. No reference
+    copy is kept. Any other plan or psi0 takes propagate's path.
     """
     state = plan.layout.flat(psi0)
     del psi0  # as in propagate: a caller's temporary psi0 is freed
     if not plan.symmetric or np.any(state.imag):
         return _propagate_flat(plan, state, time_grid, ("autocorr",))["autocorr"]
     advance = plan.program.stepper(plan.halves)
-    at, values = 0, []
+    at, values, spare = 0, [], None
     for t in time_grid.sample_steps():
         advance(state, t // 2 - at)
         at = t // 2
         if t % 2:
-            nxt = advance(state.copy(), 1)
-            values.append(state @ nxt)
-            state, at = nxt, at + 1
+            if spare is None:  # on the first odd sample: an even series holds one state
+                spare = np.empty_like(state)
+            spare[...] = state
+            values.append(state @ advance(spare, 1))
+            state, spare, at = spare, state, at + 1
         else:
             values.append(state @ state)
     return AutocorrSeries(time_grid.sample_times(), np.array(values, dtype=np.complex128))

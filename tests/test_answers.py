@@ -65,8 +65,9 @@ def test_the_answer_dump_runs_in_process_and_compares_item_by_item():
     start = time.perf_counter()
     items = tool.dump(presets=("pyrazine-2mode",), ns=(3,))
     assert time.perf_counter() - start < 1.0
-    # serialize; per split the export digest and, per engine, the program, the state and four series
-    assert len(items) == 1 + 2 * (1 + 2 * 6)
+    # serialize; per split the export digest and, per engine, the program,
+    # the state, four series and the stride-1 readout
+    assert len(items) == 1 + 2 * (1 + 2 * 7)
     assert {verdict for _, verdict in tool.compare(items, items)} == {"bit-identical"}
     key = "pyrazine-2mode n=3 kinetic-first soft"
     changed = dict(items)
@@ -80,6 +81,9 @@ def test_the_answer_dump_runs_in_process_and_compares_item_by_item():
     assert verdicts["pyrazine-2mode serialize"] == "differs"
     assert verdicts[f"{key} state"] == "only in the parent"
     assert verdicts[f"{key} autocorr"] == "bit-identical"
+    # an item the parent lacks, as a readout item at a parent without it
+    parent = {k: v for k, v in items.items() if k != f"{key} readout"}
+    assert dict(tool.compare(parent, items))[f"{key} readout"] == "only in the change"
 
 
 if __name__ == "__main__":

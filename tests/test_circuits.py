@@ -916,6 +916,32 @@ def gather_circuit():
     return c
 
 
+def _add_block_gates(c, theta):
+    """Gates on register 1 (qubits 2 and 3) and the electronic qubit 4 of
+    QubitLayout(2, 2), each touching qubit 4, so none joins a register run."""
+    c.add("RY", (4,), controls=((2, 1),), theta=theta)
+    c.add("RX", (3,), controls=((4, 0),), theta=-0.5 * theta)
+    c.add("H", (2,), controls=((4, 1),))
+    c.add("SWAP", (3, 4))
+
+
+def fold_circuit(before=True, after=True):
+    """A register run dense on both 2-qubit registers of QubitLayout(2, 2),
+    bordered by block gates on register 1 and the electronic qubit on the
+    sides asked for."""
+    c = Circuit(5)
+    if before:
+        _add_block_gates(c, 0.7)
+    c.add("H", (0,))
+    c.add("RY", (1,), controls=((0, 1),), theta=0.4)
+    c.add("RX", (2,), theta=-1.3)
+    c.add("H", (3,), controls=((2, 0),))
+    c.add("U1", (0,), theta=0.9)
+    if after:
+        _add_block_gates(c, -1.1)
+    return c
+
+
 ONE_MODE = VibronicModel(modes=(ModeParams("c", 0.0936, "B1g"),), lam=0.1825, delta=0.4617)
 BOX4 = GridSpec(n=4, q_min=-5.0, q_max=5.0, convention="periodic")
 BOX3 = GridSpec(n=3, q_min=-4.0, q_max=4.0)
@@ -940,6 +966,8 @@ COMPILED_CASES = {
     "one-register": lambda: plan_step(ONE_MODE, BOX3, 0.4),
     "narrow": lambda: (narrow_circuit(), QubitLayout(2, 3)),
     "gather": lambda: (gather_circuit(), QubitLayout(2, 2)),
+    "fold": lambda: (fold_circuit(), QubitLayout(2, 2)),
+    "fold-one-side": lambda: (fold_circuit(after=False), QubitLayout(2, 2)),
 }
 
 # the operation kinds of the cases that pin one path each
@@ -952,6 +980,11 @@ COMPILED_KINDS = {
     "narrow": ["right", "left"],
     # qubits 0, 2 and 4: three blocks
     "gather": ["gather"],
+    # the block operations on both sides of the chain fold into its last turn
+    "pyrazine-4d-potential-first": ["phase", "turn", "turn", "turn", "turn", "phase"],
+    "fold": ["turn", "turn"],
+    # a block operation on one side only stays as it is
+    "fold-one-side": ["left", "turn", "turn"],
 }
 
 
@@ -968,7 +1001,7 @@ def test_compiled_program_matches_apply(case):
     program = compile(circ, layout)
     assert export_gates(circ) == text
     if case == "pyrazine-4d-potential-first":
-        assert (circ.gate_count(), circ.depth(), len(program.ops)) == (370, 90, 8)
+        assert (circ.gate_count(), circ.depth(), len(program.ops)) == (370, 90, 6)
     if case == "random":
         # gates straddling registers take the greedy fuser, which alone
         # gathers blocks; every way of applying an operation is used
@@ -977,6 +1010,8 @@ def test_compiled_program_matches_apply(case):
         assert [how for _, how, _ in program.ops] == COMPILED_KINDS[case]
     if case == "gather":
         assert program.ops[0][0] == [-1, 2, 2, 2, 2, 2]
+    if case.startswith("fold"):  # the chain's last turn is 2 dim wide where it folds
+        assert [len(m) for _, how, m in program.ops if how == "turn"] == [4, 8 if case == "fold" else 4]
     # one qubit more than the circuit, as in the Hadamard test
     n_state = circ.n_qubits + (1 if case in ("random", "gather") else 0)
     plain = random_state(n_state, seed=5)

@@ -250,6 +250,30 @@ def test_qpe_demo_reads_one_block_as_the_full_step(n, tmp_path):
     assert np.max(np.abs(np.array([float(r[2]) for r in rows]) - want)) < 1e-12
 
 
+def test_qpe_demo_charges_before_the_build_what_unitary_of_then_charges(tmp_path, monkeypatch):
+    events, inside = [], []
+    charge, build, unitary_of = kernels.charge, circuits.build_timestep, kernels.unitary_of
+
+    def spy_charge(nbytes, what):
+        events.append(("unitary_of" if inside else "charge", nbytes))
+        charge(nbytes, what)
+
+    def spy_unitary_of(circuit):
+        inside.append(circuit)
+        try:
+            return unitary_of(circuit)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(kernels, "charge", spy_charge)
+    monkeypatch.setattr(kernels, "unitary_of", spy_unitary_of)
+    monkeypatch.setattr(circuits, "build_timestep", lambda *a: events.append(("build",)) or build(*a))
+    assert main(["qpe-demo", "--n", "4", "--out", str(tmp_path)]) == 0
+    step = [nbytes for kind, *nbytes in events if kind == "unitary_of"]
+    assert events[0][0] == "charge" and events[1] == ("build",)
+    assert step == [[events[0][1]]]
+
+
 def test_qpe_demo_refuses_a_step_that_couples_the_surfaces(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("vibroniq.kernels.unitary_of", lambda circ: np.ones((16, 16), dtype=complex))
     assert main(["qpe-demo", "--out", str(tmp_path)]) == 1

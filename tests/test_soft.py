@@ -548,7 +548,6 @@ def test_potential_first_step_folds_where_the_coupling_lives(case, engine, rng):
     assert [how for _, how, _ in ops] == kinds
     assert sum(how != "phase" and len(m[0] if how == "gather" else m) == 2 << grid.n
                for _, how, m in ops) == wide
-    assert plan.folds == (case not in ("bilinear", "b1g-first"))
     if engine == "soft":
         assert_potential_tables(plan)
     psi = random_packet(model, grid, rng)
@@ -699,6 +698,26 @@ def test_autocorrelation_takes_half_the_steps_within_rounding(kind, name, monkey
         assert np.max(np.abs(got.values - want.values)) < 1e-12
         last = tg.sample_steps()[-1]
         assert sum(steps) == (last + 1) // 2
+
+
+# every odd sample advances a copy one step further: the half path copies
+# into one spare buffer, which then swaps roles with the state, so a stride-1
+# series advances two buffers however many odd samples it has
+@pytest.mark.parametrize("kind", list(PLANS))
+def test_the_half_path_advances_one_spare_buffer(kind, monkeypatch):
+    model, grid = pyrazine_2mode(), GridSpec(n=3, q_min=-5.0, q_max=5.0)
+    tg = TimeGrid(dt=0.13, n_steps=41, sample_stride=1)
+    plan = PLANS[kind](model, grid, tg.dt)
+    buffers = []  # every buffer advanced, held so that no id is reused
+    stepper = plan.program.stepper
+
+    def spied(halves):
+        advance = stepper(halves)
+        return lambda state, k: buffers.append(state) or advance(state, k)
+
+    monkeypatch.setattr(plan.program, "stepper", spied)
+    soft.autocorrelation(plan, initial_state(model, grid), tg)
+    assert len(buffers) > 21 and len({id(b) for b in buffers}) <= 2
 
 
 @pytest.mark.parametrize("kind", list(PLANS))

@@ -10,6 +10,8 @@ temporary directory, in a child process with that copy on its path; without
   n = 3, 4, 5, both split orders and both engines;
 - the same runs' state after 64 steps of dt = 0.13 and the series of all
   four observers at stride 16;
+- soft.autocorrelation of the same plans over the 64 steps at stride 1,
+  which takes the half path (and its odd-sample swap) potential-first;
 - the sha256 of export_gates of each split's step circuit at each n, and
   serialize of both presets.
 
@@ -51,6 +53,7 @@ def dump(presets=PRESETS, ns=NS) -> dict:
     from vibroniq.model import GridSpec, TimeGrid, get_model, initial_state, serialize
 
     tg = TimeGrid(dt=DT, n_steps=STEPS, sample_stride=STRIDE)
+    readout = TimeGrid(dt=DT, n_steps=STEPS, sample_stride=1)
     items: dict = {}
     for name in presets:
         model = get_model(name)
@@ -70,6 +73,7 @@ def dump(presets=PRESETS, ns=NS) -> dict:
                     items[f"{key} population"] = np.stack([run["population"].p_s1, run["population"].p_s2])
                     items[f"{key} boundary"] = run["boundary"].per_mode
                     items[f"{key} energy"] = run["energy"].values
+                    items[f"{key} readout"] = soft.autocorrelation(plan, initial_state(model, grid), readout).values
     return items
 
 
