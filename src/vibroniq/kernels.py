@@ -18,11 +18,12 @@ transposing matmuls that applies one dense matrix per mode register, each
 as one GEMM; fold_turns widens the chain's last turn to take in the dense
 operations on register d-1 and the electronic qubit that border the chain,
 so a coupling rotation there costs no pass of its own. phase_tables
-computes the diagonals of controlled phases and merge_phases multiplies
-phase tables into one. Both engines' preset programs use phase, left and
-turn; "right" serves energy's p2 on register 0, one-register layouts and
-arbitrary circuits, and "gather" the circuit engine's bilinear steps, its
-coupling off the last mode and arbitrary circuits.
+computes the diagonals of controlled phases from their (mask, bits)
+integers and merge_phases multiplies phase tables into one. Both engines'
+preset programs use phase, left and turn; "right" serves energy's p2 on
+register 0, one-register layouts and arbitrary circuits, and "gather" the
+circuit engine's bilinear steps, its coupling off the last mode and
+arbitrary circuits.
 
 Circuits: a Circuit is a gate list over a fixed qubit count. Each gate has
 a layer id its builder declares, and depth(circuit) is the number of
@@ -42,17 +43,20 @@ Running: apply replays the gate list gate by gate and is the reference.
 compile turns a circuit into a few operations, each the unitary of its gates
 up to rounding: a stretch of diagonal gates (U1, S) sums its angles into one
 table, exponentiated once, and only the other gates run as kernels over the
-identity, as unitary_of runs them. It follows the commuting blocks of a time
-step on its qubit layout: one matrix per mode register for each run of
-register gates (QFT, UK, QFT'), run as one chain of transposing matmuls
-(turn_ops) when every register has one, and in each potential run, fused
-greedily on at most n + 1 qubits (a mode register and the electronic
-qubit), one phase table per stretch of diagonal operations, multiplied
-smallest support first into the full-state table, the coupling rotation
-staying a matrix on the electronic qubit and its register. Gates that
-straddle registers take the greedy fuser too. Operations on register d-1's
-block on both sides of a chain, as the potential-first coupling rotations,
-fold into the chain's last turn (fold_turns).
+identity, as unitary_of runs them, once per shape of run: runs that repeat
+one block, as the d register copies of a QFT wall, whatever their diagonal
+angles, run its gates once over a stack of their identities (_fuse). It
+follows the commuting blocks of a time step on its qubit layout: one matrix
+per mode register for each run of register gates (QFT, UK, QFT'), run as
+one chain of transposing matmuls (turn_ops) when every register has one,
+and in each potential run, fused greedily on at most n + 1 qubits (a mode
+register and the electronic qubit), one phase table per stretch of diagonal
+operations, multiplied smallest support first into the full-state table,
+the coupling rotation staying a matrix on the electronic qubit and its
+register. Gates that straddle registers take the greedy fuser too.
+Operations on register d-1's block on both sides of a chain, as the
+potential-first coupling rotations, fold into the chain's last turn
+(fold_turns).
 
 Memory: every refusal comes from charge, the one comparison with the budget,
 which each code path calls with its measured peak before it allocates.
@@ -73,7 +77,9 @@ DEFAULT_MEMORY_BUDGET = 4 * 2**30
 # tables and temporaries) and RUN_OPERATORS dense operators on n + 1 qubits
 # (a mode register and the electronic qubit) per mode register, which a plan
 # and its bridges hold, plus as many again for the working copies of
-# compile (the identity a fused run's gates run over)
+# compile: the stack of identities that one group of same-shaped runs runs
+# its gates over (_fuse), for the register runs at most 2d - 1 identities on
+# n qubits, and in every preset step no more than one (n + 1)-qubit operator
 RUN_STATEVECTORS = 12
 RUN_OPERATORS = 2
 # gates run over a state peak at APPLY_STATEVECTORS statevectors (the state and a 2x2
@@ -85,6 +91,8 @@ _APPLY_BYTES = 4096
 _GATE_BYTES = 144
 # complex128 amplitudes in one 64-byte cache line
 _LINE = 4
+# a turn's transpose of its view, by the view's rank: the first axis moves last
+_TURN_AXES = {k: (*range(1, k), 0) for k in (2, 3)}
 
 
 class MemoryBudgetError(MemoryError):
@@ -283,18 +291,11 @@ def fold_turns(before: tuple, chain: list[tuple], after: tuple) -> list[tuple]:
     return chain[:-1] + [([dim ** (d - 1), -1, 2 * dim], "turn", m)]
 
 
-def phase_tables(fixed, angles, starts, n_qubits: int) -> np.ndarray:
+def phase_tables(masks, angles, starts, n_qubits: int) -> np.ndarray:
     """exp(i times the summed angles) over the 2**n_qubits indices, one row
-    per stretch of (fixed, angle) pairs, the stretches beginning at `starts`:
-    a pair adds its angle where the index's bits match every (qubit, bit) in
-    its fixed list. One vectorised match serves every row."""
-    masks = []
-    for pairs in fixed:
-        mask = bits = 0
-        for q, b in pairs:
-            mask |= 1 << q
-            bits |= b << q
-        masks.append((mask, bits))
+    per stretch of (mask, bits) and angle pairs, the stretches beginning at
+    `starts`: a pair adds its angle where the index's bits under the integer
+    mask equal `bits`. One vectorised match serves every row."""
     masks = np.array(masks)
     match = (np.arange(1 << n_qubits) & masks[:, :1]) == masks[:, 1:]
     return np.exp(1j * np.add.reduceat(np.array(angles)[:, None] * match, starts))
@@ -344,7 +345,7 @@ def _apply_op(op: tuple, cur: np.ndarray, spare: np.ndarray) -> tuple:
         return cur, spare
     if how == "turn":  # the view's first axis moves last: the multiplied register goes on
         # top, and in a chain's last view the registers turned before return to the bottom
-        src = v.transpose(*range(1, len(shape)), 0)
+        src = v.transpose(_TURN_AXES[v.ndim])
         np.matmul(m, src, out=spare.reshape(src.shape))
         return spare, cur
     out = spare.reshape(shape)
@@ -696,16 +697,23 @@ def compile(circuit: Circuit, layout) -> Program:
 
 def _fuse_greedy(gates: list[Gate], width: int) -> list[tuple]:
     """(ascending support, gates) of each run of consecutive gates within
-    `width` qubits."""
-    runs: list[tuple[set, list]] = []
+    `width` qubits: a run grows by its gates' qubit masks while the union's
+    int.bit_count stays within `width`."""
+    masks: list[int] = []
+    runs: list[list] = []
     for g in gates:
-        qubits = {*g.targets, *(q for q, _ in g.controls)}
-        if runs and len(runs[-1][0] | qubits) <= width:
-            runs[-1][0].update(qubits)
-            runs[-1][1].append(g)
+        mask = 0
+        for q in g.targets:
+            mask |= 1 << q
+        for q, _ in g.controls:
+            mask |= 1 << q
+        if runs and (masks[-1] | mask).bit_count() <= width:
+            masks[-1] |= mask
+            runs[-1].append(g)
         else:
-            runs.append((qubits, [g]))
-    return [(sorted(qs), gs) for qs, gs in runs]
+            masks.append(mask)
+            runs.append([g])
+    return [([q for q in range(m.bit_length()) if m >> q & 1], gs) for m, gs in zip(masks, runs)]
 
 
 def _fuse(runs: list[tuple]) -> list[tuple]:
@@ -713,47 +721,67 @@ def _fuse(runs: list[tuple]) -> list[tuple]:
     gates) run: its unitary, as its diagonal when it has no other nonzero.
 
     Each stretch of consecutive diagonal gates (U1, S) is one table of
-    summed angles over the support's indices, exponentiated once;
-    phase_tables computes the tables of all the runs at once. A run of one
-    stretch is its phase table. Any other run starts from the 2k-qubit
-    identity that unitary_of runs a circuit over: each stretch multiplies it
-    by its table, and each other gate runs over it through apply."""
-    fixed, angles, starts, parts = [], [], [], []
-    for support, gates in runs:
+    summed angles over the support's indices, exponentiated once, each gate
+    matching its (mask, bits) integers; phase_tables computes the tables of
+    all the runs at once. A run of one stretch is its phase table. The other
+    runs are fused once per shape: the support's width, the sequence of
+    stretches, and for each non-diagonal stretch its gates in local
+    coordinates (kind, targets, controls, angle; not the layer). A group of
+    runs of one shape starts from a stack of the 2k-qubit identities that
+    unitary_of runs a circuit over, as many as the group rounded up to a
+    power of two, so the stack is one state: each diagonal stretch
+    multiplies each run's identity by that run's own table, and each other
+    stretch runs once over the whole stack through apply. The same gates
+    act on the same numbers as they would on one identity, so each run's
+    operand, a copy of its slice of the stack, is the same to the bit."""
+    masks, angles, starts, rows, shapes = [], [], [], [], {}
+    for i, (support, gates) in enumerate(runs):
         local = {q: j for j, q in enumerate(support)}
-        stretches = []
+        shape, own = [len(support)], []
         for diagonal, stretch in itertools.groupby(gates, _diagonal):
             if diagonal:
+                own.append(len(starts))
                 starts.append(len(angles))
                 for g in stretch:
-                    fixed.append([(local[q], b) for q, b in g.controls] + [(local[g.targets[0]], 1)])
+                    j = local[g.targets[0]]
+                    mask, bits = 1 << j, 1 << j
+                    for q, b in g.controls:
+                        j = local[q]
+                        mask |= 1 << j
+                        bits |= b << j
+                    masks.append((mask, bits))
                     angles.append(math.pi / 2 if g.kind == "S" else g.theta)
+                shape.append(None)
             else:
-                stretch = [_derived_gate(g.kind, tuple(local[t] for t in g.targets),
-                                         tuple((local[c], p) for c, p in g.controls), g.theta, g.layer)
-                           for g in stretch]
-            stretches.append((diagonal, stretch))
-        parts.append(stretches)
+                shape.append(tuple(_derived_gate(g.kind, tuple(local[t] for t in g.targets),
+                                                 tuple((local[c], p) for c, p in g.controls), g.theta, 0)
+                                   for g in stretch))
+        rows.append(own)
+        shapes.setdefault(tuple(shape), []).append(i)
     if starts:
-        tables = iter(phase_tables(fixed, angles, starts, max(len(s) for s, _ in runs)))
-    out = []
-    for (support, _), stretches in zip(runs, parts):
-        dim = 1 << len(support)
-        if len(stretches) == 1 and stretches[0][0]:
-            out.append((support, True, next(tables)[:dim]))
+        tables = phase_tables(masks, angles, starts, max(len(s) for s, _ in runs))
+    out: list = [None] * len(runs)
+    for (k, *stretches), group in shapes.items():
+        dim = 1 << k
+        if stretches == [None]:
+            for i in group:
+                out[i] = (runs[i][0], True, tables[rows[i][0], :dim])
             continue
-        state = np.eye(dim, dtype=np.complex128).reshape(-1)
-        sub = Circuit(len(support))
-        for diagonal, stretch in stretches:
-            if diagonal:
-                state.reshape(dim, dim)[...] *= next(tables)[:dim]
+        stack = np.zeros((1 << (len(group) - 1).bit_length(), dim, dim), dtype=np.complex128)
+        stack.reshape(len(stack), -1)[:, :: dim + 1] = 1.0
+        sub, r = Circuit(k), 0
+        for stretch in stretches:
+            if stretch is None:
+                stack[: len(group)] *= tables[[rows[i][r] for i in group], None, :dim]
+                r += 1
             else:
-                sub.gates = stretch
-                apply(sub, state)
-        u = state.reshape(dim, dim).T
-        # a diagonal unitary, as U1, S and X pairs leave, has exact zeros elsewhere
-        diagonal = np.count_nonzero(u) == np.count_nonzero(np.diagonal(u))
-        out.append((support, diagonal, np.diagonal(u) if diagonal else u))
+                sub.gates = list(stretch)
+                apply(sub, stack.reshape(-1))
+        for i, slot in zip(group, stack):
+            u = slot.copy().T
+            # a diagonal unitary, as U1, S and X pairs leave, has exact zeros elsewhere
+            diagonal = np.count_nonzero(u) == np.count_nonzero(np.diagonal(u))
+            out[i] = (runs[i][0], diagonal, np.diagonal(u) if diagonal else u)
     return out
 
 

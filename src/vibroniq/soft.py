@@ -284,8 +284,10 @@ class EnergySeries:
 
 
 def populations(prob: np.ndarray) -> tuple[float, float]:
-    """The population of each surface from |a|^2 in the flat order."""
-    return float(np.sum(prob[0])), float(np.sum(prob[1]))
+    """The population of each surface from |a|^2 in the flat order: one
+    reduction, each surface's the pairwise sum np.sum takes."""
+    lower, upper = np.add.reduce(prob.reshape(2, -1), axis=1)
+    return float(lower), float(upper)
 
 
 def boundary_maxima(prob: np.ndarray) -> np.ndarray:
@@ -295,7 +297,7 @@ def boundary_maxima(prob: np.ndarray) -> np.ndarray:
     out = np.empty(d)
     for k in range(d):
         edge = (slice(None),) * (d - k)
-        out[k] = max(np.sum(prob[edge + (0,)]), np.sum(prob[edge + (-1,)]))
+        out[k] = max(np.add.reduce(prob[edge + (0,)], axis=None), np.add.reduce(prob[edge + (-1,)], axis=None))
     return out
 
 

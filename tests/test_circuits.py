@@ -942,6 +942,21 @@ def fold_circuit(before=True, after=True):
     return c
 
 
+def repeated_block_circuit():
+    """One block on each 2-qubit register of QubitLayout(4, 2): H, a
+    controlled U1, then H and an RX, then a U1. Registers 0-2 repeat it with
+    their own U1 angles; register 3's differs from theirs only in the RX."""
+    c = Circuit(9)
+    for r in range(4):
+        c.add("H", (2 * r,))
+        c.add("U1", (2 * r + 1,), controls=((2 * r, 1),), theta=0.3 + 0.2 * r)
+        c.add("H", (2 * r + 1,))
+        c.add("RX", (2 * r,), theta=0.61 if r == 3 else 0.6)
+        c.add("U1", (2 * r,), theta=-0.4 * r)
+        c.add("S", (2 * r + 1,))
+    return c
+
+
 ONE_MODE = VibronicModel(modes=(ModeParams("c", 0.0936, "B1g"),), lam=0.1825, delta=0.4617)
 BOX4 = GridSpec(n=4, q_min=-5.0, q_max=5.0, convention="periodic")
 BOX3 = GridSpec(n=3, q_min=-4.0, q_max=4.0)
@@ -968,6 +983,7 @@ COMPILED_CASES = {
     "gather": lambda: (gather_circuit(), QubitLayout(2, 2)),
     "fold": lambda: (fold_circuit(), QubitLayout(2, 2)),
     "fold-one-side": lambda: (fold_circuit(after=False), QubitLayout(2, 2)),
+    "repeated-blocks": lambda: (repeated_block_circuit(), QubitLayout(4, 2)),
 }
 
 # the operation kinds of the cases that pin one path each
@@ -985,6 +1001,8 @@ COMPILED_KINDS = {
     "fold": ["turn", "turn"],
     # a block operation on one side only stays as it is
     "fold-one-side": ["left", "turn", "turn"],
+    # every register holds a dense operation: one chain
+    "repeated-blocks": ["turn"] * 4,
 }
 
 
@@ -1090,6 +1108,53 @@ def test_diagonal_heavy_case_takes_every_path_of_the_fuser(monkeypatch):
     longest = max(stretches, key=len)
     assert len(longest) >= 10
     assert sum(len({q // 3 for q in support}) > 1 for support in longest) >= 8
+
+
+def _spy_apply(monkeypatch) -> list:
+    """The sizes of the states kernels.apply runs over, as it is called."""
+    sizes, real = [], kernels.apply
+    monkeypatch.setattr(kernels, "apply", lambda circ, state: sizes.append(state.size) or real(circ, state))
+    return sizes
+
+
+def test_runs_of_one_shape_are_fused_once_over_a_stack(monkeypatch):
+    sizes = _spy_apply(monkeypatch)
+    circ, layout = COMPILED_CASES["repeated-blocks"]()
+    compile(circ, layout)
+    # registers 0-2 share a shape: their two non-diagonal stretches run once
+    # each over a stack of 4 two-qubit identities (16 amplitudes each); the
+    # RX angle gives register 3 a shape of its own, fused on one identity
+    assert sorted(sizes) == [16, 16, 64, 64]
+
+
+# kernels.apply calls per compile of the preset steps at n = 4: one per
+# non-diagonal stretch of each shape of run, not one per register copy
+PRESET_APPLY_CALLS = [("pyrazine-4d", "potential-first", 14), ("pyrazine-4d", "kinetic-first", 19),
+                      ("pyrazine-2mode", "kinetic-first", 19), ("pyrazine-2mode", "potential-first", 14)]
+
+
+@pytest.mark.parametrize("name, split, calls", PRESET_APPLY_CALLS)
+def test_compile_runs_each_repeated_block_once(name, split, calls, monkeypatch):
+    circ, layout = plan_step(get_model(name), BOX4, 0.13, split)
+    sizes = _spy_apply(monkeypatch)
+    compile(circ, layout)
+    assert len(sizes) == calls
+
+
+# every preset width and split, and a bilinear step (kinetic-first only)
+STACK_PLANS = [(name, n, split) for name in ("pyrazine-4d", "pyrazine-2mode") for n in (3, 4, 5)
+               for split in ("potential-first", "kinetic-first")] + [("bilinear", 3, "kinetic-first")]
+
+
+@pytest.mark.parametrize("name, n, split", STACK_PLANS)
+def test_compile_stacks_fit_the_run_charge(name, n, split, monkeypatch):
+    # run_bytes charges RUN_OPERATORS (d + 1) dense operators on n + 1
+    # qubits, half of them for compile's working copies: the largest stack
+    # of identities compile runs gates over must fit that half
+    model = bilinear_tiny(True) if name == "bilinear" else get_model(name)
+    sizes = _spy_apply(monkeypatch)
+    CircuitPlan(model, GridSpec(n=n, q_min=-5.0, q_max=5.0), 0.13, split)
+    assert max(sizes) <= kernels.RUN_OPERATORS // 2 * (model.d + 1) << 2 * (n + 1)
 
 
 def _box(n):

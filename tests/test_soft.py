@@ -402,6 +402,16 @@ def test_boundary_maxima_finds_a_packet_at_each_wall(wall, rng):
         assert np.argmax(got) == k and marg[k][wall] > marg[k][-1 - wall]
 
 
+@pytest.mark.parametrize("d", [2, 4])
+def test_observers_reduce_as_np_sum_does(d):
+    # one reduction per surface and per edge slice gives np.sum's own values
+    prob = np.abs(np.random.default_rng(40 + d).normal(size=(2,) + (16,) * d)) ** 2
+    assert populations(prob) == (float(np.sum(prob[0])), float(np.sum(prob[1])))
+    edges = [(slice(None),) * (d - k) for k in range(d)]
+    want = [max(np.sum(prob[e + (0,)]), np.sum(prob[e + (-1,)])) for e in edges]
+    assert boundary_maxima(prob).tolist() == want
+
+
 def test_every_observer_reads_one_probability_buffer(monkeypatch):
     seen = []
     for name in ("populations", "boundary_maxima", "energy"):
