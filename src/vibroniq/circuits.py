@@ -23,11 +23,14 @@ kinetic-first UK/2) is built once and appended twice.
 Running: a CircuitPlan is a soft.Plan whose program is kernels.compile of
 the step, so soft.propagate, soft.step and soft.energy run it as they run
 the soft engine's plan. Where the coupling lives on the last mode register,
-compile folds the potential-first body's two matrices that border the
-kinetic chain into its last turn (kernels.fold_turns), so the step is a
-phase table, the chain and a phase table. A kinetic-first step is
-compiled between its QFT walls, each joining the register run next to it,
-so the state stays in the position basis, and the stepper merges the walled
+compile folds the matrices on that register's block that border a kinetic
+chain into its last turn (kernels.fold_turns): potential-first, the body's
+two, so the step is a phase table, the chain and a phase table. A
+kinetic-first step is compiled between its QFT walls, each joining the
+register run next to it, so the state stays in the position basis; its two
+walled K/2 runs are lowered once, the coupling rotation folds into the tail
+chain and the head chain widens with the identity, so the step is the
+chain, a phase table and the chain, and the stepper merges the walled
 register matrices of two steps position by position. The interferometer
 readout (hadamard_series) runs no state of its own: its ancilla-controlled
 step acts as the plain step on the ancilla-set half, so it reads A(t) from

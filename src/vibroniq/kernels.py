@@ -17,7 +17,8 @@ ending at qubit 0), as a "turn" or, on several blocks, as a "gather" of
 transposing matmuls that applies one dense matrix per mode register, each
 as one GEMM; fold_turns widens the chain's last turn to take in the dense
 operations on register d-1 and the electronic qubit that border the chain,
-so a coupling rotation there costs no pass of its own. phase_tables
+so a coupling rotation there costs no pass of its own, or, with none, with
+the identity, so it meets a folded chain in a Strang bridge. phase_tables
 computes the diagonals of controlled phases from their (mask, bits)
 integers and merge_phases multiplies phase tables into one. Both engines'
 preset programs use phase, left and turn; "right" serves energy's p2 on
@@ -53,10 +54,11 @@ and in each potential run, fused greedily on at most n + 1 qubits (a mode
 register and the electronic qubit), one phase table per stretch of diagonal
 operations, multiplied smallest support first into the full-state table,
 the coupling rotation staying a matrix on the electronic qubit and its
-register. Gates that straddle registers take the greedy fuser too.
-Operations on register d-1's block on both sides of a chain, as the
-potential-first coupling rotations, fold into the chain's last turn
-(fold_turns).
+register. Gates that straddle registers take the greedy fuser too. All the
+register runs are fused together, so the two walled K/2 runs of a
+kinetic-first step run their gates once. Operations on register d-1's block
+beside a chain, as the coupling rotations of either split order, fold into
+the chain's last turn (fold_turns), and then every chain's last turn widens.
 
 Memory: every refusal comes from charge, the one comparison with the budget,
 which each code path calls with its measured peak before it allocates.
@@ -78,8 +80,12 @@ DEFAULT_MEMORY_BUDGET = 4 * 2**30
 # (a mode register and the electronic qubit) per mode register, which a plan
 # and its bridges hold, plus as many again for the working copies of
 # compile: the stack of identities that one group of same-shaped runs runs
-# its gates over (_fuse), for the register runs at most 2d - 1 identities on
-# n qubits, and in every preset step no more than one (n + 1)-qubit operator
+# its gates over (_fuse), for the register runs at most 4d - 1 identities on
+# n qubits (the two walled K/2 runs of a kinetic-first step), and in every
+# preset step no more than one (n + 1)-qubit operator. A folded
+# kinetic-first plan and its bridge hold three wide last turns and a
+# quarter operator per narrow turn: past their half at d = 2 (3.75 of 3),
+# within the whole charge with compile's copies
 RUN_STATEVECTORS = 12
 RUN_OPERATORS = 2
 # gates run over a state peak at APPLY_STATEVECTORS statevectors (the state and a 2x2
@@ -261,31 +267,42 @@ def turn_ops(us) -> list[tuple]:
     return [([-1, dim], "turn", u) for u in us[:-1]] + [([dim ** (d - 1), -1, dim], "turn", us[-1])]
 
 
-def fold_turns(before: tuple, chain: list[tuple], after: tuple) -> list[tuple]:
+def fold_turns(before: tuple | None, chain: list[tuple], after: tuple | None) -> list[tuple]:
     """The turn_ops chain with the dense operations before and after it on
     the last register's block (register d-1's qubits, then the qubit above
     the registers: the electronic one) folded into its last turn, which
     becomes after . (1 (x) u_{d-1}) . before on 2 dim indices, batched over
     any qubits above the block. They commute with the turns before, which
-    touch neither register d-1 nor the electronic qubit. One register gives
-    a plain register_op on its block. An operation on other qubits, or an
-    operand that is not (2 dim)^2, raises CircuitError."""
+    touch neither register d-1 nor the electronic qubit. A side given as
+    None is the identity and costs no product: with neither, 1 (x) u_{d-1}
+    is u_{d-1} placed twice on the diagonal, the widened turn of a chain
+    whose partner folds. One register gives a plain register_op on its
+    block. An operation on other qubits, or an operand that is not
+    (2 dim)^2, raises CircuitError."""
     d, u = len(chain), chain[-1][2]
     dim = len(u)
     n = dim.bit_length() - 1
     block = range((d - 1) * n, d * n + 1)
     shape = _support_shape(block)[0]
-    mats = []
-    for op_shape, how, m in (before, after):
+    mats = [None, None]
+    for i, op in enumerate((before, after)):
+        if op is None:
+            continue
+        op_shape, how, m = op
         if op_shape != shape:
             raise CircuitError(f"a {how} operation on {op_shape} is not on qubits {block[0]}..{block[-1]}")
         if how == "phase":
             m = np.diag(m.reshape(-1))
         if m.shape != (2 * dim, 2 * dim):
             raise CircuitError(f"a {m.shape} operand on a {2 * dim}-dimensional block")
-        mats.append(m)
-    # (1 (x) u) b multiplies each of b's two row blocks by u
-    m = mats[1] @ (u @ mats[0].reshape(2, dim, -1)).reshape(2 * dim, -1)
+        mats[i] = m
+    if mats[0] is None:
+        m = np.zeros((2 * dim, 2 * dim), dtype=u.dtype)
+        m[:dim, :dim] = m[dim:, dim:] = u
+    else:  # (1 (x) u) b multiplies each of b's two row blocks by u
+        m = (u @ mats[0].reshape(2, dim, -1)).reshape(2 * dim, -1)
+    if mats[1] is not None:
+        m = mats[1] @ m
     if d == 1:
         return [register_op(block, m)]
     return chain[:-1] + [([dim ** (d - 1), -1, 2 * dim], "turn", m)]
@@ -388,8 +405,9 @@ class Program:
     disjoint qubits, or the positions of a turn_ops chain, a full cycle of
     the qubit order. Either way, across the boundary of two steps tail op i
     meets head op i on the same view, and the bridge applies each such pair
-    as one operation. Every block copies back at most once, not once per
-    step."""
+    as one operation; a bridge may pair two wide last turns (fold_turns),
+    the tail's with a folded operation, the head's widened with the
+    identity. Every block copies back at most once, not once per step."""
 
     def __init__(self, n_qubits: int, ops: list[tuple]):
         self.n_qubits = n_qubits
@@ -649,10 +667,15 @@ def compile(circuit: Circuit, layout) -> Program:
     consecutive phase operations this yields is multiplied into one phase
     table over the whole state (merge_phases).
 
-    Then a chain of d turns with an operation on each side whose view is
-    layout.block_qubits(d - 1)'s (register d-1 and the electronic qubit)
-    takes the two into its last turn (fold_turns); with one on one side
-    only, or one register (no turn), the operations stay as they are."""
+    All the register runs go to one _fuse, so runs of one shape, as the two
+    walled K/2 runs of a kinetic-first step, run their gates once.
+
+    Then a chain of d turns takes into its last turn each operation beside
+    it whose view is layout.block_qubits(d - 1)'s (register d-1 and the
+    electronic qubit), on either side (fold_turns); one between two chains
+    goes to the first. Once one chain of the program folds, every chain
+    widens its last turn, with the identity where nothing borders it, so a
+    Strang bridge meets two wide turns. One register (no turn) folds nothing."""
     n = layout.n
     d = min(layout.d, circuit.n_qubits // n)  # the registers the circuit holds whole
     owner = [q // n if q < n * d else None for q in range(circuit.n_qubits)]
@@ -672,26 +695,41 @@ def compile(circuit: Circuit, layout) -> Program:
 
     tagged = [(register(g), g) for g in circuit.gates]
     runs = [list(run) for _, run in itertools.groupby(tagged, lambda rg: rg[0] is None)]
-    ops = []
+    # a register run stands as its register count until one _fuse of them all fills it in
+    pieces, registers = [], []
     for by_register, group in itertools.groupby(runs, in_registers):
         run = [rg for part in group for rg in part]
         if by_register:
             gates: dict[int, list[Gate]] = {}
             for r, g in run:
                 gates.setdefault(r, []).append(g)
-            parts = _fuse([(layout.mode_qubits(r), gates[r]) for r in sorted(gates)])
-            dense = [m for _, diagonal, m in parts if not diagonal]
-            ops += turn_ops(dense) if len(dense) == d else [
-                phase_op(sup, m) if diagonal else register_op(sup, m) for sup, diagonal, m in parts]
+            pieces.append(len(gates))
+            registers += [(layout.mode_qubits(r), gates[r]) for r in sorted(gates)]
         else:
-            ops += merge_phases(_fuse(_fuse_greedy([g for _, g in run], n + 1)), circuit.n_qubits)
+            pieces.append(merge_phases(_fuse(_fuse_greedy([g for _, g in run], n + 1)), circuit.n_qubits))
+    fused, ops = iter(_fuse(registers)), []
+    for piece in pieces:
+        if isinstance(piece, list):
+            ops += piece
+            continue
+        parts = [next(fused) for _ in range(piece)]
+        dense = [m for _, diagonal, m in parts if not diagonal]
+        ops += turn_ops(dense) if len(dense) == d else [
+            phase_op(sup, m) if diagonal else register_op(sup, m) for sup, diagonal, m in parts]
     if d > 1:
-        view, i = _support_shape(layout.block_qubits(d - 1))[0], 1
-        while i + d < len(ops):
-            chain = ops[i:i + d]
-            if ops[i - 1][0] == view == ops[i + d][0] and all(how == "turn" for _, how, _ in chain):
-                ops[i - 1:i + d + 1] = fold_turns(ops[i - 1], chain, ops[i + d])
-            i += 1
+        view = _support_shape(layout.block_qubits(d - 1))[0]
+        # each chain by its last turn, with the block operations beside it; one between two goes to the first
+        folds, taken = [], -1
+        for i, (shape, how, _) in enumerate(ops):
+            if how == "turn" and len(shape) == 3:
+                before = ops[i - d] if i - d > taken and ops[i - d][0] == view else None
+                after = ops[i + 1] if i + 1 < len(ops) and ops[i + 1][0] == view else None
+                folds.append((i, before, after))
+                taken = i + (after is not None)
+        if any(before or after for _, before, after in folds):  # one chain folds: every chain widens
+            for i, before, after in reversed(folds):
+                chain = fold_turns(before, ops[i + 1 - d:i + 1], after)
+                ops[i + 1 - d - (before is not None):i + 1 + (after is not None)] = chain
     return Program(circuit.n_qubits, ops)
 
 

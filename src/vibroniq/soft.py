@@ -5,11 +5,11 @@ both surfaces as one full-state phase table and then the coupling rotation
 exp(-i c(Q) X dt/hbar), and the kinetic phases. Where the coupling field
 lives on the last mode alone (both pyrazine models), the rotation is one
 dense operation on the last mode register and the electronic qubit, which
-PropagatorPlan folds potential-first into the kinetic chain's last turn
-where it builds the chain (kernels.fold_turns), as kernels.compile folds
-the circuit engine's, and the program has the circuit engine's operation
-kinds and shapes. Any other rotation is a full-state phase table between
-two Hadamards on the electronic qubit. The kinetic step applies,
+PropagatorPlan folds into the last turn of the kinetic chain beside it
+where it builds the chain (kernels.fold_turns), in both split orders, as
+kernels.compile folds the circuit engine's, and the program has the circuit
+engine's operation kinds and shapes. Any other rotation is a full-state
+phase table between two Hadamards on the electronic qubit. The kinetic step applies,
 along each mode axis, that mode's DFT-conjugated phase matrix
 F^dagger diag(exp(-i K_k dt/hbar)) F: the same operator as an FFT, phases
 and inverse FFT over the whole grid, in its DVR form. The d matrices run as
@@ -202,7 +202,9 @@ class PropagatorPlan(Plan):
     engine compiles them. Where c(Q) lives on mode d-1 alone (local),
     C is one 2x2 per grid point of register d-1, a dense operation on that
     register and the electronic qubit, which folds into the chain's last
-    turn potential-first; no coupling, no C. Any other C is h, Z, h, as
+    turn: potential-first both C into the one chain, kinetic-first C into
+    the tail chain, whose partner in the bridge, the head chain, widens its
+    last turn with the identity; no coupling, no C. Any other C is h, Z, h, as
     exp(-i theta X) = H exp(-i theta Z) H (Nielsen and Chuang, sec. 4.2): h
     the Hadamard on the electronic qubit, Z a phase table exp(-+i c(Q) t/hbar)
     on S1 and S2. D (each surface's half in place) and Z are _phases of the
@@ -232,7 +234,7 @@ class PropagatorPlan(Plan):
         for terms, out in zip(self._grid_terms, pot):
             _phases(terms, pot_t, out)
         phases = kernels.phase_op(range(layout.total), pot.reshape(-1))
-        coupling, rot = self._grid_terms[2], []
+        coupling, rot, tail = self._grid_terms[2], [], kin
         if not self.local:
             zrot = np.empty_like(pot)
             _phases(coupling, pot_t, zrot[0])
@@ -241,13 +243,18 @@ class PropagatorPlan(Plan):
             rot = [h, kernels.phase_op(range(layout.total), zrot.reshape(-1)), h]
         elif coupling:
             # c(q_j) = lam q_j, the one term, on mode d-1's axis
-            theta = pot_t * coupling[0].reshape(-1)
-            cos, sin = np.diag(np.cos(theta)), np.diag(-1j * np.sin(theta))
-            rot = [kernels.register_op(layout.block_qubits(d - 1), np.block([[cos, sin], [sin, cos]]))]
+            theta, j = pot_t * coupling[0].reshape(-1), np.arange(self.grid.size)
+            # [[cos, -i sin], [-i sin, cos]] of diagonal blocks, placed entry by entry
+            c = np.zeros((2, self.grid.size, 2, self.grid.size), dtype=np.complex128)
+            c[0, j, 0, j] = c[1, j, 1, j] = np.cos(theta)
+            c[0, j, 1, j] = c[1, j, 0, j] = -1j * np.sin(theta)
+            c = kernels.register_op(layout.block_qubits(d - 1), c.reshape(2 * self.grid.size, -1))
             if pot_first:  # C, the chain, C as one chain
-                kin, rot = kernels.fold_turns(rot[0], kin, rot[0]), []
+                kin = kernels.fold_turns(c, kin, c)
+            else:  # C and the tail chain as one chain, the head chain widened to meet it in the bridge
+                kin, tail = kernels.fold_turns(None, kin, None), kernels.fold_turns(c, kin, None)
         # potential-first, the two h of h, Z, h that border the chain cancel
-        ops = [*kin, phases, *rot, *kin] if not pot_first else [phases, *rot[:2], *kin, *rot[-2:], phases]
+        ops = [*kin, phases, *rot, *tail] if not pot_first else [phases, *rot[:2], *kin, *rot[-2:], phases]
         self.program = kernels.Program(layout.total, ops)
 
 

@@ -999,8 +999,8 @@ COMPILED_KINDS = {
     # the block operations on both sides of the chain fold into its last turn
     "pyrazine-4d-potential-first": ["phase", "turn", "turn", "turn", "turn", "phase"],
     "fold": ["turn", "turn"],
-    # a block operation on one side only stays as it is
-    "fold-one-side": ["left", "turn", "turn"],
+    # a block operation on one side folds too, the identity on the other
+    "fold-one-side": ["turn", "turn"],
     # every register holds a dense operation: one chain
     "repeated-blocks": ["turn"] * 4,
 }
@@ -1029,7 +1029,7 @@ def test_compiled_program_matches_apply(case):
     if case == "gather":
         assert program.ops[0][0] == [-1, 2, 2, 2, 2, 2]
     if case.startswith("fold"):  # the chain's last turn is 2 dim wide where it folds
-        assert [len(m) for _, how, m in program.ops if how == "turn"] == [4, 8 if case == "fold" else 4]
+        assert [len(m) for _, how, m in program.ops if how == "turn"] == [4, 8]
     # one qubit more than the circuit, as in the Hadamard test
     n_state = circ.n_qubits + (1 if case in ("random", "gather") else 0)
     plain = random_state(n_state, seed=5)
@@ -1128,9 +1128,10 @@ def test_runs_of_one_shape_are_fused_once_over_a_stack(monkeypatch):
 
 
 # kernels.apply calls per compile of the preset steps at n = 4: one per
-# non-diagonal stretch of each shape of run, not one per register copy
-PRESET_APPLY_CALLS = [("pyrazine-4d", "potential-first", 14), ("pyrazine-4d", "kinetic-first", 19),
-                      ("pyrazine-2mode", "kinetic-first", 19), ("pyrazine-2mode", "potential-first", 14)]
+# non-diagonal stretch of each shape of run, not one per register copy; the
+# two walled K/2 runs of a kinetic-first step are one shape, lowered once
+PRESET_APPLY_CALLS = [("pyrazine-4d", "potential-first", 14), ("pyrazine-4d", "kinetic-first", 11),
+                      ("pyrazine-2mode", "kinetic-first", 11), ("pyrazine-2mode", "potential-first", 14)]
 
 
 @pytest.mark.parametrize("name, split, calls", PRESET_APPLY_CALLS)
@@ -1139,6 +1140,25 @@ def test_compile_runs_each_repeated_block_once(name, split, calls, monkeypatch):
     sizes = _spy_apply(monkeypatch)
     compile(circ, layout)
     assert len(sizes) == calls
+
+
+@pytest.mark.parametrize("name", ["pyrazine-4d", "pyrazine-2mode"])
+def test_a_kinetic_first_compile_lowers_its_two_k_half_runs_once(name, monkeypatch):
+    circ, layout = plan_step(get_model(name), BOX4, 0.13, "kinetic-first")
+    calls, real = [], kernels._fuse
+    monkeypatch.setattr(kernels, "_fuse", lambda runs: calls.append((runs, real(runs))) or calls[-1][1])
+    compile(circ, layout)
+    d = layout.d
+    # the register runs of both walled K/2 runs go to one _fuse, the last,
+    # and run one shape: the same gates on every register but their angles
+    runs, parts = calls[-1]
+    assert [support for support, _ in runs] == [layout.mode_qubits(r) for r in range(d)] * 2
+    head, tail = ([g[:4] for g in gates] for gates in (runs[0][1], runs[d][1]))
+    assert head == tail
+    # each operand is the one that lowering its run alone gives, to the bit
+    for start in (0, d):
+        for got, alone in zip(parts[start:start + d], real(runs[start:start + d]), strict=True):
+            assert got[:2] == alone[:2] and np.array_equal(got[2], alone[2])
 
 
 # every preset width and split, and a bilinear step (kinetic-first only)
@@ -1174,29 +1194,28 @@ ENGINE_PROGRAMS = {
     # mode k's kinetic matrix acts on register k, as in the circuit: the d
     # matrices are one turn_ops chain, register 0 first; potential-first, the
     # coupling on the last register folds into the chain's last turn, between
-    # two full-state phase tables; kinetic-first, the phase table and then
-    # the coupling rotation on the last register's block lie between two chains
+    # two full-state phase tables; kinetic-first, the phase table lies between
+    # two chains, the coupling rotation on the last register's block folded
+    # into the tail chain and the head chain widened with the identity
     "soft-4d-potential-first": (lambda n: _soft_program("pyrazine-4d", n, "potential-first"),
                                 ["phase", "turn", "turn", "turn", "turn", "phase"]),
     "soft-4d-kinetic-first": (lambda n: _soft_program("pyrazine-4d", n, "kinetic-first"),
-                              ["turn", "turn", "turn", "turn", "phase", "left",
-                               "turn", "turn", "turn", "turn"]),
+                              ["turn", "turn", "turn", "turn", "phase", "turn", "turn", "turn", "turn"]),
     "soft-2mode-potential-first": (lambda n: _soft_program("pyrazine-2mode", n, "potential-first"),
                                    ["phase", "turn", "turn", "phase"]),
     "soft-2mode-kinetic-first": (lambda n: _soft_program("pyrazine-2mode", n, "kinetic-first"),
-                                 ["turn", "turn", "phase", "left", "turn", "turn"]),
+                                 ["turn", "turn", "phase", "turn", "turn"]),
     # potential run: merged phases, then Uc fused with the last register's
     # quadratic network, which folds into the register run's chain
     "circuit-4d-potential-first": (lambda n: _circuit_program("pyrazine-4d", n, "potential-first"),
                                    ["phase", "turn", "turn", "turn", "turn", "phase"]),
     # each QFT wall joins the register run next to it
     "circuit-4d-kinetic-first": (lambda n: _circuit_program("pyrazine-4d", n, "kinetic-first"),
-                                 ["turn", "turn", "turn", "turn", "phase", "left",
-                                  "turn", "turn", "turn", "turn"]),
+                                 ["turn", "turn", "turn", "turn", "phase", "turn", "turn", "turn", "turn"]),
     "circuit-2mode-potential-first": (lambda n: _circuit_program("pyrazine-2mode", n, "potential-first"),
                                       ["phase", "turn", "turn", "phase"]),
     "circuit-2mode-kinetic-first": (lambda n: _circuit_program("pyrazine-2mode", n, "kinetic-first"),
-                                    ["turn", "turn", "phase", "left", "turn", "turn"]),
+                                    ["turn", "turn", "phase", "turn", "turn"]),
 }
 
 
@@ -1213,10 +1232,10 @@ def test_engine_program_census(name, n):
             assert operand.size == 1 << program.n_qubits
         elif how in ("left", "right"):
             assert operand.shape in ((1 << n, 1 << n), (2 << n, 2 << n))
-    # a potential-first chain's last turn takes in the electronic qubit
+    # every chain's last turn takes in the electronic qubit
     turns = [operand.shape for _, how, operand in program.ops if how == "turn"]
-    last = (2 << n, 2 << n) if name.endswith("potential-first") else (1 << n, 1 << n)
-    assert turns == [(1 << n, 1 << n)] * (len(turns) - 1) + [last]
+    d = program.n_qubits // n
+    assert turns == ([(1 << n, 1 << n)] * (d - 1) + [(2 << n, 2 << n)]) * (len(turns) // d)
     if name.startswith("soft-"):  # the soft plan builds the form the circuit compiles to
         circuit = ENGINE_PROGRAMS[name.replace("soft", "circuit")][0](n)
         assert [(shape, how, m.shape) for shape, how, m in program.ops] == [
@@ -1352,6 +1371,8 @@ def test_bridge_census(name, monkeypatch):
         assert shape == head[0] == tail[0]
         if how == "phase":
             assert operand.size == 1 << program.n_qubits
+    if split == "kinetic-first":  # two wide last turns meet: the tail's with C, the head's widened
+        assert [len(operand) for _, _, operand in made] == [16, 16, 16, 32]
 
 
 @pytest.mark.parametrize("model, split", [("pyrazine-4d", "potential-first"),

@@ -474,6 +474,20 @@ def test_fold_takes_a_phase_on_the_block(rng):
     assert np.max(np.abs(turned - plain)) < 1e-12
 
 
+def test_an_identity_end_folds_by_placement(rng):
+    # None on both sides: 1 (x) u_{d-1}, u placed twice to the bit, no product;
+    # with one side the other's identity costs nothing either
+    d, n = 2, 2
+    chain = turn_ops([random_unitary(4, rng) for _ in range(d)])
+    u = chain[-1][2]
+    wide = fold_turns(None, chain, None)[-1][2]
+    assert np.array_equal(wide[:4, :4], u) and np.array_equal(wide[4:, 4:], u)
+    assert not wide[:4, 4:].any() and not wide[4:, :4].any()
+    c = register_op(_block(d, n), random_unitary(8, rng))
+    assert np.array_equal(fold_turns(c, chain, None)[-1][2], (u @ c[2].reshape(2, 4, 8)).reshape(8, 8))
+    assert np.array_equal(fold_turns(None, chain, c)[-1][2], c[2] @ wide)
+
+
 @pytest.mark.parametrize("d", [1, 3])
 def test_fold_rejects_operations_off_the_last_block(d, rng):
     n = 2
@@ -538,17 +552,22 @@ def test_merge_phases_equals_the_plain_product_of_its_tables(data):
     assert np.max(np.abs(Program(n, ops).run(state) - want)) < 1e-12
 
 
+# an end drawn as "identity" is None to fold_turns and no operation of the plain run
+END_KINDS = st.sampled_from(["phase", "dense", "identity"])
+
+
 @settings(max_examples=40, deadline=None)
-@given(st.integers(1, 3), st.integers(1, 3), st.sampled_from(["phase", "dense"]),
-       st.sampled_from(["phase", "dense"]), st.integers(0, 2), st.integers(0, 2**32 - 1))
+@given(st.integers(1, 3), st.integers(1, 3), END_KINDS, END_KINDS, st.integers(0, 2), st.integers(0, 2**32 - 1))
 def test_fold_turns_equals_the_unfolded_run(d, n, before, after, extra, seed):
     rng = np.random.default_rng(seed)
     chain = turn_ops([random_unitary(1 << n, rng) for _ in range(d)])
-    ends = [_operation(kind, list(_block(d, n)), rng) for kind in (before, after)]
+    ends = [None if kind == "identity" else _operation(kind, list(_block(d, n)), rng) for kind in (before, after)]
     plain = random_state(d * n + 1 + extra, rng)
     folded = plain.copy()
-    Program(d * n + 1, [ends[0], *chain, ends[1]]).run(plain)
-    Program(d * n + 1, fold_turns(ends[0], chain, ends[1])).run(folded)
+    Program(d * n + 1, [op for op in (ends[0], *chain, ends[1]) if op is not None]).run(plain)
+    program = Program(d * n + 1, fold_turns(ends[0], chain, ends[1]))
+    assert len(program.ops) == d and len(program.ops[-1][2]) == 2 << n
+    program.run(folded)
     assert np.max(np.abs(folded - plain)) < 1e-12
 
 
@@ -557,13 +576,21 @@ def _stepped_programs(draw):
     """(n_qubits, program ops, halves, rng): head and tail share kinds and
     views, with different operands. Either end is one phase or one-block
     dense operation, two such on disjoint blocks, or a turn_ops chain over
-    d registers; the body is 0-3 operations of any kind on any support."""
+    d registers; or, as a kinetic-first step folds, the head is a chain
+    widened with the identity and the tail a chain with a random block
+    operation folded in on one side. The body is 0-3 operations of any kind
+    on any support."""
     rng = _seeded(draw)
-    form = draw(st.sampled_from(["one", "two", "chain"]))
-    if form == "chain":
+    form = draw(st.sampled_from(["one", "two", "chain", "wide"]))
+    if form in ("chain", "wide"):
         d, n = draw(st.integers(2, 3)), draw(st.integers(1, 2))
         n_qubits = d * n + 1
         head, tail = (turn_ops([random_unitary(1 << n, rng) for _ in range(d)]) for _ in range(2))
+        if form == "wide":
+            ends = [_operation(draw(st.sampled_from(["phase", "dense"])), list(_block(d, n)), rng), None]
+            if draw(st.booleans()):
+                ends.reverse()
+            head, tail = fold_turns(None, head, None), fold_turns(ends[0], tail, ends[1])
     else:
         n_qubits = draw(st.integers(2, 7))
         cut = draw(st.integers(1, n_qubits - 1))

@@ -63,3 +63,27 @@ def test_a_record_has_the_format_of_the_hand_made_ones_and_gathers_workloads(pai
     assert rec["change_lower_in_pairs"]["soft-4d"]["run_s"] == "1/1"
     with pytest.raises(SystemExit, match="other sources"):
         pairs.record(rec, "small-2mode", {**info, "src_sha256": "3"}, parent, change, "3 runs")
+
+
+def test_a_control_series_archives_the_same_tree_on_both_sides(pairs, monkeypatch, tmp_path):
+    # git, the copies and the runs stubbed: a clean work tree, every
+    # revision resolving to "commit-<rev>", the record written to tmp_path
+    archived, provenance = {}, {"src_sha256": "s", "nproc": 2, "python": "3", "numpy": "2",
+                                "backend": "numpy", "threads": {}}
+
+    def checkout(tree, where):
+        archived[where.name] = tree
+        return where
+
+    monkeypatch.setattr(pairs, "ROOT", tmp_path)
+    monkeypatch.setattr(pairs, "_git", lambda *args, env=None: f"commit-{args[-1]}" if args[0] == "rev-parse" else "")
+    monkeypatch.setattr(pairs, "checkout", checkout)
+    monkeypatch.setattr(pairs, "run_once", lambda copy, workload, seed, seconds: (provenance, result_line(1.0, 70.0)))
+    args = ["--runs", "2", "--seconds", "1", "--workload", "small-2mode"]
+    assert pairs.main(["--parent", "abc", "--change", "abc", *args, "--label", "control"]) == 0
+    assert archived == {"parent": "commit-abc", "change": "commit-abc"}
+    rec = json.loads((tmp_path / "BENCH_control.json").read_text())
+    assert rec["git_revision"] == "commit-abc" and "--parent abc --change abc " in rec["command"]
+    # without --change, the change side is HEAD
+    assert pairs.main(["--parent", "abc", *args, "--label", "head"]) == 0
+    assert archived == {"parent": "commit-abc", "change": "commit-HEAD"}

@@ -660,14 +660,20 @@ def test_a_run_peaks_within_its_memory_charge(name, n, kind, split):
 # size) and peaks at 3.0; every observer adds the reference copy, the |a|^2
 # buffer and the energy tables that both plans build on energy's first read
 # (vtab half a statevector, ctab a quarter, p2's one register matrix half),
-# and the run peaks at 5.75 (soft) and 5.76 (circuit)
-@pytest.mark.parametrize("kind, statevectors, observers", [
-    pytest.param("soft", 6.5, OBSERVERS, id="soft-6.5"),
-    pytest.param("circuit", 7.5, OBSERVERS, id="circuit-7.5"),
-    pytest.param("soft", 3.1, (), id="soft-no-observers-3.1"),
-    pytest.param("circuit", 3.1, (), id="circuit-no-observers-3.1")])
-@pytest.mark.parametrize("split", SPLIT_ORDERS)
-def test_a_run_with_energy_peaks_at_its_measured_size(kind, statevectors, observers, split):
+# and the run peaks at 5.75 (soft) and 5.76 (circuit). Kinetic-first, the
+# bridge's last turn carries the coupling rotation: (2^(n+1))^2 entries, two
+# statevectors at n = 8 (d = 2), where a narrow turn holds 4^n, half of one.
+# That run peaks at 4.5 and, with every observer, at 7.25 (soft) and 7.26
+# (circuit), the fold's deliberate trade of memory for a pass per step
+PEAK_PINS = {  # (split, engine): the pin with every observer, and with none
+    ("potential-first", "soft"): (6.5, 3.1), ("potential-first", "circuit"): (7.5, 3.1),
+    ("kinetic-first", "soft"): (7.35, 4.6), ("kinetic-first", "circuit"): (7.4, 4.6)}
+
+
+@pytest.mark.parametrize("split, kind, statevectors, observers", [
+    pytest.param(split, kind, pin, observers, id=f"{split}-{kind}{'' if observers else '-no-observers'}-{pin}")
+    for (split, kind), pins in PEAK_PINS.items() for pin, observers in zip(pins, (OBSERVERS, ()))])
+def test_a_run_with_energy_peaks_at_its_measured_size(split, kind, statevectors, observers):
     model, grid = pyrazine_2mode(), GridSpec(n=8, q_min=-5.0, q_max=5.0)
     tg = TimeGrid(dt=0.13, n_steps=4, sample_stride=2)
     plan, psi0 = PLANS[kind](model, grid, tg.dt, split), initial_state(model, grid)

@@ -1,11 +1,13 @@
 """Alternating parent/change pairs of one benchmark workload, as one record.
 
-    python tools/pairs.py --parent REV --runs K --seconds S --workload W --label L
+    python tools/pairs.py --parent REV [--change REV] --runs K --seconds S --workload W --label L
 
 Each side runs from its own `git archive` copy in a temporary directory: the
-parent's revision, and as the change HEAD when the work tree is clean, or
-else a snapshot of the work tree (its tracked and untracked files, less what
-.gitignore names). Pair i (from 1) runs the parent first when i is odd and
+parent's revision, and as the change the revision given by --change, or
+without it HEAD when the work tree is clean, or else a snapshot of the work
+tree (its tracked and untracked files, less what .gitignore names). With
+--parent R --change R both sides archive the same tree: a control series,
+whose spread is the benchmark's own. Pair i (from 1) runs the parent first when i is odd and
 the change first when it is even, both on seed SEED_BASE + i. A run is
 `python3 vbench/run.py --workload W --seed s --seconds S --trace 0` in its
 copy, as that file stands there; the last line it prints is its result, and
@@ -100,9 +102,13 @@ def _git(*args: str, env=None) -> str:
                           env=env).stdout.strip()
 
 
-def change_tree() -> tuple[str, str]:
-    """(tree-ish, description) of the change side: HEAD when the work tree is
-    clean, else a tree of the work tree written through a scratch index."""
+def change_tree(rev: str | None = None) -> tuple[str, str]:
+    """(tree-ish, description) of the change side: the revision rev when one
+    is given, else HEAD when the work tree is clean, else a tree of the work
+    tree written through a scratch index."""
+    if rev is not None:
+        commit = _git("rev-parse", rev)
+        return commit, commit
     head = _git("rev-parse", "HEAD")
     if not _git("status", "--porcelain"):
         return head, head
@@ -141,6 +147,7 @@ def run_once(copy: pathlib.Path, workload: str, seed: int, seconds: float) -> tu
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="the revision to compare against")
+    parser.add_argument("--change", help="the change side's revision (default: HEAD or the work tree)")
     parser.add_argument("--runs", type=int, default=10, help="pairs of runs")
     parser.add_argument("--seconds", type=float, default=30.0, help="seconds of each run")
     parser.add_argument("--workload", required=True)
@@ -149,7 +156,7 @@ def main(argv=None) -> int:
     if args.runs < 1:
         parser.error("--runs must be at least 1")
     parent_rev = _git("rev-parse", args.parent)
-    tree, described = change_tree()
+    tree, described = change_tree(args.change)
     runs: dict = {side: [] for side in SIDES}
     provenance: dict = {}
     with tempfile.TemporaryDirectory() as tmp:
@@ -165,7 +172,8 @@ def main(argv=None) -> int:
     info = {
         "git_revision": described,
         "parent": f"{parent_rev}, src_sha256 {provenance['parent']['src_sha256']}",
-        "command": (f"tools/pairs.py --parent {args.parent} --runs {args.runs} --seconds {args.seconds:g} "
+        "command": (f"tools/pairs.py --parent {args.parent}{f' --change {args.change}' if args.change else ''} "
+                    f"--runs {args.runs} --seconds {args.seconds:g} "
                     f"--workload <w> --label {args.label}: python3 vbench/run.py --workload <w> --seed <s> "
                     f"--seconds {args.seconds:g} --trace 0, pair i on seed {SEED_BASE} + i on both sides, "
                     "PYTHONDONTWRITEBYTECODE=1, each side in its own git archive copy"),
