@@ -17,15 +17,19 @@ once through Circuit.add on abstract qubits with unit prefactors and copied
 onto every register or pair through Circuit._extend, scaled by its own
 prefactor: the network angles are ±2^i·2^j, so the scaling is exact and the
 gates are those a gate-by-gate build would add. A block that a step lays
-twice with the same angles (the potential-first Udiag pair and Uc, the
-kinetic-first UK/2) is built once and appended twice.
+twice with the same angles is built once and appended twice: the
+kinetic-first UK/2 as it is, the potential-first Udiag pair and Uc the
+second time mirrored (Circuit.mirrored), so the potential-first step is a
+gate-level palindrome.
 
 Running: a CircuitPlan is a soft.Plan whose program is kernels.compile of
 the step, so soft.propagate, soft.step and soft.energy run it as they run
 the soft engine's plan. Where the coupling lives on the last mode register,
 compile folds the matrices on that register's block that border a kinetic
 chain into its last turn (kernels.fold_turns): potential-first, the body's
-two, so the step is a phase table, the chain and a phase table. A
+two, so the step is a phase table, the chain and a phase table. The
+potential-first tail, the head's gates mirrored, is lowered from the head's
+operations, reversed and transposed, so both ends share one phase table. A
 kinetic-first step is compiled between its QFT walls, each joining the
 register run next to it, so the state stays in the position basis; its two
 walled K/2 runs are lowered once, the coupling rotation folds into the tail
@@ -380,10 +384,14 @@ def build_timestep(
     """One dt step as counted by the cost tables.
 
     potential-first holds the state in the position basis and is the
-    palindrome Udiag Uc QFT UK QFT' Uc Udiag. kinetic-first holds the state
-    in the transformed basis (an outer QFT pair belongs to the caller) and
-    runs UK/2 QFT' V QFT UK/2 with the full-step potential applied once,
-    bilinear groups included and every doubly controlled Rx expanded.
+    palindrome Udiag Uc QFT UK QFT' Uc Udiag, a gate-level palindrome: the
+    tail is the head's gates in reverse order on mirrored layers. Every gate
+    of Udiag and Uc is symmetric, Udiag is diagonal and Uc's rotations
+    commute, so that tail is Uc Udiag laid in block order, up to rounding.
+    kinetic-first holds the state in the transformed basis (an outer QFT
+    pair belongs to the caller) and runs UK/2 QFT' V QFT UK/2 with the
+    full-step potential applied once, bilinear groups included and every
+    doubly controlled Rx expanded.
     """
     circ = Circuit(QubitLayout(model.d, grid.n).total)
     _add_timestep(circ, model, grid, dt, split_order, (build_qft(grid.n), build_qft(grid.n, inverse=True)))
@@ -409,7 +417,7 @@ def _add_timestep(circ: Circuit, model: VibronicModel, grid: GridSpec, dt: float
         circ.append_circuit(build_UK(model, grid, dt))
         _copy_to_registers(circ, iqft, layout)
         for block in reversed(half):
-            circ.append_circuit(block)
+            circ.append_circuit(block.mirrored())
         return
     uk = build_UK(model, grid, dt / 2.0)
     circ.append_circuit(uk)

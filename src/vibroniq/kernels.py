@@ -34,8 +34,8 @@ checked when a caller makes it (Gate(...) or Circuit.add, which also
 range-checks its qubits): integer and distinct qubits, as many targets as
 its kind takes, integer 0/1 polarities, a non-negative int layer and a
 finite real, non-bool angle where the kind takes one, else CircuitError. A
-gate derived from checked ones (a Circuit._extend copy, the CCRx expansion,
-the runs compile fuses) is not checked again; a copy checks once that its
+gate derived from checked ones (a Circuit._extend copy, a mirrored one, the
+CCRx expansion, the runs compile fuses) is not checked again; a copy checks once that its
 qubit map sends the source qubits one-to-one into range and that its
 control (controlled(), the Hadamard test, phase estimation) is free in each
 gate, and a scaled copy checks each new angle once, as Gate would.
@@ -56,9 +56,13 @@ operations, multiplied smallest support first into the full-state table,
 the coupling rotation staying a matrix on the electronic qubit and its
 register. Gates that straddle registers take the greedy fuser too. All the
 register runs are fused together, so the two walled K/2 runs of a
-kinetic-first step run their gates once. Operations on register d-1's block
-beside a chain, as the coupling rotations of either split order, fold into
-the chain's last turn (fold_turns), and then every chain's last turn widens.
+kinetic-first step run their gates once. A potential run that reads as an
+earlier one backwards and holds no RY, as the mirrored tail of a
+potential-first step, is lowered from that run's operations, reversed and
+each transposed, its phase tables the same arrays. Operations on register
+d-1's block beside a chain, as the coupling rotations of either split
+order, fold into the chain's last turn (fold_turns), and then every chain's
+last turn widens.
 
 Memory: every refusal comes from charge, the one comparison with the budget,
 which each code path calls with its measured peak before it allocates.
@@ -609,6 +613,15 @@ class Circuit:
         """Concatenate another circuit; its layers land after the current ones."""
         self._extend(other, qubit_map, self._layer + 1)
 
+    def mirrored(self) -> "Circuit":
+        """The gates in reverse order, layer l on the last layer minus l, so
+        the layer count is the same: the transpose of this circuit's unitary
+        when no gate is an RY, every other kind being a symmetric matrix."""
+        out = Circuit(self.n_qubits)
+        top = out._layer = self._layer
+        out.gates = [_derived_gate(*g[:4], top - g.layer) for g in reversed(self.gates)]
+        return out
+
     def controlled(self, control: int) -> "Circuit":
         """Every gate gains `control`, which fires on |1>."""
         out = Circuit(max(self.n_qubits, control + 1))
@@ -670,6 +683,15 @@ def compile(circuit: Circuit, layout) -> Program:
     All the register runs go to one _fuse, so runs of one shape, as the two
     walled K/2 runs of a kinetic-first step, run their gates once.
 
+    Each potential run is keyed by its gates (kind, targets, controls,
+    angle; not the layer). A run that reads as an earlier run backwards,
+    as the tail of a potential-first step reads its head (Circuit.mirrored),
+    is the transpose of that run's unitary when every gate is a symmetric
+    matrix, which all kinds but RY are: it is not fused again but lowered
+    from the earlier run's operations in reverse order, each transposed
+    (_transposed), so its phase tables are the earlier run's arrays. A run
+    holding an RY is lowered on its own.
+
     Then a chain of d turns takes into its last turn each operation beside
     it whose view is layout.block_qubits(d - 1)'s (register d-1 and the
     electronic qubit), on either side (fold_turns); one between two chains
@@ -696,7 +718,7 @@ def compile(circuit: Circuit, layout) -> Program:
     tagged = [(register(g), g) for g in circuit.gates]
     runs = [list(run) for _, run in itertools.groupby(tagged, lambda rg: rg[0] is None)]
     # a register run stands as its register count until one _fuse of them all fills it in
-    pieces, registers = [], []
+    pieces, registers, lowered = [], [], {}
     for by_register, group in itertools.groupby(runs, in_registers):
         run = [rg for part in group for rg in part]
         if by_register:
@@ -705,8 +727,15 @@ def compile(circuit: Circuit, layout) -> Program:
                 gates.setdefault(r, []).append(g)
             pieces.append(len(gates))
             registers += [(layout.mode_qubits(r), gates[r]) for r in sorted(gates)]
+            continue
+        key = tuple(g[:4] for _, g in run)
+        mirror = lowered.get(key[::-1])
+        if mirror is not None and all(g.kind != "RY" for _, g in run):
+            piece = [_transposed(op) for op in reversed(mirror)]
         else:
-            pieces.append(merge_phases(_fuse(_fuse_greedy([g for _, g in run], n + 1)), circuit.n_qubits))
+            piece = merge_phases(_fuse(_fuse_greedy([g for _, g in run], n + 1)), circuit.n_qubits)
+        lowered.setdefault(key, piece)
+        pieces.append(piece)
     fused, ops = iter(_fuse(registers)), []
     for piece in pieces:
         if isinstance(piece, list):
@@ -731,6 +760,16 @@ def compile(circuit: Circuit, layout) -> Program:
                 chain = fold_turns(before, ops[i + 1 - d:i + 1], after)
                 ops[i + 1 - d - (before is not None):i + 1 + (after is not None)] = chain
     return Program(circuit.n_qubits, ops)
+
+
+def _transposed(op: tuple) -> tuple:
+    """The operation that applies the transpose of op's matrix: a phase is
+    its own, a dense operand is transposed, a gather's (u, order) becomes
+    (u.T, order)."""
+    shape, how, m = op
+    if how == "phase":
+        return op
+    return shape, how, (m[0].T, m[1]) if how == "gather" else m.T
 
 
 def _fuse_greedy(gates: list[Gate], width: int) -> list[tuple]:

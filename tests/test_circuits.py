@@ -4,6 +4,7 @@ import math
 import re
 import time
 import tracemalloc
+import unittest.mock
 
 import numpy as np
 import pytest
@@ -1069,9 +1070,83 @@ def test_compile_matches_apply_on_any_circuit(case):
     assert np.max(np.abs(compile(circ, layout).run(state.copy()) - apply(circ, state))) < 1e-12
 
 
+@st.composite
+def mirrored_runs(draw):
+    """A layout (d 1-3, n 1-3); the specs of 1-12 seeded gates of the
+    symmetric kinds (every kind but RY), each on at most n + 1 qubits, one of
+    them the electronic qubit, so that all of them form one potential run;
+    an RY on the electronic qubit and where it goes in the run; and a random
+    state."""
+    d = draw(st.integers(1, 3))
+    layout = QubitLayout(d, draw(st.integers(1, 3)))
+    elec = layout.electronic
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    specs = []
+    for _ in range(draw(st.integers(1, 12))):
+        kind = str(rng.choice(["U1", "S", "H", "X", "RX", "SWAP"]))
+        n_targets = 2 if kind == "SWAP" else 1
+        width = int(rng.integers(n_targets, min(n_targets + 2, layout.n + 1) + 1))
+        qubits = [int(q) for q in rng.permutation([elec, *rng.permutation(elec)[:width - 1]])]
+        controls = tuple((q, int(rng.integers(0, 2))) for q in qubits[n_targets:])
+        theta = float(rng.uniform(-7.0, 7.0)) if kind in ("U1", "RX") else None
+        specs.append((kind, tuple(qubits[:n_targets]), controls, theta))
+    ry = ("RY", (elec,), (), float(rng.uniform(-7.0, 7.0)))
+    at = int(rng.integers(0, len(specs) + 1))
+    return layout, specs, (at, ry), random_state(layout.total, int(rng.integers(2**32)))
+
+
+def _mirrored_circuit(layout, specs) -> Circuit:
+    """The run of `specs`, a register run (H on qubit 0) and the run mirrored."""
+    head, circ = Circuit(layout.total), Circuit(layout.total)
+    for spec in specs:
+        head.add(*spec)
+    circ.append_circuit(head)
+    circ.add("H", (0,))
+    circ.append_circuit(head.mirrored())
+    return circ
+
+
+@settings(max_examples=100, deadline=None)
+@given(mirrored_runs())
+def test_a_mirrored_potential_run_is_lowered_from_the_first(case):
+    layout, specs, (at, ry), state = case
+    circ = _mirrored_circuit(layout, specs)
+    with unittest.mock.patch.object(kernels, "_fuse_greedy", wraps=kernels._fuse_greedy) as greedy:
+        ops = compile(circ, layout).ops
+    # the run is fused once, the mirror its operations reversed and transposed
+    assert greedy.call_count == 1
+    k = len(ops) // 2
+    for (shape, how, m), (t_shape, t_how, t) in zip(ops[:k], reversed(ops[k + 1:]), strict=True):
+        assert (t_shape, t_how) == (shape, how)
+        if how == "phase":
+            assert t is m
+        elif how == "gather":
+            assert np.array_equal(t[0], m[0].T) and t[1] == m[1]
+        else:
+            assert np.array_equal(t, m.T)
+    got = kernels.Program(layout.total, ops).run(state.copy())
+    assert np.max(np.abs(got - apply(circ, state.copy()))) < 1e-12
+    # an RY is no symmetric gate: a run holding one takes no mirror
+    circ = _mirrored_circuit(layout, [*specs[:at], ry, *specs[at:]])
+    with unittest.mock.patch.object(kernels, "_fuse_greedy", wraps=kernels._fuse_greedy) as greedy:
+        program = compile(circ, layout)
+    assert greedy.call_count == 2
+    assert np.max(np.abs(program.run(state.copy()) - apply(circ, state.copy()))) < 1e-12
+
+
+@pytest.mark.parametrize("name", ["pyrazine-4d", "pyrazine-2mode"])
+def test_a_potential_first_plan_shares_one_phase_table(name):
+    plan = CircuitPlan(get_model(name), BOX4, 0.13)
+    ops = plan.program.ops
+    assert ops[0][1] == ops[-1][1] == "phase" and ops[0][2] is ops[-1][2]
+    state = random_state(plan.step.n_qubits, seed=7)
+    assert np.max(np.abs(plan.program.run(state.copy()) - apply(plan.step, state.copy()))) < 1e-12
+
+
 def test_compile_holds_no_second_full_state_temporary():
-    # the step's two merged phase tables take 2 MiB each; a merge that
-    # holds a second full-state temporary peaks a table higher
+    # the step's one merged phase table takes 2 MiB, the tail sharing the
+    # head's; a merge that holds a second full-state temporary, or a tail
+    # lowered on its own, peaks a table higher
     circ, layout = COMPILED_CASES["pyrazine-4d-potential-first"]()
     tracemalloc.start()
     try:
@@ -1079,7 +1154,7 @@ def test_compile_holds_no_second_full_state_temporary():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * (16 << circ.n_qubits) + (1 << 19)
+    assert peak <= (16 << circ.n_qubits) + (1 << 19)
 
 
 def test_diagonal_heavy_case_takes_every_path_of_the_fuser(monkeypatch):
@@ -1129,9 +1204,10 @@ def test_runs_of_one_shape_are_fused_once_over_a_stack(monkeypatch):
 
 # kernels.apply calls per compile of the preset steps at n = 4: one per
 # non-diagonal stretch of each shape of run, not one per register copy; the
-# two walled K/2 runs of a kinetic-first step are one shape, lowered once
-PRESET_APPLY_CALLS = [("pyrazine-4d", "potential-first", 14), ("pyrazine-4d", "kinetic-first", 11),
-                      ("pyrazine-2mode", "kinetic-first", 11), ("pyrazine-2mode", "potential-first", 14)]
+# two walled K/2 runs of a kinetic-first step are one shape, lowered once,
+# and a potential-first tail, the head mirrored, is lowered from the head
+PRESET_APPLY_CALLS = [("pyrazine-4d", "potential-first", 11), ("pyrazine-4d", "kinetic-first", 11),
+                      ("pyrazine-2mode", "kinetic-first", 11), ("pyrazine-2mode", "potential-first", 11)]
 
 
 @pytest.mark.parametrize("name, split, calls", PRESET_APPLY_CALLS)
@@ -1651,7 +1727,7 @@ def test_export_gates_format():
 # grid at n = 4 with dt = 264/2048 fs: (model, split, gates, depth, digest)
 PINNED_STEPS = [
     ("pyrazine-4d", "potential-first", 370, 90,
-     "13e25388b2ed43717ac72f8c18f2e0bf3aab2c96324b6938366951ff5b9658e1"),
+     "8ded79399f59cfce4c33cf3a43193b3fe36deac4b821cec6e6dd9a2ca047e3e9"),
     ("pyrazine-2mode", "kinetic-first", 169, 81,
      "f1a2f52101d22a145fed21555b6609a2626f9f65db476edbed449439d54a8ff5"),
     ("pyrazine-24d-placeholder", "kinetic-first", 5006, 2497,
@@ -1707,14 +1783,14 @@ def _pinned_circuits(name, split):
 # sha256 of export_gates of each _pinned_circuits circuit, in its order
 GATE_LIST_DIGESTS = {
     ("pyrazine-4d", "potential-first"): [
-        "29d53c6eb7a8c63b097128bae3c8fa2280c6449f4df25c26bac7a40fa5a8374d",
-        "83c450b3d1f6531003961d63d0063d7a93db8fbef078a5217b3f67bbd92453df",
-        "73d13e02c2cbab34fac9b576675b99bfdc09d3539773802c390fc5d995ae888c",
-        "40808a6f4d205c962e9874dbe397b91b21dfb182c8b2b9e1aa5d0b910be1c677",
-        "13e25388b2ed43717ac72f8c18f2e0bf3aab2c96324b6938366951ff5b9658e1",
-        "b378b7205e0b9765283ef8eb6815a2bf2a6482e2596d5fc38d8df780f2a6c252",
-        "7affb2fd34f02220396194b913bf6837a582194ea28b1f44aa6810dff894c23d",
-        "5c02d7bfcdc0bd4b305fa5bbbdb1eb362efe3e28e20d797005b40bece10da0ba",
+        "a2efe3f3b265e7e63d464660da030b7cd8237c016dba9c4d1e4b2ce693a22908",
+        "f3a341f90a468eeb51de6910f4df54c0fc0b4331b07182e5b8f06480e9ca8a6d",
+        "679dc31b0b8d400f6825856831d80b8e2c1ab759fe0b32d3462211c6d4a29480",
+        "c762f518a58eb68c4de95a48fad75391cac8af0742cdd4fb9261641c77441f64",
+        "8ded79399f59cfce4c33cf3a43193b3fe36deac4b821cec6e6dd9a2ca047e3e9",
+        "8f2610bf38c87739e86fcece87a5a4a822099a381fc83309dc530ede083b3e1c",
+        "e1b65a62fceba1f03168bdbc89cfb26bcd029d54ed1f7e80e599b140683366ea",
+        "ab413ef74aaf7ee80db645593d23f8383e9dcefda7deb5b93a65c6f7562af029",
         "27ae78b5b7ee73509a816ea20ea490acbba5fcc36408f2118a217f7b2b4d7474",
     ],
     ("pyrazine-4d", "kinetic-first"): [
@@ -1769,14 +1845,14 @@ def test_every_emitted_gate_list_is_pinned(name, split):
 def test_public_blocks_compose_the_step(name, split):
     # the step appends every block where it lays it; the public blocks,
     # concatenated in the order build_timestep's docstring gives, are the
-    # same gate list
+    # same gate list, the potential-first tail the head's blocks mirrored
     model, dt = get_model(name), 264.0 / 2048
     for n in (2, 3, 4, 5):
         grid = GridSpec(n, -5.0, 5.0)
         if split == "potential-first":
             udiag, uc = build_Udiag_pair(model, grid, dt), build_Uc(model, grid, dt)
             blocks = [udiag, uc, _qft_wall(model, grid), build_UK(model, grid, dt),
-                      _qft_wall(model, grid, inverse=True), uc, udiag]
+                      _qft_wall(model, grid, inverse=True), uc.mirrored(), udiag.mirrored()]
         else:
             uk_half = build_UK(model, grid, dt / 2.0)
             blocks = [uk_half, _qft_wall(model, grid, inverse=True), build_Udiag_pair(model, grid, 2.0 * dt),
@@ -1785,6 +1861,31 @@ def test_public_blocks_compose_the_step(name, split):
         for block in blocks:
             composed.append_circuit(block)
         assert export_gates(composed) == export_gates(build_timestep(model, grid, dt, split)), n
+
+
+def test_the_mirrored_tail_is_the_block_order_tail():
+    # every gate of Udiag and Uc is symmetric, Udiag is diagonal and Uc's
+    # rotations commute, so the mirrored tail is Uc Udiag in block order
+    model, dt, grid = get_model("pyrazine-4d"), 264.0 / 2048, GridSpec(2, -5.0, 5.0)
+    udiag, uc = build_Udiag_pair(model, grid, dt), build_Uc(model, grid, dt)
+    block_order = Circuit(QubitLayout(model.d, 2).total)
+    for block in (udiag, uc, _qft_wall(model, grid), build_UK(model, grid, dt),
+                  _qft_wall(model, grid, inverse=True), uc, udiag):
+        block_order.append_circuit(block)
+    step = build_timestep(model, grid, dt)
+    assert export_gates(step) != export_gates(block_order)
+    assert np.max(np.abs(unitary_of(step) - unitary_of(block_order))) < 1e-13
+
+
+# (gates, depth) of the potential-first steps at n = 2-5, as the cost tables count them
+POTENTIAL_FIRST_COUNTS = {"pyrazine-4d": [(126, 34), (228, 57), (370, 90), (536, 129)],
+                          "pyrazine-2mode": [(70, 34), (122, 57), (194, 90), (278, 129)]}
+
+
+@pytest.mark.parametrize("name", sorted(POTENTIAL_FIRST_COUNTS))
+def test_the_mirrored_tail_keeps_gate_count_and_depth(name):
+    steps = [build_timestep(get_model(name), GridSpec(n, -5.0, 5.0), 264.0 / 2048) for n in (2, 3, 4, 5)]
+    assert [(s.gate_count(), s.depth()) for s in steps] == POTENTIAL_FIRST_COUNTS[name]
 
 
 # sha256 of export_gates of a kinetic-first CircuitPlan's step, the step
