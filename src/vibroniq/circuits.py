@@ -25,15 +25,16 @@ gate-level palindrome.
 Running: a CircuitPlan is a soft.Plan whose program is kernels.compile of
 the step, so soft.propagate, soft.step and soft.energy run it as they run
 the soft engine's plan. Where the coupling lives on the last mode register,
-compile folds the matrices on that register's block that border a kinetic
-chain into its last turn (kernels.fold_turns): potential-first, the body's
-two, so the step is a phase table, the chain and a phase table. The
-potential-first tail, the head's gates mirrored, is lowered from the head's
-operations, reversed and transposed, so both ends share one phase table. A
-kinetic-first step is compiled between its QFT walls, each joining the
-register run next to it, so the state stays in the position basis; its two
-walled K/2 runs are lowered once, the coupling rotation folds into the tail
-chain and the head chain widens with the identity, so the step is the
+the matrices on that register's block that border a kinetic chain fold
+into its last turn (kernels.fold, the one pass both engines' programs go
+through): potential-first, the body's two, so the step is a phase table,
+the chain and a phase table. The potential-first tail, the head's gates
+mirrored, is lowered from the head's operations, reversed and transposed,
+so both ends share one phase table. A kinetic-first step is compiled
+between its QFT walls, each joining the register run next to it, so the
+state stays in the position basis; its second walled K/2 run takes the
+first's operations, the coupling rotation folds into the tail chain and
+the head chain widens with the identity, so the step is the
 chain, a phase table and the chain, and the stepper merges the walled
 register matrices of two steps position by position. The interferometer
 readout (hadamard_series) runs no state of its own: its ancilla-controlled
@@ -611,8 +612,8 @@ def build_qpe(evolution_step: Circuit, m: int) -> Circuit:
     the register is closed with an inverse QFT. The circuit records m as
     readout_qubits. Its gates are charged against the memory budget first.
     """
-    if m < 1:
-        raise CircuitError(f"need at least one readout qubit, got {m}")
+    if not kernels.is_integer(m) or m < 1:
+        raise CircuitError(f"need an integer count of at least one readout qubit, got {m!r}")
     kernels.charge(((1 << m) - 1) * len(evolution_step.gates) * kernels._GATE_BYTES,
                    f"{m}-bit phase estimation: its 2^{m} - 1 controlled steps of {len(evolution_step.gates)} gates")
     base = evolution_step.n_qubits

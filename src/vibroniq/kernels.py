@@ -18,12 +18,14 @@ transposing matmuls that applies one dense matrix per mode register, each
 as one GEMM; fold_turns widens the chain's last turn to take in the dense
 operations on register d-1 and the electronic qubit that border the chain,
 so a coupling rotation there costs no pass of its own, or, with none, with
-the identity, so it meets a folded chain in a Strang bridge. phase_tables
-computes the diagonals of controlled phases from their (mask, bits)
-integers and merge_phases multiplies phase tables into one. Both engines'
-preset programs use phase, left and turn; "right" serves energy's p2 on
-register 0, one-register layouts and arbitrary circuits, and "gather" the
-circuit engine's bilinear steps, its coupling off the last mode and
+the identity, so it meets a folded chain in a Strang bridge; fold, the one
+pass both engines' programs go through, finds each chain of a program and
+the operations beside it and widens every chain once one folds.
+phase_tables computes the diagonals of controlled phases from their (mask,
+bits) integers and merge_phases multiplies phase tables into one. Both
+engines' preset programs use phase, left and turn; "right" serves energy's
+p2 on register 0, one-register layouts and arbitrary circuits, and "gather"
+the circuit engine's bilinear steps, its coupling off the last mode and
 arbitrary circuits.
 
 Circuits: a Circuit is a gate list over a fixed qubit count. Each gate has
@@ -32,8 +34,9 @@ distinct layers; gates sharing a layer commute, so replaying layer by layer
 equals replaying the gate list. A gate is an immutable tuple of its fields,
 checked when a caller makes it (Gate(...) or Circuit.add, which also
 range-checks its qubits): integer and distinct qubits, as many targets as
-its kind takes, integer 0/1 polarities, a non-negative int layer and a
-finite real, non-bool angle where the kind takes one, else CircuitError. A
+its kind takes, controls as (qubit, polarity) pairs with integer 0/1
+polarities, a non-negative int layer and a finite real, non-bool angle
+where the kind takes one, else CircuitError. A
 gate derived from checked ones (a Circuit._extend copy, a mirrored one, the
 CCRx expansion, the runs compile fuses) is not checked again; a copy checks once that its
 qubit map sends the source qubits one-to-one into range and that its
@@ -54,15 +57,14 @@ and in each potential run, fused greedily on at most n + 1 qubits (a mode
 register and the electronic qubit), one phase table per stretch of diagonal
 operations, multiplied smallest support first into the full-state table,
 the coupling rotation staying a matrix on the electronic qubit and its
-register. Gates that straddle registers take the greedy fuser too. All the
-register runs are fused together, so the two walled K/2 runs of a
-kinetic-first step run their gates once. A potential run that reads as an
-earlier one backwards and holds no RY, as the mirrored tail of a
-potential-first step, is lowered from that run's operations, reversed and
-each transposed, its phase tables the same arrays. Operations on register
-d-1's block beside a chain, as the coupling rotations of either split
-order, fold into the chain's last turn (fold_turns), and then every chain's
-last turn widens.
+register. Gates that straddle registers take the greedy fuser too. Each
+run is lowered where it stands, keyed by its gates: a run equal to an
+earlier one, as the second walled K/2 run of a kinetic-first step, takes
+that run's operations, and a potential run that reads as an earlier one
+backwards and holds no RY, as the mirrored tail of a potential-first step,
+takes them reversed and each transposed, its phase tables the same arrays.
+The operations then go through fold, as the soft engine's do, so the
+coupling rotations of either split order fold into the chain beside them.
 
 Memory: every refusal comes from charge, the one comparison with the budget,
 which each code path calls with its measured peak before it allocates.
@@ -84,8 +86,8 @@ DEFAULT_MEMORY_BUDGET = 4 * 2**30
 # (a mode register and the electronic qubit) per mode register, which a plan
 # and its bridges hold, plus as many again for the working copies of
 # compile: the stack of identities that one group of same-shaped runs runs
-# its gates over (_fuse), for the register runs at most 4d - 1 identities on
-# n qubits (the two walled K/2 runs of a kinetic-first step), and in every
+# its gates over (_fuse), for a register run at most 2d - 1 identities on
+# n qubits (its d registers, rounded up to a power of two), and in every
 # preset step no more than one (n + 1)-qubit operator. A folded
 # kinetic-first plan and its bridge hold three wide last turns and a
 # quarter operator per narrow turn: past their half at d = 2 (3.75 of 3),
@@ -312,6 +314,31 @@ def fold_turns(before: tuple | None, chain: list[tuple], after: tuple | None) ->
     return chain[:-1] + [([dim ** (d - 1), -1, 2 * dim], "turn", m)]
 
 
+def fold(ops: list[tuple], d: int) -> list[tuple]:
+    """ops, each turn_ops chain of d turns taking into its last turn the
+    operations beside it on register d-1's block (fold_turns), on either
+    side: the view [-1, 2 dim, dim^(d-1)] of register d-1 and the qubit
+    above it, the electronic one, which each chain's last turn
+    [dim^(d-1), -1, dim] gives. One between two chains goes to the first.
+    Once one chain folds, every chain widens its last turn, with the
+    identity where nothing borders it, so a Strang bridge meets two wide
+    turns. Without a chain (one register makes no turn) ops come back as
+    they are."""
+    ops, folds, taken = list(ops), [], -1
+    for i, (shape, how, _) in enumerate(ops):
+        if how == "turn" and len(shape) == 3:
+            view = [-1, 2 * shape[2], shape[0]]
+            before = ops[i - d] if i - d > taken and ops[i - d][0] == view else None
+            after = ops[i + 1] if i + 1 < len(ops) and ops[i + 1][0] == view else None
+            folds.append((i, before, after))
+            taken = i + (after is not None)
+    if any(before or after for _, before, after in folds):
+        for i, before, after in reversed(folds):
+            chain = fold_turns(before, ops[i + 1 - d:i + 1], after)
+            ops[i + 1 - d - (before is not None):i + 1 + (after is not None)] = chain
+    return ops
+
+
 def phase_tables(masks, angles, starts, n_qubits: int) -> np.ndarray:
     """exp(i times the summed angles) over the 2**n_qubits indices, one row
     per stretch of (mask, bits) and angle pairs, the stretches beginning at
@@ -409,7 +436,7 @@ class Program:
     disjoint qubits, or the positions of a turn_ops chain, a full cycle of
     the qubit order. Either way, across the boundary of two steps tail op i
     meets head op i on the same view, and the bridge applies each such pair
-    as one operation; a bridge may pair two wide last turns (fold_turns),
+    as one operation; a bridge may pair two wide last turns (fold),
     the tail's with a folded operation, the head's widened with the
     identity. Every block copies back at most once, not once per step."""
 
@@ -480,8 +507,8 @@ class Gate(_GateFields):
     """One gate: base kind, target qubit(s), control (qubit, polarity) list.
 
     An immutable tuple of its fields, checked when a caller makes it: its
-    targets and controls become tuples, its qubits must be integers and its
-    layer a non-negative int."""
+    targets and controls become tuples, each control a (qubit, polarity)
+    pair, its qubits must be integers and its layer a non-negative int."""
 
     __slots__ = ()
 
@@ -489,8 +516,8 @@ class Gate(_GateFields):
         if kind not in KINDS:
             raise CircuitError(f"unknown gate kind {kind!r}")
         try:
-            targets, controls = tuple(map(operator.index, targets)), tuple(map(tuple, controls))
-        except TypeError:
+            targets, controls = tuple(map(operator.index, targets)), tuple((q, pol) for q, pol in controls)
+        except (TypeError, ValueError):
             raise CircuitError(f"qubits must be integers and controls (qubit, polarity) pairs, "
                                f"got targets {targets!r} and controls {controls!r}") from None
         want_targets = _N_TARGETS[kind]
@@ -680,24 +707,22 @@ def compile(circuit: Circuit, layout) -> Program:
     consecutive phase operations this yields is multiplied into one phase
     table over the whole state (merge_phases).
 
-    All the register runs go to one _fuse, so runs of one shape, as the two
-    walled K/2 runs of a kinetic-first step, run their gates once.
+    Each run is lowered where it stands, keyed by its gates (kind, targets,
+    controls, angle; not the layer). A run equal to an earlier one, as the
+    second walled K/2 run of a kinetic-first step, takes that run's
+    operations, the same arrays. A potential run that reads as an earlier
+    one backwards, as the tail of a potential-first step reads its head
+    (Circuit.mirrored), is the transpose of that run's unitary when every
+    gate is a symmetric matrix, which all kinds but RY are: it takes the
+    earlier run's operations in reverse order, each transposed
+    (_transposed), so its phase tables are the earlier run's arrays. A
+    register run is never read backwards (a turn chain has no reverse), and
+    any other run, or one holding an RY, calls _fuse on its own gates: one
+    call per distinct register run.
 
-    Each potential run is keyed by its gates (kind, targets, controls,
-    angle; not the layer). A run that reads as an earlier run backwards,
-    as the tail of a potential-first step reads its head (Circuit.mirrored),
-    is the transpose of that run's unitary when every gate is a symmetric
-    matrix, which all kinds but RY are: it is not fused again but lowered
-    from the earlier run's operations in reverse order, each transposed
-    (_transposed), so its phase tables are the earlier run's arrays. A run
-    holding an RY is lowered on its own.
-
-    Then a chain of d turns takes into its last turn each operation beside
-    it whose view is layout.block_qubits(d - 1)'s (register d-1 and the
-    electronic qubit), on either side (fold_turns); one between two chains
-    goes to the first. Once one chain of the program folds, every chain
-    widens its last turn, with the identity where nothing borders it, so a
-    Strang bridge meets two wide turns. One register (no turn) folds nothing."""
+    Then the operations go through fold, which folds each operation beside
+    a chain on register d-1's block (register d-1 and the electronic qubit)
+    into its last turn, as the soft engine's plan folds its own."""
     n = layout.n
     d = min(layout.d, circuit.n_qubits // n)  # the registers the circuit holds whole
     owner = [q // n if q < n * d else None for q in range(circuit.n_qubits)]
@@ -717,49 +742,27 @@ def compile(circuit: Circuit, layout) -> Program:
 
     tagged = [(register(g), g) for g in circuit.gates]
     runs = [list(run) for _, run in itertools.groupby(tagged, lambda rg: rg[0] is None)]
-    # a register run stands as its register count until one _fuse of them all fills it in
-    pieces, registers, lowered = [], [], {}
+    ops, lowered = [], {}
     for by_register, group in itertools.groupby(runs, in_registers):
         run = [rg for part in group for rg in part]
-        if by_register:
-            gates: dict[int, list[Gate]] = {}
-            for r, g in run:
-                gates.setdefault(r, []).append(g)
-            pieces.append(len(gates))
-            registers += [(layout.mode_qubits(r), gates[r]) for r in sorted(gates)]
-            continue
-        key = tuple(g[:4] for _, g in run)
-        mirror = lowered.get(key[::-1])
-        if mirror is not None and all(g.kind != "RY" for _, g in run):
-            piece = [_transposed(op) for op in reversed(mirror)]
-        else:
-            piece = merge_phases(_fuse(_fuse_greedy([g for _, g in run], n + 1)), circuit.n_qubits)
-        lowered.setdefault(key, piece)
-        pieces.append(piece)
-    fused, ops = iter(_fuse(registers)), []
-    for piece in pieces:
-        if isinstance(piece, list):
-            ops += piece
-            continue
-        parts = [next(fused) for _ in range(piece)]
-        dense = [m for _, diagonal, m in parts if not diagonal]
-        ops += turn_ops(dense) if len(dense) == d else [
-            phase_op(sup, m) if diagonal else register_op(sup, m) for sup, diagonal, m in parts]
-    if d > 1:
-        view = _support_shape(layout.block_qubits(d - 1))[0]
-        # each chain by its last turn, with the block operations beside it; one between two goes to the first
-        folds, taken = [], -1
-        for i, (shape, how, _) in enumerate(ops):
-            if how == "turn" and len(shape) == 3:
-                before = ops[i - d] if i - d > taken and ops[i - d][0] == view else None
-                after = ops[i + 1] if i + 1 < len(ops) and ops[i + 1][0] == view else None
-                folds.append((i, before, after))
-                taken = i + (after is not None)
-        if any(before or after for _, before, after in folds):  # one chain folds: every chain widens
-            for i, before, after in reversed(folds):
-                chain = fold_turns(before, ops[i + 1 - d:i + 1], after)
-                ops[i + 1 - d - (before is not None):i + 1 + (after is not None)] = chain
-    return Program(circuit.n_qubits, ops)
+        key = tuple([g[:4] for _, g in run])
+        piece = lowered.setdefault(key, [])  # filled in place: the key is hashed once
+        if not piece:
+            mirror = None if by_register else lowered.get(key[::-1])
+            if mirror and all(g.kind != "RY" for _, g in run):
+                piece += [_transposed(op) for op in reversed(mirror)]
+            elif by_register:
+                gates: dict[int, list[Gate]] = {}
+                for r, g in run:
+                    gates.setdefault(r, []).append(g)
+                parts = _fuse([(layout.mode_qubits(r), gates[r]) for r in sorted(gates)])
+                dense = [m for _, diagonal, m in parts if not diagonal]
+                piece += turn_ops(dense) if len(dense) == d else [
+                    phase_op(sup, m) if diagonal else register_op(sup, m) for sup, diagonal, m in parts]
+            else:
+                piece += merge_phases(_fuse(_fuse_greedy([g for _, g in run], n + 1)), circuit.n_qubits)
+        ops += piece
+    return Program(circuit.n_qubits, fold(ops, d))
 
 
 def _transposed(op: tuple) -> tuple:

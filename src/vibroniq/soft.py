@@ -5,11 +5,12 @@ both surfaces as one full-state phase table and then the coupling rotation
 exp(-i c(Q) X dt/hbar), and the kinetic phases. Where the coupling field
 lives on the last mode alone (both pyrazine models), the rotation is one
 dense operation on the last mode register and the electronic qubit, which
-PropagatorPlan folds into the last turn of the kinetic chain beside it
-where it builds the chain (kernels.fold_turns), in both split orders, as
-kernels.compile folds the circuit engine's, and the program has the circuit
-engine's operation kinds and shapes. Any other rotation is a full-state
-phase table between two Hadamards on the electronic qubit. The kinetic step applies,
+folds into the last turn of the kinetic chain beside it, in both split
+orders: PropagatorPlan lays the plain Strang step and hands it to
+kernels.fold, the pass kernels.compile runs on the circuit engine's step,
+so the program has the circuit engine's operation kinds and shapes. Any
+other rotation is a full-state phase table between two Hadamards on the
+electronic qubit. The kinetic step applies,
 along each mode axis, that mode's DFT-conjugated phase matrix
 F^dagger diag(exp(-i K_k dt/hbar)) F: the same operator as an FFT, phases
 and inverse FFT over the whole grid, in its DVR form. The d matrices run as
@@ -32,11 +33,12 @@ Plan, the base of PropagatorPlan and circuits.CircuitPlan, holds only what
 both engines read: the checked split order, the memory charge, the layout
 (model.QubitLayout, the flat-state basis of both engines), the compiled
 step with its outer half-step and symmetry, and the grid terms of H, whose
-tables energy builds on its first read; each engine builds, and folds, its
-own step. propagate advances k steps between two samples as one block,
-each step's closing half-step and the next step's opening half-step
-applied as one merged operation (Strang merging), so a block of k steps
-costs k - 1 half-steps fewer than k steps. A run holds what its observers
+tables energy builds on its first read; each engine builds its own step,
+and both fold it through kernels.fold. A non-finite dt is refused first.
+propagate advances k steps between two samples as one block, each step's
+closing half-step and the next step's opening half-step applied as one
+merged operation (Strang merging), so a block of k steps costs k - 1
+half-steps fewer than k steps. A run holds what its observers
 read: one |a|^2 buffer, filled once per sample, and for autocorr the
 reference state.
 
@@ -49,6 +51,7 @@ is propagate's.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,6 +59,7 @@ import numpy as np
 from . import kernels
 from .model import (
     GridSpec,
+    ModelError,
     QubitLayout,
     TimeGrid,
     VibronicModel,
@@ -145,6 +149,8 @@ class Plan:
     def __post_init__(self) -> None:
         if self.split_order not in SPLIT_ORDERS:
             raise kernels.CircuitError(f"unknown split order {self.split_order!r}")
+        if not math.isfinite(self.dt):
+            raise ModelError(f"dt must be finite, got {self.dt!r}")
         d, n = self.model.d, self.grid.n
         kernels.charge(kernels.run_bytes(d, n), f"a {d * n + 1}-qubit statevector needs {16 << d * n + 1} bytes and a "
                        f"run holds {kernels.RUN_STATEVECTORS} of them and {kernels.RUN_OPERATORS * (d + 1)} "
@@ -201,10 +207,12 @@ class PropagatorPlan(Plan):
     chain, C, D, kinetic-first the chain, D, C, the chain, as the circuit
     engine compiles them. Where c(Q) lives on mode d-1 alone (local),
     C is one 2x2 per grid point of register d-1, a dense operation on that
-    register and the electronic qubit, which folds into the chain's last
-    turn: potential-first both C into the one chain, kinetic-first C into
-    the tail chain, whose partner in the bridge, the head chain, widens its
-    last turn with the identity; no coupling, no C. Any other C is h, Z, h, as
+    register and the electronic qubit. The plan lays these operations as
+    they stand and kernels.fold folds each C into the last turn of the chain
+    beside it: potential-first both C into the one chain, kinetic-first C
+    into the tail chain, whose partner in the bridge, the head chain, widens
+    its last turn with the identity; with one mode there is no chain, and
+    nothing folds; no coupling, no C. Any other C is h, Z, h, as
     exp(-i theta X) = H exp(-i theta Z) H (Nielsen and Chuang, sec. 4.2): h
     the Hadamard on the electronic qubit, Z a phase table exp(-+i c(Q) t/hbar)
     on S1 and S2. D (each surface's half in place) and Z are _phases of the
@@ -234,7 +242,7 @@ class PropagatorPlan(Plan):
         for terms, out in zip(self._grid_terms, pot):
             _phases(terms, pot_t, out)
         phases = kernels.phase_op(range(layout.total), pot.reshape(-1))
-        coupling, rot, tail = self._grid_terms[2], [], kin
+        coupling, rot = self._grid_terms[2], []
         if not self.local:
             zrot = np.empty_like(pot)
             _phases(coupling, pot_t, zrot[0])
@@ -248,14 +256,10 @@ class PropagatorPlan(Plan):
             c = np.zeros((2, self.grid.size, 2, self.grid.size), dtype=np.complex128)
             c[0, j, 0, j] = c[1, j, 1, j] = np.cos(theta)
             c[0, j, 1, j] = c[1, j, 0, j] = -1j * np.sin(theta)
-            c = kernels.register_op(layout.block_qubits(d - 1), c.reshape(2 * self.grid.size, -1))
-            if pot_first:  # C, the chain, C as one chain
-                kin = kernels.fold_turns(c, kin, c)
-            else:  # C and the tail chain as one chain, the head chain widened to meet it in the bridge
-                kin, tail = kernels.fold_turns(None, kin, None), kernels.fold_turns(c, kin, None)
+            rot = [kernels.register_op(layout.block_qubits(d - 1), c.reshape(2 * self.grid.size, -1))]
         # potential-first, the two h of h, Z, h that border the chain cancel
-        ops = [*kin, phases, *rot, *tail] if not pot_first else [phases, *rot[:2], *kin, *rot[-2:], phases]
-        self.program = kernels.Program(layout.total, ops)
+        ops = [*kin, phases, *rot, *kin] if not pot_first else [phases, *rot[:2], *kin, *rot[-2:], phases]
+        self.program = kernels.Program(layout.total, kernels.fold(ops, d))
 
 
 def step(plan: Plan, psi: Wavepacket) -> Wavepacket:

@@ -117,6 +117,8 @@ CONSTRUCTION_ERRORS = [
     (("H", (0,), ((1.5, 1),)), "control qubits and polarities must be integers, got ((1.5, 1),)"),
     (("H", (0,), ((1, 1.0),)), "control qubits and polarities must be integers, got ((1, 1.0),)"),
     (("H", (0,), (1,)), "qubits must be integers and controls (qubit, polarity) pairs, got targets (0,)"),
+    (("H", (0,), ((1, 1, 0),)), "controls (qubit, polarity) pairs, got targets (0,) and controls ((1, 1, 0),)"),
+    (("H", (0,), ((1,),)), "controls (qubit, polarity) pairs, got targets (0,) and controls ((1,),)"),
 ]
 
 
@@ -1134,6 +1136,26 @@ def test_a_mirrored_potential_run_is_lowered_from_the_first(case):
     assert np.max(np.abs(program.run(state.copy()) - apply(circ, state.copy()))) < 1e-12
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_a_mirrored_register_run_is_lowered_on_its_own(d, monkeypatch):
+    # a QFT wall and its mirror: the transpose of the wall, but a turn chain
+    # run backwards is no chain, so the mirror is fused again, not reversed
+    layout = QubitLayout(d, 2)
+    wall = Circuit(layout.total)
+    circuits._copy_to_registers(wall, build_qft(layout.n), layout)
+    circ = Circuit(layout.total)
+    circ.append_circuit(wall)
+    circ.add("RX", (layout.electronic,), theta=0.7)
+    circ.append_circuit(wall.mirrored())
+    fused, real = [], kernels._fuse
+    monkeypatch.setattr(kernels, "_fuse", lambda runs: fused.append(runs) or real(runs))
+    ops = compile(circ, layout).ops
+    assert [how for _, how, _ in ops] == ["turn"] * d + ["left"] + ["turn"] * d
+    assert len(fused) == 3
+    state = random_state(layout.total, seed=5)
+    assert np.max(np.abs(kernels.Program(layout.total, ops).run(state.copy()) - apply(circ, state))) < 1e-12
+
+
 @pytest.mark.parametrize("name", ["pyrazine-4d", "pyrazine-2mode"])
 def test_a_potential_first_plan_shares_one_phase_table(name):
     plan = CircuitPlan(get_model(name), BOX4, 0.13)
@@ -1222,19 +1244,22 @@ def test_compile_runs_each_repeated_block_once(name, split, calls, monkeypatch):
 def test_a_kinetic_first_compile_lowers_its_two_k_half_runs_once(name, monkeypatch):
     circ, layout = plan_step(get_model(name), BOX4, 0.13, "kinetic-first")
     calls, real = [], kernels._fuse
-    monkeypatch.setattr(kernels, "_fuse", lambda runs: calls.append((runs, real(runs))) or calls[-1][1])
-    compile(circ, layout)
-    d = layout.d
-    # the register runs of both walled K/2 runs go to one _fuse, the last,
-    # and run one shape: the same gates on every register but their angles
-    runs, parts = calls[-1]
-    assert [support for support, _ in runs] == [layout.mode_qubits(r) for r in range(d)] * 2
-    head, tail = ([g[:4] for g in gates] for gates in (runs[0][1], runs[d][1]))
-    assert head == tail
-    # each operand is the one that lowering its run alone gives, to the bit
-    for start in (0, d):
-        for got, alone in zip(parts[start:start + d], real(runs[start:start + d]), strict=True):
-            assert got[:2] == alone[:2] and np.array_equal(got[2], alone[2])
+    monkeypatch.setattr(kernels, "_fuse", lambda runs: calls.append(runs) or real(runs))
+    ops = compile(circ, layout).ops
+    d, dim = layout.d, 2 << layout.n
+    # the second walled K/2 run reads as the first: one _fuse of the
+    # registers, and both chains hold its turns, the same arrays but the
+    # last, which fold widens in the head and folds C into in the tail
+    registers = [layout.mode_qubits(r) for r in range(d)]
+    assert sum([tuple(support) for support, _ in runs] == registers for runs in calls) == 1
+    assert [how for _, how, _ in ops] == ["turn"] * d + ["phase"] + ["turn"] * d
+    head, tail = ops[:d], ops[d + 1:]
+    for (_, _, h), (_, _, t) in zip(head[:-1], tail[:-1], strict=True):
+        assert h is t
+    wide = head[-1][2]
+    assert wide.shape == tail[-1][2].shape == (dim, dim)
+    assert np.array_equal(wide[:dim // 2, :dim // 2], wide[dim // 2:, dim // 2:])
+    assert not wide[:dim // 2, dim // 2:].any() and not wide[dim // 2:, :dim // 2].any()
 
 
 # every preset width and split, and a bilinear step (kinetic-first only)
@@ -1588,6 +1613,14 @@ def test_qpe_on_a_phase_gate():
     # the readout register resolves the eigenphase phi as phi/2pi exactly
     assert int(np.argmax(probs)) == 5
     assert probs.max() == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("m", [0, -1, 2.5, "3", True, None])
+def test_build_qpe_refuses_a_readout_count_that_is_no_positive_integer(m):
+    ev = Circuit(1)
+    ev.add("U1", (0,), theta=0.7)
+    with pytest.raises(CircuitError, match=re.escape(f"at least one readout qubit, got {m!r}")):
+        build_qpe(ev, m)
 
 
 def test_build_qpe_refuses_a_register_over_budget(monkeypatch):

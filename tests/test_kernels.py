@@ -19,6 +19,7 @@ from vibroniq.kernels import (
     apply_matrix,
     apply_phase,
     apply_swap,
+    fold,
     fold_turns,
     merge_phases,
     phase_op,
@@ -569,6 +570,41 @@ def test_fold_turns_equals_the_unfolded_run(d, n, before, after, extra, seed):
     assert len(program.ops) == d and len(program.ops[-1][2]) == 2 << n
     program.run(folded)
     assert np.max(np.abs(folded - plain)) < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_fold_equals_the_unfolded_run(data):
+    # one or two chains, each end a phase, a dense or no operation on the
+    # block, and between two chains a full-state phase table or nothing
+    d, n, extra = data.draw(st.integers(2, 3)), data.draw(st.integers(1, 3)), data.draw(st.integers(0, 2))
+    rng = _seeded(data.draw)
+    chains = [turn_ops([random_unitary(1 << n, rng) for _ in range(d)])
+              for _ in range(data.draw(st.integers(1, 2)))]
+    ends = [[None if kind == "identity" else _operation(kind, list(_block(d, n)), rng)
+             for kind in (data.draw(END_KINDS), data.draw(END_KINDS))] for _ in chains]
+    between = []
+    if len(chains) == 2 and data.draw(st.booleans()):
+        between.append(_operation("phase", list(range(d * n + 1)), rng))
+    runs = [[op for op in (before, *chain, after) if op is not None] for chain, (before, after) in zip(chains, ends)]
+    ops = runs[0] + between + (runs[1] if len(chains) == 2 else [])
+    folded = fold(ops, d)
+    plain = random_state(d * n + 1 + extra, rng)
+    want = Program(d * n + 1, ops).run(plain.copy())
+    assert np.max(np.abs(Program(d * n + 1, folded).run(plain) - want)) < 1e-12
+    if all(op is None for pair in ends for op in pair):
+        assert folded == ops
+        return
+    # a block operation alone between two chains goes to the first
+    if len(chains) == 2 and not between and ends[0][1] is None:
+        ends[0][1], ends[1][0] = ends[1][0], None
+    expect = [fold_turns(before, chain, after) for chain, (before, after) in zip(chains, ends)]
+    expect = expect[0] + between + expect[1] if len(chains) == 2 else expect[0]
+    assert [(shape, how) for shape, how, _ in folded] == [(shape, how) for shape, how, _ in expect]
+    for (_, _, got), (_, _, m) in zip(folded, expect, strict=True):
+        assert np.array_equal(got, m)
+    # every chain's last turn is wide once one folds
+    assert [len(m) for shape, how, m in folded if len(shape) == 3] == [2 << n] * len(chains)
 
 
 @st.composite

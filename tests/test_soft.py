@@ -526,7 +526,8 @@ def test_step_matches_the_fft_step(case, rng):
 # with an off-diagonal bilinear term or a coupling on another mode the soft
 # engine's rotation is a Z phase table between two 2x2 Hadamards ("left" on
 # the electronic qubit), the pair beside the chain cancelled, and the
-# circuit engine gathers; with no coupling there is nothing to fold.
+# circuit engine gathers; with no coupling there is nothing to fold, and
+# with one mode there is no chain: neither engine folds (kernels.fold).
 # Per case: the model, then per engine the operation kinds and how many
 # dense operations are 2^(n+1) wide (None: the engine refuses the model)
 ONE_MODE = VibronicModel(modes=(ModeParams("nu", 0.0936, "B1g"),), lam=0.0, delta=0.0)
@@ -544,7 +545,7 @@ FOLD_CASES = {
                   (["phase", "gather", "turn", "turn", "gather", "phase"], 2)),
     "one-mode": (ONE_MODE, (["phase", "right", "phase"], 0), (["phase", "right", "phase"], 0)),
     "one-mode-coupled": (dataclasses.replace(ONE_MODE, lam=0.1825, delta=0.4617),
-                         (["phase", "right", "phase"], 1), (["right", "right", "right"], 2)),
+                         (["phase", "right", "right", "right", "phase"], 2), (["right", "right", "right"], 2)),
 }
 
 
@@ -613,6 +614,20 @@ def test_both_plans_keep_the_plan_contract(kind, split):
         psi = initial_state(model, grid)
         energy(plan, psi, flat_prob(plan.layout, psi))
         assert [t for t in terms if t in vars(plan)] == terms
+
+
+# a non-finite dt would make every table NaN: both plans refuse it with one
+# message before the memory charge (this 49-qubit model is over budget)
+@pytest.mark.parametrize("kind", list(PLANS))
+@pytest.mark.parametrize("dt", [float("nan"), float("inf"), -float("inf")])
+def test_both_plans_refuse_a_non_finite_dt_first(kind, dt):
+    model = get_model("pyrazine-24d-placeholder")
+    with pytest.raises(ModelError, match=re.escape(f"dt must be finite, got {dt!r}")):
+        PLANS[kind](model, GridSpec(n=2, q_min=-5.0, q_max=5.0), dt)
+    # zero and negative steps stay accepted
+    for ok in (0.0, -0.25):
+        assert np.all(np.isfinite(PLANS[kind](pyrazine_2mode(), GridSpec(n=2, q_min=-5.0, q_max=5.0), ok)
+                                  .program.run(np.ones(32, dtype=np.complex128))))
 
 
 # the soft plan keeps the bare split order as its id
